@@ -46,6 +46,8 @@ def _expect_keys(obj: dict, path: str, required: dict, optional: dict | None = N
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number")
+    if not math.isfinite(obj):
+        raise ConfigError(f"{path}: expected a finite number, got {obj}")
     return float(obj)
 
 
@@ -134,7 +136,8 @@ def load_run_config(obj: dict, path: str = "config"):
     if fit_window is not None:
         if not (isinstance(fit_window, list) and len(fit_window) == 2):
             raise ConfigError(f"{path}.fit_window: expected [t_lo, t_hi]")
-        fit_window = (float(fit_window[0]), float(fit_window[1]))
+        fit_window = tuple(_number(t, f"{path}.fit_window[{i}]")
+                           for i, t in enumerate(fit_window))
     return {
         "params": params, "grid": grid, "data": data, "t_max": t_max,
         "record": record, "dt": dt, "blowup_threshold": threshold,
@@ -304,6 +307,7 @@ def cmd_simulate(args) -> int:
         "warnings": result.warnings,
         "fits": _run_fits(result, cfg["params"], window),
         "regime": exponents.classify_regime(cfg["params"]).regime.value,
+        "run": result.config_echo,
     }
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -320,7 +324,7 @@ def cmd_simulate(args) -> int:
 def _range_values(spec, path: str) -> list[float]:
     if not (isinstance(spec, list) and len(spec) == 3):
         raise ConfigError(f"{path}: expected [lo, hi, step]")
-    lo, hi, step = (float(v) for v in spec)
+    lo, hi, step = (_number(v, f"{path}[{i}]") for i, v in enumerate(spec))
     if step <= 0:
         raise ConfigError(f"{path}: need step > 0")
     if lo <= 1:

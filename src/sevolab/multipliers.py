@@ -34,6 +34,12 @@ import numpy as np
 _FORM_SWITCH = 0.5
 #: |x| below this evaluates sinh(x)/x by series
 _SINHC_SERIES = 1e-4
+#: mu*dt**2 below this (mu, when dt > 1) takes the series branch of
+#: duhamel_weights; above it the closed forms lose at most ~3e-13 relative
+_SMALL_MU_DT2 = 0.1
+#: terms of the weight series, exact to rounding while |lam*dt| <= _SERIES_DT_MAX
+_SERIES_TERMS = 30
+_SERIES_DT_MAX = 2.0
 
 
 @dataclass(frozen=True)
@@ -201,43 +207,59 @@ def ode_residual(t: float, xi_mag: float, sigma: float, h: float) -> float:
     return res
 
 
-def duhamel_weights(dt: float, mu: np.ndarray):
-    """Quadrature-exact inhomogeneous weights for one exponential step.
+def _phi_weights(dt: float, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of :func:`duhamel_weights` by a cancellation-free series.
+
+    With x1, x2 = lam1*dt, lam2*dt the weights are divided differences of
+    the phi-functions, A = dt**2 * phi1[x1, x2] and B = dt**2 * phi2[x1, x2],
+    so A = dt**2 * sum_m h_m/(m+2)! and B = dt**2 * sum_m h_m/(m+3)! with
+    the real recurrence h_m = -dt*h_{m-1} - mu*dt**2*h_{m-2} (h_0 = 1).
+    Longer steps are composed from two half steps.
+    """
+    if dt > _SERIES_DT_MAX:
+        half = dt / 2.0
+        A, B = _phi_weights(half, mu)
+        k0, k1, _, _ = propagator_arrays(half, mu)
+        return A * (1.0 + k0) + k1 * k1, 0.5 * (k0 * B + k1 * A / half + A + B)
+    prod = mu * (dt * dt)
+    h_prev = np.zeros_like(mu)
+    h = np.ones_like(mu)
+    A = np.zeros_like(mu)
+    B = np.zeros_like(mu)
+    fact = 2.0
+    for m in range(_SERIES_TERMS):
+        A += h / fact
+        fact *= m + 3
+        B += h / fact
+        h_prev, h = h, -dt * h - prod * h_prev
+    return dt * dt * A, dt * dt * B
+
+
+def duhamel_weights(dt: float, mu: np.ndarray, tables=None):
+    """Exact inhomogeneous weights for one exponential step.
 
     Returns (A, B, Ad, Bd) with
         A  = int_0^dt k1(dt - tau)            dtau
         B  = int_0^dt k1(dt - tau) * tau/dt   dtau
         Ad = int_0^dt k1'(dt - tau)           dtau
         Bd = int_0^dt k1'(dt - tau) * tau/dt  dtau
-    evaluated per mode by composite Gauss-Legendre on the stably computed
-    kernel (k1' = k0 - k1).  Panels are added until the fastest oscillation
-    is resolved, which keeps the rule exact to machine precision.
+    in closed form from the step's own multipliers k0 = k0(dt), k1 = k1(dt)
+    (``tables``, the output of ``propagator_arrays(dt, mu)``, built here if
+    not given): Ad = k1, A = (1 - k0)/mu, Bd = A/dt and
+    B = A - (A + k1 - dt*k0)/(mu*dt).  These cancel catastrophically as
+    mu -> 0, so modes with mu*dt**2 below _SMALL_MU_DT2 (mu below it when
+    dt > 1) take the phi-function series of :func:`_phi_weights` instead.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     mu = np.asarray(mu, dtype=float)
-    om_max = 0.0
-    mmax = float(mu.max()) if mu.size else 0.0
-    if 4.0 * mmax > 1.0:
-        om_max = math.sqrt(4.0 * mmax - 1.0) / 2.0
-    n_panels = 1 + int(om_max * dt / 3.0)
-    nodes, wts = np.polynomial.legendre.leggauss(16)
-
-    A = np.zeros_like(mu)
-    B = np.zeros_like(mu)
-    Ad = np.zeros_like(mu)
-    Bd = np.zeros_like(mu)
-    width = dt / n_panels
-    for panel in range(n_panels):
-        lo = panel * width
-        taus = lo + (nodes + 1.0) * (width / 2.0)
-        ws = wts * (width / 2.0)
-        for tau, w in zip(taus, ws):
-            k0, k1, _, _ = propagator_arrays(dt - tau, mu)
-            k1p = k0 - k1
-            frac = tau / dt
-            A += w * k1
-            B += (w * frac) * k1
-            Ad += w * k1p
-            Bd += (w * frac) * k1p
-    return A, B, Ad, Bd
+    if tables is None:
+        tables = propagator_arrays(dt, mu)
+    k0, k1 = tables[0], tables[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = (1.0 - k0) / mu
+        B = A - (A + k1 - dt * k0) / (mu * dt)
+    small = mu * (dt * dt) < _SMALL_MU_DT2 * max(1.0, dt * dt)
+    if np.any(small):
+        A[small], B[small] = _phi_weights(dt, mu[small])
+    return A, B, k1, A / dt

@@ -1,6 +1,10 @@
 """Pseudo-spectral simulator for the coupled system on a large periodic box.
 
-The linear flow is advanced exactly, mode by mode, with the multipliers from
+The state holds the ``rfftn`` half spectrum of each real field: the last
+axis keeps only its nonnegative frequencies, so every bin off that axis's
+zero and Nyquist planes stands for itself and its mirror image, and sums
+over the spectrum weight it twice (its Hermitian multiplicity).  The linear
+flow is advanced exactly, mode by mode, with the multipliers from
 :mod:`sevolab.multipliers`; the coupling |v|**p, |u|**q enters through a
 second-order exponential integrator: the nonlinearity is evaluated in
 physical space at the start of the step and at an exact-linear predictor at
@@ -13,7 +17,9 @@ stays well inside the box; :func:`t_valid` returns that window.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -69,6 +75,10 @@ class GridSpec:
     def xi_max(self) -> float:
         return math.pi / self.dx
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.points_per_dim,) * self.n_dim
+
     def axes(self) -> list[np.ndarray]:
         x = -self.half_length + self.dx * np.arange(self.points_per_dim)
         return [x] * self.n_dim
@@ -80,10 +90,47 @@ class GridSpec:
         m = self.mesh()
         return np.sqrt(sum(c * c for c in m))
 
-    def xi_mag(self) -> np.ndarray:
+    def xi_mag(self, half: bool = False) -> np.ndarray:
+        """|xi| on the full FFT grid, or on the rfftn half grid if ``half``."""
         xi = 2.0 * math.pi * np.fft.fftfreq(self.points_per_dim, d=self.dx)
-        grids = np.meshgrid(*([xi] * self.n_dim), indexing="ij")
+        axes = [xi] * self.n_dim
+        if half:
+            axes[-1] = 2.0 * math.pi * np.fft.rfftfreq(self.points_per_dim, d=self.dx)
+        grids = np.meshgrid(*axes, indexing="ij")
         return np.sqrt(sum(g * g for g in grids))
+
+    def to_physical(self, w_hat: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(w_hat, s=self.shape, axes=range(self.n_dim))
+
+    def to_spectral(self, w: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(w, s=self.shape, axes=range(self.n_dim))
+
+
+@functools.lru_cache(maxsize=8)
+def _half_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """|xi| on the half grid and the Hermitian multiplicity of each bin (read-only)."""
+    xi = grid.xi_mag(half=True)
+    mult = np.full(xi.shape, 2.0)
+    mult[..., 0] = 1.0
+    mult[..., -1] = 1.0  # Nyquist: points_per_dim is even
+    xi.flags.writeable = mult.flags.writeable = False
+    return xi, mult
+
+
+def _energy(fields, weight: Optional[np.ndarray] = None) -> float:
+    """Sum over half-spectrum fields of sum(weight * |f|**2), by default with the
+    Hermitian multiplicity as the weight; inf or nan if any f is non-finite."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in fields:
+            if weight is None:
+                edges = f[..., ::f.shape[-1] - 1]  # the zero and Nyquist planes
+                total += 2.0 * np.vdot(f, f).real - np.vdot(edges, edges).real
+            else:
+                sq = f.real * f.real
+                sq += f.imag * f.imag
+                total += np.vdot(weight, sq)
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -118,7 +165,9 @@ class InitialData:
 
 @dataclass
 class SpectralState:
-    """Fourier coefficients of (u, u_t, v, v_t) plus time and symbol metadata."""
+    """Half-spectrum (``rfftn``) coefficients of (u, u_t, v, v_t) plus time and
+    symbol metadata.  ``energy`` is the Hermitian-weighted sum of |coefficient|**2
+    over the four fields when the step that made the state computed it."""
 
     u_hat: np.ndarray
     ut_hat: np.ndarray
@@ -129,6 +178,7 @@ class SpectralState:
     sigma1: float
     sigma2: float
     blown_up: bool = False
+    energy: Optional[float] = None
 
     def fields(self) -> tuple[np.ndarray, ...]:
         return self.u_hat, self.ut_hat, self.v_hat, self.vt_hat
@@ -176,8 +226,8 @@ def init(grid: GridSpec, data: InitialData, params: SystemParams,
 
     def sample(prof):
         if prof is None:
-            return np.zeros(r.shape, dtype=complex)
-        return np.fft.fftn(prof.value(r).astype(float))
+            return np.zeros(_half_grid(grid)[0].shape, dtype=complex)
+        return grid.to_spectral(prof.value(r).astype(float))
 
     return SpectralState(sample(data.u0), sample(data.u1),
                          sample(data.v0), sample(data.v1),
@@ -185,46 +235,68 @@ def init(grid: GridSpec, data: InitialData, params: SystemParams,
 
 
 def _mu(grid: GridSpec, sigma: float) -> np.ndarray:
-    return grid.xi_mag() ** (2.0 * sigma)
-
-
-def _advance_pair(w_hat, wt_hat, tables):
-    k0, k1, dk0, dk1 = tables
-    return k0 * w_hat + k1 * wt_hat, dk0 * w_hat + dk1 * wt_hat
-
-
-def linear_step(state: SpectralState, dt: float) -> SpectralState:
-    """Advance the linear system exactly by dt (any dt > 0)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    t1 = propagator_arrays(dt, _mu(state.grid, state.sigma1))
-    t2 = propagator_arrays(dt, _mu(state.grid, state.sigma2))
-    u, ut = _advance_pair(state.u_hat, state.ut_hat, t1)
-    v, vt = _advance_pair(state.v_hat, state.vt_hat, t2)
-    return replace(state, u_hat=u, ut_hat=ut, v_hat=v, vt_hat=vt,
-                   time=state.time + dt)
+    return _half_grid(grid)[0] ** (2.0 * sigma)
 
 
 class _StepKernel:
-    """Per-(grid, sigma) propagator tables and Duhamel weights, cached by dt."""
+    """Per-(grid, sigma) propagator tables and Duhamel weights for the last
+    MAX_ENTRIES step sizes, the least recently used evicted first.
+
+    Record intervals are visited in order, so the main dt stays resident and
+    only the final, shorter step of each interval is rebuilt.  ``builds``
+    counts the step sizes built.
+    """
+
+    MAX_ENTRIES = 2
 
     def __init__(self, grid: GridSpec, sigma1: float, sigma2: float):
-        self.mu1 = _mu(grid, sigma1)
-        self.mu2 = _mu(grid, sigma2)
-        self._tables: dict[float, tuple] = {}
-        self._weights: dict[float, tuple] = {}
+        self.sigmas = (sigma1, sigma2)
+        # one symbol per distinct order: equal orders share tables and weights
+        self.mus = {s: _mu(grid, s) for s in self.sigmas}
+        self._entries: OrderedDict[float, tuple] = OrderedDict()
+        self.builds = 0
 
-    def tables(self, dt: float):
-        if dt not in self._tables:
-            self._tables[dt] = (propagator_arrays(dt, self.mu1),
-                                propagator_arrays(dt, self.mu2))
-        return self._tables[dt]
+    def get(self, dt: float) -> tuple[tuple, tuple]:
+        """(tables, weights) of step dt, one of each per field pair: the
+        ``propagator_arrays`` table and (A - B, B, Ad - Bd, Bd) of
+        :func:`duhamel_weights`."""
+        entry = self._entries.get(dt)
+        if entry is not None:
+            self._entries.move_to_end(dt)
+            return entry
+        while len(self._entries) >= self.MAX_ENTRIES:
+            self._entries.popitem(last=False)
+        built = {s: self._build(dt, mu) for s, mu in self.mus.items()}
+        entry = self._entries[dt] = tuple(zip(*(built[s] for s in self.sigmas)))
+        self.builds += 1
+        return entry
 
-    def weights(self, dt: float):
-        if dt not in self._weights:
-            self._weights[dt] = (duhamel_weights(dt, self.mu1),
-                                 duhamel_weights(dt, self.mu2))
-        return self._weights[dt]
+    @staticmethod
+    def _build(dt: float, mu: np.ndarray) -> tuple:
+        tables = propagator_arrays(dt, mu)
+        A, B, Ad, Bd = duhamel_weights(dt, mu, tables)
+        return tables, (A - B, B, Ad - Bd, Bd)
+
+
+def _linear_fields(state: SpectralState, tables) -> list[np.ndarray]:
+    """(u, u_t, v, v_t) advanced exactly by the step the tables were built for."""
+    out = []
+    for (w, wt), (k0, k1, dk0, dk1) in zip(
+            ((state.u_hat, state.ut_hat), (state.v_hat, state.vt_hat)), tables):
+        out += [k0 * w + k1 * wt, dk0 * w + dk1 * wt]
+    return out
+
+
+def linear_step(state: SpectralState, dt: float,
+                kernel: Optional[_StepKernel] = None) -> SpectralState:
+    """Advance the linear system exactly by dt (any dt > 0)."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if kernel is None:
+        kernel = _StepKernel(state.grid, state.sigma1, state.sigma2)
+    u, ut, v, vt = _linear_fields(state, kernel.get(dt)[0])
+    return replace(state, u_hat=u, ut_hat=ut, v_hat=v, vt_hat=vt,
+                   time=state.time + dt, energy=None)
 
 
 def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
@@ -233,73 +305,70 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     """One second-order exponential step of the full coupled system.
 
     The coupling is interpolated linearly in time between its value at the
-    step start and at the exact-linear predictor of the step end; overflow
-    in the nonlinearity marks the state as blown up instead of raising.
+    step start and at the exact-linear predictor of the step end.  One
+    weighted pass over the new state gives its ``energy``; a non-finite
+    energy (overflow in the nonlinearity included) marks the state as blown
+    up instead of raising.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    grid = state.grid
     if kernel is None:
-        kernel = _StepKernel(state.grid, state.sigma1, state.sigma2)
-    tab1, tab2 = kernel.tables(dt)
-    w1, w2 = kernel.weights(dt)
+        kernel = _StepKernel(grid, state.sigma1, state.sigma2)
+    tables, (w1, w2) = kernel.get(dt)
 
     def nonlinear(u_hat_v, v_hat_v, t: float):
-        u_phys = np.fft.ifftn(u_hat_v).real
-        v_phys = np.fft.ifftn(v_hat_v).real
-        with np.errstate(over="ignore", invalid="ignore"):
-            nu = np.abs(v_phys) ** p
-            nv = np.abs(u_phys) ** q
+        """Spectra of the couplings |v|**p and |u|**q (plus any forcing) at time t."""
+        nu = grid.to_physical(v_hat_v)
+        nv = grid.to_physical(u_hat_v)
+        np.abs(nu, out=nu)
+        np.abs(nv, out=nv)
+        np.power(nu, p, out=nu)
+        np.power(nv, q, out=nv)
         if forcing is not None:
             fu, fv = forcing
             if fu is not None:
-                nu = nu + fu(t)
+                nu += fu(t)
             if fv is not None:
-                nv = nv + fv(t)
-        return np.fft.fftn(nu), np.fft.fftn(nv)
+                nv += fv(t)
+        return grid.to_spectral(nu), grid.to_spectral(nv)
 
     t0 = state.time
     with np.errstate(over="ignore", invalid="ignore"):
         nu0, nv0 = nonlinear(state.u_hat, state.v_hat, t0)
-        u_lin, ut_lin = _advance_pair(state.u_hat, state.ut_hat, tab1)
-        v_lin, vt_lin = _advance_pair(state.v_hat, state.vt_hat, tab2)
-        nu1, nv1 = nonlinear(u_lin, v_lin, t0 + dt)
+        new = _linear_fields(state, tables)
+        nu1, nv1 = nonlinear(new[0], new[2], t0 + dt)
+        for (w, wt), (ab, b, abd, bd), n0, n1 in (
+                (new[0:2], w1, nu0, nu1), (new[2:4], w2, nv0, nv1)):
+            w += ab * n0
+            w += b * n1
+            wt += abd * n0
+            wt += bd * n1
 
-        A1, B1, Ad1, Bd1 = w1
-        A2, B2, Ad2, Bd2 = w2
-        u_new = u_lin + (A1 - B1) * nu0 + B1 * nu1
-        ut_new = ut_lin + (Ad1 - Bd1) * nu0 + Bd1 * nu1
-        v_new = v_lin + (A2 - B2) * nv0 + B2 * nv1
-        vt_new = vt_lin + (Ad2 - Bd2) * nv0 + Bd2 * nv1
-
-    blown = state.blown_up
-    for arr in (u_new, ut_new, v_new, vt_new):
-        if not np.all(np.isfinite(arr)):
-            blown = True
-            break
-    return replace(state, u_hat=u_new, ut_hat=ut_new, v_hat=v_new,
-                   vt_hat=vt_new, time=state.time + dt, blown_up=blown)
+    energy = _energy(new)
+    u, ut, v, vt = new
+    return replace(state, u_hat=u, ut_hat=ut, v_hat=v, vt_hat=vt,
+                   time=state.time + dt, energy=energy,
+                   blown_up=state.blown_up or not math.isfinite(energy))
 
 
 def six_norms(state: SpectralState) -> dict[str, float]:
     """The six recorded L2-type norms, computed on the frequency side."""
     grid = state.grid
     factor = grid.dV / grid.n_total
-    xi = grid.xi_mag()
-    w1 = xi**state.sigma1
-    w2 = xi**state.sigma2
+    xi, mult = _half_grid(grid)
+    w1 = mult * xi ** (2.0 * state.sigma1)
+    w2 = mult * xi ** (2.0 * state.sigma2)
 
     def norm(arr, weight=None):
-        a2 = np.abs(arr) ** 2
-        if weight is not None:
-            a2 = a2 * weight
-        return math.sqrt(factor * float(np.sum(a2)))
+        return math.sqrt(factor * _energy((arr,), weight))
 
     return {
         "u_l2": norm(state.u_hat),
-        "u_dsigma": norm(state.u_hat, w1 * w1),
+        "u_dsigma": norm(state.u_hat, w1),
         "u_dt": norm(state.ut_hat),
         "v_l2": norm(state.v_hat),
-        "v_dsigma": norm(state.v_hat, w2 * w2),
+        "v_dsigma": norm(state.v_hat, w2),
         "v_dt": norm(state.vt_hat),
     }
 
@@ -315,13 +384,13 @@ def detect_blowup(state: SpectralState, threshold: float) -> bool:
 
 
 def _top_octave_fraction(state: SpectralState) -> float:
-    xi = state.grid.xi_mag()
-    top = xi > state.grid.xi_max / 2.0
+    xi, mult = _half_grid(state.grid)
+    top = mult * (xi > state.grid.xi_max / 2.0)
     worst = 0.0
     for arr in (state.u_hat, state.v_hat):
-        total = float(np.sum(np.abs(arr) ** 2))
+        total = _energy((arr,))
         if total > 0.0:
-            worst = max(worst, float(np.sum(np.abs(arr[top]) ** 2)) / total)
+            worst = max(worst, _energy((arr,), top) / total)
     return worst
 
 
@@ -336,7 +405,9 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     Stops early with a blow-up report when a norm crosses the threshold or a
     coefficient turns non-finite.  With linear_only=True the coupling is
     disabled and every step is the exact linear propagator (used for
-    cross-validation against the whole-space oracle).
+    cross-validation against the whole-space oracle).  ``config_echo`` holds
+    dt, the threshold, the initial total norm and the deterministic counts
+    ``steps`` and ``kernel_builds``.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -376,8 +447,8 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
             for k in NORM_LABELS:
                 series[k].append((t, norms[k]))
         if t in snapshot_set and finite:
-            snapshots.append((t, np.fft.ifftn(state.u_hat).real.copy(),
-                              np.fft.ifftn(state.v_hat).real.copy()))
+            snapshots.append((t, grid.to_physical(state.u_hat),
+                              grid.to_physical(state.v_hat)))
         if not warnings and finite and _top_octave_fraction(state) > TAIL_ENERGY_WARN:
             warnings.append(
                 f"top-octave energy fraction exceeded {TAIL_ENERGY_WARN:.0e} at t={t:g}")
@@ -388,11 +459,9 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
             return False
         return True
 
+    steps = 0
     if not handle_event(0.0):
-        return RunResult(_package_series(series, params), blowup,
-                         {"threshold": threshold}, t_valid(grid, params),
-                         snapshots, warnings)
-
+        events = []
     eps_t = 1e-9
     for target in events:
         if target <= 0.0:
@@ -401,24 +470,20 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
         while state.time < target - eps_t:
             step = min(dt_val, target - state.time)
             if linear_only:
-                tab1, tab2 = kernel.tables(step)
-                u, ut = _advance_pair(state.u_hat, state.ut_hat, tab1)
-                v, vt = _advance_pair(state.v_hat, state.vt_hat, tab2)
-                state = replace(state, u_hat=u, ut_hat=ut, v_hat=v, vt_hat=vt,
-                                time=state.time + step)
+                state = linear_step(state, step, kernel)
+                energy = _energy(state.fields())
             else:
                 state = duhamel_step(state, step, params.p, params.q,
                                      forcing=forcing, kernel=kernel)
+                energy = state.energy
+            steps += 1
             if state.blown_up:
                 blowup = {"time": state.time, "norm_at_detection": math.inf}
                 halted = True
                 break
             # cheap per-step guard between events
-            total = 0.0
-            for arr in state.fields():
-                total += float(np.sum(np.abs(arr) ** 2))
-            if not math.isfinite(total) or \
-                    math.sqrt(total * grid.dV / grid.n_total) > 4.0 * threshold:
+            if not math.isfinite(energy) or \
+                    math.sqrt(energy * grid.dV / grid.n_total) > 4.0 * threshold:
                 if not handle_event(state.time):
                     halted = True
                     break
@@ -431,7 +496,8 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     return RunResult(_package_series(series, params),
                      blowup,
                      {"threshold": threshold, "dt": dt_val,
-                      "initial_total_norm": initial_total},
+                      "initial_total_norm": initial_total, "steps": steps,
+                      "kernel_builds": kernel.builds},
                      t_valid(grid, params), snapshots, warnings)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -120,6 +121,44 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 1
         assert "config.grid" in err and "typo_field" in err
+
+    def test_events_carry_run_echo(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, BASE_RUN_CONFIG)
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "simulate", "--config", path,
+                             "--out-dir", str(out_dir))
+        assert code == 0
+        echo = json.loads((out_dir / "events.json").read_text())["run"]
+        assert set(echo) == {"threshold", "dt", "initial_total_norm", "steps",
+                             "kernel_builds"}
+        assert echo["dt"] == 0.05
+        assert echo["steps"] >= 100
+
+    def test_events_byte_identical(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, BASE_RUN_CONFIG)
+        outputs = []
+        for name in ("a", "b"):
+            out_dir = tmp_path / name
+            code, _, _ = run_cli(capsys, "simulate", "--config", path,
+                                 "--out-dir", str(out_dir))
+            assert code == 0
+            outputs.append((out_dir / "events.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("field_path,patch", [
+        ("config.data.u0.amplitude",
+         {"data": dict(BASE_RUN_CONFIG["data"],
+                       u0={"kind": "gaussian", "amplitude": math.nan, "width": 1.0})}),
+        ("config.dt", {"dt": math.inf}),
+    ])
+    def test_non_finite_number_rejected_with_path(self, capsys, tmp_path,
+                                                  field_path, patch):
+        path = self.write_config(tmp_path, dict(BASE_RUN_CONFIG, **patch))
+        code, _, err = run_cli(capsys, "simulate", "--config", path,
+                               "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert field_path in err and "finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_blowup_run_exits_zero(self, capsys, tmp_path):
         cfg = {

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sevolab.multipliers import (
+    _SMALL_MU_DT2,
     _propagator_scalar,
     duhamel_weights,
     ode_residual,
@@ -148,6 +149,14 @@ class TestOdeResidual:
                     assert ode_residual(t, xi, sigma, 1e-3) <= 1e-6
 
 
+WEIGHT_DTS = [0.02, 0.1, 0.5]
+WEIGHT_MUS = [0.0, 1e-12, 0.1, 0.25, 0.2500001, 0.7, 50.0]
+#: just below and just above the series/closed-form switch of each dt, and a
+#: step over many fast oscillations
+WEIGHT_SWITCH_CASES = [(dt, f * _SMALL_MU_DT2 / dt**2)
+                       for dt in WEIGHT_DTS for f in (0.999, 1.001)] + [(0.5, 5e3)]
+
+
 class TestDuhamelWeights:
     def quad_oracle(self, dt, mu, moment):
         def fn(tau):
@@ -156,12 +165,27 @@ class TestDuhamelWeights:
         val, _ = quad(fn, 0, dt, epsabs=1e-16, epsrel=1e-13)
         return val
 
-    @pytest.mark.parametrize("mu", [0.0, 1e-12, 0.1, 0.25, 0.2500001, 0.7, 50.0])
-    @pytest.mark.parametrize("dt", [0.02, 0.1, 0.5])
+    @pytest.mark.parametrize("dt,mu", [(dt, mu) for dt in WEIGHT_DTS for mu in WEIGHT_MUS]
+                             + WEIGHT_SWITCH_CASES)
     def test_weights_match_quadrature(self, mu, dt):
         A, B, Ad, Bd = duhamel_weights(dt, np.array([mu]))
         assert A[0] == pytest.approx(self.quad_oracle(dt, mu, False), rel=1e-11, abs=1e-16)
         assert B[0] == pytest.approx(self.quad_oracle(dt, mu, True), rel=1e-11, abs=1e-16)
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6, 0.05, 3.0])
+    def test_long_step_composed_from_half_steps(self, mu):
+        dt = 7.0  # beyond the direct range of the series branch
+        A, B, Ad, Bd = duhamel_weights(dt, np.array([mu]))
+        assert A[0] == pytest.approx(self.quad_oracle(dt, mu, False), rel=1e-11)
+        assert B[0] == pytest.approx(self.quad_oracle(dt, mu, True), rel=1e-11)
+        assert Bd[0] == pytest.approx(A[0] / dt, rel=1e-15)
+        assert Ad[0] == pytest.approx(_propagator_scalar(dt, mu)[1], rel=1e-12)
+
+    def test_given_tables_are_used(self):
+        mu = np.array([0.0, 0.3, 40.0])
+        tables = propagator_arrays(0.1, mu)
+        for a, b in zip(duhamel_weights(0.1, mu, tables), duhamel_weights(0.1, mu)):
+            assert np.array_equal(a, b)
 
     def test_closed_forms(self):
         dt = 0.25

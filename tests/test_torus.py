@@ -13,6 +13,7 @@ from sevolab.torus import (
     InitialData,
     ProfileTooWideError,
     SpectralState,
+    _StepKernel,
     default_dt,
     detect_blowup,
     duhamel_step,
@@ -50,11 +51,12 @@ class TestGridSpec:
 
 
 class TestInit:
-    def test_grid_norm_matches_continuum(self):
-        grid = GridSpec(1, 512, 40.0)
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_grid_norm_matches_continuum(self, n_dim):
+        grid = GridSpec(n_dim, {1: 512, 2: 128, 3: 64}[n_dim], 40.0 if n_dim == 1 else 12.0)
         g = GaussianProfile(1.0, 1.0)
         state = init(grid, make_data(u0=g), PARAMS)
-        assert six_norms(state)["u_l2"] == pytest.approx(g.l2(1), rel=1e-8)
+        assert six_norms(state)["u_l2"] == pytest.approx(g.l2(n_dim), rel=1e-8)
 
     def test_zero_data_gives_zero_state(self):
         grid = GridSpec(1, 64, 20.0)
@@ -84,7 +86,7 @@ class TestInit:
         grid = GridSpec(1, 256, 30.0)
         g = GaussianProfile(0.8, 1.2)
         state = init(grid, make_data(v0=g), PARAMS)
-        recovered = np.fft.ifftn(state.v_hat).real
+        recovered = np.fft.irfftn(state.v_hat, s=(256,), axes=(0,))
         sampled = g.value(np.abs(grid.axes()[0]))
         assert np.max(np.abs(recovered - sampled)) < 1e-10
 
@@ -215,9 +217,11 @@ class TestRunInvariants:
         state = init(grid, data, params)
         for _ in range(5):
             state = duhamel_step(state, 0.1, params.p, params.q)
+        # the half spectrum is real by construction except on its
+        # self-conjugate bins, the zero and Nyquist planes of the last axis
         for arr in (state.u_hat, state.v_hat):
-            phys = np.fft.ifftn(arr)
-            assert np.max(np.abs(phys.imag)) < 1e-10 * max(np.max(np.abs(phys.real)), 1e-30)
+            planes = arr[..., [0, -1]]
+            assert np.max(np.abs(planes.imag)) < 1e-10 * max(np.max(np.abs(planes.real)), 1e-30)
 
     def test_step_halving_self_convergence(self):
         grid = GridSpec(1, 256, 30.0)
@@ -246,6 +250,45 @@ class TestRunInvariants:
         assert res.blowup is None
         assert all(v == 0.0 for _, v in res.series["u_l2"].entries)
         assert all(v == 0.0 for _, v in res.series["v_dt"].entries)
+
+
+class TestStepKernel:
+    def test_bounded_lru_keeps_main_dt(self):
+        grid = GridSpec(1, 64, 20.0)
+        kernel = _StepKernel(grid, 1.0, 1.5)
+        main = 0.05
+        # a run's pattern: main steps, then each record interval's short final step
+        for final in (0.011, 0.023, 0.037, 0.041):
+            for dt in (main, main, final):
+                kernel.get(dt)
+                assert len(kernel._entries) <= 2
+        assert kernel.builds == 5  # the main dt once, each final dt once
+        entry = kernel.get(main)
+        assert kernel.builds == 5
+        assert kernel.get(main) is entry
+
+
+class TestRunEcho:
+    ECHO_KEYS = {"threshold", "dt", "initial_total_norm", "steps", "kernel_builds"}
+
+    def test_echo_counts_steps_and_builds(self):
+        grid = GridSpec(1, 64, 20.0)
+        data = make_data(u0=GaussianProfile(0.01, 1.0))
+        res = run(grid, data, PARAMS, 1.0, [0.25, 0.5, 1.0], dt=0.1)
+        assert set(res.config_echo) == self.ECHO_KEYS
+        # 0.25 = 0.1 + 0.1 + 0.05, 0.5 likewise, 1.0 = 5 x 0.1
+        assert res.config_echo["steps"] == 11
+        assert res.config_echo["kernel_builds"] >= 2
+
+    def test_halt_at_time_zero_echoes_same_keys(self):
+        grid = GridSpec(1, 64, 20.0)
+        data = make_data(u0=GaussianProfile(1.0, 1.0))
+        res = run(grid, data, PARAMS, 1.0, [1.0], dt=0.1, blowup_threshold=1e-12)
+        assert res.blowup["time"] == 0.0
+        assert set(res.config_echo) == self.ECHO_KEYS
+        assert res.config_echo["dt"] == 0.1
+        assert res.config_echo["steps"] == 0
+        assert res.config_echo["kernel_builds"] == 0
 
 
 class TestDetectBlowup:
