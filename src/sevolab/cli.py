@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -28,123 +29,191 @@ class ConfigError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# config parsing with strict schemas
+# config reader: a field table maps each field to its rule, or to (rule, default)
+# if optional; a rule types a value or raises ConfigError naming its path
 # --------------------------------------------------------------------------
 
-def _expect_keys(obj: dict, path: str, required: dict, optional: dict | None = None):
-    optional = optional or {}
+def _read(obj, path: str, fields: dict) -> dict:
+    """Every field of the table ``fields`` read from ``obj`` by its rule."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = set(obj) - set(required) - set(optional)
+    unknown = sorted(set(obj) - set(fields))
     if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
-    missing = set(required) - set(obj)
+        raise ConfigError(f"{path}: unknown field(s) {unknown}")
+    missing = sorted(k for k in fields if k not in obj and type(fields[k]) is not tuple)
     if missing:
-        raise ConfigError(f"{path}: missing field(s) {sorted(missing)}")
+        raise ConfigError(f"{path}: missing field(s) {missing}")
+    out = {}
+    for key, field in fields.items():
+        rule, default = field if type(field) is tuple else (field, None)
+        out[key] = rule(obj[key], f"{path}.{key}") if key in obj else default
+    return out
 
 
-def _number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    if not math.isfinite(obj):
-        raise ConfigError(f"{path}: expected a finite number, got {obj}")
-    return float(obj)
+def _number(lo: float | None = None, strict: bool = True, integer: bool = False):
+    """A finite JSON number (integral if ``integer``), > lo, or >= lo if not strict."""
+    def rule(value, path):
+        if type(value) not in (int, float) or not math.isfinite(value) \
+                or integer and value != int(value):
+            kind = "an integer" if integer else "a finite number"
+            raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+        if lo is not None and (value <= lo if strict else value < lo):
+            raise ConfigError(
+                f"{path}: must be {'>' if strict else '>='} {lo:g}, got {value!r}")
+        return int(value) if integer else float(value)
+    return rule
 
 
-def _parse_params(obj, path: str) -> exponents.SystemParams:
-    _expect_keys(obj, path, {"n": 0, "sigma1": 0, "sigma2": 0, "p": 0, "q": 0},
-                 {"eps": 0})
-    try:
-        return exponents.SystemParams(
-            n=int(obj["n"]), sigma1=_number(obj["sigma1"], f"{path}.sigma1"),
-            sigma2=_number(obj["sigma2"], f"{path}.sigma2"),
-            p=_number(obj["p"], f"{path}.p"), q=_number(obj["q"], f"{path}.q"),
-            eps=_number(obj.get("eps", 0.01), f"{path}.eps"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _auto_or_positive(value, path):
+    if value != "auto" and not (type(value) in (int, float) and 0 < value < math.inf):
+        raise ConfigError(f'{path}: expected "auto" or a finite number > 0, got {value!r}')
+    return value if value == "auto" else float(value)
 
 
-def _parse_grid(obj, path: str) -> torus.GridSpec:
-    _expect_keys(obj, path, {"n_dim": 0, "points_per_dim": 0, "half_length": 0})
-    try:
-        return torus.GridSpec(int(obj["n_dim"]), int(obj["points_per_dim"]),
-                              _number(obj["half_length"], f"{path}.half_length"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _enum(*choices):
+    """One of ``choices`` with its JSON type, so that true is not 1."""
+    def rule(value, path):
+        if not any(type(value) is type(c) and value == c for c in choices):
+            raise ConfigError(f"{path}: expected one of {json.dumps(choices)}, "
+                              f"got {json.dumps(value)}")
+        return value
+    return rule
 
 
-def _parse_profile(obj, path: str):
-    if obj is None:
-        return None
-    _expect_keys(obj, path, {"kind": 0, "amplitude": 0, "width": 0})
-    if obj["kind"] != "gaussian":
-        raise ConfigError(f"{path}.kind: only 'gaussian' profiles are supported")
-    try:
-        return GaussianProfile(_number(obj["amplitude"], f"{path}.amplitude"),
-                               _number(obj["width"], f"{path}.width"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+_real, _positive, _integer = _number(), _number(0), _number(integer=True)
+_positive_int = _number(1, strict=False, integer=True)
+_AUTO = (_auto_or_positive, "auto")
 
 
-def _parse_record(obj, path: str, t_max: float) -> list[float]:
-    if isinstance(obj, list):
-        times = [_number(t, f"{path}[{i}]") for i, t in enumerate(obj)]
-    else:
-        _expect_keys(obj, path, {"kind": 0, "t_min": 0, "t_max": 0, "count": 0})
-        kind = obj["kind"]
-        lo = _number(obj["t_min"], f"{path}.t_min")
-        hi = _number(obj["t_max"], f"{path}.t_max")
-        count = int(obj["count"])
-        if kind == "log":
-            if lo <= 0:
-                raise ConfigError(f"{path}.t_min: log spacing needs t_min > 0")
-            times = list(np.geomspace(lo, hi, count))
-        elif kind == "linear":
-            times = list(np.linspace(lo, hi, count))
-        else:
-            raise ConfigError(f"{path}.kind: must be 'log' or 'linear'")
+def _array(*items):
+    """A list read position by position by ``items``, as a tuple."""
+    def rule(value, path):
+        if not (isinstance(value, list) and len(value) == len(items)):
+            raise ConfigError(f"{path}: expected a list of {len(items)} values")
+        return tuple(item(v, f"{path}[{i}]")
+                     for i, (item, v) in enumerate(zip(items, value)))
+    return rule
+
+
+def _object(fields: dict, build=None):
+    """A nested object, passed to ``build`` as keyword arguments if given."""
+    def rule(value, path):
+        values = _read(value, path, fields)
+        try:
+            return build(**values) if build else values
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return rule
+
+
+def _exponent_range(value, path) -> list[float]:
+    """[lo, hi, step] with lo > 1 and step > 0: the values lo + k*step <= hi."""
+    lo, hi, step = _array(_number(1), _real, _positive)(value, path)
+    values = itertools.takewhile(lambda x: x <= hi + 1e-9,
+                                 (lo + k * step for k in itertools.count()))
+    return [round(x, 10) for x in values]
+
+
+SPACING_FIELDS = {"kind": _enum("log", "linear"), "t_min": _real, "t_max": _real,
+                  "count": _positive_int}
+PARAMS_FIELDS = {"n": _positive_int, "sigma1": _number(1, strict=False),
+                 "sigma2": _number(1, strict=False), "p": _number(1), "q": _number(1),
+                 "eps": (_positive, 0.01)}
+_grid = _object({"n_dim": _integer, "points_per_dim": _integer,
+                 "half_length": _positive}, torus.GridSpec)
+_gaussian = _object({"kind": _enum("gaussian"), "amplitude": _real, "width": _positive},
+                    lambda kind, amplitude, width: GaussianProfile(amplitude, width))
+
+RUN_FIELDS = {
+    "params": _object(PARAMS_FIELDS, exponents.SystemParams),
+    "grid": _grid,
+    "data": _object({k: lambda v, path: None if v is None else _gaussian(v, path)
+                     for k in ("u0", "u1", "v0", "v1")}),
+    "t_max": _positive,
+    "record": lambda v, path: ([_real(t, f"{path}[{i}]") for i, t in enumerate(v)]
+                               if isinstance(v, list) else _read(v, path, SPACING_FIELDS)),
+    "dt": _AUTO, "blowup_threshold": _AUTO,
+    "seed": (_integer, 0),
+    "linear_only": (_enum(True, False), False),
+    "fit_window": (_array(_real, _real), None),
+}
+SWEEP_FIELDS = {
+    "p_range": _exponent_range, "q_range": _exponent_range,
+    "fixed": _object({k: PARAMS_FIELDS[k] for k in ("n", "sigma1", "sigma2", "eps")}),
+    "cell": _object({"grid": _grid, "amplitude": _real, "width": _positive,
+                     "t_max": _positive, "dt": _AUTO, "blowup_threshold": _AUTO,
+                     "record_count": (_positive_int, 24),
+                     "fit_t_min": (_positive, 60.0)}),
+    "seed": (_integer, 0),
+}
+
+
+def _spaced(spec: dict, path: str) -> list[float]:
+    """``count`` log- or linearly spaced times from ``t_min`` to ``t_max``."""
+    lo, hi, count = spec["t_min"], spec["t_max"], spec["count"]
+    if spec["kind"] == "log":
+        if lo <= 0:
+            raise ConfigError(f"{path}.t_min: log spacing needs t_min > 0")
+        return list(np.geomspace(lo, hi, count))
+    return list(np.linspace(lo, hi, count))
+
+
+def _record_times(spec, t_max: float, path: str) -> list[float]:
+    """Record times from a spacing or a list, rounded to 12 digits, plus 0 and t_max."""
+    times = _spaced(spec, path) if isinstance(spec, dict) else spec
     times = sorted(set(round(float(t), 12) for t in times) | {0.0, float(t_max)})
     if times[0] < 0 or times[-1] > t_max:
         raise ConfigError(f"{path}: record times must lie in [0, t_max]")
     return times
 
 
-def load_run_config(obj: dict, path: str = "config"):
-    _expect_keys(obj, path,
-                 {"params": 0, "grid": 0, "data": 0, "t_max": 0, "record": 0},
-                 {"dt": 0, "blowup_threshold": 0, "seed": 0, "linear_only": 0,
-                  "fit_window": 0})
-    params = _parse_params(obj["params"], f"{path}.params")
-    grid = _parse_grid(obj["grid"], f"{path}.grid")
-    _expect_keys(obj["data"], f"{path}.data", {"u0": 0, "u1": 0, "v0": 0, "v1": 0})
-    profiles = {k: _parse_profile(obj["data"][k], f"{path}.data.{k}")
-                for k in ("u0", "u1", "v0", "v1")}
-    data = torus.InitialData.from_profiles(
-        profiles["u0"], profiles["u1"], profiles["v0"], profiles["v1"],
-        params.sigma1, params.sigma2, params.n)
-    t_max = _number(obj["t_max"], f"{path}.t_max")
-    if t_max <= 0:
-        raise ConfigError(f"{path}.t_max: must be positive")
-    record = _parse_record(obj["record"], f"{path}.record", t_max)
-    dt = obj.get("dt", "auto")
-    if dt != "auto":
-        dt = _number(dt, f"{path}.dt")
-    threshold = obj.get("blowup_threshold", "auto")
-    if threshold != "auto":
-        threshold = _number(threshold, f"{path}.blowup_threshold")
-    fit_window = obj.get("fit_window")
-    if fit_window is not None:
-        if not (isinstance(fit_window, list) and len(fit_window) == 2):
-            raise ConfigError(f"{path}.fit_window: expected [t_lo, t_hi]")
-        fit_window = tuple(_number(t, f"{path}.fit_window[{i}]")
-                           for i, t in enumerate(fit_window))
-    return {
-        "params": params, "grid": grid, "data": data, "t_max": t_max,
-        "record": record, "dt": dt, "blowup_threshold": threshold,
-        "seed": int(obj.get("seed", 0)),
-        "linear_only": bool(obj.get("linear_only", False)),
-        "fit_window": fit_window,
-    }
+def _same_dimension(n: int, grid: torus.GridSpec, path: str, grid_path: str):
+    if n != grid.n_dim:
+        raise ConfigError(f"{path}: must equal {grid_path}.n_dim ({grid.n_dim}), got {n}")
+
+
+def load_run_config(obj: dict, path: str = "config") -> dict:
+    cfg = _read(obj, path, RUN_FIELDS)
+    params, data = cfg["params"], cfg["data"]
+    _same_dimension(params.n, cfg["grid"], f"{path}.params.n", f"{path}.grid")
+    cfg["data"] = torus.InitialData.from_profiles(
+        *data.values(), params.sigma1, params.sigma2, params.n)
+    cfg["record"] = _record_times(cfg["record"], cfg["t_max"], f"{path}.record")
+    return cfg
+
+
+def load_sweep_config(obj: dict, path: str = "config") -> dict:
+    """p and q values, grid, and one task per cell holding its typed run inputs:
+    data u1 = v1 = the cell Gaussian, ``t_max`` clipped to the box validity
+    window, and ``record_count`` log-spaced record times from 1 to it."""
+    cfg = _read(obj, path, SWEEP_FIELDS)
+    fixed, cell, grid = cfg["fixed"], cfg["cell"], cfg["cell"]["grid"]
+    _same_dimension(fixed["n"], grid, f"{path}.fixed.n", f"{path}.cell.grid")
+    g = GaussianProfile(cell["amplitude"], cell["width"])
+    data = torus.InitialData.from_profiles(None, g, None, g, fixed["sigma1"],
+                                           fixed["sigma2"], fixed["n"])
+    tasks = []
+    for p in cfg["p_range"]:
+        for q in cfg["q_range"]:
+            params = exponents.SystemParams(p=p, q=q, **fixed)
+            t_max = min(cell["t_max"], torus.t_valid(grid, params))
+            if t_max < 1.0:
+                raise ConfigError(f"{path}.cell.t_max: min(t_max, t_valid) = {t_max:g} < 1")
+            record = _record_times({"kind": "log", "t_min": 1.0, "t_max": t_max,
+                                    "count": cell["record_count"]}, t_max, f"{path}.cell")
+            tasks.append({"p": p, "q": q, "params": params, "grid": grid,
+                          "data": data, "t_max": t_max, "record": record,
+                          **{k: cell[k] for k in ("dt", "blowup_threshold", "fit_t_min")}})
+    return {"p_values": cfg["p_range"], "q_values": cfg["q_range"], "grid": grid,
+            "tasks": tasks}
+
+
+def _load_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config: invalid JSON ({exc})") from exc
 
 
 def config_hash(obj) -> str:
@@ -201,18 +270,19 @@ def cmd_classify(args) -> int:
 
 
 def _parse_tgrid(spec: str) -> list[float]:
+    """Times of ``log|lin:lo:hi:count``, read as the config field ``--t``."""
     parts = spec.split(":")
-    if len(parts) != 4 or parts[0] not in ("log", "lin"):
-        raise ConfigError(
-            "t-grid must look like log:1e2:1e5:40 or lin:0:100:11")
-    lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-    if count < 1:
-        raise ConfigError("t-grid count must be >= 1")
-    if count == 1:
-        return [lo]
-    if parts[0] == "log":
-        return list(np.geomspace(lo, hi, count))
-    return list(np.linspace(lo, hi, count))
+    if len(parts) != 4:
+        raise ConfigError("--t: t-grid must look like log:1e2:1e5:40 or lin:0:100:11")
+
+    def token(text):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            return text
+    fields = dict(SPACING_FIELDS, kind=_enum("log", "lin"))
+    raw = dict(zip(fields, [parts[0]] + [token(s) for s in parts[1:]]))
+    return _spaced(_read(raw, "--t", fields), "--t")
 
 
 def cmd_linear_decay(args) -> int:
@@ -285,11 +355,7 @@ def _run_fits(result: torus.RunResult, params: exponents.SystemParams,
 
 
 def cmd_simulate(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    raw = _load_json(args.config)
     cfg = load_run_config(raw)
     hash_str = config_hash(raw)
     result = torus.run(cfg["grid"], cfg["data"], cfg["params"], cfg["t_max"],
@@ -321,74 +387,17 @@ def cmd_simulate(args) -> int:
 
 # -- sweep ------------------------------------------------------------------
 
-def _range_values(spec, path: str) -> list[float]:
-    if not (isinstance(spec, list) and len(spec) == 3):
-        raise ConfigError(f"{path}: expected [lo, hi, step]")
-    lo, hi, step = (_number(v, f"{path}[{i}]") for i, v in enumerate(spec))
-    if step <= 0:
-        raise ConfigError(f"{path}: need step > 0")
-    if lo <= 1:
-        raise ConfigError(f"{path}: exponents must be > 1")
-    vals = []
-    k = 0
-    while lo + k * step <= hi + 1e-9:
-        vals.append(round(lo + k * step, 10))
-        k += 1
-    return vals
-
-
-def load_sweep_config(obj: dict, path: str = "config"):
-    _expect_keys(obj, path, {"p_range": 0, "q_range": 0, "fixed": 0, "cell": 0},
-                 {"seed": 0})
-    _expect_keys(obj["fixed"], f"{path}.fixed",
-                 {"n": 0, "sigma1": 0, "sigma2": 0}, {"eps": 0})
-    cell = obj["cell"]
-    _expect_keys(cell, f"{path}.cell",
-                 {"grid": 0, "amplitude": 0, "width": 0, "t_max": 0},
-                 {"dt": 0, "blowup_threshold": 0, "record_count": 0,
-                  "fit_t_min": 0})
-    grid = _parse_grid(cell["grid"], f"{path}.cell.grid")
-    return {
-        "p_values": _range_values(obj["p_range"], f"{path}.p_range"),
-        "q_values": _range_values(obj["q_range"], f"{path}.q_range"),
-        "fixed": obj["fixed"],
-        "grid": grid,
-        "amplitude": _number(cell["amplitude"], f"{path}.cell.amplitude"),
-        "width": _number(cell["width"], f"{path}.cell.width"),
-        "t_max": _number(cell["t_max"], f"{path}.cell.t_max"),
-        "dt": cell.get("dt", "auto"),
-        "blowup_threshold": cell.get("blowup_threshold", "auto"),
-        "record_count": int(cell.get("record_count", 24)),
-        "fit_t_min": float(cell.get("fit_t_min", 60.0)),
-        "seed": int(obj.get("seed", 0)),
-    }
-
-
 def sweep_cell(task: dict) -> dict:
-    """Predict and simulate one (p, q) cell; never raises (errors recorded)."""
-    p, q = task["p"], task["q"]
-    fixed = task["fixed"]
-    row = {"p": p, "q": q, "predicted": "", "observed": "", "blowup_time": "",
-           "final_ratio": "", "error": ""}
-    for k in ("u_l2", "u_dsigma", "u_dt", "v_l2", "v_dsigma", "v_dt"):
-        row[f"slope_{k}"] = ""
+    """Predict and simulate one (p, q) cell; never raises (errors recorded).
+    The row also holds the run's ``warnings``, which are not a CSV column."""
+    params, t_max = task["params"], task["t_max"]
+    row = {"p": task["p"], "q": task["q"], "warnings": [],
+           **{c: "" for c in SWEEP_COLUMNS[2:]}}
     try:
-        params = exponents.SystemParams(
-            int(fixed["n"]), float(fixed["sigma1"]), float(fixed["sigma2"]),
-            p, q, float(fixed.get("eps", 0.01)))
         row["predicted"] = exponents.classify_regime(params).regime.value
-
-        grid = torus.GridSpec(**task["grid"])
-        g = GaussianProfile(task["amplitude"], task["width"])
-        data = torus.InitialData.from_profiles(None, g, None, g,
-                                               params.sigma1, params.sigma2,
-                                               params.n)
-        t_max = min(task["t_max"], torus.t_valid(grid, params))
-        record = sorted(set([0.0, t_max])
-                        | set(float(t) for t in
-                              np.geomspace(1.0, t_max, task["record_count"])))
-        result = torus.run(grid, data, params, t_max, record,
+        result = torus.run(task["grid"], task["data"], params, t_max, task["record"],
                            dt=task["dt"], blowup_threshold=task["blowup_threshold"])
+        row["warnings"] = result.warnings
 
         if result.blowup is not None:
             row["observed"] = "BlewUp"
@@ -425,22 +434,9 @@ SWEEP_COLUMNS = ["p", "q", "predicted", "observed", "blowup_time", "final_ratio"
 
 
 def run_sweep(cfg: dict, workers: int | None = None) -> list[dict]:
-    tasks = []
-    grid_dict = {"n_dim": cfg["grid"].n_dim,
-                 "points_per_dim": cfg["grid"].points_per_dim,
-                 "half_length": cfg["grid"].half_length}
-    for p in cfg["p_values"]:
-        for q in cfg["q_values"]:
-            tasks.append({"p": p, "q": q, "fixed": cfg["fixed"],
-                          "grid": grid_dict, "amplitude": cfg["amplitude"],
-                          "width": cfg["width"], "t_max": cfg["t_max"],
-                          "dt": cfg["dt"],
-                          "blowup_threshold": cfg["blowup_threshold"],
-                          "record_count": cfg["record_count"],
-                          "fit_t_min": cfg["fit_t_min"]})
-    if workers is None:
-        workers = int(os.environ.get("SEVOLAB_WORKERS", 0)) or \
-            min(8, os.cpu_count() or 1)
+    """Rows of every task of a ``load_sweep_config`` result, sorted by (p, q)."""
+    tasks = cfg["tasks"]
+    workers = workers or min(8, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(sweep_cell, tasks))
@@ -458,17 +454,12 @@ def sweep_csv(rows: list[dict], hash_str: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
-    cfg = load_sweep_config(raw)
-    rows = run_sweep(cfg, workers=args.workers)
+    raw = _load_json(args.config)
+    rows = run_sweep(load_sweep_config(raw), workers=args.workers)
     _write_text(args.out, sweep_csv(rows, config_hash(raw)))
-    n_err = sum(1 for r in rows if r["error"])
-    print(json.dumps({"cells": len(rows), "errors": n_err, "out": args.out},
-                     sort_keys=True))
+    warnings = {f"{r['p']:g},{r['q']:g}": r["warnings"] for r in rows if r["warnings"]}
+    print(json.dumps({"cells": len(rows), "errors": sum(1 for r in rows if r["error"]),
+                      "out": args.out, "warnings": warnings}, sort_keys=True))
     return 0
 
 
@@ -527,6 +518,13 @@ def cmd_testfn_check(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sevolab",
@@ -562,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="(p, q) phase-diagram sweep")
     w.add_argument("--config", required=True)
     w.add_argument("--out", required=True)
-    w.add_argument("--workers", type=int, default=None,
-                   help="process count (default: SEVOLAB_WORKERS or cpu count)")
+    w.add_argument("--workers", type=_worker_count, default=None,
+                   help="process count (default: min(8, cpu count))")
     w.set_defaults(func=cmd_sweep)
 
     t = sub.add_parser("testfn-check", help="test-function identity report")

@@ -361,6 +361,11 @@ def fractional_laplacian_gamma(spec: TestFunctionSpec, x: float, n: int,
 # cutoffs in time and space
 # --------------------------------------------------------------------------
 
+def _chi(tau):
+    """chi at t = 1/2 + tau for tau in [0, 1/2], on floats or arrays alike."""
+    return 1.0 - tau * tau * tau * (80.0 - tau * (240.0 - 192.0 * tau))
+
+
 def smooth_cutoff(t: float) -> tuple[float, float, float]:
     """C^2 quintic transition chi: exactly 1 on [0,1/2], exactly 0 on [1,inf).
 
@@ -373,7 +378,7 @@ def smooth_cutoff(t: float) -> tuple[float, float, float]:
     if t >= 1.0:
         return 0.0, 0.0, 0.0
     tau = t - 0.5
-    chi = 1.0 - 80.0 * tau**3 + 240.0 * tau**4 - 192.0 * tau**5
+    chi = _chi(tau)
     d1 = -960.0 * tau**2 * (0.5 - tau) ** 2
     d2 = -1920.0 * tau * (0.5 - tau) * (0.5 - 2.0 * tau)
     return chi, d1, d2
@@ -414,12 +419,7 @@ def eta_ratio_sup(lam: float, kappa: float, n_grid: int = 20001) -> float:
 
 def compact_cutoff(rho, lam: float):
     """Space cutoff chi(|x|)**lam: 1 inside radius 1/2, 0 outside radius 1."""
-    rho = np.asarray(rho, dtype=float)
-    flat = rho.ravel()
-    res = np.empty_like(flat)
-    for i, value in enumerate(flat):
-        res[i] = smooth_cutoff(float(value))[0] ** lam
-    out = res.reshape(rho.shape)
+    out = _chi(np.clip(np.asarray(rho, dtype=float) - 0.5, 0.0, 0.5)) ** lam
     return out if out.shape else float(out)
 
 

@@ -419,6 +419,8 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     dt_val = default_dt(grid, params) if dt == "auto" else float(dt)
     if dt_val <= 0:
         raise ValueError("dt must be positive")
+    if blowup_threshold != "auto" and not blowup_threshold > 0:
+        raise ValueError("blowup_threshold must be positive")
 
     state = init(grid, data, params)
     initial_norms = six_norms(state)

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
@@ -269,3 +271,104 @@ class TestTestfnCheck:
                                "--r", "2", "--R", "4", "--n", "1")
         assert code == 1
         assert "gamma" in err
+
+
+def patched(cfg: dict, dotted: str, value) -> dict:
+    """A deep copy of cfg with the field at the dotted path set to value."""
+    out = copy.deepcopy(cfg)
+    *parents, key = dotted.split(".")
+    node = out
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    return out
+
+
+class TestConfigReader:
+    # (subcommand, field, bad value, field path reported on stderr)
+    REJECTED = [
+        ("simulate", "params.n", 1.5, "config.params.n"),
+        ("simulate", "params.n", "1", "config.params.n"),
+        ("simulate", "params.n", 2, "config.params.n"),  # grid.n_dim is 1
+        ("simulate", "linear_only", "no", "config.linear_only"),
+        ("simulate", "grid.points_per_dim", 128.9, "config.grid.points_per_dim"),
+        ("simulate", "grid.n_dim", True, "config.grid.n_dim"),
+        ("simulate", "blowup_threshold", 0, "config.blowup_threshold"),
+        ("simulate", "seed", "x", "config.seed"),
+        ("simulate", "dt", -1, "config.dt"),
+        ("sweep", "fixed.sigma1", 0.5, "config.fixed.sigma1"),
+        ("sweep", "cell.dt", "fast", "config.cell.dt"),
+        ("sweep", "cell.t_max", -5, "config.cell.t_max"),
+        ("sweep", "cell.width", 0, "config.cell.width"),
+        ("linear-decay", "t", "lin:nan:10:5", "--t.t_min"),
+        ("linear-decay", "t", "log:0:1e5:5", "--t.t_min"),
+    ]
+
+    @pytest.mark.parametrize("command,field,value,field_path", REJECTED,
+                             ids=[f"{c}:{f}={v!r}" for c, f, v, _ in REJECTED])
+    def test_rejected_with_path_and_no_output(self, capsys, tmp_path, command,
+                                              field, value, field_path):
+        out = tmp_path / "out"
+        if command == "linear-decay":
+            argv = ["linear-decay", "--sigma", "1", "--n", "1", "--kind", "l2",
+                    "--t", value, "--out", str(out)]
+        else:
+            base = BASE_RUN_CONFIG if command == "simulate" else SWEEP_CONFIG
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(patched(base, field, value)))
+            argv = [command, "--config", str(path),
+                    "--out-dir" if command == "simulate" else "--out", str(out)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {field_path}: ")
+        assert not out.exists()
+
+    def test_sweep_error_raised_before_any_cell_runs(self, capsys, tmp_path,
+                                                     monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli.torus, "run", lambda *a, **k: runs.append(a))
+        bad = patched(SWEEP_CONFIG, "cell.t_max", -5)
+        with pytest.raises(cli.ConfigError, match=r"^config\.cell\.t_max: "):
+            cli.load_sweep_config(bad)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(bad))
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(path),
+                             "--out", str(tmp_path / "phase.csv"), "--workers", "1")
+        assert code == 1
+        assert runs == []
+
+    def test_workers_below_one_rejected(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(SWEEP_CONFIG))
+        out = tmp_path / "phase.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path),
+                               "--out", str(out), "--workers", "0")
+        assert code == 1 and "--workers" in err
+        assert not out.exists()
+
+    def test_sweep_tasks_carry_typed_inputs(self):
+        cfg = cli.load_sweep_config(SWEEP_CONFIG)
+        assert len(cfg["tasks"]) == 4
+        task = cfg["tasks"][0]
+        assert isinstance(task["params"], cli.exponents.SystemParams)
+        assert (task["params"].p, task["params"].q) == (task["p"], task["q"])
+        assert isinstance(task["grid"], cli.torus.GridSpec)
+        assert isinstance(task["data"], cli.torus.InitialData)
+        assert pickle.loads(pickle.dumps(task)) == task
+        # the record times come from the builder of simulate's record block
+        record = {"kind": "log", "t_min": 1.0, "t_max": task["t_max"], "count": 6}
+        run_cfg = dict(BASE_RUN_CONFIG, t_max=task["t_max"], record=record)
+        assert task["record"] == cli.load_run_config(run_cfg)["record"]
+
+    def test_sweep_warnings_reach_summary(self, capsys, tmp_path):
+        # width 0.5 on 128 points leaves top-octave energy above 1e-6
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(SWEEP_CONFIG))
+        out = tmp_path / "phase.csv"
+        code, stdout, _ = run_cli(capsys, "sweep", "--config", str(path),
+                                  "--out", str(out), "--workers", "1")
+        assert code == 0
+        warnings = json.loads(stdout)["warnings"]
+        assert set(warnings) == {"2,2", "2,2.5", "2.5,2", "2.5,2.5"}
+        assert all("top-octave" in w for ws in warnings.values() for w in ws)
+        assert out.read_text().splitlines()[1] == ",".join(cli.SWEEP_COLUMNS)

@@ -212,6 +212,12 @@ class TestCutoffs:
         assert compact_cutoff(1.1, 4.0) == 0.0
         vals = compact_cutoff(np.array([0.6, 0.8]), 4.0)
         assert np.all((0 < vals) & (vals < 1))
+        # the array path agrees with chi(|x|)**lam from the scalar cutoff on a 2D grid
+        x = np.linspace(-1.2, 1.2, 97)
+        rho = np.hypot(*np.meshgrid(x, x))
+        scalar = np.array([smooth_cutoff(float(r))[0] ** 4.0 for r in rho.ravel()])
+        np.testing.assert_allclose(compact_cutoff(rho, 4.0).ravel(), scalar,
+                                   rtol=0, atol=1e-15)
 
 
 class TestPlancherelPairing:

@@ -251,6 +251,12 @@ class TestRunInvariants:
         assert all(v == 0.0 for _, v in res.series["u_l2"].entries)
         assert all(v == 0.0 for _, v in res.series["v_dt"].entries)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_nonpositive_threshold_rejected(self, threshold):
+        grid = GridSpec(1, 64, 20.0)
+        with pytest.raises(ValueError, match="blowup_threshold must be positive"):
+            run(grid, make_data(), PARAMS, 1.0, [1.0], blowup_threshold=threshold)
+
 
 class TestStepKernel:
     def test_bounded_lru_keeps_main_dt(self):
