@@ -159,9 +159,10 @@ def _spaced(spec: dict, path: str) -> list[float]:
 
 
 def _record_times(spec, t_max: float, path: str) -> list[float]:
-    """Record times from a spacing or a list, rounded to 12 digits, plus 0 and t_max."""
+    """Times of a spacing or a list rounded to 12 digits, with 0 and t_max unrounded."""
     times = _spaced(spec, path) if isinstance(spec, dict) else spec
-    times = sorted(set(round(float(t), 12) for t in times) | {0.0, float(t_max)})
+    times = {round(float(t), 12) for t in times} - {round(t_max, 12)}
+    times = sorted(times | {0.0, t_max})
     if times[0] < 0 or times[-1] > t_max:
         raise ConfigError(f"{path}: record times must lie in [0, t_max]")
     return times
@@ -192,18 +193,19 @@ def load_sweep_config(obj: dict, path: str = "config") -> dict:
     g = GaussianProfile(cell["amplitude"], cell["width"])
     data = torus.InitialData.from_profiles(None, g, None, g, fixed["sigma1"],
                                            fixed["sigma2"], fixed["n"])
+    cell_params = [exponents.SystemParams(p=p, q=q, **fixed)
+                   for p in cfg["p_range"] for q in cfg["q_range"]]
     tasks = []
-    for p in cfg["p_range"]:
-        for q in cfg["q_range"]:
-            params = exponents.SystemParams(p=p, q=q, **fixed)
-            t_max = min(cell["t_max"], torus.t_valid(grid, params))
-            if t_max < 1.0:
-                raise ConfigError(f"{path}.cell.t_max: min(t_max, t_valid) = {t_max:g} < 1")
-            record = _record_times({"kind": "log", "t_min": 1.0, "t_max": t_max,
-                                    "count": cell["record_count"]}, t_max, f"{path}.cell")
-            tasks.append({"p": p, "q": q, "params": params, "grid": grid,
-                          "data": data, "t_max": t_max, "record": record,
-                          **{k: cell[k] for k in ("dt", "blowup_threshold", "fit_t_min")}})
+    if cell_params:  # t_valid hangs on the grid and sigma_min only, so all cells share it
+        t_max = min(cell["t_max"], torus.t_valid(grid, cell_params[0]))
+        if t_max < 1.0:
+            raise ConfigError(f"{path}.cell.t_max: min(t_max, t_valid) = {t_max:g} < 1")
+        record = _record_times({"kind": "log", "t_min": 1.0, "t_max": t_max,
+                                "count": cell["record_count"]}, t_max, f"{path}.cell")
+        tasks = [{"p": params.p, "q": params.q, "params": params, "grid": grid,
+                  "data": data, "t_max": t_max, "record": record,
+                  **{k: cell[k] for k in ("dt", "blowup_threshold", "fit_t_min")}}
+                 for params in cell_params]
     return {"p_values": cfg["p_range"], "q_values": cfg["q_range"], "grid": grid,
             "tasks": tasks}
 
@@ -270,28 +272,27 @@ def cmd_classify(args) -> int:
 
 
 def _parse_tgrid(spec: str) -> list[float]:
-    """Times of ``log|lin:lo:hi:count``, read as the config field ``--t``."""
+    """Times of ``log|lin:lo:hi:count``, each part read by its field rule."""
     parts = spec.split(":")
     if len(parts) != 4:
         raise ConfigError("--t: t-grid must look like log:1e2:1e5:40 or lin:0:100:11")
-
-    def token(text):
+    numbers = []
+    for key, text in zip(("t_min", "t_max", "count"), parts[1:]):
         try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            return text
-    fields = dict(SPACING_FIELDS, kind=_enum("log", "lin"))
-    raw = dict(zip(fields, [parts[0]] + [token(s) for s in parts[1:]]))
-    return _spaced(_read(raw, "--t", fields), "--t")
+            numbers.append(float(text))
+        except ValueError:
+            raise ConfigError(f"--t.{key}: expected a number, got {text!r}") from None
+    lo, hi, count = numbers
+    return _spaced({"kind": _enum("log", "lin")(parts[0], "--t.kind"),
+                    "t_min": _real(lo, "--t.t_min"), "t_max": _real(hi, "--t.t_max"),
+                    "count": _positive_int(count, "--t.count")}, "--t")
 
 
 def cmd_linear_decay(args) -> int:
     kind = {k.value: k for k in oracle.NormKind}[args.kind]
     t_grid = _parse_tgrid(args.t)
-    w0 = GaussianProfile(args.w0_amplitude, args.w0_width) \
-        if args.w0_amplitude != 0 else None
-    w1 = GaussianProfile(args.w1_amplitude, args.w1_width) \
-        if args.w1_amplitude != 0 else None
+    w0 = GaussianProfile(args.w0_amplitude, args.w0_width) if args.w0_amplitude else None
+    w1 = GaussianProfile(args.w1_amplitude, args.w1_width) if args.w1_amplitude else None
     if w0 is None and w1 is None:
         raise ConfigError("at least one of w0, w1 must be nonzero")
     cfg = {"sigma": args.sigma, "n": args.n, "kind": args.kind, "t": args.t,
@@ -321,8 +322,7 @@ def run_norms_csv(result: torus.RunResult, hash_str: str) -> str:
     times = [t for t, _ in result.series["u_l2"].entries]
     table = {k: dict(result.series[k].entries) for k in order}
     for t in times:
-        row = [_fmt(t)] + [_fmt(table[k][t]) for k in order]
-        lines.append(",".join(row))
+        lines.append(",".join([_fmt(t)] + [_fmt(table[k][t]) for k in order]))
     return "\n".join(lines) + "\n"
 
 
@@ -417,8 +417,7 @@ def sweep_cell(task: dict) -> dict:
                 fits[label] = math.nan
         if ratio > 10.0:
             row["observed"] = "Grew"
-        elif ratio < 0.1 and all(v < 0 for v in fits.values() if not math.isnan(v)) \
-                and fits and not any(math.isnan(v) for v in fits.values()):
+        elif ratio < 0.1 and fits and all(v < 0 for v in fits.values()):  # NaN < 0 is False
             row["observed"] = "Decayed"
         else:
             row["observed"] = "Inconclusive"

@@ -372,3 +372,46 @@ class TestConfigReader:
         assert set(warnings) == {"2,2", "2,2.5", "2.5,2", "2.5,2.5"}
         assert all("top-octave" in w for ws in warnings.values() for w in ws)
         assert out.read_text().splitlines()[1] == ",".join(cli.SWEEP_COLUMNS)
+
+    @pytest.mark.parametrize("half_length", [20.0, 24.0, 36.0])
+    def test_clipped_t_max_ends_the_record(self, half_length):
+        # sigma 1.3 gives a non-dyadic t_valid = (L/8)**2.6 - 1 below cell.t_max
+        cfg = copy.deepcopy(SWEEP_CONFIG)
+        cfg["fixed"].update(sigma1=1.3, sigma2=1.3)
+        cfg["cell"]["t_max"] = 1e6
+        cfg["cell"]["grid"]["half_length"] = half_length
+        tasks = cli.load_sweep_config(cfg)["tasks"]
+        t_valid = cli.torus.t_valid(tasks[0]["grid"], tasks[0]["params"])
+        for task in tasks:
+            assert task["t_max"] == t_valid
+            assert task["record"][-1] == task["t_max"]
+            # 0 plus record_count log times, with no second point just below t_max
+            assert len(task["record"]) == 6 + 1
+            assert task["record"] is tasks[0]["record"]
+
+    @pytest.mark.parametrize("spec,expected", [
+        ("lin:.5:10:5", [0.5, 2.875, 5.25, 7.625, 10.0]),
+        ("lin:+1:5.:3", [1.0, 3.0, 5.0]),
+        ("log:1e2:1e4:03", [100.0, 1000.0, 10000.0]),
+    ])
+    def test_tgrid_spellings_accepted(self, spec, expected):
+        assert cli._parse_tgrid(spec) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("spec,field_path", [
+        ("lin:0:10:x", "--t.count"),
+        ("lin:0:10:2.5", "--t.count"),
+        ("lin:0:inf:5", "--t.t_max"),
+        ("exp:1:10:5", "--t.kind"),
+    ])
+    def test_tgrid_rejected_with_part(self, spec, field_path):
+        with pytest.raises(cli.ConfigError, match=f"^{field_path}: "):
+            cli._parse_tgrid(spec)
+
+    @pytest.mark.parametrize("t_max", [9.830388174299163, 12.779504626588912,
+                                       16.711659896308575, 42.4596717679455])
+    def test_unround_t_max_ends_the_record(self, t_max):
+        # geomspace ends exactly at t_max, which rounds up or down at 12 digits
+        record = {"kind": "log", "t_min": 1.0, "t_max": t_max, "count": 6}
+        times = cli.load_run_config(dict(BASE_RUN_CONFIG, t_max=t_max,
+                                         record=record))["record"]
+        assert times[-1] == t_max and len(times) == 6 + 1
