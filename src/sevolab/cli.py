@@ -173,12 +173,23 @@ def _same_dimension(n: int, grid: torus.GridSpec, path: str, grid_path: str):
         raise ConfigError(f"{path}: must equal {grid_path}.n_dim ({grid.n_dim}), got {n}")
 
 
+def _fits_box(grid: torus.GridSpec, data: torus.InitialData, width_path) -> None:
+    """Reject, at ``width_path(profile name)``, a profile too wide for the box."""
+    try:
+        torus.check_profile_widths(grid, data)
+    except torus.ProfileTooWideError as exc:
+        raise ConfigError(f"{width_path(exc.name)}: {exc.fraction:.2e} of the {exc.name} "
+                          f"profile's mass lies outside the box (limit {torus.TAIL_TOL:g})"
+                          ) from None
+
+
 def load_run_config(obj: dict, path: str = "config") -> dict:
     cfg = _read(obj, path, RUN_FIELDS)
     params, data = cfg["params"], cfg["data"]
     _same_dimension(params.n, cfg["grid"], f"{path}.params.n", f"{path}.grid")
     cfg["data"] = torus.InitialData.from_profiles(
         *data.values(), params.sigma1, params.sigma2, params.n)
+    _fits_box(cfg["grid"], cfg["data"], lambda name: f"{path}.data.{name}.width")
     cfg["record"] = _record_times(cfg["record"], cfg["t_max"], f"{path}.record")
     return cfg
 
@@ -193,6 +204,7 @@ def load_sweep_config(obj: dict, path: str = "config") -> dict:
     g = GaussianProfile(cell["amplitude"], cell["width"])
     data = torus.InitialData.from_profiles(None, g, None, g, fixed["sigma1"],
                                            fixed["sigma2"], fixed["n"])
+    _fits_box(grid, data, lambda name: f"{path}.cell.width")
     cell_params = [exponents.SystemParams(p=p, q=q, **fixed)
                    for p in cfg["p_range"] for q in cfg["q_range"]]
     tasks = []

@@ -3,10 +3,12 @@
 The state holds the ``rfftn`` half spectrum of each real field: the last
 axis keeps only its nonnegative frequencies, so every bin off that axis's
 zero and Nyquist planes stands for itself and its mirror image, and sums
-over the spectrum weight it twice (its Hermitian multiplicity).  The linear
-flow is advanced exactly, mode by mode, with the multipliers from
-:mod:`sevolab.multipliers`; the coupling |v|**p, |u|**q enters through a
-second-order exponential integrator: the nonlinearity is evaluated in
+over the spectrum weight it twice (its Hermitian multiplicity).  Both
+components go through the same kind of propagator and meet only in the
+coupling, so u and v are stacked and transformed and updated as one array.
+The linear flow is advanced exactly, mode by mode, with the multipliers
+from :mod:`sevolab.multipliers`; the coupling |v|**p, |u|**q enters through
+a second-order exponential integrator: the nonlinearity is evaluated in
 physical space at the start of the step and at an exact-linear predictor at
 its end, then combined with the exact inhomogeneous Duhamel weights.
 
@@ -40,6 +42,14 @@ TAIL_ENERGY_WARN = 1e-6
 
 class ProfileTooWideError(ValueError):
     """Initial profile leaks more than TAIL_TOL of its mass out of the box."""
+
+    def __init__(self, name: str, fraction: float):
+        super().__init__(name, fraction)
+        self.name = name
+        self.fraction = fraction
+
+    def __str__(self) -> str:
+        return f"{self.name}: tail mass fraction {self.fraction:.2e} exceeds {TAIL_TOL}"
 
 
 @dataclass(frozen=True)
@@ -99,11 +109,14 @@ class GridSpec:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.sqrt(sum(g * g for g in grids))
 
-    def to_physical(self, w_hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(w_hat, s=self.shape, axes=range(self.n_dim))
+    def to_physical(self, w_hat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Real field of a half spectrum over the trailing n_dim axes, so one
+        field or a stack of fields in one call; into ``out`` if given."""
+        return np.fft.irfftn(w_hat, s=self.shape, axes=range(-self.n_dim, 0), out=out)
 
-    def to_spectral(self, w: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(w, s=self.shape, axes=range(self.n_dim))
+    def to_spectral(self, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Half spectrum of a real field or stack of fields (trailing n_dim axes)."""
+        return np.fft.rfftn(w, s=self.shape, axes=range(-self.n_dim, 0), out=out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -163,22 +176,40 @@ class InitialData:
                    a_norm(u0, u1, sigma1), a_norm(v0, v1, sigma2))
 
 
+def _row(stack: str, index: int) -> property:
+    """Read-write view of one row of a stacked spectrum, so that in-place
+    updates such as ``state.u_hat *= 2`` reach the stack."""
+    def get(self):
+        return getattr(self, stack)[index]
+
+    def set(self, value):
+        getattr(self, stack)[index] = value
+    return property(get, set, doc=f"row {index} of ``{stack}`` (a view)")
+
+
 @dataclass
 class SpectralState:
     """Half-spectrum (``rfftn``) coefficients of (u, u_t, v, v_t) plus time and
-    symbol metadata.  ``energy`` is the Hermitian-weighted sum of |coefficient|**2
-    over the four fields when the step that made the state computed it."""
+    symbol metadata.  The fields are stacked, ``w = [u_hat, v_hat]`` and
+    ``wt = [ut_hat, vt_hat]``, each of shape ``(2, *half_shape)``, so that one
+    transform or update covers both components; ``u_hat`` and the other three
+    names are views of their rows.  ``energy`` is the Hermitian-weighted sum of
+    |coefficient|**2 over the four fields when the step that made the state
+    computed it."""
 
-    u_hat: np.ndarray
-    ut_hat: np.ndarray
-    v_hat: np.ndarray
-    vt_hat: np.ndarray
+    w: np.ndarray
+    wt: np.ndarray
     time: float
     grid: GridSpec
     sigma1: float
     sigma2: float
     blown_up: bool = False
     energy: Optional[float] = None
+
+    u_hat = _row("w", 0)
+    v_hat = _row("w", 1)
+    ut_hat = _row("wt", 0)
+    vt_hat = _row("wt", 1)
 
     def fields(self) -> tuple[np.ndarray, ...]:
         return self.u_hat, self.ut_hat, self.v_hat, self.vt_hat
@@ -211,27 +242,27 @@ def default_dt(grid: GridSpec, params: SystemParams) -> float:
     return 0.1 * min(1.0, 2.0 * math.pi / om_max)
 
 
-def init(grid: GridSpec, data: InitialData, params: SystemParams,
-         check_width: bool = True) -> SpectralState:
+def check_profile_widths(grid: GridSpec, data: InitialData) -> None:
+    """Raise ProfileTooWideError for the first nonzero profile of ``data`` that
+    leaks more than TAIL_TOL of its mass out of the box of ``grid``."""
+    for name in ("u0", "u1", "v0", "v1"):
+        prof = getattr(data, name)
+        if prof is not None and prof.amplitude != 0.0:
+            frac = prof.tail_mass_fraction(grid.half_length, grid.n_dim)
+            if frac > TAIL_TOL:
+                raise ProfileTooWideError(name, frac)
+
+
+def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralState:
     """Spectral state at t = 0 sampling the data profiles on the grid."""
-    if check_width:
-        for name in ("u0", "u1", "v0", "v1"):
-            prof = getattr(data, name)
-            if prof is not None and prof.amplitude != 0.0:
-                frac = prof.tail_mass_fraction(grid.half_length, grid.n_dim)
-                if frac > TAIL_TOL:
-                    raise ProfileTooWideError(
-                        f"{name}: tail mass fraction {frac:.2e} exceeds {TAIL_TOL}")
+    check_profile_widths(grid, data)
     r = grid.radius()
-
-    def sample(prof):
-        if prof is None:
-            return np.zeros(_half_grid(grid)[0].shape, dtype=complex)
-        return grid.to_spectral(prof.value(r).astype(float))
-
-    return SpectralState(sample(data.u0), sample(data.u1),
-                         sample(data.v0), sample(data.v1),
-                         0.0, grid, params.sigma1, params.sigma2)
+    phys = np.zeros((4, *grid.shape))
+    for row, prof in zip(phys, (data.u0, data.v0, data.u1, data.v1)):
+        if prof is not None:
+            row[...] = prof.value(r)
+    hat = grid.to_spectral(phys)
+    return SpectralState(hat[:2], hat[2:], 0.0, grid, params.sigma1, params.sigma2)
 
 
 def _mu(grid: GridSpec, sigma: float) -> np.ndarray:
@@ -240,51 +271,60 @@ def _mu(grid: GridSpec, sigma: float) -> np.ndarray:
 
 class _StepKernel:
     """Per-(grid, sigma) propagator tables and Duhamel weights for the last
-    MAX_ENTRIES step sizes, the least recently used evicted first.
+    MAX_ENTRIES step sizes, the least recently used evicted first, and the
+    work arrays of a step.
 
-    Record intervals are visited in order, so the main dt stays resident and
-    only the final, shorter step of each interval is rebuilt.  ``builds``
-    counts the step sizes built.
+    Tables and weights are stacked like the state: shape ``(1, *half_shape)``
+    when sigma1 == sigma2, broadcasting over both rows, else
+    ``(2, *half_shape)`` with the u row first.  Record intervals are visited
+    in order, so the main dt stays resident and only the final, shorter step
+    of each interval is rebuilt.  ``builds`` counts the step sizes built.
     """
 
     MAX_ENTRIES = 2
 
     def __init__(self, grid: GridSpec, sigma1: float, sigma2: float):
-        self.sigmas = (sigma1, sigma2)
-        # one symbol per distinct order: equal orders share tables and weights
-        self.mus = {s: _mu(grid, s) for s in self.sigmas}
+        sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
+        self.mu = np.stack([_mu(grid, s) for s in sigmas])
         self._entries: OrderedDict[float, tuple] = OrderedDict()
         self.builds = 0
+        stack = (2, *self.mu.shape[1:])
+        #: the physical stack, the two coupling spectra and a spectral
+        #: temporary; each step overwrites them
+        self.phys = np.empty((2, *grid.shape))
+        self.n0 = np.empty(stack, dtype=complex)
+        self.n1 = np.empty(stack, dtype=complex)
+        self.tmp = np.empty(stack, dtype=complex)
+        #: work row for |.|**e: a view into tmp, which is larger than one
+        #: physical row and holds nothing while a coupling is evaluated
+        self.row = self.tmp.view(float).reshape(-1)[:grid.n_total].reshape(grid.shape)
 
     def get(self, dt: float) -> tuple[tuple, tuple]:
-        """(tables, weights) of step dt, one of each per field pair: the
-        ``propagator_arrays`` table and (A - B, B, Ad - Bd, Bd) of
-        :func:`duhamel_weights`."""
+        """(tables, weights) of step dt: the ``propagator_arrays`` table and
+        (A - B, B, Ad - Bd, Bd) of :func:`duhamel_weights`."""
         entry = self._entries.get(dt)
         if entry is not None:
             self._entries.move_to_end(dt)
             return entry
         while len(self._entries) >= self.MAX_ENTRIES:
             self._entries.popitem(last=False)
-        built = {s: self._build(dt, mu) for s, mu in self.mus.items()}
-        entry = self._entries[dt] = tuple(zip(*(built[s] for s in self.sigmas)))
+        tables = propagator_arrays(dt, self.mu)
+        A, B, Ad, Bd = duhamel_weights(dt, self.mu, tables)
+        entry = self._entries[dt] = (tables, (A - B, B, Ad - Bd, Bd))
         self.builds += 1
         return entry
 
-    @staticmethod
-    def _build(dt: float, mu: np.ndarray) -> tuple:
-        tables = propagator_arrays(dt, mu)
-        A, B, Ad, Bd = duhamel_weights(dt, mu, tables)
-        return tables, (A - B, B, Ad - Bd, Bd)
 
-
-def _linear_fields(state: SpectralState, tables) -> list[np.ndarray]:
-    """(u, u_t, v, v_t) advanced exactly by the step the tables were built for."""
-    out = []
-    for (w, wt), (k0, k1, dk0, dk1) in zip(
-            ((state.u_hat, state.ut_hat), (state.v_hat, state.vt_hat)), tables):
-        out += [k0 * w + k1 * wt, dk0 * w + dk1 * wt]
-    return out
+def _linear_fields(state: SpectralState, tables,
+                   tmp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New stacks (w, wt) advanced exactly by the step the tables were built
+    for; ``tmp`` is work space of the stack's shape."""
+    k0, k1, dk0, dk1 = tables
+    w = k0 * state.w
+    w += np.multiply(k1, state.wt, out=tmp)
+    wt = dk0 * state.w
+    wt += np.multiply(dk1, state.wt, out=tmp)
+    return w, wt
 
 
 def linear_step(state: SpectralState, dt: float,
@@ -294,9 +334,34 @@ def linear_step(state: SpectralState, dt: float,
         raise ValueError("dt must be positive")
     if kernel is None:
         kernel = _StepKernel(state.grid, state.sigma1, state.sigma2)
-    u, ut, v, vt = _linear_fields(state, kernel.get(dt)[0])
-    return replace(state, u_hat=u, ut_hat=ut, v_hat=v, vt_hat=vt,
-                   time=state.time + dt, energy=None)
+    w, wt = _linear_fields(state, kernel.get(dt)[0], kernel.tmp)
+    return replace(state, w=w, wt=wt, time=state.time + dt, energy=None)
+
+
+def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
+    """x**e written into x, for x >= 0; ``tmp`` is work space of x's shape.
+
+    When 2e is an integer in [2, 12] this is a product of repeated squares of
+    x and at most one sqrt, a few multiplies per element where np.power pays
+    for a log and an exp; other exponents go to np.power.
+    """
+    halves = 2.0 * e
+    if not (2.0 <= halves <= 12.0 and halves == int(halves)):
+        np.power(x, e, out=x)
+        return
+    n, half = divmod(int(halves), 2)
+    acc = np.sqrt(x, out=tmp) if half else None  # the product of the odd factors
+    while n > 1:
+        if n & 1:
+            if acc is None:
+                acc = tmp
+                acc[...] = x
+            else:
+                acc *= x
+        x *= x
+        n >>= 1
+    if acc is not None:
+        x *= acc
 
 
 def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
@@ -305,50 +370,45 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     """One second-order exponential step of the full coupled system.
 
     The coupling is interpolated linearly in time between its value at the
-    step start and at the exact-linear predictor of the step end.  One
-    weighted pass over the new state gives its ``energy``; a non-finite
-    energy (overflow in the nonlinearity included) marks the state as blown
-    up instead of raising.
+    step start and at the exact-linear predictor of the step end.  Each
+    coupling evaluation is one inverse and one forward transform of the
+    stacked (u, v) state.  One weighted pass over the new state gives its
+    ``energy``; a non-finite energy (overflow in the nonlinearity included)
+    marks the state as blown up instead of raising.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
     if kernel is None:
         kernel = _StepKernel(grid, state.sigma1, state.sigma2)
-    tables, (w1, w2) = kernel.get(dt)
+    tables, (ab, b, abd, bd) = kernel.get(dt)
+    phys = kernel.phys
 
-    def nonlinear(u_hat_v, v_hat_v, t: float):
-        """Spectra of the couplings |v|**p and |u|**q (plus any forcing) at time t."""
-        nu = grid.to_physical(v_hat_v)
-        nv = grid.to_physical(u_hat_v)
-        np.abs(nu, out=nu)
-        np.abs(nv, out=nv)
-        np.power(nu, p, out=nu)
-        np.power(nv, q, out=nv)
+    def coupling(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        """Spectra [|v|**p, |u|**q] (plus any forcing) of the stack w at time t."""
+        grid.to_physical(w, out=phys)
+        np.abs(phys, out=phys)
+        _power(phys[0], q, kernel.row)
+        _power(phys[1], p, kernel.row)
         if forcing is not None:
             fu, fv = forcing
             if fu is not None:
-                nu += fu(t)
+                phys[1] += fu(t)
             if fv is not None:
-                nv += fv(t)
-        return grid.to_spectral(nu), grid.to_spectral(nv)
+                phys[0] += fv(t)
+        return grid.to_spectral(phys[::-1], out=out)
 
     t0 = state.time
+    tmp = kernel.tmp
     with np.errstate(over="ignore", invalid="ignore"):
-        nu0, nv0 = nonlinear(state.u_hat, state.v_hat, t0)
-        new = _linear_fields(state, tables)
-        nu1, nv1 = nonlinear(new[0], new[2], t0 + dt)
-        for (w, wt), (ab, b, abd, bd), n0, n1 in (
-                (new[0:2], w1, nu0, nu1), (new[2:4], w2, nv0, nv1)):
-            w += ab * n0
-            w += b * n1
-            wt += abd * n0
-            wt += bd * n1
+        n0 = coupling(state.w, t0, kernel.n0)
+        w, wt = _linear_fields(state, tables, tmp)
+        n1 = coupling(w, t0 + dt, kernel.n1)
+        for acc, weight, n in ((w, ab, n0), (w, b, n1), (wt, abd, n0), (wt, bd, n1)):
+            acc += np.multiply(weight, n, out=tmp)
 
-    energy = _energy(new)
-    u, ut, v, vt = new
-    return replace(state, u_hat=u, ut_hat=ut, v_hat=v, vt_hat=vt,
-                   time=state.time + dt, energy=energy,
+    energy = _energy((w, wt))
+    return replace(state, w=w, wt=wt, time=t0 + dt, energy=energy,
                    blown_up=state.blown_up or not math.isfinite(energy))
 
 
@@ -449,8 +509,7 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
             for k in NORM_LABELS:
                 series[k].append((t, norms[k]))
         if t in snapshot_set and finite:
-            snapshots.append((t, grid.to_physical(state.u_hat),
-                              grid.to_physical(state.v_hat)))
+            snapshots.append((t, *grid.to_physical(state.w)))
         if not warnings and finite and _top_octave_fraction(state) > TAIL_ENERGY_WARN:
             warnings.append(
                 f"top-octave energy fraction exceeded {TAIL_ENERGY_WARN:.0e} at t={t:g}")
@@ -473,7 +532,7 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
             step = min(dt_val, target - state.time)
             if linear_only:
                 state = linear_step(state, step, kernel)
-                energy = _energy(state.fields())
+                energy = _energy((state.w, state.wt))
             else:
                 state = duhamel_step(state, step, params.p, params.q,
                                      forcing=forcing, kernel=kernel)
@@ -495,12 +554,16 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
         if not handle_event(target):
             break
 
+    window = t_valid(grid, params)
+    if blowup is not None and blowup["time"] > window:
+        warnings.append(f"blow-up at t={blowup['time']:g} is past t_valid={window:g}, "
+                        "where the torus no longer stands for the whole space")
     return RunResult(_package_series(series, params),
                      blowup,
                      {"threshold": threshold, "dt": dt_val,
                       "initial_total_norm": initial_total, "steps": steps,
                       "kernel_builds": kernel.builds},
-                     t_valid(grid, params), snapshots, warnings)
+                     window, snapshots, warnings)
 
 
 def _package_series(series: dict[str, list], params: SystemParams) -> dict[str, NormSeries]:

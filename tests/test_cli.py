@@ -300,6 +300,9 @@ class TestConfigReader:
         ("sweep", "cell.dt", "fast", "config.cell.dt"),
         ("sweep", "cell.t_max", -5, "config.cell.t_max"),
         ("sweep", "cell.width", 0, "config.cell.width"),
+        # too wide for the half_length 20 box: 1.2e-2 of the mass lies outside
+        ("simulate", "data.u0.width", 8.0, "config.data.u0.width"),
+        ("sweep", "cell.width", 8.0, "config.cell.width"),
         ("linear-decay", "t", "lin:nan:10:5", "--t.t_min"),
         ("linear-decay", "t", "log:0:1e5:5", "--t.t_min"),
     ]
@@ -327,14 +330,15 @@ class TestConfigReader:
                                                      monkeypatch):
         runs = []
         monkeypatch.setattr(cli.torus, "run", lambda *a, **k: runs.append(a))
-        bad = patched(SWEEP_CONFIG, "cell.t_max", -5)
-        with pytest.raises(cli.ConfigError, match=r"^config\.cell\.t_max: "):
-            cli.load_sweep_config(bad)
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(bad))
-        code, _, _ = run_cli(capsys, "sweep", "--config", str(path),
-                             "--out", str(tmp_path / "phase.csv"), "--workers", "1")
-        assert code == 1
+        for field, value in (("t_max", -5), ("width", 8.0)):
+            bad = patched(SWEEP_CONFIG, f"cell.{field}", value)
+            with pytest.raises(cli.ConfigError, match=rf"^config\.cell\.{field}: "):
+                cli.load_sweep_config(bad)
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps(bad))
+            code, _, _ = run_cli(capsys, "sweep", "--config", str(path),
+                                 "--out", str(tmp_path / "phase.csv"), "--workers", "1")
+            assert code == 1
         assert runs == []
 
     def test_workers_below_one_rejected(self, capsys, tmp_path):

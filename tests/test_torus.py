@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from sevolab.exponents import SystemParams
-from sevolab.multipliers import _propagator_scalar
+from sevolab.multipliers import _propagator_scalar, duhamel_weights, propagator_arrays
 from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
 from sevolab.torus import (
@@ -14,6 +14,7 @@ from sevolab.torus import (
     ProfileTooWideError,
     SpectralState,
     _StepKernel,
+    _power,
     default_dt,
     detect_blowup,
     duhamel_step,
@@ -188,6 +189,58 @@ class TestDuhamelStep:
         assert order1 >= 1.8
         assert order2 >= 1.8
 
+    def test_unequal_orders_match_per_field_reference(self):
+        # sigma1 != sigma2 gives each row its own tables and weights; no
+        # benchmark workload runs this path, so check it against a reference
+        # that steps each field on its own with np.power
+        grid = GridSpec(1, 256, 30.0)
+        params = SystemParams(1, 1.0, 1.5, 2.5, 3.0)
+        g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
+        state = init(grid, make_data(u0=g, u1=h, v0=h, v1=g, sigma1=1.0, sigma2=1.5),
+                     params)
+        dt = 0.07
+        stepped = duhamel_step(state, dt, params.p, params.q)
+
+        def phys(f):
+            return np.fft.irfft(f, n=256)
+
+        def coupling(u, v):
+            return (np.fft.rfft(np.power(np.abs(phys(v)), params.p)),
+                    np.fft.rfft(np.power(np.abs(phys(u)), params.q)))
+
+        xi = grid.xi_mag(half=True)
+        ops = []
+        for sigma in (params.sigma1, params.sigma2):
+            mu = xi ** (2.0 * sigma)
+            tables = propagator_arrays(dt, mu)
+            ops.append((tables, duhamel_weights(dt, mu, tables)))
+        pairs = ((state.u_hat, state.ut_hat), (state.v_hat, state.vt_hat))
+        linear = [(k0 * w + k1 * wt, dk0 * w + dk1 * wt)
+                  for ((k0, k1, dk0, dk1), _), (w, wt) in zip(ops, pairs)]
+        start = coupling(state.u_hat, state.v_hat)
+        end = coupling(linear[0][0], linear[1][0])
+        expected = []
+        for (_, (A, B, Ad, Bd)), (w, wt), n0, n1 in zip(ops, linear, start, end):
+            expected += [w + (A - B) * n0 + B * n1, wt + (Ad - Bd) * n0 + Bd * n1]
+        for got, ref in zip(stepped.fields(), expected):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_one_step_makes_four_transforms(self, monkeypatch):
+        grid = GridSpec(2, 32, 12.0)
+        g = GaussianProfile(0.5, 1.0)
+        params = SystemParams(2, 1.0, 1.0, 3.0, 3.5)
+        state = init(grid, make_data(u0=g, v1=g, n=2), params)
+        calls = {"irfftn": 0, "rfftn": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        duhamel_step(state, 0.05, params.p, params.q)
+        assert calls == {"irfftn": 2, "rfftn": 2}
+
     def test_overflow_sets_blowup_flag(self):
         grid = GridSpec(1, 64, 20.0)
         state = init(grid, make_data(u0=GaussianProfile(1.0, 1.0)), PARAMS)
@@ -258,6 +311,29 @@ class TestRunInvariants:
             run(grid, make_data(), PARAMS, 1.0, [1.0], blowup_threshold=threshold)
 
 
+class TestPower:
+    @pytest.fixture
+    def x(self):
+        rng = np.random.default_rng(7)
+        return np.concatenate([[0.0, 1.0], np.geomspace(1e-30, 1e30, 601),
+                               rng.uniform(0.0, 3.0, 4000)])
+
+    @pytest.mark.parametrize("e", [1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 6.0])
+    def test_products_match_np_power(self, x, e):
+        got = x.copy()
+        _power(got, e, np.empty_like(x))
+        ref = np.power(x, e)
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+        if e == 3.0:
+            assert np.array_equal(got, x * x * x)  # products, not np.power
+
+    @pytest.mark.parametrize("e", [1.3, 7.25])
+    def test_other_exponents_fall_back(self, x, e):
+        got = x.copy()
+        _power(got, e, np.empty_like(x))
+        assert np.array_equal(got, np.power(x, e))
+
+
 class TestStepKernel:
     def test_bounded_lru_keeps_main_dt(self):
         grid = GridSpec(1, 64, 20.0)
@@ -272,6 +348,26 @@ class TestStepKernel:
         entry = kernel.get(main)
         assert kernel.builds == 5
         assert kernel.get(main) is entry
+
+
+class TestBlowupPastValidity:
+    # L = 20 and sigma 1 give t_valid = (20/8)**2 - 1 = 5.25; amplitude 1
+    # blows up near t = 6.7, amplitude 3 near t = 3.4
+    @pytest.mark.parametrize("amp,flagged", [(1.0, True), (3.0, False)])
+    def test_late_blowup_is_flagged(self, amp, flagged):
+        grid = GridSpec(1, 256, 20.0)
+        params = SystemParams(1, 1.0, 1.0, 2.0, 2.0)
+        g = GaussianProfile(amp, 1.0)
+        res = run(grid, make_data(u1=g, v1=g), params, 40.0, [1.0, 5.0, 10.0, 40.0])
+        assert res.t_valid == pytest.approx(5.25)
+        assert res.blowup is not None
+        assert (res.blowup["time"] > res.t_valid) is flagged
+        late = [w for w in res.warnings if "past t_valid" in w]
+        if flagged:
+            assert late == [f"blow-up at t={res.blowup['time']:g} is past t_valid=5.25, "
+                            "where the torus no longer stands for the whole space"]
+        else:
+            assert late == []
 
 
 class TestRunEcho:
