@@ -300,7 +300,23 @@ def _parse_tgrid(spec: str) -> list[float]:
                     "count": _positive_int(count, "--t.count")}, "--t")
 
 
+_dimension = _enum(1, 2, 3)
+LINEAR_DECAY_FLAGS = {"sigma": _positive, "n": _dimension,
+                      "w0_amplitude": _real, "w0_width": _positive,
+                      "w1_amplitude": _real, "w1_width": _positive}
+TESTFN_FLAGS = {"gamma": _number(1, strict=False), "r": _positive, "R": _positive,
+                "n": _dimension}
+
+
+def _read_flags(args, rules: dict) -> None:
+    """Each flag of ``rules`` (by its argparse name) read in place by its rule,
+    which reports it as ``--flag``."""
+    for name, rule in rules.items():
+        setattr(args, name, rule(getattr(args, name), "--" + name.replace("_", "-")))
+
+
 def cmd_linear_decay(args) -> int:
+    _read_flags(args, LINEAR_DECAY_FLAGS)
     kind = {k.value: k for k in oracle.NormKind}[args.kind]
     t_grid = _parse_tgrid(args.t)
     w0 = GaussianProfile(args.w0_amplitude, args.w0_width) if args.w0_amplitude else None
@@ -475,10 +491,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_testfn_check(args) -> int:
-    if args.gamma < 1:
-        raise ConfigError("gamma must be >= 1")
-    if args.r <= 0 or args.R <= 0:
-        raise ConfigError("r and R must be positive")
+    _read_flags(args, TESTFN_FLAGS)
     spec = testfn.TestFunctionSpec(gamma=args.gamma, r=args.r, R=args.R)
     # out to ~8R the bracket still carries weight; far beyond, the exact
     # identity drowns in cancellation and only the envelope bound is tested
@@ -553,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("linear-decay", help="oracle decay study of the linear flow")
     d.add_argument("--sigma", type=float, required=True)
-    d.add_argument("--n", type=int, required=True)
+    d.add_argument("--n", type=int, required=True, help="dimension: 1, 2 or 3")
     d.add_argument("--kind", choices=["l2", "dsigma", "dt"], required=True)
     d.add_argument("--t", required=True, help="grid spec, e.g. log:1e2:1e5:40")
     d.add_argument("--w0-amplitude", type=float, default=1.0)
@@ -579,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--gamma", type=float, required=True)
     t.add_argument("--r", type=float, required=True)
     t.add_argument("--R", type=float, required=True)
-    t.add_argument("--n", type=int, default=1, choices=[1, 2, 3])
+    t.add_argument("--n", type=int, default=1, help="dimension: 1, 2 or 3")
     t.set_defaults(func=cmd_testfn_check)
 
     return parser

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def sphere_surface(n: int) -> float:
     """Surface measure of the unit sphere in R^n (2, 2*pi, 4*pi for n = 1, 2, 3)."""
@@ -33,15 +35,18 @@ class GaussianProfile:
 
     def value(self, r):
         """Profile value at radius r (array friendly)."""
-        import numpy as np
         r = np.asarray(r, dtype=float)
         return self.amplitude * np.exp(-r * r / (2.0 * self.width**2))
 
+    def hat_coefficients(self, n: int) -> tuple[float, float]:
+        """(a, b) with hat(rho, n) = a * exp(b * rho * rho), for float callers."""
+        return self.amplitude * self.width**n, -self.width**2 / 2.0
+
     def hat(self, rho, n: int):
-        """Unitary Fourier transform at frequency radius rho."""
-        import numpy as np
+        """Unitary Fourier transform at frequency radius rho (array friendly)."""
+        a, b = self.hat_coefficients(n)
         rho = np.asarray(rho, dtype=float)
-        return self.amplitude * self.width**n * np.exp(-self.width**2 * rho * rho / 2.0)
+        return a * np.exp(b * rho * rho)
 
     def mass(self, n: int) -> float:
         """Integral over R^n (signed)."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 from scipy.integrate import IntegrationWarning, quad
@@ -20,7 +21,8 @@ def adaptive_quad(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10
     clipped to the open interval).  QUADPACK's own convergence complaints
     are suppressed; acceptance is decided from the returned error estimate:
     below rel_tol relative to max(|value|, err_scale), the scale letting
-    callers accept integrals that legitimately cancel to zero.
+    callers accept integrals that legitimately cancel to zero.  A value or
+    error estimate that is not finite is never accepted.
     """
     pts = None
     if points is not None:
@@ -32,7 +34,8 @@ def adaptive_quad(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10
         val, err = quad(fn, a, b, points=pts, limit=limit,
                         epsabs=abs_floor, epsrel=rel_tol)
     scale = max(abs(val), err_scale)
-    if err > max(rel_tol * scale * 10.0, abs_floor * 1e10, 1e-250):
+    if not (math.isfinite(val) and math.isfinite(err)) or \
+            err > max(rel_tol * scale * 10.0, abs_floor * 1e10, 1e-250):
         raise QuadratureFailure(
             f"quadrature error {err:.3e} too large for value {val:.6e}")
     return val

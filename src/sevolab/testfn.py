@@ -62,12 +62,9 @@ class BracketCombo:
     terms: tuple[tuple[float, float], ...]
 
     def value(self, radius, scale: float = 1.0):
-        r = np.asarray(radius, dtype=float)
-        z2 = (r / scale) ** 2
-        out = np.zeros_like(z2)
-        for c, ell in self.terms:
-            out += c * (1.0 + z2) ** (-ell / 2.0)
-        return out if out.shape else float(out)
+        """The combo at radius (floats or arrays alike)."""
+        base = 1.0 + (radius / scale) ** 2
+        return sum(c * base ** (-ell / 2.0) for c, ell in self.terms)
 
     def neg_laplacian(self, n: int) -> "BracketCombo":
         merged: dict[float, float] = {}
@@ -139,25 +136,44 @@ def _bracket_d1(c: float, a: float, z: float) -> float:
     return c * (-2.0 * a) * z * (1.0 + z * z) ** (-a - 1.0)
 
 
-def _sphere_sum(combo: BracketCombo, x: float, rho: float, n: int,
-                scale: float, mu_nodes, mu_weights) -> float:
-    """Integral of the combo over the sphere |y - x| = rho (radial x >= 0)."""
-    if n == 1:
-        return float(combo.value(abs(x + rho), scale) + combo.value(abs(x - rho), scale))
-    if n == 2:
-        theta = (mu_nodes + 1.0) * (math.pi / 2.0)
-        radii = np.sqrt(x * x + 2.0 * x * rho * np.cos(theta) + rho * rho)
-        vals = combo.value(radii, scale)
-        return float(2.0 * np.sum(mu_weights * (math.pi / 2.0) * vals))
-    # n == 3: 2*pi * int_{-1}^{1} f(sqrt(x^2 + 2 x rho mu + rho^2)) dmu
-    radii = np.sqrt(x * x + 2.0 * x * rho * mu_nodes + rho * rho)
-    vals = combo.value(radii, scale)
-    return float(2.0 * math.pi * np.sum(mu_weights * vals))
-
-
 @lru_cache(maxsize=4)
-def _gl_nodes(npts: int):
-    return np.polynomial.legendre.leggauss(npts)
+def _sphere_rule(n: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, w): the npts-node Gauss-Legendre rule of the sphere integral in R^n,
+    n = 2 or 3, about a radial point x >= 0,
+
+        int_{S^{n-1}} f(|x + rho*omega|) domega = sum_j w_j f(sqrt(x**2 + rho**2 + 2*x*rho*c_j)),
+
+    with the nodes in the polar angle theta in (0, pi) (c = cos theta) for
+    n = 2 and in its cosine for n = 3.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    if n == 2:  # 2 * int_0^pi f dtheta
+        return np.cos((nodes + 1.0) * (math.pi / 2.0)), weights * math.pi
+    return nodes, weights * (2.0 * math.pi)  # 2*pi * int_{-1}^{1} f dmu
+
+
+def _sphere_sum(combo: BracketCombo, x: float, n: int,
+                scale: float) -> Callable[[float], float]:
+    """rho -> int_{S^{n-1}} f(x + rho*omega) domega for the combo f at the
+    given scale and a radial point x >= 0 (for n = 1 simply f(x+rho) + f(x-rho)).
+
+    n = 1 is float arithmetic.  For n = 2, 3 the 64-node rule of
+    :func:`_sphere_rule` is evaluated on squared radii: one pow over the
+    (term, node) table and one weighted sum, with the coefficients folded
+    into the weights.
+    """
+    if n == 1:
+        return lambda rho: combo.value(x + rho, scale) + combo.value(x - rho, scale)
+    cos, weights = _sphere_rule(n, 64)
+    powers = np.array([[-ell / 2.0] for _, ell in combo.terms])
+    coef_weights = np.array([[c] for c, _ in combo.terms]) * weights
+    s2 = scale * scale
+
+    def total(rho: float) -> float:
+        base = (1.0 + (x * x + rho * rho) / s2) + (2.0 * x * rho / s2) * cos
+        return float(np.vdot(coef_weights, base**powers))
+
+    return total
 
 
 def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int,
@@ -181,20 +197,21 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     fx = combo.value(x, scale)
     z = x / scale
 
-    # radial Laplacian of the combo at x, for the small-rho Taylor branch
+    # radial Laplacian of the combo at x (and for n = 1 its fourth
+    # derivative) for the small-rho Taylor branch
     lap = 0.0
-    bilap_scale = 0.0
+    d4 = 0.0
     for c, ell in combo.terms:
         a = ell / 2.0
-        d2, d4 = _bracket_d2(c, a, z)
+        t2, t4 = _bracket_d2(c, a, z)
         if z > 1e-12:
-            d1 = _bracket_d1(c, a, z)
-            lap += (d2 + (n - 1) * d1 / z) / scale**2
+            lap += (t2 + (n - 1) * _bracket_d1(c, a, z) / z) / scale**2
         else:
-            lap += n * d2 / scale**2
-        bilap_scale += abs(d4) / scale**4
-
-    mu_nodes, mu_weights = _gl_nodes(64)
+            lap += n * t2 / scale**2
+        d4 += t4 / scale**4
+    taylor2 = omega * lap / (2.0 * n)
+    taylor4 = d4 / 12.0 if n == 1 else 0.0
+    sphere = _sphere_sum(combo, x, n, scale)
 
     # Small-rho threshold: Taylor error ~ rho**4 * f'''' relative to rho**2 * Lap f.
     h_sw = 1e-3 * scale * (1.0 + z)
@@ -202,17 +219,8 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     def centred(rho: float) -> float:
         """S_f(rho) - omega * f(x), stable for all rho."""
         if rho < h_sw:
-            if n == 1:
-                d2 = 0.0
-                d4 = 0.0
-                for c, ell in combo.terms:
-                    t2, t4 = _bracket_d2(c, ell / 2.0, z)
-                    d2 += t2 / scale**2
-                    d4 += t4 / scale**4
-                return d2 * rho * rho + d4 * rho**4 / 12.0
-            return omega * lap * rho * rho / (2.0 * n)
-        return (_sphere_sum(combo, x, rho, n, scale, mu_nodes, mu_weights)
-                - omega * fx)
+            return taylor2 * rho * rho + taylor4 * rho**4
+        return sphere(rho) - omega * fx
 
     alpha = 1.0 / (2.0 - 2.0 * s)
 
@@ -241,6 +249,16 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
 # Fourier-side evaluator (independent cross-check, n = 1)
 # --------------------------------------------------------------------------
 
+def _transform_constants(ell: float) -> tuple[float, float, float]:
+    """(coef, nu, limit): the transform of <y>**(-l) at xi is
+    coef * xi**nu * K_nu(xi), and coef * limit below xi = 1e-8."""
+    if ell <= 1.0:
+        raise ValueError("bracket transform implemented for exponents > 1")
+    nu = (ell - 1.0) / 2.0
+    coef = math.sqrt(2.0 * math.pi) / (2.0 ** ((ell - 2.0) / 2.0) * gamma_fn(ell / 2.0))
+    return coef, nu, 2.0 ** (nu - 1.0) * gamma_fn(nu)
+
+
 def bracket_transform_1d(ell: float, xi) -> np.ndarray:
     """Non-unitary transform of <y>**(-l) in 1D: closed Bessel-K form.
 
@@ -248,17 +266,27 @@ def bracket_transform_1d(ell: float, xi) -> np.ndarray:
     xi**nu * K_nu(xi) tends to 2**(nu-1) Gamma(nu) as xi -> 0; switching to
     that limit for tiny xi avoids the K_nu overflow.
     """
-    if ell <= 1.0:
-        raise ValueError("bracket transform implemented for exponents > 1")
+    coef, nu, limit = _transform_constants(ell)
     xi = np.abs(np.asarray(xi, dtype=float))
-    nu = (ell - 1.0) / 2.0
-    coef = math.sqrt(2.0 * math.pi) / (2.0 ** ((ell - 2.0) / 2.0) * gamma_fn(ell / 2.0))
-    out = np.empty_like(xi)
-    tiny = xi < 1e-8
-    out[tiny] = 2.0 ** (nu - 1.0) * gamma_fn(nu)
-    big = ~tiny
+    out = np.full_like(xi, limit)
+    big = xi >= 1e-8
     out[big] = xi[big] ** nu * kv(nu, xi[big])
     return coef * out
+
+
+def _combo_transform(combo: BracketCombo, scale: float) -> Callable[[float], float]:
+    """xi -> sum_i c_i * scale * bracket_transform_1d(l_i, scale * xi) for
+    xi >= 0, the 1D transform of the combo at the given scale, in floats."""
+    terms = [(c * scale * coef, nu, limit) for c, ell in combo.terms
+             for coef, nu, limit in [_transform_constants(ell)]]
+
+    def fhat(xi: float) -> float:
+        y = scale * xi
+        if y < 1e-8:
+            return sum(a * limit for a, _, limit in terms)
+        return sum(a * y**nu * kv(nu, y) for a, nu, _ in terms)
+
+    return fhat
 
 
 def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float,
@@ -270,21 +298,17 @@ def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float,
     independent of the hypersingular route.
     """
     x = float(x)
-
-    def fhat(xi: float) -> float:
-        total = 0.0
-        for c, ell in combo.terms:
-            total += c * scale * float(bracket_transform_1d(ell, scale * xi))
-        return total
+    fhat = _combo_transform(combo, scale)
+    two_s = 2.0 * s
 
     def integrand(xi: float) -> float:
-        return xi ** (2.0 * s) * fhat(xi) * math.cos(x * xi)
+        return xi**two_s * fhat(xi) * math.cos(x * xi)
 
     cutoff = 80.0 / scale
     # K_nu decays like exp(-scale*xi); resolve each cosine oscillation.
     # The oscillatory integral may cancel to zero, so the error is judged
     # against the non-oscillatory envelope.
-    envelope = adaptive_quad(lambda xi: abs(xi ** (2.0 * s) * fhat(xi)),
+    envelope = adaptive_quad(lambda xi: abs(xi**two_s * fhat(xi)),
                              0.0, cutoff, points=[1.0 / scale], rel_tol=1e-6)
     n_osc = 1 + int(abs(x) * cutoff / (2.0 * math.pi))
     val = adaptive_quad(integrand, 0.0, cutoff,
@@ -499,12 +523,12 @@ def plancherel_pairing(spec: TestFunctionSpec, g: GaussianProfile,
     evaluator; the two routes share no code.
     """
     R = spec.R
+    psi_transform = _combo_transform(BracketCombo(((1.0, spec.r),)), R)
+    a, b = g.hat_coefficients(1)
 
     def lhs_integrand(xi: float) -> float:
-        psi_hat = 0.0
-        for c, ell in BracketCombo(((1.0, spec.r),)).terms:
-            psi_hat += c * R * float(bracket_transform_1d(ell, R * xi)) / math.sqrt(2.0 * math.pi)
-        return psi_hat * xi ** (2.0 * sigma) * float(g.hat(xi, 1))
+        psi_hat = psi_transform(xi) / math.sqrt(2.0 * math.pi)
+        return psi_hat * xi ** (2.0 * sigma) * (a * math.exp(b * xi * xi))
 
     lhs = 2.0 * adaptive_quad(lhs_integrand, 0.0, 80.0 / min(R, 1.0) + 10.0 / g.width,
                               points=[0.5 / R, 2.0 / R], rel_tol=1e-9)

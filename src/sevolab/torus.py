@@ -288,16 +288,19 @@ class _StepKernel:
         self.mu = np.stack([_mu(grid, s) for s in sigmas])
         self._entries: OrderedDict[float, tuple] = OrderedDict()
         self.builds = 0
-        stack = (2, *self.mu.shape[1:])
-        #: the physical stack, the two coupling spectra and a spectral
-        #: temporary; each step overwrites them
-        self.phys = np.empty((2, *grid.shape))
-        self.n0 = np.empty(stack, dtype=complex)
-        self.n1 = np.empty(stack, dtype=complex)
-        self.tmp = np.empty(stack, dtype=complex)
+        #: a spectral temporary of the stack's shape; each step overwrites it
+        self.tmp = np.empty((2, *self.mu.shape[1:]), dtype=complex)
         #: work row for |.|**e: a view into tmp, which is larger than one
         #: physical row and holds nothing while a coupling is evaluated
         self.row = self.tmp.view(float).reshape(-1)[:grid.n_total].reshape(grid.shape)
+
+    @functools.cached_property
+    def coupling_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(phys, n0, n1): the physical stack and the two coupling spectra of
+        a coupled step, allocated on the first one; each step overwrites them.
+        Linear steps never touch them."""
+        return (np.empty((2, *self.row.shape)), np.empty_like(self.tmp),
+                np.empty_like(self.tmp))
 
     def get(self, dt: float) -> tuple[tuple, tuple]:
         """(tables, weights) of step dt: the ``propagator_arrays`` table and
@@ -382,7 +385,7 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     if kernel is None:
         kernel = _StepKernel(grid, state.sigma1, state.sigma2)
     tables, (ab, b, abd, bd) = kernel.get(dt)
-    phys = kernel.phys
+    phys, n0_out, n1_out = kernel.coupling_buffers
 
     def coupling(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """Spectra [|v|**p, |u|**q] (plus any forcing) of the stack w at time t."""
@@ -401,9 +404,9 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     t0 = state.time
     tmp = kernel.tmp
     with np.errstate(over="ignore", invalid="ignore"):
-        n0 = coupling(state.w, t0, kernel.n0)
+        n0 = coupling(state.w, t0, n0_out)
         w, wt = _linear_fields(state, tables, tmp)
-        n1 = coupling(w, t0 + dt, kernel.n1)
+        n1 = coupling(w, t0 + dt, n1_out)
         for acc, weight, n in ((w, ab, n0), (w, b, n1), (wt, abd, n0), (wt, bd, n1)):
             acc += np.multiply(weight, n, out=tmp)
 

@@ -305,26 +305,42 @@ class TestConfigReader:
         ("sweep", "cell.width", 8.0, "config.cell.width"),
         ("linear-decay", "t", "lin:nan:10:5", "--t.t_min"),
         ("linear-decay", "t", "log:0:1e5:5", "--t.t_min"),
+        ("linear-decay", "sigma", "nan", "--sigma"),
+        ("linear-decay", "sigma", "0", "--sigma"),
+        ("linear-decay", "w0-amplitude", "nan", "--w0-amplitude"),
+        ("linear-decay", "w0-width", "inf", "--w0-width"),
+        ("linear-decay", "w1-width", "-1", "--w1-width"),
+        ("linear-decay", "n", "4", "--n"),
+        ("testfn-check", "r", "nan", "--r"),
+        ("testfn-check", "R", "inf", "--R"),
+        ("testfn-check", "R", "0", "--R"),
+        ("testfn-check", "gamma", "nan", "--gamma"),
+        ("testfn-check", "n", "0", "--n"),
     ]
+    # the flags of each flag-driven subcommand that the table patches
+    FLAGS = {"linear-decay": {"sigma": "1", "n": "1", "kind": "l2", "t": "log:1e2:1e3:3"},
+             "testfn-check": {"gamma": "1.5", "r": "2", "R": "8", "n": "1"}}
 
     @pytest.mark.parametrize("command,field,value,field_path", REJECTED,
                              ids=[f"{c}:{f}={v!r}" for c, f, v, _ in REJECTED])
     def test_rejected_with_path_and_no_output(self, capsys, tmp_path, command,
                                               field, value, field_path):
         out = tmp_path / "out"
-        if command == "linear-decay":
-            argv = ["linear-decay", "--sigma", "1", "--n", "1", "--kind", "l2",
-                    "--t", value, "--out", str(out)]
+        if command in self.FLAGS:
+            flags = dict(self.FLAGS[command], **{field: value})
+            argv = [command, *(x for k, v in flags.items() for x in (f"--{k}", v))]
+            if command == "linear-decay":
+                argv += ["--out", str(out)]
         else:
             base = BASE_RUN_CONFIG if command == "simulate" else SWEEP_CONFIG
             path = tmp_path / "config.json"
             path.write_text(json.dumps(patched(base, field, value)))
             argv = [command, "--config", str(path),
                     "--out-dir" if command == "simulate" else "--out", str(out)]
-        code, _, err = run_cli(capsys, *argv)
+        code, stdout, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith(f"error: {field_path}: ")
-        assert not out.exists()
+        assert stdout == "" and not out.exists()
 
     def test_sweep_error_raised_before_any_cell_runs(self, capsys, tmp_path,
                                                      monkeypatch):

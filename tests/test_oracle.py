@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sevolab.fitting import fit_power_law
-from sevolab.oracle import NormKind, decay_series, linear_norm
+from sevolab.multipliers import propagator_arrays
+from sevolab.oracle import NormKind, _integrand, decay_series, linear_norm
 from sevolab.profiles import GaussianProfile
 
 
@@ -78,3 +79,28 @@ class TestQuadratureStability:
             tight = linear_norm(G, None, t, 1.5, 2, NormKind.SOLUTION_L2,
                                 rel_tol=1e-12)
             assert abs(base - tight) / tight < 1e-8
+
+
+class TestFloatIntegrand:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_matches_array_formula(self, n, kind):
+        w0 = GaussianProfile(0.7, 1.3)
+        rho = np.geomspace(1e-3, 9.0 / 0.8, 200)
+        for w1 in (GaussianProfile(0.4, 0.8), None):
+            for t, sigma in ((0.0, 1.0), (0.3, 2.0), (7.5, 1.25), (1e3, 1.5)):
+                k0, k1, dk0, dk1 = propagator_arrays(t, rho ** (2.0 * sigma))
+                h0 = w0.hat(rho, n)
+                h1 = w1.hat(rho, n) if w1 is not None else 0.0
+                if kind is NormKind.TIME_DERIVATIVE:
+                    m = dk0 * h0 + dk1 * h1
+                else:
+                    m = k0 * h0 + k1 * h1
+                    if kind is NormKind.HOMOGENEOUS_SIGMA:
+                        m = m * rho**sigma
+                want = m * m * rho ** (n - 1)
+                integrand = _integrand(w0, w1, t, sigma, n, kind)
+                got = np.array([integrand(float(r)) for r in rho])
+                # relative to the peak: the array and scalar multipliers use
+                # different sin/cos forms, which differ by ulps near their zeros
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)

@@ -11,6 +11,8 @@ from sevolab.testfn import (
     InsufficientSnapshotsError,
     TestFunctionSpec,
     _bracket_d2,
+    _combo_transform,
+    _sphere_sum,
     bracket_transform_1d,
     compact_cutoff,
     envelope_ratio,
@@ -72,6 +74,68 @@ class TestBracketRecursion:
             fd2 = (-f(z + 2 * h) + 16 * f(z + h) - 30 * f(z) + 16 * f(z - h)
                    - f(z - 2 * h)) / (12 * h * h)
             assert d2 == pytest.approx(fd2, rel=1e-6)
+
+
+def absolute(combo: BracketCombo) -> BracketCombo:
+    """The combo with |c_i|: the scale of its rounding errors, free of cancellation."""
+    return BracketCombo(tuple((abs(c), ell) for c, ell in combo.terms))
+
+
+class TestFloatEvaluation:
+    COMBOS = [(1.5, 1, 1), (2.0, 2, 3), (0.5, 1, 2), (2.0, 1, 3)]
+
+    @pytest.mark.parametrize("r,m,n", COMBOS)
+    def test_value_on_floats_matches_arrays(self, r, m, n):
+        combo = integer_laplacian_bracket(r, m, n)
+        radii = np.linspace(-4.0, 40.0, 23)
+        for scale in (1.0, 7.3):
+            arr = combo.value(radii, scale)
+            floats = [combo.value(float(x), scale) for x in radii]
+            assert all(type(v) is float for v in floats)
+            assert np.all(np.abs(np.array(floats) - arr)
+                          <= 1e-15 * absolute(combo).value(radii, scale))
+
+    GAUSS_LEGENDRE_64 = np.polynomial.legendre.leggauss(64)
+
+    def per_rho_sphere_sum(self, combo, x, rho, n, scale):
+        """The sphere sum as it was written per radius: 64 Gauss-Legendre
+        nodes, square roots of the radii, the combo on them, and a sum."""
+        nodes, weights = self.GAUSS_LEGENDRE_64
+        if n == 2:
+            theta = (nodes + 1.0) * (math.pi / 2.0)
+            radii = np.sqrt(x * x + 2.0 * x * rho * np.cos(theta) + rho * rho)
+            return 2.0 * np.sum(weights * (math.pi / 2.0) * combo.value(radii, scale))
+        radii = np.sqrt(x * x + 2.0 * x * rho * nodes + rho * rho)
+        return 2.0 * math.pi * np.sum(weights * combo.value(radii, scale))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r,m", [(1.5, 1), (2.0, 2), (0.5, 1)])
+    def test_hoisted_sphere_sum_matches_per_rho_formula(self, r, m, n):
+        combo = integer_laplacian_bracket(r, m, n)
+        for scale in (1.0, 7.3):
+            for x in (0.0, 0.7, 5.3, 40.0):
+                sphere = _sphere_sum(combo, x, n, scale)
+                for rho in np.geomspace(1e-3, 1e4, 40):
+                    rho = float(rho)
+                    want = self.per_rho_sphere_sum(combo, x, rho, n, scale)
+                    # relative to the sum of |terms|: mixed-sign combos cancel
+                    bound = self.per_rho_sphere_sum(absolute(combo), x, rho, n, scale)
+                    assert abs(sphere(rho) - want) <= 1e-13 * bound
+
+    def test_combo_transform_on_floats_matches_arrays(self):
+        combo = BracketCombo(((2.0, 1.5), (-0.5, 3.5)))
+        xi = np.concatenate([[0.0, 1e-12], np.geomspace(1e-6, 80.0, 40)])
+        for scale in (1.0, 7.3):
+            want = sum(c * scale * bracket_transform_1d(ell, scale * xi)
+                       for c, ell in combo.terms)
+            got = [_combo_transform(combo, scale)(float(x)) for x in xi]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_one_dimensional_sphere_sum_is_two_points(self):
+        combo = integer_laplacian_bracket(1.5, 1, 1)
+        sphere = _sphere_sum(combo, 0.7, 1, 3.0)
+        for rho in (0.01, 0.7, 2.0, 50.0):
+            assert sphere(rho) == combo.value(0.7 + rho, 3.0) + combo.value(0.7 - rho, 3.0)
 
 
 class TestFractionalEvaluators:

@@ -349,6 +349,33 @@ class TestStepKernel:
         assert kernel.builds == 5
         assert kernel.get(main) is entry
 
+    def test_linear_steps_allocate_no_coupling_buffers(self, monkeypatch):
+        kernels = []
+
+        class Recorded(_StepKernel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
+        monkeypatch.setattr("sevolab.torus._StepKernel", Recorded)
+        grid = GridSpec(1, 64, 20.0)
+        data = make_data(u0=GaussianProfile(0.01, 1.0))
+        run(grid, data, PARAMS, 1.0, [0.5, 1.0], dt=0.1, linear_only=True)
+        state = init(grid, data, PARAMS)
+        linear_step(state, 0.1)
+        assert len(kernels) == 2
+        assert all("coupling_buffers" not in vars(k) for k in kernels)
+
+    def test_coupled_steps_reuse_their_buffers(self):
+        grid = GridSpec(1, 64, 20.0)
+        kernel = _StepKernel(grid, 1.0, 1.0)
+        state = init(grid, make_data(u0=GaussianProfile(0.01, 1.0)), PARAMS)
+        state = duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
+        buffers = kernel.coupling_buffers
+        assert buffers[0].shape == (2, 64) and buffers[1].shape == kernel.tmp.shape
+        duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
+        assert all(a is b for a, b in zip(kernel.coupling_buffers, buffers))
+
 
 class TestBlowupPastValidity:
     # L = 20 and sigma 1 give t_valid = (20/8)**2 - 1 = 5.25; amplitude 1
