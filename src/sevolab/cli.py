@@ -116,9 +116,11 @@ def _exponent_range(value, path) -> list[float]:
 
 SPACING_FIELDS = {"kind": _enum("log", "linear"), "t_min": _real, "t_max": _real,
                   "count": _positive_int}
-PARAMS_FIELDS = {"n": _positive_int, "sigma1": _number(1, strict=False),
-                 "sigma2": _number(1, strict=False), "p": _number(1), "q": _number(1),
-                 "eps": (_positive, 0.01)}
+#: the SystemParams fields, each by its rule; also the flags of ``classify``
+CLASSIFY_FLAGS = {"n": _positive_int, "sigma1": _number(1, strict=False),
+                  "sigma2": _number(1, strict=False), "p": _number(1), "q": _number(1),
+                  "eps": _positive}
+PARAMS_FIELDS = {**CLASSIFY_FLAGS, "eps": (_positive, 0.01)}
 _grid = _object({"n_dim": _integer, "points_per_dim": _integer,
                  "half_length": _positive}, torus.GridSpec)
 _gaussian = _object({"kind": _enum("gaussian"), "amplitude": _real, "width": _positive},
@@ -277,6 +279,7 @@ def verdict_json(params: exponents.SystemParams) -> dict:
 # --------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
+    _read_flags(args, CLASSIFY_FLAGS)
     params = exponents.SystemParams(args.n, args.sigma1, args.sigma2,
                                     args.p, args.q, args.eps)
     print(json.dumps(verdict_json(params), indent=2, sort_keys=True))

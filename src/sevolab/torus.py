@@ -1,9 +1,13 @@
 """Pseudo-spectral simulator for the coupled system on a large periodic box.
 
-The state holds the ``rfftn`` half spectrum of each real field: the last
-axis keeps only its nonnegative frequencies, so every bin off that axis's
-zero and Nyquist planes stands for itself and its mirror image, and sums
-over the spectrum weight it twice (its Hermitian multiplicity).  Both
+Every datum is a Gaussian centred at the origin, and both the symbol
+|xi|**(2 sigma) and the pointwise |.|**p keep a field even in each
+coordinate.  So a field is fixed by its samples on the corner [-L, 0]^n of
+the box, indices 0..N/2 of each axis, and the state holds their DCT-I
+coefficients: the DFT coefficients of the full periodic field at the
+frequencies [0, N/2]^n, which are real.  A coefficient off an axis's zero
+and N/2 planes stands for itself and its mirror image on that axis, so sums
+over the spectrum weight it by its multiplicity, 2 per such axis.  Both
 components go through the same kind of propagator and meet only in the
 coupling, so u and v are stacked and transformed and updated as one array.
 The linear flow is advanced exactly, mode by mode, with the multipliers
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.fft
 
 from .exponents import SystemParams
 from .fitting import NormSeries
@@ -89,6 +94,11 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_dim,) * self.n_dim
 
+    @property
+    def corner_shape(self) -> tuple[int, ...]:
+        """Samples per axis of the corner [-L, 0]^n: indices 0..N/2."""
+        return (self.points_per_dim // 2 + 1,) * self.n_dim
+
     def axes(self) -> list[np.ndarray]:
         x = -self.half_length + self.dx * np.arange(self.points_per_dim)
         return [x] * self.n_dim
@@ -100,50 +110,71 @@ class GridSpec:
         m = self.mesh()
         return np.sqrt(sum(c * c for c in m))
 
-    def xi_mag(self, half: bool = False) -> np.ndarray:
-        """|xi| on the full FFT grid, or on the rfftn half grid if ``half``."""
+    def xi_mag(self) -> np.ndarray:
+        """|xi| on the full FFT grid."""
         xi = 2.0 * math.pi * np.fft.fftfreq(self.points_per_dim, d=self.dx)
         axes = [xi] * self.n_dim
-        if half:
-            axes[-1] = 2.0 * math.pi * np.fft.rfftfreq(self.points_per_dim, d=self.dx)
         grids = np.meshgrid(*axes, indexing="ij")
         return np.sqrt(sum(g * g for g in grids))
 
-    def to_physical(self, w_hat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Real field of a half spectrum over the trailing n_dim axes, so one
-        field or a stack of fields in one call; into ``out`` if given."""
-        return np.fft.irfftn(w_hat, s=self.shape, axes=range(-self.n_dim, 0), out=out)
+    def to_physical(self, w_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Corner samples of the field(s) with corner coefficients ``w_hat``
+        over the trailing n_dim axes, so one field or a stack of fields in one
+        call; with ``overwrite`` the result may take w_hat's memory."""
+        return scipy.fft.idctn(w_hat, type=1, axes=range(-self.n_dim, 0),
+                               overwrite_x=overwrite)
 
-    def to_spectral(self, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Half spectrum of a real field or stack of fields (trailing n_dim axes)."""
-        return np.fft.rfftn(w, s=self.shape, axes=range(-self.n_dim, 0), out=out)
+    def to_spectral(self, w: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Corner coefficients of corner samples (trailing n_dim axes)."""
+        return scipy.fft.dctn(w, type=1, axes=range(-self.n_dim, 0),
+                              overwrite_x=overwrite)
+
+    def corner(self, w: np.ndarray) -> np.ndarray:
+        """The corner of full-grid field(s) (trailing n_dim axes), a view."""
+        return w[(..., *[slice(0, self.corner_shape[0])] * self.n_dim)]
+
+    def unfold(self, w: np.ndarray) -> np.ndarray:
+        """Full-grid field(s) of corner samples, reflected j -> N - j on each
+        of the trailing n_dim axes."""
+        half = self.points_per_dim // 2
+        index = np.r_[0:half + 1, half - 1:0:-1]
+        for axis in range(-self.n_dim, 0):
+            w = np.take(w, index, axis=axis)
+        return w
 
 
 @functools.lru_cache(maxsize=8)
-def _half_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """|xi| on the half grid and the Hermitian multiplicity of each bin (read-only)."""
-    xi = grid.xi_mag(half=True)
-    mult = np.full(xi.shape, 2.0)
-    mult[..., 0] = 1.0
-    mult[..., -1] = 1.0  # Nyquist: points_per_dim is even
+def _corner_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """|xi| at the corner frequencies [0, N/2]^n and the multiplicity of each
+    bin: the product over axes of 1 on the zero and N/2 planes, 2 elsewhere
+    (read-only)."""
+    xi = np.ascontiguousarray(grid.corner(grid.xi_mag()))
+    axis = np.full(grid.corner_shape[0], 2.0)
+    axis[[0, -1]] = 1.0
+    mult = functools.reduce(np.multiply.outer, [axis] * grid.n_dim)
     xi.flags.writeable = mult.flags.writeable = False
     return xi, mult
 
 
-def _energy(fields, weight: Optional[np.ndarray] = None) -> float:
-    """Sum over half-spectrum fields of sum(weight * |f|**2), by default with the
-    Hermitian multiplicity as the weight; inf or nan if any f is non-finite."""
+def _energy(fields, weight: np.ndarray) -> float:
+    """Sum over fields, or stacks of fields, f of sum(weight * f**2); inf or
+    nan if any f is non-finite."""
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for f in fields:
-            if weight is None:
-                edges = f[..., ::f.shape[-1] - 1]  # the zero and Nyquist planes
-                total += 2.0 * np.vdot(f, f).real - np.vdot(edges, edges).real
-            else:
-                sq = f.real * f.real
-                sq += f.imag * f.imag
-                total += np.vdot(weight, sq)
+            total += np.vdot(f, weight * f)
     return float(total)
+
+
+def _forcing_corner(grid: GridSpec, f) -> np.ndarray:
+    """The corner of a full-grid forcing field; ValueError unless the field is
+    reflection-symmetric to 1e-12 relative, as the corner state assumes."""
+    f = np.broadcast_to(np.asarray(f, dtype=float), grid.shape)
+    corner = grid.corner(f)
+    if np.max(np.abs(f - grid.unfold(corner))) > 1e-12 * np.max(np.abs(f)):
+        raise ValueError("forcing must be even in each coordinate "
+                         "(reflection-symmetric about the origin)")
+    return corner
 
 
 @dataclass(frozen=True)
@@ -189,13 +220,13 @@ def _row(stack: str, index: int) -> property:
 
 @dataclass
 class SpectralState:
-    """Half-spectrum (``rfftn``) coefficients of (u, u_t, v, v_t) plus time and
-    symbol metadata.  The fields are stacked, ``w = [u_hat, v_hat]`` and
-    ``wt = [ut_hat, vt_hat]``, each of shape ``(2, *half_shape)``, so that one
-    transform or update covers both components; ``u_hat`` and the other three
-    names are views of their rows.  ``energy`` is the Hermitian-weighted sum of
-    |coefficient|**2 over the four fields when the step that made the state
-    computed it."""
+    """Corner (DCT-I) coefficients of (u, u_t, v, v_t) plus time and symbol
+    metadata.  The fields are stacked, ``w = [u_hat, v_hat]`` and
+    ``wt = [ut_hat, vt_hat]``, each a real array of shape
+    ``(2, *corner_shape)``, so that one transform or update covers both
+    components; ``u_hat`` and the other three names are views of their rows.
+    ``energy`` is the multiplicity-weighted sum of coefficient**2 over the
+    four fields when the step that made the state computed it."""
 
     w: np.ndarray
     wt: np.ndarray
@@ -254,19 +285,19 @@ def check_profile_widths(grid: GridSpec, data: InitialData) -> None:
 
 
 def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralState:
-    """Spectral state at t = 0 sampling the data profiles on the grid."""
+    """Spectral state at t = 0 sampling the data profiles on the corner."""
     check_profile_widths(grid, data)
-    r = grid.radius()
-    phys = np.zeros((4, *grid.shape))
+    r = grid.corner(grid.radius())
+    phys = np.zeros((4, *grid.corner_shape))
     for row, prof in zip(phys, (data.u0, data.v0, data.u1, data.v1)):
         if prof is not None:
             row[...] = prof.value(r)
-    hat = grid.to_spectral(phys)
+    hat = grid.to_spectral(phys, overwrite=True)
     return SpectralState(hat[:2], hat[2:], 0.0, grid, params.sigma1, params.sigma2)
 
 
 def _mu(grid: GridSpec, sigma: float) -> np.ndarray:
-    return _half_grid(grid)[0] ** (2.0 * sigma)
+    return _corner_grid(grid)[0] ** (2.0 * sigma)
 
 
 class _StepKernel:
@@ -274,11 +305,11 @@ class _StepKernel:
     MAX_ENTRIES step sizes, the least recently used evicted first, and the
     work arrays of a step.
 
-    Tables and weights are stacked like the state: shape ``(1, *half_shape)``
-    when sigma1 == sigma2, broadcasting over both rows, else
-    ``(2, *half_shape)`` with the u row first.  Record intervals are visited
-    in order, so the main dt stays resident and only the final, shorter step
-    of each interval is rebuilt.  ``builds`` counts the step sizes built.
+    Tables and weights are stacked like the state: shape
+    ``(1, *corner_shape)`` when sigma1 == sigma2, broadcasting over both rows,
+    else ``(2, *corner_shape)`` with the u row first.  Record intervals are
+    visited in order, so the main dt stays resident and only the final,
+    shorter step of each interval is rebuilt.  ``builds`` counts the step sizes built.
     """
 
     MAX_ENTRIES = 2
@@ -286,21 +317,19 @@ class _StepKernel:
     def __init__(self, grid: GridSpec, sigma1: float, sigma2: float):
         sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
         self.mu = np.stack([_mu(grid, s) for s in sigmas])
+        self.mult = _corner_grid(grid)[1]
         self._entries: OrderedDict[float, tuple] = OrderedDict()
         self.builds = 0
-        #: a spectral temporary of the stack's shape; each step overwrites it
-        self.tmp = np.empty((2, *self.mu.shape[1:]), dtype=complex)
-        #: work row for |.|**e: a view into tmp, which is larger than one
-        #: physical row and holds nothing while a coupling is evaluated
-        self.row = self.tmp.view(float).reshape(-1)[:grid.n_total].reshape(grid.shape)
+        #: a temporary of the stack's shape; each step overwrites it, and a
+        #: row of it is the work space of |.|**e while a coupling is evaluated
+        self.tmp = np.empty((2, *grid.corner_shape))
 
     @functools.cached_property
-    def coupling_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(phys, n0, n1): the physical stack and the two coupling spectra of
-        a coupled step, allocated on the first one; each step overwrites them.
-        Linear steps never touch them."""
-        return (np.empty((2, *self.row.shape)), np.empty_like(self.tmp),
-                np.empty_like(self.tmp))
+    def coupling_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two coupling stacks of a coupled step, transformed in place,
+        allocated on the first one; each step overwrites them.  Linear steps
+        never touch them."""
+        return np.empty_like(self.tmp), np.empty_like(self.tmp)
 
     def get(self, dt: float) -> tuple[tuple, tuple]:
         """(tables, weights) of step dt: the ``propagator_arrays`` table and
@@ -385,24 +414,26 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     if kernel is None:
         kernel = _StepKernel(grid, state.sigma1, state.sigma2)
     tables, (ab, b, abd, bd) = kernel.get(dt)
-    phys, n0_out, n1_out = kernel.coupling_buffers
+    n0_out, n1_out = kernel.coupling_buffers
+    tmp = kernel.tmp
 
     def coupling(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-        """Spectra [|v|**p, |u|**q] (plus any forcing) of the stack w at time t."""
-        grid.to_physical(w, out=phys)
+        """Coefficients [|v|**p, |u|**q] (plus any forcing) of the stack w at
+        time t, transformed in place in ``out``."""
+        out[...] = w
+        phys = grid.to_physical(out, overwrite=True)
         np.abs(phys, out=phys)
-        _power(phys[0], q, kernel.row)
-        _power(phys[1], p, kernel.row)
+        _power(phys[0], q, tmp[0])
+        _power(phys[1], p, tmp[0])
         if forcing is not None:
             fu, fv = forcing
             if fu is not None:
-                phys[1] += fu(t)
+                phys[1] += _forcing_corner(grid, fu(t))
             if fv is not None:
-                phys[0] += fv(t)
-        return grid.to_spectral(phys[::-1], out=out)
+                phys[0] += _forcing_corner(grid, fv(t))
+        return grid.to_spectral(phys, overwrite=True)[::-1]
 
     t0 = state.time
-    tmp = kernel.tmp
     with np.errstate(over="ignore", invalid="ignore"):
         n0 = coupling(state.w, t0, n0_out)
         w, wt = _linear_fields(state, tables, tmp)
@@ -410,7 +441,7 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
         for acc, weight, n in ((w, ab, n0), (w, b, n1), (wt, abd, n0), (wt, bd, n1)):
             acc += np.multiply(weight, n, out=tmp)
 
-    energy = _energy((w, wt))
+    energy = _energy((w, wt), kernel.mult)
     return replace(state, w=w, wt=wt, time=t0 + dt, energy=energy,
                    blown_up=state.blown_up or not math.isfinite(energy))
 
@@ -419,11 +450,11 @@ def six_norms(state: SpectralState) -> dict[str, float]:
     """The six recorded L2-type norms, computed on the frequency side."""
     grid = state.grid
     factor = grid.dV / grid.n_total
-    xi, mult = _half_grid(grid)
+    xi, mult = _corner_grid(grid)
     w1 = mult * xi ** (2.0 * state.sigma1)
     w2 = mult * xi ** (2.0 * state.sigma2)
 
-    def norm(arr, weight=None):
+    def norm(arr, weight=mult):
         return math.sqrt(factor * _energy((arr,), weight))
 
     return {
@@ -447,11 +478,11 @@ def detect_blowup(state: SpectralState, threshold: float) -> bool:
 
 
 def _top_octave_fraction(state: SpectralState) -> float:
-    xi, mult = _half_grid(state.grid)
+    xi, mult = _corner_grid(state.grid)
     top = mult * (xi > state.grid.xi_max / 2.0)
     worst = 0.0
     for arr in (state.u_hat, state.v_hat):
-        total = _energy((arr,))
+        total = _energy((arr,), mult)
         if total > 0.0:
             worst = max(worst, _energy((arr,), top) / total)
     return worst
@@ -512,7 +543,7 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
             for k in NORM_LABELS:
                 series[k].append((t, norms[k]))
         if t in snapshot_set and finite:
-            snapshots.append((t, *grid.to_physical(state.w)))
+            snapshots.append((t, *grid.unfold(grid.to_physical(state.w))))
         if not warnings and finite and _top_octave_fraction(state) > TAIL_ENERGY_WARN:
             warnings.append(
                 f"top-octave energy fraction exceeded {TAIL_ENERGY_WARN:.0e} at t={t:g}")
@@ -535,7 +566,7 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
             step = min(dt_val, target - state.time)
             if linear_only:
                 state = linear_step(state, step, kernel)
-                energy = _energy((state.w, state.wt))
+                energy = _energy((state.w, state.wt), kernel.mult)
             else:
                 state = duhamel_step(state, step, params.p, params.q,
                                      forcing=forcing, kernel=kernel)

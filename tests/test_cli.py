@@ -316,9 +316,17 @@ class TestConfigReader:
         ("testfn-check", "R", "0", "--R"),
         ("testfn-check", "gamma", "nan", "--gamma"),
         ("testfn-check", "n", "0", "--n"),
+        ("classify", "n", "0", "--n"),
+        ("classify", "sigma1", "0.5", "--sigma1"),
+        ("classify", "sigma2", "nan", "--sigma2"),
+        ("classify", "p", "inf", "--p"),
+        ("classify", "p", "nan", "--p"),
+        ("classify", "q", "1", "--q"),
+        ("classify", "eps", "0", "--eps"),
     ]
     # the flags of each flag-driven subcommand that the table patches
-    FLAGS = {"linear-decay": {"sigma": "1", "n": "1", "kind": "l2", "t": "log:1e2:1e3:3"},
+    FLAGS = {"classify": {"n": "1", "sigma1": "1", "sigma2": "1", "p": "3", "q": "3"},
+             "linear-decay": {"sigma": "1", "n": "1", "kind": "l2", "t": "log:1e2:1e3:3"},
              "testfn-check": {"gamma": "1.5", "r": "2", "R": "8", "n": "1"}}
 
     @pytest.mark.parametrize("command,field,value,field_path", REJECTED,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 
 from sevolab.exponents import SystemParams
@@ -30,6 +31,42 @@ PARAMS = SystemParams(1, 1, 1, 3, 4)
 
 def make_data(u0=None, u1=None, v0=None, v1=None, sigma1=1.0, sigma2=1.0, n=1):
     return InitialData.from_profiles(u0, u1, v0, v1, sigma1, sigma2, n)
+
+
+def rfftn_corner(grid, f):
+    """Bins [0, N/2]^n of the rfftn half spectrum of a full-grid field."""
+    return grid.corner(np.fft.rfftn(f))
+
+
+def rfftn_reference_step(grid, data, params, dt):
+    """One coupled step of the full-grid rfftn half spectrum, each field on
+    its own with np.power; returns the corner bins of (u, ut, v, vt)."""
+    r = grid.radius()
+    u, ut, v, vt = (np.fft.rfftn(prof.value(r)) for prof in (data.u0, data.u1,
+                                                             data.v0, data.v1))
+
+    def phys(f):
+        return np.fft.irfftn(f, s=grid.shape, axes=range(grid.n_dim))
+
+    def coupling(u, v):
+        return (np.fft.rfftn(np.power(np.abs(phys(v)), params.p)),
+                np.fft.rfftn(np.power(np.abs(phys(u)), params.q)))
+
+    xi_half = grid.xi_mag()[..., :grid.points_per_dim // 2 + 1]
+    ops = []
+    for sigma in (params.sigma1, params.sigma2):
+        mu = xi_half ** (2.0 * sigma)
+        tables = propagator_arrays(dt, mu)
+        ops.append((tables, duhamel_weights(dt, mu, tables)))
+    linear = [(k0 * w + k1 * wt, dk0 * w + dk1 * wt)
+              for ((k0, k1, dk0, dk1), _), (w, wt) in zip(ops, ((u, ut), (v, vt)))]
+    start = coupling(u, v)
+    end = coupling(linear[0][0], linear[1][0])
+    expected = []
+    for (_, (A, B, Ad, Bd)), (w, wt), n0, n1 in zip(ops, linear, start, end):
+        expected += [grid.corner(w + (A - B) * n0 + B * n1),
+                     grid.corner(wt + (Ad - Bd) * n0 + Bd * n1)]
+    return expected
 
 
 class TestGridSpec:
@@ -82,6 +119,17 @@ class TestInit:
         expected = g.l1(1) + g.h_sigma(1.5, 1) + g.l1(1) + g.l2(1)
         assert data.a_norm_u == pytest.approx(expected)
         assert data.a_norm_v == 0.0
+
+    @pytest.mark.parametrize("n_dim,npts", [(1, 256), (2, 64), (3, 32)])
+    def test_corner_coefficients_are_rfftn_bins(self, n_dim, npts):
+        grid = GridSpec(n_dim, npts, 10.0)
+        g, h = GaussianProfile(0.8, 1.2), GaussianProfile(-0.4, 0.9)
+        state = init(grid, make_data(u0=g, v1=h, n=n_dim), PARAMS)
+        r = grid.radius()
+        assert state.w.shape == state.wt.shape == (2, *grid.corner_shape)
+        for got, prof in ((state.u_hat, g), (state.vt_hat, h)):
+            ref = rfftn_corner(grid, prof.value(r))
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_inverse_transform_matches_profile_pointwise(self):
         grid = GridSpec(1, 256, 30.0)
@@ -196,50 +244,50 @@ class TestDuhamelStep:
         grid = GridSpec(1, 256, 30.0)
         params = SystemParams(1, 1.0, 1.5, 2.5, 3.0)
         g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
-        state = init(grid, make_data(u0=g, u1=h, v0=h, v1=g, sigma1=1.0, sigma2=1.5),
-                     params)
+        data = make_data(u0=g, u1=h, v0=h, v1=g, sigma1=1.0, sigma2=1.5)
         dt = 0.07
-        stepped = duhamel_step(state, dt, params.p, params.q)
-
-        def phys(f):
-            return np.fft.irfft(f, n=256)
-
-        def coupling(u, v):
-            return (np.fft.rfft(np.power(np.abs(phys(v)), params.p)),
-                    np.fft.rfft(np.power(np.abs(phys(u)), params.q)))
-
-        xi = grid.xi_mag(half=True)
-        ops = []
-        for sigma in (params.sigma1, params.sigma2):
-            mu = xi ** (2.0 * sigma)
-            tables = propagator_arrays(dt, mu)
-            ops.append((tables, duhamel_weights(dt, mu, tables)))
-        pairs = ((state.u_hat, state.ut_hat), (state.v_hat, state.vt_hat))
-        linear = [(k0 * w + k1 * wt, dk0 * w + dk1 * wt)
-                  for ((k0, k1, dk0, dk1), _), (w, wt) in zip(ops, pairs)]
-        start = coupling(state.u_hat, state.v_hat)
-        end = coupling(linear[0][0], linear[1][0])
-        expected = []
-        for (_, (A, B, Ad, Bd)), (w, wt), n0, n1 in zip(ops, linear, start, end):
-            expected += [w + (A - B) * n0 + B * n1, wt + (Ad - Bd) * n0 + Bd * n1]
-        for got, ref in zip(stepped.fields(), expected):
+        stepped = duhamel_step(init(grid, data, params), dt, params.p, params.q)
+        for got, ref in zip(stepped.fields(), rfftn_reference_step(grid, data, params, dt)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_dim,npts", [(2, 32), (3, 16)])
+    def test_coupled_step_matches_full_grid_reference(self, n_dim, npts):
+        grid = GridSpec(n_dim, npts, 10.0)
+        params = SystemParams(n_dim, 1.0, 1.0, 3.0, 2.5)
+        g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
+        data = make_data(u0=g, u1=h, v0=h, v1=g, n=n_dim)
+        dt = 0.07
+        stepped = duhamel_step(init(grid, data, params), dt, params.p, params.q)
+        for got, ref in zip(stepped.fields(), rfftn_reference_step(grid, data, params, dt)):
+            assert got.shape == grid.corner_shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_asymmetric_forcing_rejected(self):
+        grid = GridSpec(2, 32, 8.0)
+        params = SystemParams(2, 1.0, 1.0, 3.0, 3.0)
+        state = init(grid, make_data(u0=GaussianProfile(0.5, 1.0), n=2), params)
+        x, _ = grid.mesh()
+        shifted = np.exp(-(x - 1.0) ** 2)  # centred off the origin
+        with pytest.raises(ValueError, match="reflection-symmetric"):
+            duhamel_step(state, 0.1, params.p, params.q, forcing=(None, lambda t: shifted))
+        even = np.exp(-x ** 2)
+        duhamel_step(state, 0.1, params.p, params.q, forcing=(None, lambda t: even))
 
     def test_one_step_makes_four_transforms(self, monkeypatch):
         grid = GridSpec(2, 32, 12.0)
         g = GaussianProfile(0.5, 1.0)
         params = SystemParams(2, 1.0, 1.0, 3.0, 3.5)
         state = init(grid, make_data(u0=g, v1=g, n=2), params)
-        calls = {"irfftn": 0, "rfftn": 0}
+        calls = {"idctn": 0, "dctn": 0}
         for name in calls:
-            original = getattr(np.fft, name)
+            original = getattr(scipy.fft, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(scipy.fft, name, counted)
         duhamel_step(state, 0.05, params.p, params.q)
-        assert calls == {"irfftn": 2, "rfftn": 2}
+        assert calls == {"idctn": 2, "dctn": 2}
 
     def test_overflow_sets_blowup_flag(self):
         grid = GridSpec(1, 64, 20.0)
@@ -270,11 +318,28 @@ class TestRunInvariants:
         state = init(grid, data, params)
         for _ in range(5):
             state = duhamel_step(state, 0.1, params.p, params.q)
-        # the half spectrum is real by construction except on its
-        # self-conjugate bins, the zero and Nyquist planes of the last axis
+        # the corner state is real by construction; after coupled steps it is
+        # still the rfftn spectrum of the unfolded field, which is real
         for arr in (state.u_hat, state.v_hat):
-            planes = arr[..., [0, -1]]
-            assert np.max(np.abs(planes.imag)) < 1e-10 * max(np.max(np.abs(planes.real)), 1e-30)
+            assert arr.dtype == np.float64
+            ref = rfftn_corner(grid, grid.unfold(grid.to_physical(arr)))
+            assert np.max(np.abs(ref.imag)) < 1e-10 * np.max(np.abs(ref.real))
+            assert np.max(np.abs(arr - ref.real)) <= 1e-13 * np.max(np.abs(ref.real))
+
+    def test_snapshots_unfold_to_full_grid(self):
+        grid = GridSpec(2, 32, 10.0)
+        g = GaussianProfile(0.5, 1.0)
+        params = SystemParams(2, 1, 1, 2, 2)
+        result = run(grid, make_data(u0=g, v1=g, n=2), params, 0.5, [0.5],
+                     snapshot_times=[0.0, 0.5])
+        assert len(result.snapshots) == 2
+        for _, u, v in result.snapshots:
+            for f in (u, v):
+                assert f.shape == grid.shape
+                for axis in (0, 1):
+                    assert np.array_equal(f, np.roll(np.flip(f, axis), 1, axis))
+        _, u0, _ = result.snapshots[0]
+        assert np.max(np.abs(u0 - g.value(grid.radius()))) < 1e-12
 
     def test_step_halving_self_convergence(self):
         grid = GridSpec(1, 256, 30.0)
@@ -372,7 +437,7 @@ class TestStepKernel:
         state = init(grid, make_data(u0=GaussianProfile(0.01, 1.0)), PARAMS)
         state = duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
         buffers = kernel.coupling_buffers
-        assert buffers[0].shape == (2, 64) and buffers[1].shape == kernel.tmp.shape
+        assert buffers[0].shape == (2, 33) and buffers[1].shape == kernel.tmp.shape
         duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
         assert all(a is b for a, b in zip(kernel.coupling_buffers, buffers))
 
@@ -418,6 +483,24 @@ class TestRunEcho:
         assert res.config_echo["dt"] == 0.1
         assert res.config_echo["steps"] == 0
         assert res.config_echo["kernel_builds"] == 0
+
+
+class TestSixNorms:
+    @pytest.mark.parametrize("n_dim,npts", [(1, 64), (2, 32), (3, 16)])
+    def test_parseval_on_the_full_grid(self, n_dim, npts):
+        # random corner samples put energy on every plane, the N/2 ones
+        # included, so each multiplicity is checked against the full grid
+        grid = GridSpec(n_dim, npts, 10.0)
+        rng = np.random.default_rng(n_dim)
+        state = init(grid, make_data(n=n_dim), PARAMS)
+        state.u_hat = grid.to_spectral(rng.standard_normal(grid.corner_shape))
+        full = grid.unfold(grid.to_physical(state.u_hat))
+        norms = six_norms(state)
+        assert norms["u_l2"] == pytest.approx(math.sqrt(grid.dV * np.sum(full**2)),
+                                              rel=1e-13)
+        full_hat = np.fft.fftn(full)
+        dsigma = grid.dV / grid.n_total * np.sum(grid.xi_mag() ** 2 * np.abs(full_hat) ** 2)
+        assert norms["u_dsigma"] == pytest.approx(math.sqrt(dsigma), rel=1e-13)
 
 
 class TestDetectBlowup:
