@@ -21,12 +21,12 @@ from .oracle import NormKind, decay_series, linear_norm
 from .profiles import GaussianProfile
 from .testfn import (
     BracketCombo,
+    Functionals,
     FunctionalValues,
     TestFunctionSpec,
     fractional_laplacian_bracket,
     fractional_laplacian_fourier,
     fractional_laplacian_gamma,
-    functionals,
     integer_laplacian_bracket,
     neg_laplacian_bracket,
 )

@@ -35,20 +35,21 @@ from scipy.special import kv
 from .exponents import SystemParams
 from .profiles import GaussianProfile, sphere_surface
 from .quadutil import QuadratureFailure, adaptive_quad
+from .torus import corner_grid
 
 __all__ = [
     "BracketCombo", "TestFunctionSpec", "FunctionalValues",
     "neg_laplacian_bracket", "integer_laplacian_bracket",
     "fractional_laplacian_bracket", "fractional_laplacian_fourier",
     "fractional_laplacian_gamma", "eta", "eta_derivs", "eta_ratio_sup",
-    "smooth_cutoff", "compact_cutoff", "functionals",
+    "smooth_cutoff", "compact_cutoff", "Functionals",
     "envelope_ratio", "plancherel_pairing", "fd_neg_laplacian",
     "InsufficientSnapshotsError", "QuadratureFailure",
 ]
 
 
 class InsufficientSnapshotsError(ValueError):
-    """Snapshot coverage of the functional time window has gaps over 10%."""
+    """The observed times cover the functional time window with gaps over 10%."""
 
 
 # --------------------------------------------------------------------------
@@ -122,20 +123,6 @@ def frac_lap_normalization(n: int, s: float) -> float:
             / (math.pi ** (n / 2.0) * abs(gamma_fn(-s))))
 
 
-def _bracket_d2(c: float, a: float, z: float):
-    """Second and fourth derivatives of (1+z**2)**(-a) at z (unit scale)."""
-    u = 1.0 + z * z
-    d2 = -2.0 * a * u ** (-a - 1.0) + 4.0 * a * (a + 1.0) * z * z * u ** (-a - 2.0)
-    d4 = (12.0 * a * (a + 1.0) * u ** (-a - 2.0)
-          - 48.0 * a * (a + 1.0) * (a + 2.0) * z * z * u ** (-a - 3.0)
-          + 16.0 * a * (a + 1.0) * (a + 2.0) * (a + 3.0) * z**4 * u ** (-a - 4.0))
-    return c * d2, c * d4
-
-
-def _bracket_d1(c: float, a: float, z: float) -> float:
-    return c * (-2.0 * a) * z * (1.0 + z * z) ** (-a - 1.0)
-
-
 @lru_cache(maxsize=4)
 def _sphere_rule(n: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     """(c, w): the npts-node Gauss-Legendre rule of the sphere integral in R^n,
@@ -176,6 +163,17 @@ def _sphere_sum(combo: BracketCombo, x: float, n: int,
     return total
 
 
+def _sphere_taylor(combo: BracketCombo, x: float, n: int,
+                   scale: float) -> tuple[float, float]:
+    """(t2, t4) with S_f(rho) - omega*f(x) = t2 rho**2 + t4 rho**4 + O(rho**6)
+    for the combo f at the given scale, by Pizzetti's formula
+    omega * (rho**2 Lap f / (2n) + rho**4 Lap**2 f / (8n(n+2)) + ...)."""
+    omega = sphere_surface(n)
+    lap = combo.neg_laplacian(n)
+    return (-omega * lap.value(x, scale) / (2.0 * n * scale**2),
+            omega * lap.neg_laplacian(n).value(x, scale) / (8.0 * n * (n + 2) * scale**4))
+
+
 def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int,
                                  scale: float = 1.0, rel_tol: float = 1e-10) -> float:
     """(-Lap)**s of sum_i c_i <y/scale>**(-l_i) at the (radial) point x.
@@ -197,23 +195,11 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     fx = combo.value(x, scale)
     z = x / scale
 
-    # radial Laplacian of the combo at x (and for n = 1 its fourth
-    # derivative) for the small-rho Taylor branch
-    lap = 0.0
-    d4 = 0.0
-    for c, ell in combo.terms:
-        a = ell / 2.0
-        t2, t4 = _bracket_d2(c, a, z)
-        if z > 1e-12:
-            lap += (t2 + (n - 1) * _bracket_d1(c, a, z) / z) / scale**2
-        else:
-            lap += n * t2 / scale**2
-        d4 += t4 / scale**4
-    taylor2 = omega * lap / (2.0 * n)
-    taylor4 = d4 / 12.0 if n == 1 else 0.0
+    taylor2, taylor4 = _sphere_taylor(combo, x, n, scale)
     sphere = _sphere_sum(combo, x, n, scale)
 
-    # Small-rho threshold: Taylor error ~ rho**4 * f'''' relative to rho**2 * Lap f.
+    # Small-rho threshold: Taylor error ~ rho**6 * Lap**3 f relative to rho**2 * Lap f;
+    # a breakpoint of the inner quadrature, where the integrand switches form.
     h_sw = 1e-3 * scale * (1.0 + z)
 
     def centred(rho: float) -> float:
@@ -231,7 +217,7 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     lo_cut = max(scale, x / 8.0)
     big = max(200.0 * (x + scale), 1e3 * scale)
     i_inner = adaptive_quad(inner, 0.0, lo_cut ** (2.0 - 2.0 * s),
-                            rel_tol=0.1 * rel_tol)
+                            points=[h_sw ** (2.0 - 2.0 * s)], rel_tol=0.1 * rel_tol)
     i_mid = adaptive_quad(lambda rho: centred(rho) * rho ** (-1.0 - 2.0 * s),
                           lo_cut, big,
                           points=[x / 2.0, x, 2.0 * x, 4.0 * x],
@@ -559,55 +545,63 @@ def _conjugate(exp: float) -> float:
     return exp / (exp - 1.0)
 
 
-def functionals(result, grid, spec: TestFunctionSpec,
-                params: SystemParams) -> FunctionalValues:
-    """Blow-up functionals I_R, J_R (and late-window variants) from snapshots.
+class Functionals:
+    """Run observer streaming the blow-up functionals I_R, J_R (and their
+    late-window variants) of one or more test-function specs.
 
     I_R integrates |v|**p and J_R |u|**q against the space cutoff and the
-    time cutoff eta over [0, R**(2*sigma)]; the space integral is a grid
-    sum, the time integral a trapezoid over the recorded snapshots.  The
-    late-window variants restrict to the second half of the window.
+    time cutoff eta over [0, R**(2*sigma)].  Called as ``observer(t, state)``
+    at each of its ``times``, it keeps only t and, per spec, the grid sums of
+    |v|**p and |u|**q against the cutoff, taken on the corner grid with the
+    multiplicity weights; :meth:`values` integrates them in time by the
+    trapezoid rule, the late-window variants over the window's second half.
     Requires sigma1 == sigma2; for integer orders the compactly supported
     cutoff is used, otherwise the bracket <x/R>**(-r).
     """
-    if not params.equal_orders():
-        raise ValueError("functionals need sigma1 == sigma2")
-    sigma = params.sigma1
-    T = spec.R ** (2.0 * sigma)
-    snaps = [(t, u, v) for (t, u, v) in result.snapshots if t <= T * (1.0 + 1e-9)]
-    if not snaps:
-        raise InsufficientSnapshotsError("no snapshots inside the time window")
-    times = [t for t, _, _ in snaps]
-    gaps = np.diff([0.0] + times + [T])
-    if np.max(gaps) > 0.1 * T + 1e-12:
-        raise InsufficientSnapshotsError(
-            f"snapshot gap {np.max(gaps):.3g} exceeds 10% of window {T:.3g}")
 
-    lam = 2.0 * max(_conjugate(params.p), _conjugate(params.q))
-    radius = grid.radius()
-    if abs(sigma - round(sigma)) < 1e-9:
-        weight = compact_cutoff(radius / spec.R, lam)
-    else:
-        weight = (1.0 + (radius / spec.R) ** 2) ** (-spec.r / 2.0)
-    dV = grid.dV
+    def __init__(self, grid, params: SystemParams,
+                 specs: Sequence[TestFunctionSpec], times: Sequence[float]):
+        if not params.equal_orders():
+            raise ValueError("functionals need sigma1 == sigma2")
+        self.params = params
+        self.specs = tuple(specs)
+        self.times = sorted(float(t) for t in times)
+        self._lam = 2.0 * max(_conjugate(params.p), _conjugate(params.q))
+        radius = grid.corner(grid.radius())
+        integer = abs(params.sigma1 - round(params.sigma1)) < 1e-9
+        cutoffs = [compact_cutoff(radius / spec.R, self._lam) if integer
+                   else (1.0 + (radius / spec.R) ** 2) ** (-spec.r / 2.0)
+                   for spec in self.specs]
+        #: (spec, *corner_shape) cutoffs times multiplicity times cell volume
+        self._weights = np.stack(cutoffs) * (corner_grid(grid)[1] * grid.dV)
+        #: per observed time: t, then the |v|**p sum of each spec, then the |u|**q ones
+        self._rows: list[list[float]] = []
 
-    def space_sum(field: np.ndarray, power: float) -> float:
-        return float(np.sum(np.abs(field) ** power * weight) * dV)
+    def __call__(self, t: float, state) -> None:
+        u, v = np.abs(state.grid.to_physical(state.w))
+        axes = u.ndim
+        self._rows.append([t, *np.tensordot(self._weights, v**self.params.p, axes),
+                           *np.tensordot(self._weights, u**self.params.q, axes)])
 
-    t_arr = np.array(times)
-    eta_vals = np.array([eta(t / T, lam) for t in times])
-    i_vals = np.array([space_sum(v, params.p) for _, _, v in snaps]) * eta_vals
-    j_vals = np.array([space_sum(u, params.q) for _, u, _ in snaps]) * eta_vals
-
-    def trapz(vals, lo, hi):
-        mask = (t_arr >= lo - 1e-12) & (t_arr <= hi + 1e-12)
-        if mask.sum() < 2:
-            raise InsufficientSnapshotsError("fewer than two snapshots in window")
-        return float(np.trapezoid(vals[mask], t_arr[mask]))
-
-    return FunctionalValues(
-        I_R=trapz(i_vals, 0.0, T),
-        J_R=trapz(j_vals, 0.0, T),
-        I_R_t=trapz(i_vals, T / 2.0, T),
-        J_R_t=trapz(j_vals, T / 2.0, T),
-    )
+    def values(self) -> tuple[FunctionalValues, ...]:
+        """The functionals of each spec, in order; InsufficientSnapshotsError
+        when the observed times leave a gap over 10% of a spec's window, as a
+        run that stops before the window's end does."""
+        k = len(self.specs)
+        rows = np.array(self._rows).reshape(-1, 1 + 2 * k)
+        out = []
+        for spec, i_all, j_all in zip(self.specs, rows[:, 1:k + 1].T, rows[:, k + 1:].T):
+            T = spec.R ** (2.0 * self.params.sigma1)
+            kept = rows[:, 0] <= T * (1.0 + 1e-9)
+            t_arr = rows[kept, 0]
+            gaps = np.diff(np.concatenate([[0.0], t_arr, [T]]))
+            if np.max(gaps) > 0.1 * T + 1e-12:
+                raise InsufficientSnapshotsError(
+                    f"observed-time gap {np.max(gaps):.3g} exceeds 10% of window {T:.3g}")
+            eta_vals = np.array([eta(t / T, self._lam) for t in t_arr])
+            i_vals, j_vals = i_all[kept] * eta_vals, j_all[kept] * eta_vals
+            late = t_arr >= T / 2.0 - 1e-12
+            out.append(FunctionalValues(*(
+                float(np.trapezoid(vals[window], t_arr[window]))
+                for window in (slice(None), late) for vals in (i_vals, j_vals))))
+        return tuple(out)

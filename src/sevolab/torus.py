@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -144,7 +144,7 @@ class GridSpec:
 
 
 @functools.lru_cache(maxsize=8)
-def _corner_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def corner_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """|xi| at the corner frequencies [0, N/2]^n and the multiplicity of each
     bin: the product over axes of 1 on the zero and N/2 planes, 2 elsewhere
     (read-only)."""
@@ -226,7 +226,7 @@ class SpectralState:
     ``(2, *corner_shape)``, so that one transform or update covers both
     components; ``u_hat`` and the other three names are views of their rows.
     ``energy`` is the multiplicity-weighted sum of coefficient**2 over the
-    four fields when the step that made the state computed it."""
+    four fields, set by the step that made the state (None at ``init``)."""
 
     w: np.ndarray
     wt: np.ndarray
@@ -252,8 +252,7 @@ class RunResult:
     blowup: Optional[dict]
     config_echo: dict
     t_valid: float
-    snapshots: list[tuple[float, np.ndarray, np.ndarray]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def t_valid(grid: GridSpec, params: SystemParams) -> float:
@@ -297,7 +296,7 @@ def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralSta
 
 
 def _mu(grid: GridSpec, sigma: float) -> np.ndarray:
-    return _corner_grid(grid)[0] ** (2.0 * sigma)
+    return corner_grid(grid)[0] ** (2.0 * sigma)
 
 
 class _StepKernel:
@@ -317,7 +316,7 @@ class _StepKernel:
     def __init__(self, grid: GridSpec, sigma1: float, sigma2: float):
         sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
         self.mu = np.stack([_mu(grid, s) for s in sigmas])
-        self.mult = _corner_grid(grid)[1]
+        self.mult = corner_grid(grid)[1]
         self._entries: OrderedDict[float, tuple] = OrderedDict()
         self.builds = 0
         #: a temporary of the stack's shape; each step overwrites it, and a
@@ -359,6 +358,16 @@ def _linear_fields(state: SpectralState, tables,
     return w, wt
 
 
+def _stepped(state: SpectralState, w: np.ndarray, wt: np.ndarray, dt: float,
+             kernel: _StepKernel) -> SpectralState:
+    """The state (w, wt) one step dt after ``state``, with its ``energy`` from
+    one weighted pass; a non-finite energy (overflow included) marks it as
+    blown up instead of raising."""
+    energy = _energy((w, wt), kernel.mult)
+    return replace(state, w=w, wt=wt, time=state.time + dt, energy=energy,
+                   blown_up=state.blown_up or not math.isfinite(energy))
+
+
 def linear_step(state: SpectralState, dt: float,
                 kernel: Optional[_StepKernel] = None) -> SpectralState:
     """Advance the linear system exactly by dt (any dt > 0)."""
@@ -367,7 +376,7 @@ def linear_step(state: SpectralState, dt: float,
     if kernel is None:
         kernel = _StepKernel(state.grid, state.sigma1, state.sigma2)
     w, wt = _linear_fields(state, kernel.get(dt)[0], kernel.tmp)
-    return replace(state, w=w, wt=wt, time=state.time + dt, energy=None)
+    return _stepped(state, w, wt, dt, kernel)
 
 
 def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
@@ -404,9 +413,7 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     The coupling is interpolated linearly in time between its value at the
     step start and at the exact-linear predictor of the step end.  Each
     coupling evaluation is one inverse and one forward transform of the
-    stacked (u, v) state.  One weighted pass over the new state gives its
-    ``energy``; a non-finite energy (overflow in the nonlinearity included)
-    marks the state as blown up instead of raising.
+    stacked (u, v) state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -441,16 +448,14 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
         for acc, weight, n in ((w, ab, n0), (w, b, n1), (wt, abd, n0), (wt, bd, n1)):
             acc += np.multiply(weight, n, out=tmp)
 
-    energy = _energy((w, wt), kernel.mult)
-    return replace(state, w=w, wt=wt, time=t0 + dt, energy=energy,
-                   blown_up=state.blown_up or not math.isfinite(energy))
+    return _stepped(state, w, wt, dt, kernel)
 
 
 def six_norms(state: SpectralState) -> dict[str, float]:
     """The six recorded L2-type norms, computed on the frequency side."""
     grid = state.grid
     factor = grid.dV / grid.n_total
-    xi, mult = _corner_grid(grid)
+    xi, mult = corner_grid(grid)
     w1 = mult * xi ** (2.0 * state.sigma1)
     w2 = mult * xi ** (2.0 * state.sigma2)
 
@@ -467,18 +472,24 @@ def six_norms(state: SpectralState) -> dict[str, float]:
     }
 
 
+def _checked_norms(state: SpectralState) -> tuple[Optional[dict[str, float]], float]:
+    """(six norms, the largest), or (None, inf) once the state has blown up:
+    a norm is not finite, or the step that made the state flagged it."""
+    norms = six_norms(state)
+    if state.blown_up or not all(math.isfinite(v) for v in norms.values()):
+        return None, math.inf
+    return norms, max(norms.values())
+
+
 def detect_blowup(state: SpectralState, threshold: float) -> bool:
-    """True iff any coefficient is non-finite or any recorded norm exceeds threshold."""
-    if threshold <= 0:
+    """True iff the state has blown up or any recorded norm exceeds threshold."""
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
-    for arr in state.fields():
-        if not np.all(np.isfinite(arr)):
-            return True
-    return any(v > threshold for v in six_norms(state).values())
+    return _checked_norms(state)[1] > threshold
 
 
 def _top_octave_fraction(state: SpectralState) -> float:
-    xi, mult = _corner_grid(state.grid)
+    xi, mult = corner_grid(state.grid)
     top = mult * (xi > state.grid.xi_max / 2.0)
     worst = 0.0
     for arr in (state.u_hat, state.v_hat):
@@ -491,24 +502,28 @@ def _top_octave_fraction(state: SpectralState) -> float:
 def run(grid: GridSpec, data: InitialData, params: SystemParams,
         t_max: float, record_times: Sequence[float],
         dt: float | str = "auto", blowup_threshold: float | str = "auto",
-        snapshot_times: Optional[Sequence[float]] = None,
-        linear_only: bool = False,
+        observers: Sequence = (), linear_only: bool = False,
         forcing: Optional[tuple[Callable, Callable]] = None) -> RunResult:
     """Advance the coupled system to t_max, recording the six norms.
 
-    Stops early with a blow-up report when a norm crosses the threshold or a
-    coefficient turns non-finite.  With linear_only=True the coupling is
-    disabled and every step is the exact linear propagator (used for
-    cross-validation against the whole-space oracle).  ``config_echo`` holds
-    dt, the threshold, the initial total norm and the deterministic counts
-    ``steps`` and ``kernel_builds``.
+    One loop steps to each event in turn: 0, the record times, the observers'
+    times and t_max.  An observer has ``times`` and is called as
+    ``observer(t, state)`` at each of them while the state is finite; it
+    keeps what it needs, so memory does not grow with the number of events.
+    The run stops with a blow-up report at the first event, or step flagged
+    by the guard on ``state.energy``, where a norm crosses the threshold or
+    turns non-finite.  With linear_only=True every step is the exact linear
+    propagator (used for cross-validation against the whole-space oracle).
+    ``config_echo`` holds dt, the threshold, the initial total norm and the
+    deterministic counts ``steps`` and ``kernel_builds``.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    record_times = sorted(float(t) for t in record_times)
-    if record_times and (record_times[0] < 0 or record_times[-1] > t_max):
-        raise ValueError("record_times must lie in [0, t_max]")
-    snapshot_times = sorted(float(t) for t in (snapshot_times or []))
+    record_set = {float(t) for t in record_times}
+    schedule = [(obs, {float(t) for t in obs.times}) for obs in observers]
+    events = record_set.union({0.0, float(t_max)}, *(ts for _, ts in schedule))
+    if not all(0.0 <= t <= t_max for t in events):
+        raise ValueError("record_times and observer times must lie in [0, t_max]")
 
     dt_val = default_dt(grid, params) if dt == "auto" else float(dt)
     if dt_val <= 0:
@@ -517,76 +532,55 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
         raise ValueError("blowup_threshold must be positive")
 
     state = init(grid, data, params)
-    initial_norms = six_norms(state)
-    initial_total = sum(initial_norms.values())
+    initial_total = sum(six_norms(state).values())
     if blowup_threshold == "auto":
         threshold = 1e6 * initial_total if initial_total > 0 else 1e6
     else:
         threshold = float(blowup_threshold)
 
     kernel = _StepKernel(grid, params.sigma1, params.sigma2)
-    events = sorted(set(record_times) | set(snapshot_times) | {float(t_max)})
+    # bound on every call, so that a replaced module-level step is the one used
+    if linear_only:
+        advance = functools.partial(linear_step, kernel=kernel)
+    else:
+        advance = functools.partial(duhamel_step, p=params.p, q=params.q,
+                                    forcing=forcing, kernel=kernel)
     series: dict[str, list[tuple[float, float]]] = {k: [] for k in NORM_LABELS}
-    snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
     warnings: list[str] = []
     blowup: Optional[dict] = None
 
-    record_set = set(record_times)
-    snapshot_set = set(snapshot_times)
-
     def handle_event(t: float) -> bool:
-        """Record at time t; returns False when the run should halt."""
+        """Record and observe at time t; returns False when the run should halt."""
         nonlocal blowup
-        norms = six_norms(state)
-        finite = all(math.isfinite(v) for v in norms.values())
-        if t in record_set and finite:
-            for k in NORM_LABELS:
-                series[k].append((t, norms[k]))
-        if t in snapshot_set and finite:
-            snapshots.append((t, *grid.unfold(grid.to_physical(state.w))))
-        if not warnings and finite and _top_octave_fraction(state) > TAIL_ENERGY_WARN:
-            warnings.append(
-                f"top-octave energy fraction exceeded {TAIL_ENERGY_WARN:.0e} at t={t:g}")
-        if state.blown_up or not finite or \
-                any(v > threshold for v in norms.values()):
-            blowup = {"time": t, "norm_at_detection": max(norms.values())
-                      if finite else math.inf}
+        norms, peak = _checked_norms(state)
+        if norms is not None:
+            if t in record_set:
+                for k in NORM_LABELS:
+                    series[k].append((t, norms[k]))
+            for observer, times in schedule:
+                if t in times:
+                    observer(t, state)
+            if not warnings and _top_octave_fraction(state) > TAIL_ENERGY_WARN:
+                warnings.append(
+                    f"top-octave energy fraction exceeded {TAIL_ENERGY_WARN:.0e} at t={t:g}")
+        if peak > threshold:
+            blowup = {"time": t, "norm_at_detection": peak}
             return False
         return True
 
+    pending = sorted(events, reverse=True)  # the next event last
     steps = 0
-    if not handle_event(0.0):
-        events = []
-    eps_t = 1e-9
-    for target in events:
-        if target <= 0.0:
-            continue
-        halted = False
-        while state.time < target - eps_t:
-            step = min(dt_val, target - state.time)
-            if linear_only:
-                state = linear_step(state, step, kernel)
-                energy = _energy((state.w, state.wt), kernel.mult)
-            else:
-                state = duhamel_step(state, step, params.p, params.q,
-                                     forcing=forcing, kernel=kernel)
-                energy = state.energy
+    alive = True
+    while alive and pending:
+        if state.time < pending[-1] - 1e-9:
+            state = advance(state, min(dt_val, pending[-1] - state.time))
             steps += 1
-            if state.blown_up:
-                blowup = {"time": state.time, "norm_at_detection": math.inf}
-                halted = True
-                break
-            # cheap per-step guard between events
-            if not math.isfinite(energy) or \
-                    math.sqrt(energy * grid.dV / grid.n_total) > 4.0 * threshold:
-                if not handle_event(state.time):
-                    halted = True
-                    break
-        if halted:
-            break
-        state.time = target
-        if not handle_event(target):
-            break
+            # cheap per-step guard between events; a nan energy fails it too
+            if not math.sqrt(state.energy * grid.dV / grid.n_total) <= 4.0 * threshold:
+                alive = handle_event(state.time)
+        else:
+            state.time = pending.pop()
+            alive = handle_event(state.time)
 
     window = t_valid(grid, params)
     if blowup is not None and blowup["time"] > window:
@@ -597,7 +591,7 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
                      {"threshold": threshold, "dt": dt_val,
                       "initial_total_norm": initial_total, "steps": steps,
                       "kernel_builds": kernel.builds},
-                     window, snapshots, warnings)
+                     window, warnings)
 
 
 def _package_series(series: dict[str, list], params: SystemParams) -> dict[str, NormSeries]:

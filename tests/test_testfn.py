@@ -1,18 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from sevolab.exponents import SystemParams
-from sevolab.profiles import GaussianProfile
+from sevolab.profiles import GaussianProfile, sphere_surface
 from sevolab.testfn import (
     BracketCombo,
+    Functionals,
     InsufficientSnapshotsError,
     TestFunctionSpec,
-    _bracket_d2,
     _combo_transform,
     _sphere_sum,
+    _sphere_taylor,
     bracket_transform_1d,
     compact_cutoff,
     envelope_ratio,
@@ -23,13 +25,12 @@ from sevolab.testfn import (
     fractional_laplacian_bracket,
     fractional_laplacian_fourier,
     fractional_laplacian_gamma,
-    functionals,
     integer_laplacian_bracket,
     neg_laplacian_bracket,
     plancherel_pairing,
     smooth_cutoff,
 )
-from sevolab.torus import GridSpec, RunResult
+from sevolab.torus import GridSpec, InitialData, SpectralState, run
 
 
 class TestBracketRecursion:
@@ -66,14 +67,23 @@ class TestBracketRecursion:
             combo = integer_laplacian_bracket(r, 2, 1)
             assert [e for _, e in combo.terms] == [r + 4, r + 6, r + 8]
 
-    def test_taylor_derivatives_match_differences(self):
-        for c, a, z in [(1.0, 1.0, 0.0), (2.0, 1.7, 0.8), (0.5, 3.0, 2.5)]:
-            d2, d4 = _bracket_d2(c, a, z)
-            f = lambda y: c * (1.0 + y * y) ** (-a)
-            h = 1e-2
-            fd2 = (-f(z + 2 * h) + 16 * f(z + h) - 30 * f(z) + 16 * f(z - h)
-                   - f(z - 2 * h)) / (12 * h * h)
-            assert d2 == pytest.approx(fd2, rel=1e-6)
+    def test_taylor_expansion_matches_sphere_sum(self):
+        # the two-term expansion leaves an O(rho**6) remainder: halving rho
+        # divides it by about 64, where a missing rho**4 term gives 16, so
+        # the bound is their geometric mean
+        for n in (1, 2, 3):
+            for combo, x, scale in [(BracketCombo(((1.0, 2.0),)), 0.0, 1.0),
+                                    (integer_laplacian_bracket(1.5, 1, n), 0.7, 1.0),
+                                    (BracketCombo(((2.0, 3.4), (-0.5, 1.0))), 5.0, 3.0)]:
+                sphere = _sphere_sum(combo, x, n, scale)
+                t2, t4 = _sphere_taylor(combo, x, n, scale)
+                f_x = combo.value(x, scale) * sphere_surface(n)
+
+                def remainder(rho):
+                    return abs(sphere(rho) - f_x - (t2 * rho**2 + t4 * rho**4))
+
+                rho = 0.1 * scale
+                assert remainder(rho) / remainder(rho / 2) > 32.0, (n, x)
 
 
 def absolute(combo: BracketCombo) -> BracketCombo:
@@ -296,11 +306,46 @@ class TestPlancherelPairing:
         assert abs(lhs - rhs) / abs(lhs) < 1e-6
 
 
-def frozen_result(grid, times, u_value, v_value):
-    ones = np.ones(grid.points_per_dim)
-    snaps = [(float(t), u_value * ones, v_value * ones) for t in times]
-    return RunResult(series={}, blowup=None, config_echo={}, t_valid=0.0,
-                     snapshots=snaps)
+def frozen_values(grid, params, specs, times, u_value, v_value):
+    """Functionals of each spec over fields frozen at constant values,
+    observed at ``times``."""
+    observer = Functionals(grid, params, specs, times)
+    corner = np.multiply.outer([u_value, v_value], np.ones(grid.corner_shape))
+    state = SpectralState(grid.to_spectral(corner), np.zeros_like(corner), 0.0, grid,
+                          params.sigma1, params.sigma2)
+    for t in observer.times:
+        observer(t, state)
+    return observer.values()
+
+
+class Snapshots:
+    """Observer keeping the full-grid (t, u, v) at its times."""
+
+    def __init__(self, times):
+        self.times = times
+        self.fields = []
+
+    def __call__(self, t, state):
+        self.fields.append((t, *state.grid.unfold(state.grid.to_physical(state.w))))
+
+
+def snapshot_functionals(snaps, grid, spec, params):
+    """(I_R, J_R, I_R_t, J_R_t) of an integer order from stored full-grid
+    snapshots: full-grid sums and trapezoids, the reference of the streamed
+    corner sums."""
+    T = spec.R ** (2.0 * params.sigma1)
+    snaps = [s for s in snaps if s[0] <= T * (1.0 + 1e-9)]
+    lam = 2.0 * max(params.p / (params.p - 1.0), params.q / (params.q - 1.0))
+    weight = compact_cutoff(grid.radius() / spec.R, lam)
+    t_arr = np.array([t for t, _, _ in snaps])
+    eta_vals = np.array([eta(t / T, lam) for t in t_arr])
+    i_vals = np.array([np.sum(np.abs(v) ** params.p * weight) * grid.dV
+                       for _, _, v in snaps]) * eta_vals
+    j_vals = np.array([np.sum(np.abs(u) ** params.q * weight) * grid.dV
+                       for _, u, _ in snaps]) * eta_vals
+    late = t_arr >= T / 2.0 - 1e-12
+    return (np.trapezoid(i_vals, t_arr), np.trapezoid(j_vals, t_arr),
+            np.trapezoid(i_vals[late], t_arr[late]), np.trapezoid(j_vals[late], t_arr[late]))
 
 
 class TestFunctionals:
@@ -310,8 +355,7 @@ class TestFunctionals:
         params = SystemParams(1, 1, 1, 2, 2)
         spec = TestFunctionSpec(gamma=1.0, r=2.0, R=3.0)
         T = 9.0
-        result = frozen_result(self.grid, np.linspace(0, T, 65), 0.0, 0.0)
-        values = functionals(result, self.grid, spec, params)
+        values, = frozen_values(self.grid, params, [spec], np.linspace(0, T, 65), 0.0, 0.0)
         assert values.I_R == 0.0 and values.J_R == 0.0
 
     def test_frozen_field_separable_product_compact(self):
@@ -320,8 +364,7 @@ class TestFunctionals:
         R = 3.0
         spec = TestFunctionSpec(gamma=1.0, r=2.0, R=R)
         T = R**2
-        result = frozen_result(self.grid, np.linspace(0, T, 129), 0.0, 1.0)
-        values = functionals(result, self.grid, spec, params)
+        values, = frozen_values(self.grid, params, [spec], np.linspace(0, T, 129), 0.0, 1.0)
         lam = 2.0 * max(2.0, 2.0)
         time_int, _ = quad(lambda t: eta(t / T, lam), 0, T, limit=200)
         space_int, _ = quad(lambda x: float(compact_cutoff(x / R, lam)), 0, R,
@@ -333,8 +376,7 @@ class TestFunctionals:
         R = 3.0
         spec = TestFunctionSpec.for_blowup(params, R)
         T = R**3
-        result = frozen_result(self.grid, np.linspace(0, T, 129), 0.0, 1.0)
-        values = functionals(result, self.grid, spec, params)
+        values, = frozen_values(self.grid, params, [spec], np.linspace(0, T, 129), 0.0, 1.0)
         lam = 4.0
         time_int, _ = quad(lambda t: eta(t / T, lam), 0, T, limit=200)
         L = self.grid.half_length
@@ -345,24 +387,20 @@ class TestFunctionals:
     def test_monotone_in_scale(self):
         params = SystemParams(1, 1, 1, 2, 2)
         times = np.linspace(0, 16.0, 257)
-        result = frozen_result(self.grid, times, 1.0, 1.0)
-        vals = [functionals(result, self.grid,
-                            TestFunctionSpec(gamma=1.0, r=2.0, R=R), params).I_R
-                for R in (2.0, 3.0, 4.0)]
+        specs = [TestFunctionSpec(gamma=1.0, r=2.0, R=R) for R in (2.0, 3.0, 4.0)]
+        vals = [v.I_R for v in frozen_values(self.grid, params, specs, times, 1.0, 1.0)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_insufficient_snapshots(self):
         params = SystemParams(1, 1, 1, 2, 2)
         spec = TestFunctionSpec(gamma=1.0, r=2.0, R=4.0)
-        result = frozen_result(self.grid, np.linspace(0, 8.0, 65), 1.0, 1.0)
-        with pytest.raises(InsufficientSnapshotsError):
-            functionals(result, self.grid, spec, params)  # window is [0, 16]
+        with pytest.raises(InsufficientSnapshotsError):  # window is [0, 16]
+            frozen_values(self.grid, params, [spec], np.linspace(0, 8.0, 65), 1.0, 1.0)
 
     def test_positivity(self):
         params = SystemParams(1, 1, 1, 2, 2)
         spec = TestFunctionSpec(gamma=1.0, r=2.0, R=3.0)
-        result = frozen_result(self.grid, np.linspace(0, 9.0, 65), 0.5, 0.25)
-        values = functionals(result, self.grid, spec, params)
+        values, = frozen_values(self.grid, params, [spec], np.linspace(0, 9.0, 65), 0.5, 0.25)
         assert values.I_R >= 0 and values.J_R >= 0
         assert values.I_R_t >= 0 and values.J_R_t >= 0
         assert values.I_R_t <= values.I_R
@@ -375,17 +413,17 @@ class TestFunctionalGrowthEcho:
         # J_R**((pq-1)/pq) * R**(-gamma2) must stay below the derivation's
         # O(1) constant even though J_R itself grows with the window.
         from sevolab.exponents import gamma_exponents
-        from sevolab.torus import GridSpec as GS, InitialData, run
 
         params = SystemParams(1, 1, 1, 2, 2)
-        grid = GS(1, 512, 40.0)
+        grid = GridSpec(1, 512, 40.0)
         g = GaussianProfile(1e-2, 1.0)
         data = InitialData.from_profiles(None, g, None, g, 1.0, 1.0, 1)
         radii = (4.0, 8.0, 16.0)
         snap_times = sorted(set(
             float(t) for R in radii for t in np.linspace(0.0, R**2, 65)))
-        result = run(grid, data, params, 256.0, [256.0],
-                     snapshot_times=snap_times)
+        specs = [TestFunctionSpec(gamma=1.0, r=2.0, R=R) for R in radii]
+        streamed, snaps = Functionals(grid, params, specs, snap_times), Snapshots(snap_times)
+        result = run(grid, data, params, 256.0, [256.0], observers=[streamed, snaps])
         assert result.blowup is None
 
         _, gamma2 = gamma_exponents(params)
@@ -393,10 +431,48 @@ class TestFunctionalGrowthEcho:
         exponent = (params.p * params.q - 1) / (params.p * params.q)
         j_values = []
         rescaled = []
-        for R in radii:
-            spec = TestFunctionSpec(gamma=1.0, r=2.0, R=R)
-            vals = functionals(result, grid, spec, params)
+        for R, spec, vals in zip(radii, specs, streamed.values()):
             j_values.append(vals.J_R)
             rescaled.append(vals.J_R**exponent * R**(-gamma2))
+            # the corner sums match the full-grid formula on the same run
+            reference = snapshot_functionals(snaps.fields, grid, spec, params)
+            got = (vals.I_R, vals.J_R, vals.I_R_t, vals.J_R_t)
+            np.testing.assert_allclose(got, reference, rtol=1e-12, atol=0)
         assert j_values[0] < j_values[1] < j_values[2]
         assert max(rescaled) < 1.0
+
+
+class TestStreamedFunctionals:
+    def test_run_ending_before_the_window_is_insufficient(self):
+        # L = 20 and amplitude 3 blow up near t = 3.4, inside the window [0, 9]
+        grid = GridSpec(1, 256, 20.0)
+        params = SystemParams(1, 1, 1, 2, 2)
+        g = GaussianProfile(3.0, 1.0)
+        data = InitialData.from_profiles(None, g, None, g, 1.0, 1.0, 1)
+        observer = Functionals(grid, params, [TestFunctionSpec(gamma=1.0, r=2.0, R=3.0)],
+                               np.linspace(0.0, 9.0, 65))
+        result = run(grid, data, params, 9.0, [9.0], observers=[observer])
+        assert result.blowup["time"] < 4.0
+        with pytest.raises(InsufficientSnapshotsError, match="gap"):
+            observer.values()
+
+    def test_memory_does_not_grow_with_observed_times(self):
+        # two full-grid fields per stored time were 1 MiB at 256**2; an
+        # observer keeps scalars, so 40 times peak like 10
+        grid = GridSpec(2, 256, 20.0)
+        params = SystemParams(2, 1, 1, 3, 3)
+        g = GaussianProfile(1e-2, 1.0)
+        data = InitialData.from_profiles(g, g, g, g, 1.0, 1.0, 2)
+        specs = [TestFunctionSpec(gamma=1.0, r=2.0, R=1.0)]
+        peaks = []
+        for count in (10, 40):
+            tracemalloc.start()
+            try:
+                observer = Functionals(grid, params, specs,
+                                       np.linspace(1.0 / count, 1.0, count))
+                run(grid, data, params, 1.0, [1.0], dt=0.025, observers=[observer])
+                assert len(observer.values()) == 1
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.5 * 2**20

@@ -14,8 +14,10 @@ from sevolab.torus import (
     InitialData,
     ProfileTooWideError,
     SpectralState,
+    _energy,
     _StepKernel,
     _power,
+    corner_grid,
     default_dt,
     detect_blowup,
     duhamel_step,
@@ -31,6 +33,17 @@ PARAMS = SystemParams(1, 1, 1, 3, 4)
 
 def make_data(u0=None, u1=None, v0=None, v1=None, sigma1=1.0, sigma2=1.0, n=1):
     return InitialData.from_profiles(u0, u1, v0, v1, sigma1, sigma2, n)
+
+
+class Snapshots:
+    """Observer keeping the full-grid (t, u, v) at its times."""
+
+    def __init__(self, times):
+        self.times = times
+        self.fields = []
+
+    def __call__(self, t, state):
+        self.fields.append((t, *state.grid.unfold(state.grid.to_physical(state.w))))
 
 
 def rfftn_corner(grid, f):
@@ -158,6 +171,22 @@ class TestLinearStep:
         for a, b in zip(once.fields(), twice.fields()):
             assert np.max(np.abs(a - b)) < 1e-12
 
+    def test_sets_energy_like_the_coupled_step(self):
+        grid = GridSpec(2, 32, 10.0)
+        params = SystemParams(2, 1.0, 1.5, 3.0, 3.0)
+        g = GaussianProfile(0.5, 1.0)
+        state = init(grid, make_data(u0=g, v1=g, n=2), params)
+        out = linear_step(state, 0.3)
+        assert out.energy == _energy((out.w, out.wt), corner_grid(grid)[1])
+        assert out.energy > 0 and not out.blown_up
+
+    def test_overflow_sets_blowup_flag(self):
+        grid = GridSpec(1, 64, 20.0)
+        state = init(grid, make_data(u0=GaussianProfile(1.0, 1.0)), PARAMS)
+        state.u_hat *= 1e300
+        stepped = linear_step(state, 0.1)
+        assert stepped.blown_up and not math.isfinite(stepped.energy)
+
     def test_cross_validation_against_oracle(self):
         grid = GridSpec(1, 1024, 100.0)
         g = GaussianProfile(1e-2, 1.0)
@@ -227,9 +256,10 @@ class TestDuhamelStep:
         errors = []
         dts = [0.2, 0.1, 0.05]
         for dt in dts:
-            result = run(grid, data, PARAMS, 1.0, [1.0], dt=dt,
-                         snapshot_times=[1.0], forcing=(fu, fv))
-            u_num = result.snapshots[0][1]
+            snaps = Snapshots([1.0])
+            run(grid, data, PARAMS, 1.0, [1.0], dt=dt, observers=[snaps],
+                forcing=(fu, fv))
+            u_num = snaps.fields[0][1]
             err = np.max(np.abs(u_num - math.exp(-1.0) * gx))
             errors.append(err)
         order1 = math.log2(errors[0] / errors[1])
@@ -303,8 +333,9 @@ class TestRunInvariants:
         g = GaussianProfile(0.5, 1.0)
         data = make_data(u0=g, u1=g, v0=g, v1=g)
         params = SystemParams(1, 1, 1, 2, 2)
-        result = run(grid, data, params, 3.0, [3.0], snapshot_times=[1.5, 3.0])
-        state_like = result.snapshots[-1][1]
+        snaps = Snapshots([1.5, 3.0])
+        run(grid, data, params, 3.0, [3.0], observers=[snaps])
+        state_like = snaps.fields[-1][1]
         # reflection symmetry on the periodic grid: index j <-> (N - j) mod N
         reflected = np.roll(state_like[::-1], 1)
         scale = np.max(np.abs(state_like))
@@ -330,15 +361,15 @@ class TestRunInvariants:
         grid = GridSpec(2, 32, 10.0)
         g = GaussianProfile(0.5, 1.0)
         params = SystemParams(2, 1, 1, 2, 2)
-        result = run(grid, make_data(u0=g, v1=g, n=2), params, 0.5, [0.5],
-                     snapshot_times=[0.0, 0.5])
-        assert len(result.snapshots) == 2
-        for _, u, v in result.snapshots:
+        snaps = Snapshots([0.0, 0.5])
+        run(grid, make_data(u0=g, v1=g, n=2), params, 0.5, [0.5], observers=[snaps])
+        assert len(snaps.fields) == 2
+        for _, u, v in snaps.fields:
             for f in (u, v):
                 assert f.shape == grid.shape
                 for axis in (0, 1):
                     assert np.array_equal(f, np.roll(np.flip(f, axis), 1, axis))
-        _, u0, _ = result.snapshots[0]
+        _, u0, _ = snaps.fields[0]
         assert np.max(np.abs(u0 - g.value(grid.radius()))) < 1e-12
 
     def test_step_halving_self_convergence(self):
@@ -368,6 +399,26 @@ class TestRunInvariants:
         assert res.blowup is None
         assert all(v == 0.0 for _, v in res.series["u_l2"].entries)
         assert all(v == 0.0 for _, v in res.series["v_dt"].entries)
+
+    @pytest.mark.parametrize("times", [[5.0, -1.0], [-1.0], [3.5], [math.nan]])
+    def test_out_of_range_observer_times_rejected(self, times):
+        grid = GridSpec(1, 64, 20.0)
+        snaps = Snapshots(times)
+        with pytest.raises(ValueError, match="observer times must lie in"):
+            run(grid, make_data(), PARAMS, 3.0, [3.0], observers=[snaps])
+        assert snaps.fields == []
+
+    def test_observers_called_at_their_times_until_blowup(self):
+        # amplitude 3 blows up near t = 3.4 (see TestBlowupPastValidity)
+        grid = GridSpec(1, 256, 20.0)
+        params = SystemParams(1, 1.0, 1.0, 2.0, 2.0)
+        g = GaussianProfile(3.0, 1.0)
+        early, late = Snapshots([0.0, 1.0, 2.0, 3.0]), Snapshots([2.5, 5.0, 8.0])
+        res = run(grid, make_data(u1=g, v1=g), params, 10.0, [10.0],
+                  observers=[early, late])
+        assert 3.0 < res.blowup["time"] < 5.0
+        assert [t for t, _, _ in early.fields] == [0.0, 1.0, 2.0, 3.0]
+        assert [t for t, _, _ in late.fields] == [2.5]
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0])
     def test_nonpositive_threshold_rejected(self, threshold):
@@ -522,6 +573,13 @@ class TestDetectBlowup:
         state = self.make_state()
         state.v_hat[3] = np.nan
         assert detect_blowup(state, 1e6)
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+    def test_invalid_threshold_rejected(self, threshold):
+        state = self.make_state()
+        state.u_hat *= 1e12
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            detect_blowup(state, threshold)
 
 
 class TestDefaultDt:
