@@ -146,83 +146,55 @@ def _rec(identifier: str, holds: bool, lhs: Fraction | float, rhs: Fraction | fl
     return ConditionReport(identifier, bool(holds), float(lhs), float(rhs))
 
 
+def _family(tag: str, n: Fraction, sa: Fraction, sb: Fraction, a: Fraction,
+            b: Fraction, names: tuple[str, str]) -> list[ConditionReport]:
+    """The records of one theorem family: the first theorem's with orders
+    (sa, sb) = (sigma1, sigma2) and powers (a, b) = (p, q) named ``names``,
+    the second's with (sigma2, sigma1, q, p).  The GN block is sorted by
+    identifier; its upper bounds n/(n - 2*sigma) all have n > 2*sigma.
+    """
+    two = Fraction(2)
+    if _le(n, 2 * sb):
+        branch, uppers = "A1", {}
+    elif _le(n, 2 * sa):
+        branch, uppers = "A2", {names[0]: sb}
+    elif _le(n, 4 * sb):
+        branch, uppers = "A3", {names[0]: sb, names[1]: sa}
+    else:
+        branch = None
+    records = []
+    if branch is None:
+        records.append(_rec(f"GN{tag}.range", False, n, max(2 * sa, 4 * sb)))
+    else:
+        for name, value in sorted(zip(names, (a, b))):
+            ident = f"GN{tag}{branch}.{name}"
+            records.append(_rec(f"{ident}_lower", _le(two, value), value, two))
+            if name in uppers:
+                upper = n / (n - 2 * uppers[name])
+                records.append(_rec(f"{ident}_upper", _le(value, upper), value, upper))
+
+    exp = f"exponent{tag}"
+    lhs = (1 + b) / ((b - 1) * (sb / sa - 1) + a * b - 1)
+    bound_a, bound_b = 1 + 2 * sb / n, 1 + 2 * sa / n
+    records += [
+        _rec(f"{exp}A1", _lt(lhs, n / (2 * sb)), lhs, n / (2 * sb)),
+        _rec(f"{exp}A2.{names[0]}", _le(a, bound_a), a, bound_a),
+        _rec(f"{exp}A2.order", _le(bound_a, bound_b), bound_a, bound_b),
+        _rec(f"{exp}A2.{names[1]}", _lt(bound_b, b), bound_b, b),
+    ]
+    return records
+
+
 def check_conditions(params: SystemParams) -> list[ConditionReport]:
     """Evaluate every admissibility inequality of both theorem families.
 
     Returns one record per elementary inequality; compound conditions are
     split into suffixed sub-records (``.p_lower``, ``.order`` and so on).
-    Upper bounds of the form n/(n - 2*sigma) are +inf when n <= 2*sigma.
     """
-    n = _frac(params.n)
-    s1 = _frac(params.sigma1)
-    s2 = _frac(params.sigma2)
-    p = _frac(params.p)
-    q = _frac(params.q)
-    two = Fraction(2)
-
-    records: list[ConditionReport] = []
-
-    def p_upper() -> Fraction | float:
-        # n/(n - 2*sigma2), +inf when n <= 2*sigma2
-        return n / (n - 2 * s2) if _cmp(n, 2 * s2) > 0 else math.inf
-
-    def q_upper() -> Fraction | float:
-        return n / (n - 2 * s1) if _cmp(n, 2 * s1) > 0 else math.inf
-
-    def bound_rec(ident: str, value: Fraction, upper: Fraction | float) -> ConditionReport:
-        if upper is math.inf:
-            return _rec(ident, True, value, math.inf)
-        return _rec(ident, _le(value, upper), value, upper)
-
-    # -- family of the first theorem (sigma1 >= sigma2) ------------------
-    if _le(n, 2 * s2):
-        records.append(_rec("GN11A1.p_lower", _le(two, p), p, two))
-        records.append(_rec("GN11A1.q_lower", _le(two, q), q, two))
-    elif _le(n, 2 * s1):
-        records.append(_rec("GN11A2.p_lower", _le(two, p), p, two))
-        records.append(bound_rec("GN11A2.p_upper", p, p_upper()))
-        records.append(_rec("GN11A2.q_lower", _le(two, q), q, two))
-    elif _le(n, 4 * s2):
-        records.append(_rec("GN11A3.p_lower", _le(two, p), p, two))
-        records.append(bound_rec("GN11A3.p_upper", p, p_upper()))
-        records.append(_rec("GN11A3.q_lower", _le(two, q), q, two))
-        records.append(bound_rec("GN11A3.q_upper", q, q_upper()))
-    else:
-        records.append(_rec("GN11.range", False, n, max(2 * s1, 4 * s2)))
-
-    denom11 = (q - 1) * (s2 / s1 - 1) + p * q - 1
-    records.append(_rec("exponent11A1", _lt((1 + q) / denom11, n / (2 * s2)),
-                        (1 + q) / denom11, n / (2 * s2)))
-    records.append(_rec("exponent11A2.p", _le(p, 1 + 2 * s2 / n), p, 1 + 2 * s2 / n))
-    records.append(_rec("exponent11A2.order", _le(1 + 2 * s2 / n, 1 + 2 * s1 / n),
-                        1 + 2 * s2 / n, 1 + 2 * s1 / n))
-    records.append(_rec("exponent11A2.q", _lt(1 + 2 * s1 / n, q), 1 + 2 * s1 / n, q))
-
-    # -- family of the second theorem (sigma2 >= sigma1) -----------------
-    if _le(n, 2 * s1):
-        records.append(_rec("GN12A1.p_lower", _le(two, p), p, two))
-        records.append(_rec("GN12A1.q_lower", _le(two, q), q, two))
-    elif _le(n, 2 * s2):
-        records.append(_rec("GN12A2.p_lower", _le(two, p), p, two))
-        records.append(bound_rec("GN12A2.p_upper", p, p_upper()))
-        records.append(_rec("GN12A2.q_lower", _le(two, q), q, two))
-    elif _le(n, 4 * s1):
-        records.append(_rec("GN12A3.p_lower", _le(two, p), p, two))
-        records.append(bound_rec("GN12A3.p_upper", p, p_upper()))
-        records.append(_rec("GN12A3.q_lower", _le(two, q), q, two))
-        records.append(bound_rec("GN12A3.q_upper", q, q_upper()))
-    else:
-        records.append(_rec("GN12.range", False, n, max(2 * s2, 4 * s1)))
-
-    denom12 = (p - 1) * (s1 / s2 - 1) + p * q - 1
-    records.append(_rec("exponent12A1", _lt((1 + p) / denom12, n / (2 * s1)),
-                        (1 + p) / denom12, n / (2 * s1)))
-    records.append(_rec("exponent12A2.q", _le(q, 1 + 2 * s1 / n), q, 1 + 2 * s1 / n))
-    records.append(_rec("exponent12A2.order", _le(1 + 2 * s1 / n, 1 + 2 * s2 / n),
-                        1 + 2 * s1 / n, 1 + 2 * s2 / n))
-    records.append(_rec("exponent12A2.p", _lt(1 + 2 * s2 / n, p), 1 + 2 * s2 / n, p))
-
-    return records
+    n, s1, s2, p, q = (_frac(x) for x in (params.n, params.sigma1, params.sigma2,
+                                          params.p, params.q))
+    return (_family("11", n, s1, s2, p, q, ("p", "q"))
+            + _family("12", n, s2, s1, q, p, ("q", "p")))
 
 
 def blowup_condition(params: SystemParams) -> ConditionReport:

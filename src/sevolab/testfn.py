@@ -567,7 +567,7 @@ class Functionals:
         self.specs = tuple(specs)
         self.times = sorted(float(t) for t in times)
         self._lam = 2.0 * max(_conjugate(params.p), _conjugate(params.q))
-        radius = grid.corner(grid.radius())
+        radius = grid.radius()
         integer = abs(params.sigma1 - round(params.sigma1)) < 1e-9
         cutoffs = [compact_cutoff(radius / spec.R, self._lam) if integer
                    else (1.0 + (radius / spec.R) ** 2) ** (-spec.r / 2.0)

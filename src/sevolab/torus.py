@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -59,7 +58,8 @@ class ProfileTooWideError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic box [-L, L)^n sampled with a power-of-two grid per dimension."""
+    """Periodic box [-L, L)^n sampled with a power-of-two grid per dimension;
+    its arrays cover the corner only, and :meth:`unfold` is the full-grid view."""
 
     n_dim: int
     points_per_dim: int
@@ -91,31 +91,25 @@ class GridSpec:
         return math.pi / self.dx
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.points_per_dim,) * self.n_dim
-
-    @property
     def corner_shape(self) -> tuple[int, ...]:
         """Samples per axis of the corner [-L, 0]^n: indices 0..N/2."""
         return (self.points_per_dim // 2 + 1,) * self.n_dim
 
-    def axes(self) -> list[np.ndarray]:
-        x = -self.half_length + self.dx * np.arange(self.points_per_dim)
-        return [x] * self.n_dim
-
-    def mesh(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*self.axes(), indexing="ij"))
+    def _corner_norm(self, axis: np.ndarray) -> np.ndarray:
+        """sqrt(a_j**2 + a_k**2 + ...) at each corner point from the values a
+        of one axis, the squares summed in axis order as a meshgrid sum is."""
+        return np.sqrt(functools.reduce(np.add.outer, [axis * axis] * self.n_dim))
 
     def radius(self) -> np.ndarray:
-        m = self.mesh()
-        return np.sqrt(sum(c * c for c in m))
+        """|x| at the corner samples x_j = -L + dx*j, j = 0..N/2."""
+        j = np.arange(self.corner_shape[0])
+        return self._corner_norm(-self.half_length + self.dx * j)
 
     def xi_mag(self) -> np.ndarray:
-        """|xi| on the full FFT grid."""
-        xi = 2.0 * math.pi * np.fft.fftfreq(self.points_per_dim, d=self.dx)
-        axes = [xi] * self.n_dim
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.sqrt(sum(g * g for g in grids))
+        """|xi| at the corner frequencies xi_k = 2*pi*k/(N*dx), k = 0..N/2."""
+        k = np.arange(self.corner_shape[0])
+        df = 1.0 / (self.points_per_dim * self.dx)
+        return self._corner_norm(2.0 * math.pi * (k * df))
 
     def to_physical(self, w_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Corner samples of the field(s) with corner coefficients ``w_hat``
@@ -128,10 +122,6 @@ class GridSpec:
         """Corner coefficients of corner samples (trailing n_dim axes)."""
         return scipy.fft.dctn(w, type=1, axes=range(-self.n_dim, 0),
                               overwrite_x=overwrite)
-
-    def corner(self, w: np.ndarray) -> np.ndarray:
-        """The corner of full-grid field(s) (trailing n_dim axes), a view."""
-        return w[(..., *[slice(0, self.corner_shape[0])] * self.n_dim)]
 
     def unfold(self, w: np.ndarray) -> np.ndarray:
         """Full-grid field(s) of corner samples, reflected j -> N - j on each
@@ -148,7 +138,7 @@ def corner_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """|xi| at the corner frequencies [0, N/2]^n and the multiplicity of each
     bin: the product over axes of 1 on the zero and N/2 planes, 2 elsewhere
     (read-only)."""
-    xi = np.ascontiguousarray(grid.corner(grid.xi_mag()))
+    xi = grid.xi_mag()
     axis = np.full(grid.corner_shape[0], 2.0)
     axis[[0, -1]] = 1.0
     mult = functools.reduce(np.multiply.outer, [axis] * grid.n_dim)
@@ -164,17 +154,6 @@ def _energy(fields, weight: np.ndarray) -> float:
         for f in fields:
             total += np.vdot(f, weight * f)
     return float(total)
-
-
-def _forcing_corner(grid: GridSpec, f) -> np.ndarray:
-    """The corner of a full-grid forcing field; ValueError unless the field is
-    reflection-symmetric to 1e-12 relative, as the corner state assumes."""
-    f = np.broadcast_to(np.asarray(f, dtype=float), grid.shape)
-    corner = grid.corner(f)
-    if np.max(np.abs(f - grid.unfold(corner))) > 1e-12 * np.max(np.abs(f)):
-        raise ValueError("forcing must be even in each coordinate "
-                         "(reflection-symmetric about the origin)")
-    return corner
 
 
 @dataclass(frozen=True)
@@ -286,7 +265,7 @@ def check_profile_widths(grid: GridSpec, data: InitialData) -> None:
 def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralState:
     """Spectral state at t = 0 sampling the data profiles on the corner."""
     check_profile_widths(grid, data)
-    r = grid.corner(grid.radius())
+    r = grid.radius()
     phys = np.zeros((4, *grid.corner_shape))
     for row, prof in zip(phys, (data.u0, data.v0, data.u1, data.v1)):
         if prof is not None:
@@ -309,6 +288,8 @@ class _StepKernel:
     else ``(2, *corner_shape)`` with the u row first.  Record intervals are
     visited in order, so the main dt stays resident and only the final,
     shorter step of each interval is rebuilt.  ``builds`` counts the step sizes built.
+    An entry is evicted after its successor is built, so MAX_ENTRIES + 1 are
+    alive during a build.
     """
 
     MAX_ENTRIES = 2
@@ -317,11 +298,17 @@ class _StepKernel:
         sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
         self.mu = np.stack([_mu(grid, s) for s in sigmas])
         self.mult = corner_grid(grid)[1]
-        self._entries: OrderedDict[float, tuple] = OrderedDict()
-        self.builds = 0
+        #: (tables, weights) of step dt; built over mu, not self, so that a
+        #: kernel holds no reference cycle and is freed when its run ends
+        self.get = functools.lru_cache(maxsize=self.MAX_ENTRIES)(
+            functools.partial(self._build, self.mu))
         #: a temporary of the stack's shape; each step overwrites it, and a
         #: row of it is the work space of |.|**e while a coupling is evaluated
         self.tmp = np.empty((2, *grid.corner_shape))
+
+    @property
+    def builds(self) -> int:
+        return self.get.cache_info().misses
 
     @functools.cached_property
     def coupling_buffers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -330,20 +317,13 @@ class _StepKernel:
         never touch them."""
         return np.empty_like(self.tmp), np.empty_like(self.tmp)
 
-    def get(self, dt: float) -> tuple[tuple, tuple]:
+    @staticmethod
+    def _build(mu: np.ndarray, dt: float) -> tuple[tuple, tuple]:
         """(tables, weights) of step dt: the ``propagator_arrays`` table and
         (A - B, B, Ad - Bd, Bd) of :func:`duhamel_weights`."""
-        entry = self._entries.get(dt)
-        if entry is not None:
-            self._entries.move_to_end(dt)
-            return entry
-        while len(self._entries) >= self.MAX_ENTRIES:
-            self._entries.popitem(last=False)
-        tables = propagator_arrays(dt, self.mu)
-        A, B, Ad, Bd = duhamel_weights(dt, self.mu, tables)
-        entry = self._entries[dt] = (tables, (A - B, B, Ad - Bd, Bd))
-        self.builds += 1
-        return entry
+        tables = propagator_arrays(dt, mu)
+        A, B, Ad, Bd = duhamel_weights(dt, mu, tables)
+        return tables, (A - B, B, Ad - Bd, Bd)
 
 
 def _linear_fields(state: SpectralState, tables,
@@ -413,7 +393,9 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     The coupling is interpolated linearly in time between its value at the
     step start and at the exact-linear predictor of the step end.  Each
     coupling evaluation is one inverse and one forward transform of the
-    stacked (u, v) state.
+    stacked (u, v) state.  ``forcing`` = (fu, fv), either may be None: each
+    maps t to corner samples (values at ``grid.radius()``) added to the
+    source of the u or v equation.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -435,9 +417,9 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
         if forcing is not None:
             fu, fv = forcing
             if fu is not None:
-                phys[1] += _forcing_corner(grid, fu(t))
+                phys[1] += fu(t)
             if fv is not None:
-                phys[0] += _forcing_corner(grid, fv(t))
+                phys[0] += fv(t)
         return grid.to_spectral(phys, overwrite=True)[::-1]
 
     t0 = state.time

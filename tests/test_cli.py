@@ -47,6 +47,18 @@ class TestClassify:
         assert doc["rates"] is None
         assert doc["gamma2"] == pytest.approx(-0.75)
 
+    def test_mirror_branch_bounds_q(self, capsys):
+        # 2*sigma1 < n <= 2*sigma2: q <= n/(n - 2*sigma1) = 3, which q = 6 breaks
+        code, out, _ = run_cli(capsys, "classify", "--n", "3", "--sigma1", "1",
+                               "--sigma2", "1.5", "--p", "4", "--q", "6")
+        assert code == 0
+        gn = [c for c in json.loads(out)["conditions"]
+              if c["identifier"].startswith("GN12")]
+        assert [c["identifier"] for c in gn] == [
+            "GN12A2.p_lower", "GN12A2.q_lower", "GN12A2.q_upper"]
+        assert gn[2] == {"identifier": "GN12A2.q_upper", "holds": False,
+                         "lhs": 6.0, "rhs": 3.0}
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--n", "1")
         assert code == 1

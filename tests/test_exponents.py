@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -60,6 +61,26 @@ class TestCheckConditions:
         assert up.holds and up.rhs == pytest.approx(3.0)
         recs_fail = check_conditions(SystemParams(3, 2, 1, 3.5, 3))
         assert not record(recs_fail, "GN11A2.p_upper").holds
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_second_family_mirrors_the_first(self, n):
+        # swapping (sigma1, p) with (sigma2, q) maps family 11 onto family 12
+        def mirrored(identifier):
+            head, dot, tail = identifier.partition(".")
+            if tail[:1] in ("p", "q"):
+                tail = {"p": "q", "q": "p"}[tail[0]] + tail[1:]
+            return head.replace("11", "12") + dot + tail
+
+        def family(params, tag):
+            return [r for r in check_conditions(params)
+                    if tag in r.identifier.partition(".")[0]]
+
+        for s1, s2, p, q in itertools.product((1, 1.5, 2, 3), (1, 1.5, 2, 3),
+                                              (1.5, 2, 3, 5), (1.5, 2, 3, 5)):
+            fam11 = family(SystemParams(n, s1, s2, p, q), "11")
+            fam12 = family(SystemParams(n, s2, s1, q, p), "12")
+            assert ({mirrored(r.identifier): (r.holds, r.lhs, r.rhs) for r in fam11}
+                    == {r.identifier: (r.holds, r.lhs, r.rhs) for r in fam12})
 
     def test_out_of_range_dimension(self):
         recs = check_conditions(SystemParams(9, 1, 1, 2, 3))

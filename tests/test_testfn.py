@@ -336,7 +336,7 @@ def snapshot_functionals(snaps, grid, spec, params):
     T = spec.R ** (2.0 * params.sigma1)
     snaps = [s for s in snaps if s[0] <= T * (1.0 + 1e-9)]
     lam = 2.0 * max(params.p / (params.p - 1.0), params.q / (params.q - 1.0))
-    weight = compact_cutoff(grid.radius() / spec.R, lam)
+    weight = compact_cutoff(grid.unfold(grid.radius()) / spec.R, lam)
     t_arr = np.array([t for t, _, _ in snaps])
     eta_vals = np.array([eta(t / T, lam) for t in t_arr])
     i_vals = np.array([np.sum(np.abs(v) ** params.p * weight) * grid.dV

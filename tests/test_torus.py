@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sevolab.exponents import SystemParams
 from sevolab.multipliers import _propagator_scalar, duhamel_weights, propagator_arrays
 from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
+from sevolab.testfn import Functionals, TestFunctionSpec
 from sevolab.torus import (
     GridSpec,
     InitialData,
@@ -46,26 +48,31 @@ class Snapshots:
         self.fields.append((t, *state.grid.unfold(state.grid.to_physical(state.w))))
 
 
+def corner(grid, w):
+    """The corner (indices 0..N/2 of each axis) of a full-grid array."""
+    return w[(slice(0, grid.points_per_dim // 2 + 1),) * grid.n_dim]
+
+
 def rfftn_corner(grid, f):
     """Bins [0, N/2]^n of the rfftn half spectrum of a full-grid field."""
-    return grid.corner(np.fft.rfftn(f))
+    return corner(grid, np.fft.rfftn(f))
 
 
 def rfftn_reference_step(grid, data, params, dt):
     """One coupled step of the full-grid rfftn half spectrum, each field on
     its own with np.power; returns the corner bins of (u, ut, v, vt)."""
-    r = grid.radius()
+    r = grid.unfold(grid.radius())
     u, ut, v, vt = (np.fft.rfftn(prof.value(r)) for prof in (data.u0, data.u1,
                                                              data.v0, data.v1))
 
     def phys(f):
-        return np.fft.irfftn(f, s=grid.shape, axes=range(grid.n_dim))
+        return np.fft.irfftn(f, s=r.shape, axes=range(grid.n_dim))
 
     def coupling(u, v):
         return (np.fft.rfftn(np.power(np.abs(phys(v)), params.p)),
                 np.fft.rfftn(np.power(np.abs(phys(u)), params.q)))
 
-    xi_half = grid.xi_mag()[..., :grid.points_per_dim // 2 + 1]
+    xi_half = grid.unfold(grid.xi_mag())[..., :grid.points_per_dim // 2 + 1]
     ops = []
     for sigma in (params.sigma1, params.sigma2):
         mu = xi_half ** (2.0 * sigma)
@@ -77,8 +84,8 @@ def rfftn_reference_step(grid, data, params, dt):
     end = coupling(linear[0][0], linear[1][0])
     expected = []
     for (_, (A, B, Ad, Bd)), (w, wt), n0, n1 in zip(ops, linear, start, end):
-        expected += [grid.corner(w + (A - B) * n0 + B * n1),
-                     grid.corner(wt + (Ad - Bd) * n0 + Bd * n1)]
+        expected += [corner(grid, w + (A - B) * n0 + B * n1),
+                     corner(grid, wt + (Ad - Bd) * n0 + Bd * n1)]
     return expected
 
 
@@ -95,6 +102,15 @@ class TestGridSpec:
         grid = GridSpec(1, 64, 20.0)
         xi = np.sort(np.unique(grid.xi_mag()))
         assert xi[1] == pytest.approx(math.pi / 20.0)
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_corner_arrays_match_full_grid_construction(self, n_dim):
+        grid = GridSpec(n_dim, 32, 7.3)
+        x = -grid.half_length + grid.dx * np.arange(32)
+        xi = 2.0 * math.pi * np.fft.fftfreq(32, d=grid.dx)
+        for got, axis in ((grid.radius(), x), (grid.xi_mag(), xi)):
+            full = np.sqrt(sum(c * c for c in np.meshgrid(*[axis] * n_dim, indexing="ij")))
+            assert np.array_equal(got, corner(grid, full))
 
     def test_t_valid_window(self):
         grid = GridSpec(1, 4096, 200.0)
@@ -138,7 +154,7 @@ class TestInit:
         grid = GridSpec(n_dim, npts, 10.0)
         g, h = GaussianProfile(0.8, 1.2), GaussianProfile(-0.4, 0.9)
         state = init(grid, make_data(u0=g, v1=h, n=n_dim), PARAMS)
-        r = grid.radius()
+        r = grid.unfold(grid.radius())
         assert state.w.shape == state.wt.shape == (2, *grid.corner_shape)
         for got, prof in ((state.u_hat, g), (state.vt_hat, h)):
             ref = rfftn_corner(grid, prof.value(r))
@@ -149,8 +165,41 @@ class TestInit:
         g = GaussianProfile(0.8, 1.2)
         state = init(grid, make_data(v0=g), PARAMS)
         recovered = np.fft.irfftn(state.v_hat, s=(256,), axes=(0,))
-        sampled = g.value(np.abs(grid.axes()[0]))
+        sampled = g.value(grid.unfold(grid.radius()))
         assert np.max(np.abs(recovered - sampled)) < 1e-10
+
+
+class TestCornerMemory:
+    # a 64^3 corner is 33^3 samples, 0.29 MiB per field, and a full-grid
+    # array 2 MiB: building a state, the corner tables or a functional
+    # observer never goes through the full grid
+    GRID = GridSpec(3, 64, 12.0)
+    PARAMS = SystemParams(3, 1.0, 1.0, 3.0, 3.0)
+    LIMIT = 3 * 2**20
+
+    @staticmethod
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_init(self):
+        g = GaussianProfile(0.5, 1.0)
+        data = make_data(u0=g, u1=g, v0=g, v1=g, n=3)
+        assert self.peak(lambda: init(self.GRID, data, self.PARAMS)) <= self.LIMIT
+
+    def test_corner_grid(self):
+        corner_grid.cache_clear()
+        assert self.peak(lambda: corner_grid(self.GRID)) <= self.LIMIT
+
+    def test_functionals(self):
+        corner_grid.cache_clear()
+        spec = TestFunctionSpec(gamma=1.0, r=3.0, R=4.0)
+        assert self.peak(lambda: Functionals(self.GRID, self.PARAMS, [spec], [0.5, 1.0])) \
+            <= self.LIMIT
 
 
 class TestLinearStep:
@@ -220,9 +269,8 @@ class TestDuhamelStep:
         state = init(grid, make_data(), PARAMS)
         k_index = 5
         xi5 = 2 * math.pi * np.fft.fftfreq(128, d=grid.dx)[k_index]
-        x = grid.axes()[0]
         amp = 0.3
-        force = amp * np.cos(xi5 * x)
+        force = amp * np.cos(xi5 * grid.radius())  # corner samples
 
         dt = 0.17
         stepped = duhamel_step(state, dt, PARAMS.p, PARAMS.q,
@@ -230,7 +278,7 @@ class TestDuhamelStep:
         mu = xi5 ** 2
         oracle_weight, _ = quad(lambda s: _propagator_scalar(s, mu)[1], 0, dt,
                                 epsabs=1e-16, epsrel=1e-13)
-        force_hat = np.fft.fftn(force)
+        force_hat = np.fft.fftn(grid.unfold(force))
         expected = force_hat[k_index] * oracle_weight
         assert stepped.u_hat[k_index] == pytest.approx(expected, rel=1e-10)
         # derivative channel gets k1(dt) as its weight
@@ -241,8 +289,8 @@ class TestDuhamelStep:
         # exact solution u* = exp(-t) g(x), v* = 0, via compensating forcing
         grid = GridSpec(1, 256, 30.0)
         g = GaussianProfile(0.1, 2.0)
-        gx = g.value(np.abs(grid.axes()[0]))
-        lap_g = np.fft.ifftn(grid.xi_mag() ** 2 * np.fft.fftn(gx)).real
+        gx = g.value(grid.radius())  # corner samples, as the forcing returns
+        lap_g = grid.to_physical(grid.xi_mag() ** 2 * grid.to_spectral(gx))
 
         data = make_data(u0=g, u1=GaussianProfile(-0.1, 2.0))
         q = PARAMS.q
@@ -260,7 +308,7 @@ class TestDuhamelStep:
             run(grid, data, PARAMS, 1.0, [1.0], dt=dt, observers=[snaps],
                 forcing=(fu, fv))
             u_num = snaps.fields[0][1]
-            err = np.max(np.abs(u_num - math.exp(-1.0) * gx))
+            err = np.max(np.abs(u_num - math.exp(-1.0) * grid.unfold(gx)))
             errors.append(err)
         order1 = math.log2(errors[0] / errors[1])
         order2 = math.log2(errors[1] / errors[2])
@@ -292,15 +340,16 @@ class TestDuhamelStep:
             assert got.shape == grid.corner_shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_asymmetric_forcing_rejected(self):
+    def test_full_grid_forcing_rejected(self):
+        # forcing returns corner samples; a full-grid field cannot broadcast
         grid = GridSpec(2, 32, 8.0)
         params = SystemParams(2, 1.0, 1.0, 3.0, 3.0)
         state = init(grid, make_data(u0=GaussianProfile(0.5, 1.0), n=2), params)
-        x, _ = grid.mesh()
-        shifted = np.exp(-(x - 1.0) ** 2)  # centred off the origin
-        with pytest.raises(ValueError, match="reflection-symmetric"):
-            duhamel_step(state, 0.1, params.p, params.q, forcing=(None, lambda t: shifted))
-        even = np.exp(-x ** 2)
+        even = np.exp(-grid.radius() ** 2)
+        full = grid.unfold(even)
+        for forcing in ((None, lambda t: full), (lambda t: full, None)):
+            with pytest.raises(ValueError):
+                duhamel_step(state, 0.1, params.p, params.q, forcing=forcing)
         duhamel_step(state, 0.1, params.p, params.q, forcing=(None, lambda t: even))
 
     def test_one_step_makes_four_transforms(self, monkeypatch):
@@ -366,11 +415,11 @@ class TestRunInvariants:
         assert len(snaps.fields) == 2
         for _, u, v in snaps.fields:
             for f in (u, v):
-                assert f.shape == grid.shape
+                assert f.shape == (32, 32)
                 for axis in (0, 1):
                     assert np.array_equal(f, np.roll(np.flip(f, axis), 1, axis))
         _, u0, _ = snaps.fields[0]
-        assert np.max(np.abs(u0 - g.value(grid.radius()))) < 1e-12
+        assert np.max(np.abs(u0 - g.value(grid.unfold(grid.radius())))) < 1e-12
 
     def test_step_halving_self_convergence(self):
         grid = GridSpec(1, 256, 30.0)
@@ -459,7 +508,7 @@ class TestStepKernel:
         for final in (0.011, 0.023, 0.037, 0.041):
             for dt in (main, main, final):
                 kernel.get(dt)
-                assert len(kernel._entries) <= 2
+                assert kernel.get.cache_info().currsize <= 2
         assert kernel.builds == 5  # the main dt once, each final dt once
         entry = kernel.get(main)
         assert kernel.builds == 5
@@ -550,7 +599,8 @@ class TestSixNorms:
         assert norms["u_l2"] == pytest.approx(math.sqrt(grid.dV * np.sum(full**2)),
                                               rel=1e-13)
         full_hat = np.fft.fftn(full)
-        dsigma = grid.dV / grid.n_total * np.sum(grid.xi_mag() ** 2 * np.abs(full_hat) ** 2)
+        xi = grid.unfold(grid.xi_mag())
+        dsigma = grid.dV / grid.n_total * np.sum(xi ** 2 * np.abs(full_hat) ** 2)
         assert norms["u_dsigma"] == pytest.approx(math.sqrt(dsigma), rel=1e-13)
 
 
