@@ -79,12 +79,12 @@ class SystemParams:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.sigma1 < 1 or self.sigma2 < 1:
-            raise ValueError("sigma1 and sigma2 must be >= 1")
-        if self.p <= 1 or self.q <= 1:
-            raise ValueError("p and q must be > 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (1 <= self.sigma1 < math.inf and 1 <= self.sigma2 < math.inf):
+            raise ValueError("sigma1 and sigma2 must be finite and >= 1")
+        if not (1 < self.p < math.inf and 1 < self.q < math.inf):
+            raise ValueError("p and q must be finite and > 1")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and positive")
 
     @property
     def sigma_min(self) -> float:

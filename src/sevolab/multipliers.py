@@ -6,21 +6,23 @@ On the frequency side the linear equation reduces, mode by mode, to
 
 whose solution map is encoded by two multipliers: k0 propagates the initial
 value and k1 the initial velocity.  The discriminant d = 1 - 4*mu separates
-an overdamped branch (d > 0), a double root (d = 0) and an oscillatory
-branch (d < 0).  All three are evaluated here in real arithmetic through
-sinhc/sinc forms that stay accurate across the seam and never overflow:
+real roots (d >= 0, the double root d = 0 included) from complex ones
+(d < 0), and each root type has one closed form in real arithmetic:
 
-    d >= 0:  b = sqrt(d)/2
-             k1 = exp(-t/2) * t * sinhc(b*t)
-             k0 = exp(-t/2) * cosh(b*t) + k1/2
+    d >= 0:  sq = sqrt(d),  lam1 = -2*mu/(1 + sq),  e1 = exp(lam1*t)
+             k1 = e1 * t * g(sq*t),   g(x) = -expm1(-x)/x,  g(0) = 1
+             k0 = e1 - lam1*k1
     d <  0:  om = sqrt(-d)/2
              k1 = exp(-t/2) * t * sinc(om*t)
              k0 = exp(-t/2) * cos(om*t) + k1/2
 
-For b*t large the cosh form would overflow, so the overdamped branch
-switches to the difference form in exp(lam1*t), exp(lam2*t) with
-lam1 = -2*mu/(1 + sqrt(d)) evaluated cancellation-free.  The time
-derivatives follow algebraically: dk0 = -mu*k1 and dk1 = k0 - k1.
+The first is k1 = (exp(lam1*t) - exp(lam2*t))/sq with exp(lam1*t) taken
+out, so it needs neither a switch between forms nor a small-argument
+series: e1 <= 1 and g <= 1, so nothing overflows; lam1 is formed without
+a difference and both terms of k0 are >= 0, so nothing cancels; and g(x)
+and sin(x)/x are accurate down to the smallest x, so x = 0 is the one
+point that needs a guard.  The time derivatives follow algebraically:
+dk0 = -mu*k1 and dk1 = k0 - k1.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: b*t below this uses the cosh/sinhc form, above the exponential-difference form
-_FORM_SWITCH = 0.5
-#: |x| below this evaluates sinh(x)/x by series
-_SINHC_SERIES = 1e-4
 #: mu*dt**2 below this (mu, when dt > 1) takes the series branch of
 #: duhamel_weights; above it the closed forms lose at most ~3e-13 relative
 _SMALL_MU_DT2 = 0.1
@@ -60,8 +58,8 @@ class PropagatorValue:
 
 def roots(xi_mag: float, sigma: float) -> CharacteristicRoots:
     """Characteristic roots lam_{1,2} = (-1 +- sqrt(1 - 4*|xi|**(2*sigma)))/2."""
-    if xi_mag < 0:
-        raise ValueError("xi_mag must be >= 0")
+    if not 0.0 <= xi_mag < math.inf:
+        raise ValueError("xi_mag must be finite and >= 0")
     mu = float(xi_mag) ** (2.0 * sigma)
     d = 1.0 - 4.0 * mu
     if d >= 0.0:
@@ -72,114 +70,64 @@ def roots(xi_mag: float, sigma: float) -> CharacteristicRoots:
     return CharacteristicRoots(complex(-0.5, om), complex(-0.5, -om))
 
 
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, series near zero, equal to 1 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < _SINHC_SERIES
-    xs = x[small]
-    out[small] = 1.0 + xs * xs / 6.0 + xs**4 / 120.0
-    xl = x[~small]
-    out[~small] = np.sinh(xl) / xl
-    return out
-
-
 def propagator_arrays(t: float, mu: np.ndarray):
     """Vectorised multiplier tables (k0, k1, dk0, dk1) for mu = |xi|**(2*sigma).
 
-    t is a scalar >= 0; mu an array of nonnegative symbol values.
+    t is a finite scalar >= 0; mu an array of nonnegative symbol values.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
     mu = np.asarray(mu, dtype=float)
     k0 = np.empty_like(mu)
     k1 = np.empty_like(mu)
-
     d = 1.0 - 4.0 * mu
-    over = d >= 0.0
+    real = d >= 0.0
 
-    if np.any(over):
-        dm = d[over]
-        mum = mu[over]
-        sq = np.sqrt(dm)
-        b = sq / 2.0
-        bt = b * t
-        lam1 = -2.0 * mum / (1.0 + sq)
-        lam2 = -1.0 - lam1
+    sq = np.sqrt(d[real])
+    lam1 = -2.0 * mu[real] / (1.0 + sq)
+    e1 = np.exp(lam1 * t)
+    x = sq * t
+    g = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)
+    k1r = e1 * t * g
+    k1[real] = k1r
+    k0[real] = e1 - lam1 * k1r
 
-        k0o = np.empty_like(dm)
-        k1o = np.empty_like(dm)
-
-        near = bt <= _FORM_SWITCH
-        if np.any(near):
-            env = math.exp(-t / 2.0)
-            btn = bt[near]
-            k1n = env * t * _sinhc(btn)
-            k1o[near] = k1n
-            k0o[near] = env * np.cosh(btn) + 0.5 * k1n
-        far = ~near
-        if np.any(far):
-            e1 = np.exp(lam1[far] * t)
-            e2 = np.exp(lam2[far] * t)
-            sqf = sq[far]
-            k1o[far] = (e1 - e2) / sqf
-            k0o[far] = (lam1[far] * e2 - lam2[far] * e1) / sqf
-        k0[over] = k0o
-        k1[over] = k1o
-
-    osc = ~over
-    if np.any(osc):
-        om = np.sqrt(-d[osc]) / 2.0
-        env = math.exp(-t / 2.0)
-        k1x = env * t * np.sinc(om * t / math.pi)
-        k1[osc] = k1x
-        k0[osc] = env * np.cos(om * t) + 0.5 * k1x
-
-    dk0 = -mu * k1
-    dk1 = k0 - k1
-    return k0, k1, dk0, dk1
+    cplx = ~real
+    om = np.sqrt(-d[cplx]) / 2.0
+    env = math.exp(-t / 2.0)
+    k1c = env * t * np.sinc(om * t / math.pi)
+    k1[cplx] = k1c
+    k0[cplx] = env * np.cos(om * t) + 0.5 * k1c
+    return k0, k1, -mu * k1, k0 - k1
 
 
 def _propagator_scalar(t: float, mu: float) -> tuple[float, float, float, float]:
-    """Pure-float twin of :func:`propagator_arrays` for quadrature inner loops."""
+    """Pure-float twin of :func:`propagator_arrays`, line for line, for the
+    quadrature inner loops; tables built from it would cost over ten times more."""
     d = 1.0 - 4.0 * mu
     if d >= 0.0:
         sq = math.sqrt(d)
-        bt = sq * t / 2.0
         lam1 = -2.0 * mu / (1.0 + sq)
-        if bt <= _FORM_SWITCH:
-            env = math.exp(-t / 2.0)
-            if bt < _SINHC_SERIES:
-                shc = 1.0 + bt * bt / 6.0 + bt**4 / 120.0
-            else:
-                shc = math.sinh(bt) / bt
-            k1 = env * t * shc
-            k0 = env * math.cosh(bt) + 0.5 * k1
-        else:
-            lam2 = -1.0 - lam1
-            e1 = math.exp(lam1 * t)
-            e2 = math.exp(lam2 * t)
-            k1 = (e1 - e2) / sq
-            k0 = (lam1 * e2 - lam2 * e1) / sq
+        e1 = math.exp(lam1 * t)
+        x = sq * t
+        g = -math.expm1(-x) / x if x != 0.0 else 1.0
+        k1 = e1 * t * g
+        k0 = e1 - lam1 * k1
     else:
         om = math.sqrt(-d) / 2.0
         env = math.exp(-t / 2.0)
         x = om * t
-        if abs(x) < _SINHC_SERIES:
-            snc = 1.0 - x * x / 6.0 + x**4 / 120.0
-        else:
-            snc = math.sin(x) / x
-        k1 = env * t * snc
+        k1 = env * t * (math.sin(x) / x if x != 0.0 else 1.0)
         k0 = env * math.cos(x) + 0.5 * k1
     return k0, k1, -mu * k1, k0 - k1
 
 
 def propagator(t: float, xi_mag: float, sigma: float) -> PropagatorValue:
-    """Multiplier values at one (t, |xi|, sigma); exact for any t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if xi_mag < 0:
-        raise ValueError("xi_mag must be >= 0")
+    """Multiplier values at one (t, |xi|, sigma); exact for any finite t >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
+    if not 0.0 <= xi_mag < math.inf:
+        raise ValueError("xi_mag must be finite and >= 0")
     mu = float(xi_mag) ** (2.0 * sigma)
     k0, k1, dk0, dk1 = _propagator_scalar(float(t), mu)
     return PropagatorValue(k0, k1, dk0, dk1)
@@ -193,8 +141,8 @@ def propagation_matrix(t: float, xi_mag: float, sigma: float) -> np.ndarray:
 
 def ode_residual(t: float, xi_mag: float, sigma: float, h: float) -> float:
     """Centred-difference residual of the mode ODE; O(h**2) for the exact multiplier."""
-    if not (t >= h > 0):
-        raise ValueError("need t >= h > 0")
+    if not 0 < h <= t < math.inf:
+        raise ValueError("need finite t >= h > 0")
     mu = float(xi_mag) ** (2.0 * sigma)
     vm = _propagator_scalar(t - h, mu)
     v0 = _propagator_scalar(t, mu)
@@ -250,8 +198,8 @@ def duhamel_weights(dt: float, mu: np.ndarray, tables=None):
     mu -> 0, so modes with mu*dt**2 below _SMALL_MU_DT2 (mu below it when
     dt > 1) take the phi-function series of :func:`_phi_weights` instead.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
     mu = np.asarray(mu, dtype=float)
     if tables is None:
         tables = propagator_arrays(dt, mu)

@@ -71,8 +71,8 @@ def linear_norm(w0: Optional[GaussianProfile], w1: Optional[GaussianProfile],
     """
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
     if w0 is None and w1 is None:
         return 0.0
 

@@ -30,8 +30,10 @@ class GaussianProfile:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not 0 < self.width < math.inf:
+            raise ValueError("width must be finite and positive")
+        if not -math.inf < self.amplitude < math.inf:
+            raise ValueError("amplitude must be finite")
 
     def value(self, r):
         """Profile value at radius r (array friendly)."""

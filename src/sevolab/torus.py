@@ -71,8 +71,8 @@ class GridSpec:
         npts = self.points_per_dim
         if npts < 16 or npts & (npts - 1) != 0:
             raise ValueError("points_per_dim must be a power of two >= 16")
-        if self.half_length <= 0:
-            raise ValueError("half_length must be positive")
+        if not 0 < self.half_length < math.inf:
+            raise ValueError("half_length must be finite and positive")
 
     @property
     def dx(self) -> float:
@@ -351,8 +351,8 @@ def _stepped(state: SpectralState, w: np.ndarray, wt: np.ndarray, dt: float,
 def linear_step(state: SpectralState, dt: float,
                 kernel: Optional[_StepKernel] = None) -> SpectralState:
     """Advance the linear system exactly by dt (any dt > 0)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
     if kernel is None:
         kernel = _StepKernel(state.grid, state.sigma1, state.sigma2)
     w, wt = _linear_fields(state, kernel.get(dt)[0], kernel.tmp)
@@ -397,8 +397,8 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     maps t to corner samples (values at ``grid.radius()``) added to the
     source of the u or v equation.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
     grid = state.grid
     if kernel is None:
         kernel = _StepKernel(grid, state.sigma1, state.sigma2)
@@ -499,8 +499,8 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     ``config_echo`` holds dt, the threshold, the initial total norm and the
     deterministic counts ``steps`` and ``kernel_builds``.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be finite and positive")
     record_set = {float(t) for t in record_times}
     schedule = [(obs, {float(t) for t in obs.times}) for obs in observers]
     events = record_set.union({0.0, float(t_max)}, *(ts for _, ts in schedule))
@@ -508,8 +508,8 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
         raise ValueError("record_times and observer times must lie in [0, t_max]")
 
     dt_val = default_dt(grid, params) if dt == "auto" else float(dt)
-    if dt_val <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt_val < math.inf:
+        raise ValueError("dt must be finite and positive")
     if blowup_threshold != "auto" and not blowup_threshold > 0:
         raise ValueError("blowup_threshold must be positive")
 

@@ -90,6 +90,18 @@ class TestPropagator:
                 assert dk0[i] == pytest.approx(s[2], rel=1e-15, abs=1e-300)
                 assert dk1[i] == pytest.approx(s[3], rel=1e-15, abs=1e-300)
 
+    @pytest.mark.parametrize("t", [0.0, 1e-9, 0.0391, 0.5, 1.0, 3.0, 10.0, 40.0])
+    def test_determinant_identity(self, t):
+        # the propagation matrix has trace -1, so k0*dk1 - k1*dk0 = exp(-t);
+        # mu crosses the double root from both sides and spans [1e-12, 1e4]
+        seam = [0.25 + s * 10.0**-k for k in range(1, 17) for s in (1, -1)]
+        mus = np.array([0.0, 1e-300, 0.25, *seam, *np.logspace(-12, 4, 161)])
+        tables = np.array(propagator_arrays(t, mus))
+        for i, mu in enumerate(mus):
+            for k0, k1, dk0, dk1 in (tables[:, i], _propagator_scalar(t, float(mu))):
+                tol = 1e-15 * (1 + t * math.sqrt(mu)) * (k0**2 + abs(k0 * k1) + mu * k1**2)
+                assert abs(k0 * dk1 - k1 * dk0 - math.exp(-t)) <= tol, (t, mu)
+
     def test_seam_continuity(self):
         # multiplier values on both sides of the double root agree to 1e-6
         for t in (0.5, 2.0, 25.0):
