@@ -28,7 +28,6 @@ from .testfn import (
     fractional_laplacian_fourier,
     fractional_laplacian_gamma,
     integer_laplacian_bracket,
-    neg_laplacian_bracket,
 )
 from .torus import (
     GridSpec,

@@ -56,11 +56,18 @@ class PropagatorValue:
     dk1: float
 
 
-def roots(xi_mag: float, sigma: float) -> CharacteristicRoots:
-    """Characteristic roots lam_{1,2} = (-1 +- sqrt(1 - 4*|xi|**(2*sigma)))/2."""
+def _symbol(xi_mag: float, sigma: float) -> float:
+    """mu = |xi|**(2*sigma) for a finite |xi| >= 0 and a finite sigma > 0."""
     if not 0.0 <= xi_mag < math.inf:
         raise ValueError("xi_mag must be finite and >= 0")
-    mu = float(xi_mag) ** (2.0 * sigma)
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
+    return float(xi_mag) ** (2.0 * sigma)
+
+
+def roots(xi_mag: float, sigma: float) -> CharacteristicRoots:
+    """Characteristic roots lam_{1,2} = (-1 +- sqrt(1 - 4*|xi|**(2*sigma)))/2."""
+    mu = _symbol(xi_mag, sigma)
     d = 1.0 - 4.0 * mu
     if d >= 0.0:
         sq = math.sqrt(d)
@@ -126,9 +133,7 @@ def propagator(t: float, xi_mag: float, sigma: float) -> PropagatorValue:
     """Multiplier values at one (t, |xi|, sigma); exact for any finite t >= 0."""
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
-    if not 0.0 <= xi_mag < math.inf:
-        raise ValueError("xi_mag must be finite and >= 0")
-    mu = float(xi_mag) ** (2.0 * sigma)
+    mu = _symbol(xi_mag, sigma)
     k0, k1, dk0, dk1 = _propagator_scalar(float(t), mu)
     return PropagatorValue(k0, k1, dk0, dk1)
 
@@ -143,7 +148,7 @@ def ode_residual(t: float, xi_mag: float, sigma: float, h: float) -> float:
     """Centred-difference residual of the mode ODE; O(h**2) for the exact multiplier."""
     if not 0 < h <= t < math.inf:
         raise ValueError("need finite t >= h > 0")
-    mu = float(xi_mag) ** (2.0 * sigma)
+    mu = _symbol(xi_mag, sigma)
     vm = _propagator_scalar(t - h, mu)
     v0 = _propagator_scalar(t, mu)
     vp = _propagator_scalar(t + h, mu)

@@ -73,6 +73,8 @@ def linear_norm(w0: Optional[GaussianProfile], w1: Optional[GaussianProfile],
         raise ValueError("n must be 1, 2 or 3")
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
     if w0 is None and w1 is None:
         return 0.0
 

@@ -16,9 +16,9 @@ where S_f is the spherical sum of f over the radius-rho sphere centred at x
 the Fourier symbol |xi|**(2s).  A Bessel-K frequency-side evaluator provides
 an independent cross-check in one dimension.
 
-The time cutoff eta and the compactly supported space cutoff used for
-integer orders are powers of one fixed quintic transition that is exactly 1
-below 1/2 and exactly 0 above 1.
+One cutoff eta = chi**lam, chi a fixed quintic transition exactly 1 below
+1/2 and exactly 0 above 1, serves as the time cutoff at t/T and as the
+compactly supported space cutoff of integer orders at |x|/R.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from .torus import corner_grid
 
 __all__ = [
     "BracketCombo", "TestFunctionSpec", "FunctionalValues",
-    "neg_laplacian_bracket", "integer_laplacian_bracket",
+    "integer_laplacian_bracket",
     "fractional_laplacian_bracket", "fractional_laplacian_fourier",
     "fractional_laplacian_gamma", "eta", "eta_derivs", "eta_ratio_sup",
-    "smooth_cutoff", "compact_cutoff", "Functionals",
+    "Functionals",
     "envelope_ratio", "plancherel_pairing", "fd_neg_laplacian",
     "InsufficientSnapshotsError", "QuadratureFailure",
 ]
@@ -68,31 +68,15 @@ class BracketCombo:
         return sum(c * base ** (-ell / 2.0) for c, ell in self.terms)
 
     def neg_laplacian(self, n: int) -> "BracketCombo":
+        """-Lap of the combo in R^n by the one-step recursion, zero terms dropped."""
         merged: dict[float, float] = {}
         for c, ell in self.terms:
-            for cc, ee in _neg_lap_term(c, ell, n):
+            for cc, ee in ((c * ell * (n - ell - 2.0), ell + 2.0),
+                           (c * ell * (ell + 2.0), ell + 4.0)):
                 merged[ee] = merged.get(ee, 0.0) + cc
         terms = sorted(((c, e) for e, c in merged.items() if c != 0.0),
                        key=lambda item: item[1])
         return BracketCombo(tuple(terms))
-
-
-def _neg_lap_term(c: float, ell: float, n: int):
-    out = []
-    c1 = c * ell * (n - ell - 2.0)
-    if c1 != 0.0:
-        out.append((c1, ell + 2.0))
-    c2 = c * ell * (ell + 2.0)
-    if c2 != 0.0:
-        out.append((c2, ell + 4.0))
-    return out
-
-
-def neg_laplacian_bracket(ell: float, n: int) -> BracketCombo:
-    """-Lap <x>**(-l) as a two-term bracket combination."""
-    if ell <= 0:
-        raise ValueError("ell must be positive")
-    return BracketCombo(((1.0, float(ell)),)).neg_laplacian(n)
 
 
 def integer_laplacian_bracket(r: float, m: int, n: int) -> BracketCombo:
@@ -123,9 +107,9 @@ def frac_lap_normalization(n: int, s: float) -> float:
             / (math.pi ** (n / 2.0) * abs(gamma_fn(-s))))
 
 
-@lru_cache(maxsize=4)
-def _sphere_rule(n: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c, w): the npts-node Gauss-Legendre rule of the sphere integral in R^n,
+@lru_cache(maxsize=2)
+def _sphere_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, w): the 64-node Gauss-Legendre rule of the sphere integral in R^n,
     n = 2 or 3, about a radial point x >= 0,
 
         int_{S^{n-1}} f(|x + rho*omega|) domega = sum_j w_j f(sqrt(x**2 + rho**2 + 2*x*rho*c_j)),
@@ -133,7 +117,7 @@ def _sphere_rule(n: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     with the nodes in the polar angle theta in (0, pi) (c = cos theta) for
     n = 2 and in its cosine for n = 3.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     if n == 2:  # 2 * int_0^pi f dtheta
         return np.cos((nodes + 1.0) * (math.pi / 2.0)), weights * math.pi
     return nodes, weights * (2.0 * math.pi)  # 2*pi * int_{-1}^{1} f dmu
@@ -151,7 +135,7 @@ def _sphere_sum(combo: BracketCombo, x: float, n: int,
     """
     if n == 1:
         return lambda rho: combo.value(x + rho, scale) + combo.value(x - rho, scale)
-    cos, weights = _sphere_rule(n, 64)
+    cos, weights = _sphere_rule(n)
     powers = np.array([[-ell / 2.0] for _, ell in combo.terms])
     coef_weights = np.array([[c] for c, _ in combo.terms]) * weights
     s2 = scale * scale
@@ -235,36 +219,18 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
 # Fourier-side evaluator (independent cross-check, n = 1)
 # --------------------------------------------------------------------------
 
-def _transform_constants(ell: float) -> tuple[float, float, float]:
-    """(coef, nu, limit): the transform of <y>**(-l) at xi is
-    coef * xi**nu * K_nu(xi), and coef * limit below xi = 1e-8."""
-    if ell <= 1.0:
-        raise ValueError("bracket transform implemented for exponents > 1")
-    nu = (ell - 1.0) / 2.0
-    coef = math.sqrt(2.0 * math.pi) / (2.0 ** ((ell - 2.0) / 2.0) * gamma_fn(ell / 2.0))
-    return coef, nu, 2.0 ** (nu - 1.0) * gamma_fn(nu)
-
-
-def bracket_transform_1d(ell: float, xi) -> np.ndarray:
-    """Non-unitary transform of <y>**(-l) in 1D: closed Bessel-K form.
-
-    Requires l > 1 (below that the transform is singular at the origin).
-    xi**nu * K_nu(xi) tends to 2**(nu-1) Gamma(nu) as xi -> 0; switching to
-    that limit for tiny xi avoids the K_nu overflow.
-    """
-    coef, nu, limit = _transform_constants(ell)
-    xi = np.abs(np.asarray(xi, dtype=float))
-    out = np.full_like(xi, limit)
-    big = xi >= 1e-8
-    out[big] = xi[big] ** nu * kv(nu, xi[big])
-    return coef * out
-
-
 def _combo_transform(combo: BracketCombo, scale: float) -> Callable[[float], float]:
-    """xi -> sum_i c_i * scale * bracket_transform_1d(l_i, scale * xi) for
-    xi >= 0, the 1D transform of the combo at the given scale, in floats."""
-    terms = [(c * scale * coef, nu, limit) for c, ell in combo.terms
-             for coef, nu, limit in [_transform_constants(ell)]]
+    """xi -> the non-unitary 1D transform of the combo at the given scale, for
+    xi >= 0, in floats: each <y>**(-l), l > 1, gives coef * xi**nu * K_nu(xi)
+    with nu = (l-1)/2, and below xi = 1e-8 the limit 2**(nu-1) Gamma(nu) of
+    xi**nu * K_nu(xi) avoids the K_nu overflow."""
+    terms = []
+    for c, ell in combo.terms:
+        if ell <= 1.0:
+            raise ValueError("bracket transform implemented for exponents > 1")
+        nu = (ell - 1.0) / 2.0
+        coef = math.sqrt(2.0 * math.pi) / (2.0 ** ((ell - 2.0) / 2.0) * gamma_fn(ell / 2.0))
+        terms.append((c * scale * coef, nu, 2.0 ** (nu - 1.0) * gamma_fn(nu)))
 
     def fhat(xi: float) -> float:
         y = scale * xi
@@ -320,10 +286,10 @@ class TestFunctionSpec:
     theta: Optional[float] = None
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        if self.r <= 0 or self.R <= 0:
-            raise ValueError("r and R must be positive")
+        if not 1.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 1")
+        if not (0.0 < self.r < math.inf and 0.0 < self.R < math.inf):
+            raise ValueError("r and R must be finite and positive")
 
     @property
     def s(self) -> float:
@@ -376,61 +342,56 @@ def _chi(tau):
     return 1.0 - tau * tau * tau * (80.0 - tau * (240.0 - 192.0 * tau))
 
 
-def smooth_cutoff(t: float) -> tuple[float, float, float]:
-    """C^2 quintic transition chi: exactly 1 on [0,1/2], exactly 0 on [1,inf).
+def eta(x, lam: float):
+    """The cutoff chi(x)**lam: 1 on [0,1/2], decreasing, 0 beyond 1.
 
-    Returns (chi, chi', chi'').  On (1/2, 1), with tau = t - 1/2:
-        chi = 1 - 80 tau^3 + 240 tau^4 - 192 tau^5,
-    whose derivative is -960 tau^2 (1/2 - tau)^2 <= 0.
+    The time cutoff at x = t/T and the space cutoff at x = |y|/R; floats
+    give a float, arrays an array.
     """
-    if t <= 0.5:
-        return 1.0, 0.0, 0.0
-    if t >= 1.0:
-        return 0.0, 0.0, 0.0
-    tau = t - 0.5
-    chi = _chi(tau)
-    d1 = -960.0 * tau**2 * (0.5 - tau) ** 2
-    d2 = -1920.0 * tau * (0.5 - tau) * (0.5 - 2.0 * tau)
-    return chi, d1, d2
-
-
-def eta(t: float, lam: float) -> float:
-    """Time cutoff eta = chi**lam: 1 on [0,1/2], decreasing, 0 beyond 1."""
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    return smooth_cutoff(t)[0] ** lam
+    if not 1.0 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 1")
+    chi = _chi(np.clip(np.asarray(x, dtype=float) - 0.5, 0.0, 0.5))
+    out = np.maximum(chi, 0.0) ** lam  # chi rounds to about -1e-16 just below 1
+    return out if out.shape else float(out)
 
 
 def eta_derivs(t: float, lam: float) -> tuple[float, float, float]:
-    """(eta, eta', eta'') in closed form from the chi power construction."""
-    chi, c1, c2 = smooth_cutoff(t)
-    if chi == 0.0:
+    """(eta, eta', eta'') at t in closed form; lam = 1 gives (chi, chi', chi'').
+
+    chi is the C^2 quintic transition, exactly 1 on [0,1/2] and exactly 0
+    on [1,inf).  On (1/2, 1), with tau = t - 1/2:
+        chi = 1 - 80 tau^3 + 240 tau^4 - 192 tau^5,
+    whose derivative is -960 tau^2 (1/2 - tau)^2 <= 0.
+    """
+    if not 1.0 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 1")
+    if t <= 0.5:
+        return 1.0, 0.0, 0.0
+    tau = min(t, 1.0) - 0.5
+    chi = _chi(tau)
+    if chi <= 0.0:  # t >= 1, or chi rounded to <= 0 below it: chi**(lam-2) fails there
         return 0.0, 0.0, 0.0
+    c1 = -960.0 * tau**2 * (0.5 - tau) ** 2
+    c2 = -1920.0 * tau * (0.5 - tau) * (0.5 - 2.0 * tau)
     e = chi**lam
     e1 = lam * chi ** (lam - 1.0) * c1
     e2 = lam * (lam - 1.0) * chi ** (lam - 2.0) * c1 * c1 + lam * chi ** (lam - 1.0) * c2
     return e, e1, e2
 
 
-def eta_ratio_sup(lam: float, kappa: float, n_grid: int = 20001) -> float:
+def eta_ratio_sup(lam: float, kappa: float) -> float:
     """sup over [1/2, 1] of eta**(-k'/k) (|eta'|**k' + |eta''|**k').
 
     Finite by construction whenever lam >= 2*k' (k' the conjugate of kappa).
     """
     kp = kappa / (kappa - 1.0)
     worst = 0.0
-    for t in np.linspace(0.5, 1.0, n_grid)[:-1]:
+    for t in np.linspace(0.5, 1.0, 20001)[:-1]:
         e, e1, e2 = eta_derivs(float(t), lam)
         if e == 0.0:
             continue
         worst = max(worst, e ** (-kp / kappa) * (abs(e1) ** kp + abs(e2) ** kp))
     return worst
-
-
-def compact_cutoff(rho, lam: float):
-    """Space cutoff chi(|x|)**lam: 1 inside radius 1/2, 0 outside radius 1."""
-    out = _chi(np.clip(np.asarray(rho, dtype=float) - 0.5, 0.0, 0.5)) ** lam
-    return out if out.shape else float(out)
 
 
 def fd_neg_laplacian(fn: Callable[[float], float], x: float, n: int,
@@ -569,7 +530,7 @@ class Functionals:
         self._lam = 2.0 * max(_conjugate(params.p), _conjugate(params.q))
         radius = grid.radius()
         integer = abs(params.sigma1 - round(params.sigma1)) < 1e-9
-        cutoffs = [compact_cutoff(radius / spec.R, self._lam) if integer
+        cutoffs = [eta(radius / spec.R, self._lam) if integer
                    else (1.0 + (radius / spec.R) ** 2) ** (-spec.r / 2.0)
                    for spec in self.specs]
         #: (spec, *corner_shape) cutoffs times multiplicity times cell volume
@@ -598,7 +559,7 @@ class Functionals:
             if np.max(gaps) > 0.1 * T + 1e-12:
                 raise InsufficientSnapshotsError(
                     f"observed-time gap {np.max(gaps):.3g} exceeds 10% of window {T:.3g}")
-            eta_vals = np.array([eta(t / T, self._lam) for t in t_arr])
+            eta_vals = eta(t_arr / T, self._lam)
             i_vals, j_vals = i_all[kept] * eta_vals, j_all[kept] * eta_vals
             late = t_arr >= T / 2.0 - 1e-12
             out.append(FunctionalValues(*(

@@ -1,5 +1,6 @@
 """Every library entry point rejects a NaN or infinite time, step, length or
-parameter with ValueError, as the CLI's field rules do."""
+parameter, and an order or exponent out of its range, with ValueError, as
+the CLI's field rules do."""
 
 import math
 
@@ -16,6 +17,7 @@ from sevolab.multipliers import (
 )
 from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
+from sevolab.testfn import TestFunctionSpec, eta, eta_derivs
 from sevolab.torus import GridSpec, InitialData, duhamel_step, init, linear_step, run
 
 NAN, INF = math.nan, math.inf
@@ -53,10 +55,26 @@ CASES = {
     "propagator.t=inf": lambda: propagator(INF, 0.5, 1.0),
     "propagator.xi_mag=nan": lambda: propagator(1.0, NAN, 1.0),
     "roots.xi_mag=inf": lambda: roots(INF, 1.0),
+    "roots.sigma=nan": lambda: roots(0.5, NAN),
+    "propagator.sigma=nan": lambda: propagator(1.0, 0.5, NAN),
+    "propagator.sigma=-1": lambda: propagator(1.0, 0.5, -1.0),
+    "propagator.sigma=inf": lambda: propagator(1.0, 0.5, INF),
     "propagator_arrays.t=nan": lambda: propagator_arrays(NAN, MU),
     "duhamel_weights.dt=nan": lambda: duhamel_weights(NAN, MU),
     "ode_residual.t=inf": lambda: ode_residual(INF, 0.5, 1.0, 1e-3),
+    "ode_residual.sigma=nan": lambda: ode_residual(1.0, 0.5, NAN, 1e-3),
+    "ode_residual.sigma=0": lambda: ode_residual(1.0, 0.5, 0.0, 1e-3),
     "linear_norm.t=nan": lambda: linear_norm(G, None, NAN, 1.0, 1, NormKind.SOLUTION_L2),
+    "linear_norm.sigma=nan": lambda: linear_norm(G, None, 1.0, NAN, 1, NormKind.SOLUTION_L2),
+    "linear_norm.sigma=-1": lambda: linear_norm(G, None, 1.0, -1.0, 1, NormKind.SOLUTION_L2),
+    "TestFunctionSpec.gamma=nan": lambda: TestFunctionSpec(gamma=NAN, r=2.0, R=4.0),
+    "TestFunctionSpec.gamma=inf": lambda: TestFunctionSpec(gamma=INF, r=2.0, R=4.0),
+    "TestFunctionSpec.r=nan": lambda: TestFunctionSpec(gamma=1.5, r=NAN, R=4.0),
+    "TestFunctionSpec.R=inf": lambda: TestFunctionSpec(gamma=1.5, r=2.0, R=INF),
+    "eta.lam=nan": lambda: eta(0.7, NAN),
+    "eta.lam=inf": lambda: eta(0.7, INF),
+    "eta.lam=0.5": lambda: eta(0.7, 0.5),
+    "eta_derivs.lam=nan": lambda: eta_derivs(0.7, NAN),
 }
 
 

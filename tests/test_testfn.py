@@ -15,8 +15,6 @@ from sevolab.testfn import (
     _combo_transform,
     _sphere_sum,
     _sphere_taylor,
-    bracket_transform_1d,
-    compact_cutoff,
     envelope_ratio,
     eta,
     eta_derivs,
@@ -26,16 +24,14 @@ from sevolab.testfn import (
     fractional_laplacian_fourier,
     fractional_laplacian_gamma,
     integer_laplacian_bracket,
-    neg_laplacian_bracket,
     plancherel_pairing,
-    smooth_cutoff,
 )
 from sevolab.torus import GridSpec, InitialData, SpectralState, run
 
 
 class TestBracketRecursion:
     def test_one_step_at_origin(self):
-        combo = neg_laplacian_bracket(2.0, 1)
+        combo = integer_laplacian_bracket(2.0, 1, 1)
         # -f''(0) = 2 for f = (1+x^2)^{-1}
         assert combo.value(0.0) == pytest.approx(2.0)
         fd = fd_neg_laplacian(lambda y: 1.0 / (1.0 + y * y), 0.0, 1, m=1, h=5e-3)
@@ -43,19 +39,15 @@ class TestBracketRecursion:
 
     @pytest.mark.parametrize("ell,n", [(1.0, 1), (2.5, 2), (4.0, 3)])
     def test_coefficient_sum_is_ell_n(self, ell, n):
-        combo = neg_laplacian_bracket(ell, n)
+        combo = integer_laplacian_bracket(ell, 1, n)
         assert sum(c for c, _ in combo.terms) == pytest.approx(ell * n)
         assert combo.value(0.0) == pytest.approx(ell * n)
 
     def test_degenerate_coefficient(self):
         # ell = n - 2 kills the first term
-        combo = neg_laplacian_bracket(1.0, 3)
+        combo = integer_laplacian_bracket(1.0, 1, 3)
         assert len(combo.terms) == 1
         assert combo.terms[0] == (3.0, 5.0)
-
-    def test_single_step_equals_one_iteration(self):
-        assert integer_laplacian_bracket(2.0, 1, 2).terms == \
-            neg_laplacian_bracket(2.0, 2).terms
 
     def test_two_steps_against_nested_differences(self):
         combo = integer_laplacian_bracket(1.0, 2, 1)
@@ -132,20 +124,16 @@ class TestFloatEvaluation:
                     bound = self.per_rho_sphere_sum(absolute(combo), x, rho, n, scale)
                     assert abs(sphere(rho) - want) <= 1e-13 * bound
 
-    def test_combo_transform_on_floats_matches_arrays(self):
-        combo = BracketCombo(((2.0, 1.5), (-0.5, 3.5)))
-        xi = np.concatenate([[0.0, 1e-12], np.geomspace(1e-6, 80.0, 40)])
-        for scale in (1.0, 7.3):
-            want = sum(c * scale * bracket_transform_1d(ell, scale * xi)
-                       for c, ell in combo.terms)
-            got = [_combo_transform(combo, scale)(float(x)) for x in xi]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-
     def test_one_dimensional_sphere_sum_is_two_points(self):
         combo = integer_laplacian_bracket(1.5, 1, 1)
         sphere = _sphere_sum(combo, 0.7, 1, 3.0)
         for rho in (0.01, 0.7, 2.0, 50.0):
             assert sphere(rho) == combo.value(0.7 + rho, 3.0) + combo.value(0.7 - rho, 3.0)
+
+
+def bracket_transform(ell, xi):
+    """The 1D transform of the single bracket <y>**(-ell) at xi."""
+    return _combo_transform(BracketCombo(((1.0, ell),)), 1.0)(xi)
 
 
 class TestFractionalEvaluators:
@@ -177,11 +165,12 @@ class TestFractionalEvaluators:
         assert a == pytest.approx(2.0 * b, rel=1e-13)
 
     def test_transform_closed_form_against_known_pairs(self):
-        # the transforms of <y>^-2 and <y>^-4 are elementary
-        for xi in (0.3, 1.0, 4.0):
-            assert float(bracket_transform_1d(2.0, xi)) == \
+        # the transforms of <y>^-2 and <y>^-4 are elementary; xi = 0 takes
+        # the small-xi limit
+        for xi in (0.0, 0.3, 1.0, 4.0):
+            assert bracket_transform(2.0, xi) == \
                 pytest.approx(math.pi * math.exp(-xi), rel=1e-12)
-            assert float(bracket_transform_1d(4.0, xi)) == \
+            assert bracket_transform(4.0, xi) == \
                 pytest.approx(math.pi / 2 * (1 + xi) * math.exp(-xi), rel=1e-12)
 
     def test_transform_closed_form_against_direct_quadrature(self):
@@ -190,7 +179,7 @@ class TestFractionalEvaluators:
             direct, _ = quad(lambda y: (1 + y * y) ** (-3.5 / 2) * math.cos(xi * y),
                              0, 400, limit=2000)
             direct *= 2.0
-            closed = float(bracket_transform_1d(3.5, xi))
+            closed = bracket_transform(3.5, xi)
             assert closed == pytest.approx(direct, rel=1e-6)
 
     def test_composition_consistency_at_integer_order(self):
@@ -270,10 +259,20 @@ class TestCutoffs:
         # junction may differ by that times the probe offset
         probe = 1e-10
         for t0 in (0.5, 1.0):
-            inside = smooth_cutoff(t0 + probe if t0 == 0.5 else t0 - probe)
-            outside = smooth_cutoff(t0 - probe if t0 == 0.5 else t0 + probe)
+            inside = eta_derivs(t0 + probe if t0 == 0.5 else t0 - probe, 1.0)
+            outside = eta_derivs(t0 - probe if t0 == 0.5 else t0 + probe, 1.0)
             for a, b in zip(inside, outside):
                 assert a == pytest.approx(b, abs=1000 * probe)
+
+    def test_cutoff_real_and_nonnegative_just_below_one(self):
+        # chi rounds to about +-1e-16 for 1 - x below 3e-6, where a negative
+        # value to a non-integer power is NaN or complex
+        xs = 1.0 - np.geomspace(1e-15, 1e-5, 400)
+        vals = eta(xs, 1.5)
+        assert np.all((vals >= 0.0) & (vals < 1e-18))  # chi < 1e-12 here
+        for x in xs:
+            derivs = eta_derivs(float(x), 1.5)
+            assert all(type(d) is float and math.isfinite(d) for d in derivs)
 
     def test_eta_ratio_sup_reported_finite(self):
         # kappa = p = 2, conjugate 2: lam = 2 * max(p', q') = 4 suffices
@@ -282,15 +281,15 @@ class TestCutoffs:
         assert sup > 0
 
     def test_compact_cutoff_support(self):
-        assert compact_cutoff(0.3, 4.0) == 1.0
-        assert compact_cutoff(1.1, 4.0) == 0.0
-        vals = compact_cutoff(np.array([0.6, 0.8]), 4.0)
+        assert eta(0.3, 4.0) == 1.0
+        assert eta(1.1, 4.0) == 0.0
+        vals = eta(np.array([0.6, 0.8]), 4.0)
         assert np.all((0 < vals) & (vals < 1))
-        # the array path agrees with chi(|x|)**lam from the scalar cutoff on a 2D grid
+        # the array path agrees with chi(|x|)**lam from the closed-form chi on a 2D grid
         x = np.linspace(-1.2, 1.2, 97)
         rho = np.hypot(*np.meshgrid(x, x))
-        scalar = np.array([smooth_cutoff(float(r))[0] ** 4.0 for r in rho.ravel()])
-        np.testing.assert_allclose(compact_cutoff(rho, 4.0).ravel(), scalar,
+        scalar = np.array([eta_derivs(float(r), 1.0)[0] ** 4.0 for r in rho.ravel()])
+        np.testing.assert_allclose(eta(rho, 4.0).ravel(), scalar,
                                    rtol=0, atol=1e-15)
 
 
@@ -336,7 +335,7 @@ def snapshot_functionals(snaps, grid, spec, params):
     T = spec.R ** (2.0 * params.sigma1)
     snaps = [s for s in snaps if s[0] <= T * (1.0 + 1e-9)]
     lam = 2.0 * max(params.p / (params.p - 1.0), params.q / (params.q - 1.0))
-    weight = compact_cutoff(grid.unfold(grid.radius()) / spec.R, lam)
+    weight = eta(grid.unfold(grid.radius()) / spec.R, lam)
     t_arr = np.array([t for t, _, _ in snaps])
     eta_vals = np.array([eta(t / T, lam) for t in t_arr])
     i_vals = np.array([np.sum(np.abs(v) ** params.p * weight) * grid.dV
@@ -367,8 +366,7 @@ class TestFunctionals:
         values, = frozen_values(self.grid, params, [spec], np.linspace(0, T, 129), 0.0, 1.0)
         lam = 2.0 * max(2.0, 2.0)
         time_int, _ = quad(lambda t: eta(t / T, lam), 0, T, limit=200)
-        space_int, _ = quad(lambda x: float(compact_cutoff(x / R, lam)), 0, R,
-                            limit=200)
+        space_int, _ = quad(lambda x: eta(x / R, lam), 0, R, limit=200)
         assert values.I_R == pytest.approx(time_int * 2 * space_int, rel=1e-6)
 
     def test_frozen_field_separable_product_bracket(self):
