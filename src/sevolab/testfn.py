@@ -81,8 +81,8 @@ class BracketCombo:
 
 def integer_laplacian_bracket(r: float, m: int, n: int) -> BracketCombo:
     """(-Lap)**m <x>**(-r) by iterating the one-step recursion m times."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be finite and positive")
     if m < 1 or int(m) != m:
         raise ValueError("m must be a positive integer")
     combo = BracketCombo(((1.0, float(r)),))
@@ -175,6 +175,8 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     if not 0.0 < s < 1.0:
         raise ValueError("s must be in (0, 1)")
     x = abs(float(x))
+    if not x < math.inf:
+        raise ValueError("x must be finite")
     omega = sphere_surface(n)
     fx = combo.value(x, scale)
     z = x / scale
@@ -249,7 +251,11 @@ def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float,
     with the closed-form Bessel-K transform of each bracket term; completely
     independent of the hypersingular route.
     """
+    if not 0.0 < s < 1.0:
+        raise ValueError("s must be in (0, 1)")
     x = float(x)
+    if not abs(x) < math.inf:
+        raise ValueError("x must be finite")
     fhat = _combo_transform(combo, scale)
     two_s = 2.0 * s
 
@@ -384,6 +390,8 @@ def eta_ratio_sup(lam: float, kappa: float) -> float:
 
     Finite by construction whenever lam >= 2*k' (k' the conjugate of kappa).
     """
+    if not 1.0 < kappa < math.inf:
+        raise ValueError("kappa must be finite and > 1")
     kp = kappa / (kappa - 1.0)
     worst = 0.0
     for t in np.linspace(0.5, 1.0, 20001)[:-1]:

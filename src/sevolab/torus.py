@@ -14,7 +14,8 @@ The linear flow is advanced exactly, mode by mode, with the multipliers
 from :mod:`sevolab.multipliers`; the coupling |v|**p, |u|**q enters through
 a second-order exponential integrator: the nonlinearity is evaluated in
 physical space at the start of the step and at an exact-linear predictor at
-its end, then combined with the exact inhomogeneous Duhamel weights.
+its end, both stages sharing one transform pair, then combined with the
+exact inhomogeneous Duhamel weights.
 
 Since the zero mode tends to a constant on a torus, decay against the
 whole-space rates is only meaningful while the diffusive spreading scale
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -146,14 +147,11 @@ def corner_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return xi, mult
 
 
-def _energy(fields, weight: np.ndarray) -> float:
-    """Sum over fields, or stacks of fields, f of sum(weight * f**2); inf or
-    nan if any f is non-finite."""
-    total = 0.0
+def _energy(f: np.ndarray, weight: np.ndarray) -> float:
+    """sum(weight * f**2) over a field or a stack of fields f; inf or nan if
+    f is non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for f in fields:
-            total += np.vdot(f, weight * f)
-    return float(total)
+        return float(np.vdot(f, weight * f))
 
 
 @dataclass(frozen=True)
@@ -274,10 +272,6 @@ def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralSta
     return SpectralState(hat[:2], hat[2:], 0.0, grid, params.sigma1, params.sigma2)
 
 
-def _mu(grid: GridSpec, sigma: float) -> np.ndarray:
-    return corner_grid(grid)[0] ** (2.0 * sigma)
-
-
 class _StepKernel:
     """Per-(grid, sigma) propagator tables and Duhamel weights for the last
     MAX_ENTRIES step sizes, the least recently used evicted first, and the
@@ -296,14 +290,14 @@ class _StepKernel:
 
     def __init__(self, grid: GridSpec, sigma1: float, sigma2: float):
         sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
-        self.mu = np.stack([_mu(grid, s) for s in sigmas])
-        self.mult = corner_grid(grid)[1]
+        xi, self.mult = corner_grid(grid)
+        self.mu = np.stack([xi ** (2.0 * s) for s in sigmas])
         #: (tables, weights) of step dt; built over mu, not self, so that a
         #: kernel holds no reference cycle and is freed when its run ends
         self.get = functools.lru_cache(maxsize=self.MAX_ENTRIES)(
             functools.partial(self._build, self.mu))
-        #: a temporary of the stack's shape; each step overwrites it, and a
-        #: row of it is the work space of |.|**e while a coupling is evaluated
+        #: a temporary of the stack's shape; each step overwrites it, and it
+        #: is the work space of |.|**e while the couplings are evaluated
         self.tmp = np.empty((2, *grid.corner_shape))
 
     @property
@@ -311,11 +305,11 @@ class _StepKernel:
         return self.get.cache_info().misses
 
     @functools.cached_property
-    def coupling_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two coupling stacks of a coupled step, transformed in place,
-        allocated on the first one; each step overwrites them.  Linear steps
-        never touch them."""
-        return np.empty_like(self.tmp), np.empty_like(self.tmp)
+    def stages(self) -> np.ndarray:
+        """The coupling buffer of a coupled step, shape ``(2, 2, *corner_shape)``
+        (stage, component), transformed in place, allocated on the first one;
+        each step overwrites it.  Linear steps never touch it."""
+        return np.empty((2, *self.tmp.shape))
 
     @staticmethod
     def _build(mu: np.ndarray, dt: float) -> tuple[tuple, tuple]:
@@ -342,10 +336,15 @@ def _stepped(state: SpectralState, w: np.ndarray, wt: np.ndarray, dt: float,
              kernel: _StepKernel) -> SpectralState:
     """The state (w, wt) one step dt after ``state``, with its ``energy`` from
     one weighted pass; a non-finite energy (overflow included) marks it as
-    blown up instead of raising."""
-    energy = _energy((w, wt), kernel.mult)
-    return replace(state, w=w, wt=wt, time=state.time + dt, energy=energy,
-                   blown_up=state.blown_up or not math.isfinite(energy))
+    blown up instead of raising.  The energy is the sum of :func:`_energy`
+    over w and wt, with the weighted products written into ``kernel.tmp``."""
+    mult, tmp = kernel.mult, kernel.tmp
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(np.vdot(w, np.multiply(mult, w, out=tmp))
+                       + np.vdot(wt, np.multiply(mult, wt, out=tmp)))
+    return SpectralState(w, wt, state.time + dt, state.grid, state.sigma1, state.sigma2,
+                         blown_up=state.blown_up or not math.isfinite(energy),
+                         energy=energy)
 
 
 def linear_step(state: SpectralState, dt: float,
@@ -391,11 +390,11 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     """One second-order exponential step of the full coupled system.
 
     The coupling is interpolated linearly in time between its value at the
-    step start and at the exact-linear predictor of the step end.  Each
-    coupling evaluation is one inverse and one forward transform of the
-    stacked (u, v) state.  ``forcing`` = (fu, fv), either may be None: each
-    maps t to corner samples (values at ``grid.radius()``) added to the
-    source of the u or v equation.
+    step start and at the exact-linear predictor of the step end.  The
+    predictor does not depend on the first stage, so both stages are stacked
+    and share one inverse and one forward transform.  ``forcing`` = (fu, fv),
+    either may be None: each maps t to corner samples (values at
+    ``grid.radius()``) added to the source of the u or v equation.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
@@ -403,30 +402,23 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     if kernel is None:
         kernel = _StepKernel(grid, state.sigma1, state.sigma2)
     tables, (ab, b, abd, bd) = kernel.get(dt)
-    n0_out, n1_out = kernel.coupling_buffers
     tmp = kernel.tmp
-
-    def coupling(w: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-        """Coefficients [|v|**p, |u|**q] (plus any forcing) of the stack w at
-        time t, transformed in place in ``out``."""
-        out[...] = w
-        phys = grid.to_physical(out, overwrite=True)
-        np.abs(phys, out=phys)
-        _power(phys[0], q, tmp[0])
-        _power(phys[1], p, tmp[0])
-        if forcing is not None:
-            fu, fv = forcing
-            if fu is not None:
-                phys[1] += fu(t)
-            if fv is not None:
-                phys[0] += fv(t)
-        return grid.to_spectral(phys, overwrite=True)[::-1]
-
     t0 = state.time
     with np.errstate(over="ignore", invalid="ignore"):
-        n0 = coupling(state.w, t0, n0_out)
         w, wt = _linear_fields(state, tables, tmp)
-        n1 = coupling(w, t0 + dt, n1_out)
+        stages = kernel.stages
+        stages[0] = state.w
+        stages[1] = w
+        phys = grid.to_physical(stages, overwrite=True)  # (stage, component)
+        np.abs(phys, out=phys)
+        _power(phys[:, 0], q, tmp)
+        _power(phys[:, 1], p, tmp)
+        for f, row in zip(forcing or (), (1, 0)):  # fu joins |v|**p, fv |u|**q
+            if f is not None:
+                phys[0, row] += f(t0)
+                phys[1, row] += f(t0 + dt)
+        # each stage's coupling [|v|**p, |u|**q] is its component axis reversed
+        n0, n1 = grid.to_spectral(phys, overwrite=True)[:, ::-1]
         for acc, weight, n in ((w, ab, n0), (w, b, n1), (wt, abd, n0), (wt, bd, n1)):
             acc += np.multiply(weight, n, out=tmp)
 
@@ -442,7 +434,7 @@ def six_norms(state: SpectralState) -> dict[str, float]:
     w2 = mult * xi ** (2.0 * state.sigma2)
 
     def norm(arr, weight=mult):
-        return math.sqrt(factor * _energy((arr,), weight))
+        return math.sqrt(factor * _energy(arr, weight))
 
     return {
         "u_l2": norm(state.u_hat),
@@ -475,9 +467,9 @@ def _top_octave_fraction(state: SpectralState) -> float:
     top = mult * (xi > state.grid.xi_max / 2.0)
     worst = 0.0
     for arr in (state.u_hat, state.v_hat):
-        total = _energy((arr,), mult)
+        total = _energy(arr, mult)
         if total > 0.0:
-            worst = max(worst, _energy((arr,), top) / total)
+            worst = max(worst, _energy(arr, top) / total)
     return worst
 
 

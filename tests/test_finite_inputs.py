@@ -17,7 +17,16 @@ from sevolab.multipliers import (
 )
 from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
-from sevolab.testfn import TestFunctionSpec, eta, eta_derivs
+from sevolab.testfn import (
+    BracketCombo,
+    TestFunctionSpec,
+    eta,
+    eta_derivs,
+    eta_ratio_sup,
+    fractional_laplacian_bracket,
+    fractional_laplacian_fourier,
+    integer_laplacian_bracket,
+)
 from sevolab.torus import GridSpec, InitialData, duhamel_step, init, linear_step, run
 
 NAN, INF = math.nan, math.inf
@@ -26,6 +35,7 @@ GRID = GridSpec(1, 64, 20.0)
 G = GaussianProfile(0.01, 1.0)
 DATA = InitialData.from_profiles(G, None, None, G, 1.0, 1.0, 1)
 MU = np.array([0.0, 0.3, 40.0])
+COMBO = BracketCombo(((1.0, 3.0),))
 
 
 def state():
@@ -75,6 +85,21 @@ CASES = {
     "eta.lam=inf": lambda: eta(0.7, INF),
     "eta.lam=0.5": lambda: eta(0.7, 0.5),
     "eta_derivs.lam=nan": lambda: eta_derivs(0.7, NAN),
+    "integer_laplacian_bracket.r=nan": lambda: integer_laplacian_bracket(NAN, 1, 1),
+    "integer_laplacian_bracket.r=inf": lambda: integer_laplacian_bracket(INF, 1, 1),
+    "fractional_laplacian_bracket.x=nan": lambda: fractional_laplacian_bracket(COMBO, 0.5, NAN, 1),
+    "fractional_laplacian_bracket.x=inf": lambda: fractional_laplacian_bracket(COMBO, 0.5, INF, 1),
+    "fractional_laplacian_bracket.x=-inf":
+        lambda: fractional_laplacian_bracket(COMBO, 0.5, -INF, 2),
+    "fractional_laplacian_fourier.x=nan": lambda: fractional_laplacian_fourier(COMBO, 0.5, NAN),
+    "fractional_laplacian_fourier.x=inf": lambda: fractional_laplacian_fourier(COMBO, 0.5, INF),
+    "fractional_laplacian_fourier.s=nan": lambda: fractional_laplacian_fourier(COMBO, NAN, 0.7),
+    "fractional_laplacian_fourier.s=0": lambda: fractional_laplacian_fourier(COMBO, 0.0, 0.7),
+    "fractional_laplacian_fourier.s=1": lambda: fractional_laplacian_fourier(COMBO, 1.0, 0.7),
+    "eta_ratio_sup.kappa=nan": lambda: eta_ratio_sup(6.0, NAN),
+    "eta_ratio_sup.kappa=inf": lambda: eta_ratio_sup(6.0, INF),
+    "eta_ratio_sup.kappa=1": lambda: eta_ratio_sup(6.0, 1.0),
+    "eta_ratio_sup.kappa=0.5": lambda: eta_ratio_sup(6.0, 0.5),
 }
 
 

@@ -53,6 +53,29 @@ def corner(grid, w):
     return w[(slice(0, grid.points_per_dim // 2 + 1),) * grid.n_dim]
 
 
+def two_pass_step(state, dt, p, q, forcing, kernel):
+    """The ETD2 step with one transform pair per coupling stage, written
+    out: the reference that the stacked step must reproduce bit for bit."""
+    grid = state.grid
+    (k0, k1, dk0, dk1), (ab, b, abd, bd) = kernel.get(dt)
+
+    def coupling(w, t):
+        phys = np.abs(grid.to_physical(w))
+        _power(phys[0], q, np.empty_like(phys[0]))
+        _power(phys[1], p, np.empty_like(phys[1]))
+        if forcing is not None:
+            phys[1] += forcing[0](t)
+            phys[0] += forcing[1](t)
+        return grid.to_spectral(phys)[::-1]
+
+    n0 = coupling(state.w, state.time)
+    w = k0 * state.w + k1 * state.wt
+    wt = dk0 * state.w + dk1 * state.wt
+    n1 = coupling(w, state.time + dt)
+    return SpectralState(w + ab * n0 + b * n1, wt + abd * n0 + bd * n1,
+                         state.time + dt, grid, state.sigma1, state.sigma2)
+
+
 def rfftn_corner(grid, f):
     """Bins [0, N/2]^n of the rfftn half spectrum of a full-grid field."""
     return corner(grid, np.fft.rfftn(f))
@@ -226,7 +249,8 @@ class TestLinearStep:
         g = GaussianProfile(0.5, 1.0)
         state = init(grid, make_data(u0=g, v1=g, n=2), params)
         out = linear_step(state, 0.3)
-        assert out.energy == _energy((out.w, out.wt), corner_grid(grid)[1])
+        mult = corner_grid(grid)[1]
+        assert out.energy == _energy(out.w, mult) + _energy(out.wt, mult)
         assert out.energy > 0 and not out.blown_up
 
     def test_overflow_sets_blowup_flag(self):
@@ -352,7 +376,7 @@ class TestDuhamelStep:
                 duhamel_step(state, 0.1, params.p, params.q, forcing=forcing)
         duhamel_step(state, 0.1, params.p, params.q, forcing=(None, lambda t: even))
 
-    def test_one_step_makes_four_transforms(self, monkeypatch):
+    def test_one_step_makes_one_transform_pair(self, monkeypatch):
         grid = GridSpec(2, 32, 12.0)
         g = GaussianProfile(0.5, 1.0)
         params = SystemParams(2, 1.0, 1.0, 3.0, 3.5)
@@ -366,7 +390,34 @@ class TestDuhamelStep:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(scipy.fft, name, counted)
         duhamel_step(state, 0.05, params.p, params.q)
-        assert calls == {"idctn": 2, "dctn": 2}
+        assert calls == {"idctn": 1, "dctn": 1}
+
+    # (n_dim, points, L, sigma1, sigma2, p, q, forced): q = 3.7 and p = 2.7
+    # take np.power in _power, the other exponents its repeated squares
+    STACKED_CASES = {
+        "1d": (1, 256, 20.0, 1.0, 1.0, 3.0, 3.0, False),
+        "2d-unequal-orders": (2, 32, 10.0, 1.0, 1.5, 2.5, 3.7, False),
+        "3d": (3, 16, 10.0, 1.0, 1.0, 2.7, 2.5, False),
+        "1d-forced": (1, 128, 20.0, 1.0, 1.0, 3.0, 3.0, True),
+    }
+
+    @pytest.mark.parametrize("case", STACKED_CASES.values(), ids=STACKED_CASES.keys())
+    def test_stacked_stages_match_two_pass_step(self, case):
+        n_dim, npts, half_length, sigma1, sigma2, p, q, forced = case
+        grid = GridSpec(n_dim, npts, half_length)
+        params = SystemParams(n_dim, sigma1, sigma2, p, q)
+        g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
+        data = make_data(u0=g, u1=h, v0=h, v1=g, sigma1=sigma1, sigma2=sigma2, n=n_dim)
+        r = grid.radius()
+        forcing = ((lambda t: np.exp(-r * r) * math.cos(t),
+                    lambda t: 0.2 * (1.0 + t) * np.exp(-r * r / 4.0)) if forced else None)
+        kernel = _StepKernel(grid, sigma1, sigma2)
+        stacked = reference = init(grid, data, params)
+        for _ in range(4):
+            stacked = duhamel_step(stacked, 0.03, p, q, forcing=forcing, kernel=kernel)
+            reference = two_pass_step(reference, 0.03, p, q, forcing, kernel)
+        assert np.array_equal(stacked.w, reference.w)
+        assert np.array_equal(stacked.wt, reference.wt)
 
     def test_overflow_sets_blowup_flag(self):
         grid = GridSpec(1, 64, 20.0)
@@ -529,17 +580,27 @@ class TestStepKernel:
         state = init(grid, data, PARAMS)
         linear_step(state, 0.1)
         assert len(kernels) == 2
-        assert all("coupling_buffers" not in vars(k) for k in kernels)
+        assert all("stages" not in vars(k) for k in kernels)
 
-    def test_coupled_steps_reuse_their_buffers(self):
+    def test_coupled_steps_reuse_their_buffers(self, monkeypatch):
         grid = GridSpec(1, 64, 20.0)
         kernel = _StepKernel(grid, 1.0, 1.0)
         state = init(grid, make_data(u0=GaussianProfile(0.01, 1.0)), PARAMS)
+        inputs = []
+        original = scipy.fft.idctn
+
+        def recorded(x, *args, **kwargs):
+            inputs.append((x, kwargs.get("overwrite_x")))
+            return original(x, *args, **kwargs)
+        monkeypatch.setattr(scipy.fft, "idctn", recorded)
         state = duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
-        buffers = kernel.coupling_buffers
-        assert buffers[0].shape == (2, 33) and buffers[1].shape == kernel.tmp.shape
+        buffer = kernel.stages
+        assert buffer.shape == (2, 2, 33)
         duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
-        assert all(a is b for a, b in zip(kernel.coupling_buffers, buffers))
+        assert kernel.stages is buffer
+        # each step transforms the one buffer in place, and nothing else
+        assert len(inputs) == 2
+        assert all(x is buffer and overwrite for x, overwrite in inputs)
 
 
 class TestBlowupPastValidity:
