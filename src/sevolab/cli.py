@@ -187,10 +187,8 @@ def _fits_box(grid: torus.GridSpec, data: torus.InitialData, width_path) -> None
 
 def load_run_config(obj: dict, path: str = "config") -> dict:
     cfg = _read(obj, path, RUN_FIELDS)
-    params, data = cfg["params"], cfg["data"]
-    _same_dimension(params.n, cfg["grid"], f"{path}.params.n", f"{path}.grid")
-    cfg["data"] = torus.InitialData.from_profiles(
-        *data.values(), params.sigma1, params.sigma2, params.n)
+    _same_dimension(cfg["params"].n, cfg["grid"], f"{path}.params.n", f"{path}.grid")
+    cfg["data"] = torus.InitialData(**cfg["data"])
     _fits_box(cfg["grid"], cfg["data"], lambda name: f"{path}.data.{name}.width")
     cfg["record"] = _record_times(cfg["record"], cfg["t_max"], f"{path}.record")
     return cfg
@@ -204,8 +202,7 @@ def load_sweep_config(obj: dict, path: str = "config") -> dict:
     fixed, cell, grid = cfg["fixed"], cfg["cell"], cfg["cell"]["grid"]
     _same_dimension(fixed["n"], grid, f"{path}.fixed.n", f"{path}.cell.grid")
     g = GaussianProfile(cell["amplitude"], cell["width"])
-    data = torus.InitialData.from_profiles(None, g, None, g, fixed["sigma1"],
-                                           fixed["sigma2"], fixed["n"])
+    data = torus.InitialData(u1=g, v1=g)
     _fits_box(grid, data, lambda name: f"{path}.cell.width")
     cell_params = [exponents.SystemParams(p=p, q=q, **fixed)
                    for p in cfg["p_range"] for q in cfg["q_range"]]

@@ -7,7 +7,8 @@ the exponent a exactly, matching how the predicted rates are normalised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +26,13 @@ MIN_POINTS = 8
 
 @dataclass
 class NormSeries:
-    """Time-stamped values of one norm; t strictly increasing, values finite."""
+    """Time-stamped values of one norm; t strictly increasing, t and values finite."""
 
     entries: list[tuple[float, float]]
-    label: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for entry in self.entries for x in entry):
+            raise ValueError("times and values must be finite")
         ts = [t for t, _ in self.entries]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("time stamps must be strictly increasing")
@@ -85,8 +86,8 @@ def compare_rates(fit: DecayFit, predicted: float, tol: float,
     slack): pass when the observed decay is at least as fast, within tol,
     i.e. fit <= predicted + tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     if one_sided:
         return fit.exponent <= predicted + tol
     return abs(fit.exponent - predicted) <= tol

@@ -96,5 +96,4 @@ def decay_series(w0: Optional[GaussianProfile], w1: Optional[GaussianProfile],
     """One linear_norm evaluation per grid time, packaged for fitting."""
     entries = [(float(t), linear_norm(w0, w1, float(t), sigma, n, kind))
                for t in t_grid]
-    return NormSeries(entries, label=f"linear_{kind.value}",
-                      meta={"sigma": sigma, "n": n, "kind": kind.value})
+    return NormSeries(entries)

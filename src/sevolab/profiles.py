@@ -54,9 +54,6 @@ class GaussianProfile:
         """Integral over R^n (signed)."""
         return self.amplitude * (2.0 * math.pi) ** (n / 2.0) * self.width**n
 
-    def l1(self, n: int) -> float:
-        return abs(self.mass(n))
-
     def l2(self, n: int) -> float:
         return abs(self.amplitude) * math.pi ** (n / 4.0) * self.width ** (n / 2.0)
 
@@ -65,10 +62,6 @@ class GaussianProfile:
         sq = (self.amplitude**2 * sphere_surface(n) * math.gamma(sigma + n / 2.0)
               * self.width ** (n - 2.0 * sigma) / 2.0)
         return math.sqrt(sq)
-
-    def h_sigma(self, sigma: float, n: int) -> float:
-        """Sobolev norm sqrt(||f||^2 + |||D|^sigma f||^2)."""
-        return math.sqrt(self.l2(n) ** 2 + self.dsigma_l2(sigma, n) ** 2)
 
     def tail_mass_fraction(self, half_length: float, n: int) -> float:
         """Upper bound on the |f|-mass fraction outside the box [-L, L)^n."""

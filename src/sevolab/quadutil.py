@@ -13,8 +13,7 @@ class QuadratureFailure(RuntimeError):
 
 
 def adaptive_quad(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
-                  abs_floor: float = 1e-300, limit: int = 200,
-                  err_scale: float = 0.0) -> float:
+                  limit: int = 200, err_scale: float = 0.0) -> float:
     """Integrate fn on [a, b]; raise QuadratureFailure if the estimate is untrusted.
 
     ``points`` are interior breakpoints guiding the subdivision (silently
@@ -32,10 +31,10 @@ def adaptive_quad(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         val, err = quad(fn, a, b, points=pts, limit=limit,
-                        epsabs=abs_floor, epsrel=rel_tol)
+                        epsabs=1e-300, epsrel=rel_tol)
     scale = max(abs(val), err_scale)
     if not (math.isfinite(val) and math.isfinite(err)) or \
-            err > max(rel_tol * scale * 10.0, abs_floor * 1e10, 1e-250):
+            err > max(rel_tol * scale * 10.0, 1e-250):
         raise QuadratureFailure(
             f"quadrature error {err:.3e} too large for value {val:.6e}")
     return val

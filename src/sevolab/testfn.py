@@ -177,6 +177,8 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     x = abs(float(x))
     if not x < math.inf:
         raise ValueError("x must be finite")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be finite and positive")
     omega = sphere_surface(n)
     fx = combo.value(x, scale)
     z = x / scale
@@ -256,6 +258,8 @@ def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float,
     x = float(x)
     if not abs(x) < math.inf:
         raise ValueError("x must be finite")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be finite and positive")
     fhat = _combo_transform(combo, scale)
     two_s = 2.0 * s
 

@@ -156,54 +156,23 @@ def _energy(f: np.ndarray, weight: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Data profiles plus their composite data-space norms.
+    """The data profiles u(0), u_t(0), v(0), v_t(0); None is the zero profile."""
 
-    a_norm_u = ||u0||_L1 + ||u0||_{H^sigma1} + ||u1||_L1 + ||u1||_L2 and the
-    v analogue; these are the smallness quantities of the existence theory.
-    """
-
-    u0: Optional[GaussianProfile]
-    u1: Optional[GaussianProfile]
-    v0: Optional[GaussianProfile]
-    v1: Optional[GaussianProfile]
-    a_norm_u: float
-    a_norm_v: float
-
-    @classmethod
-    def from_profiles(cls, u0, u1, v0, v1, sigma1: float, sigma2: float,
-                      n: int) -> "InitialData":
-        def a_norm(w0, w1, sigma):
-            total = 0.0
-            if w0 is not None:
-                total += w0.l1(n) + w0.h_sigma(sigma, n)
-            if w1 is not None:
-                total += w1.l1(n) + w1.l2(n)
-            return total
-
-        return cls(u0, u1, v0, v1,
-                   a_norm(u0, u1, sigma1), a_norm(v0, v1, sigma2))
-
-
-def _row(stack: str, index: int) -> property:
-    """Read-write view of one row of a stacked spectrum, so that in-place
-    updates such as ``state.u_hat *= 2`` reach the stack."""
-    def get(self):
-        return getattr(self, stack)[index]
-
-    def set(self, value):
-        getattr(self, stack)[index] = value
-    return property(get, set, doc=f"row {index} of ``{stack}`` (a view)")
+    u0: Optional[GaussianProfile] = None
+    u1: Optional[GaussianProfile] = None
+    v0: Optional[GaussianProfile] = None
+    v1: Optional[GaussianProfile] = None
 
 
 @dataclass
 class SpectralState:
     """Corner (DCT-I) coefficients of (u, u_t, v, v_t) plus time and symbol
-    metadata.  The fields are stacked, ``w = [u_hat, v_hat]`` and
-    ``wt = [ut_hat, vt_hat]``, each a real array of shape
-    ``(2, *corner_shape)``, so that one transform or update covers both
-    components; ``u_hat`` and the other three names are views of their rows.
-    ``energy`` is the multiplicity-weighted sum of coefficient**2 over the
-    four fields, set by the step that made the state (None at ``init``)."""
+    metadata, stacked: ``w = [u, v]`` and ``wt = [u_t, v_t]``, each a real
+    array of shape ``(2, *corner_shape)`` with the u row first, so that one
+    transform or update covers both components.  ``energy`` is the
+    multiplicity-weighted sum of coefficient**2 over both stacks, set by the
+    step that made the state (None at ``init``).  ``blown_up`` stays set from
+    the first step whose energy is not finite, though each norm may still be."""
 
     w: np.ndarray
     wt: np.ndarray
@@ -213,14 +182,6 @@ class SpectralState:
     sigma2: float
     blown_up: bool = False
     energy: Optional[float] = None
-
-    u_hat = _row("w", 0)
-    v_hat = _row("w", 1)
-    ut_hat = _row("wt", 0)
-    vt_hat = _row("wt", 1)
-
-    def fields(self) -> tuple[np.ndarray, ...]:
-        return self.u_hat, self.ut_hat, self.v_hat, self.vt_hat
 
 
 @dataclass
@@ -437,12 +398,12 @@ def six_norms(state: SpectralState) -> dict[str, float]:
         return math.sqrt(factor * _energy(arr, weight))
 
     return {
-        "u_l2": norm(state.u_hat),
-        "u_dsigma": norm(state.u_hat, w1),
-        "u_dt": norm(state.ut_hat),
-        "v_l2": norm(state.v_hat),
-        "v_dsigma": norm(state.v_hat, w2),
-        "v_dt": norm(state.vt_hat),
+        "u_l2": norm(state.w[0]),
+        "u_dsigma": norm(state.w[0], w1),
+        "u_dt": norm(state.wt[0]),
+        "v_l2": norm(state.w[1]),
+        "v_dsigma": norm(state.w[1], w2),
+        "v_dt": norm(state.wt[1]),
     }
 
 
@@ -466,7 +427,7 @@ def _top_octave_fraction(state: SpectralState) -> float:
     xi, mult = corner_grid(state.grid)
     top = mult * (xi > state.grid.xi_max / 2.0)
     worst = 0.0
-    for arr in (state.u_hat, state.v_hat):
+    for arr in state.w:
         total = _energy(arr, mult)
         if total > 0.0:
             worst = max(worst, _energy(arr, top) / total)
@@ -560,15 +521,10 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     if blowup is not None and blowup["time"] > window:
         warnings.append(f"blow-up at t={blowup['time']:g} is past t_valid={window:g}, "
                         "where the torus no longer stands for the whole space")
-    return RunResult(_package_series(series, params),
+    return RunResult({k: NormSeries(v) for k, v in series.items()},
                      blowup,
                      {"threshold": threshold, "dt": dt_val,
                       "initial_total_norm": initial_total, "steps": steps,
                       "kernel_builds": kernel.builds},
                      window, warnings)
 
-
-def _package_series(series: dict[str, list], params: SystemParams) -> dict[str, NormSeries]:
-    meta = {"n": params.n, "sigma1": params.sigma1, "sigma2": params.sigma2,
-            "p": params.p, "q": params.q}
-    return {k: NormSeries(v, label=k, meta=dict(meta)) for k, v in series.items()}

@@ -102,7 +102,7 @@ class TestCriterion3TorusOracleCrossValidation:
         params = SystemParams(1, 1.0, 1.0, 3, 4)
         grid = GridSpec(1, 4096, 200.0)
         g = GaussianProfile(1e-2, 1.0)
-        data = InitialData.from_profiles(g, g, g, g, 1.0, 1.0, 1)
+        data = InitialData(g, g, g, g)
         horizon = t_valid(grid, params)
         times = sorted(set(np.geomspace(1.0, horizon, 16)))
         result = run(grid, data, params, horizon, times, linear_only=True)
@@ -131,7 +131,7 @@ class TestCriterion4ExistenceRegime:
         assert classify_regime(params).regime is Regime.EXISTENCE_THM11
         grid = GridSpec(1, 2048, 200.0)
         g = GaussianProfile(1e-2, 1.0)
-        data = InitialData.from_profiles(g, g, g, g, 1.0, 1.0, 1)
+        data = InitialData(g, g, g, g)
         horizon = min(620.0, t_valid(grid, params))
         times = sorted(set([0.0, horizon]) | set(np.geomspace(1.0, horizon, 28)))
         result = run(grid, data, params, horizon, times)
@@ -164,7 +164,7 @@ class TestCriterion5BlowupRegime:
         detection = []
         for amp in (1e-2, 1e-1, 1.0):
             g = GaussianProfile(amp, 1.0)
-            data = InitialData.from_profiles(None, g, None, g, 1.0, 1.0, 1)
+            data = InitialData(u1=g, v1=g)
             times = sorted(set([0.0, t_max]) | set(np.geomspace(1.0, t_max, 30)))
             result = run(grid, data, params, t_max, times)
             detection.append(result.blowup["time"] if result.blowup else math.inf)

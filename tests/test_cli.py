@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from sevolab import cli
+from sevolab.profiles import GaussianProfile
 
 
 def run_cli(capsys, *argv):
@@ -399,6 +400,22 @@ class TestConfigReader:
         record = {"kind": "log", "t_min": 1.0, "t_max": task["t_max"], "count": 6}
         run_cfg = dict(BASE_RUN_CONFIG, t_max=task["t_max"], record=record)
         assert task["record"] == cli.load_run_config(run_cfg)["record"]
+
+    @pytest.mark.parametrize("slot", ["u0", "u1", "v0", "v1"])
+    def test_each_data_slot_lands_in_its_field(self, slot):
+        g = GaussianProfile(0.02, 1.5)
+        data = {k: None for k in ("u0", "u1", "v0", "v1")}
+        data[slot] = {"kind": "gaussian", "amplitude": 0.02, "width": 1.5}
+        got = cli.load_run_config(dict(BASE_RUN_CONFIG, data=data))["data"]
+        assert [got.u0, got.u1, got.v0, got.v1] == [g if v else None for v in data.values()]
+        if slot == "v1":
+            assert got == cli.torus.InitialData(v1=g)
+
+    def test_sweep_cell_data_is_both_velocities(self):
+        g = GaussianProfile(0.01, 0.5)  # SWEEP_CONFIG's cell amplitude and width
+        for task in cli.load_sweep_config(SWEEP_CONFIG)["tasks"]:
+            assert task["data"] == cli.torus.InitialData(u1=g, v1=g)
+            assert task["data"].u0 is None and task["data"].v0 is None
 
     def test_sweep_warnings_reach_summary(self, capsys, tmp_path):
         # width 0.5 on 128 points leaves top-octave energy above 1e-6

@@ -1,6 +1,8 @@
-"""Every name a module lists in ``__all__`` exists, so ``import *`` works."""
+"""Every name a module lists in ``__all__`` exists, so ``import *`` works,
+and every ``sevolab`` name that the benchmark's tracer wraps still exists."""
 
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -8,10 +10,24 @@ import pytest
 import sevolab
 
 MODULES = sorted(f"sevolab.{m.name}" for m in pkgutil.iter_modules(sevolab.__path__))
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_bench_trace_targets_resolve(monkeypatch):
+    # bench/tracing.py replaces these attributes in place, so a renamed or
+    # deleted one breaks the benchmark's traced runs
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    traced = tracing.TRACE_TARGETS + tracing.PROBE_TARGETS
+    targets = [(module, attr) for module, attr, _ in traced if module.startswith("sevolab.")]
+    targets.append(("sevolab.cli", "sweep_cell"))
+    assert len(targets) > 20
+    missing = [t for t in targets if not hasattr(importlib.import_module(t[0]), t[1])]
     assert missing == []

@@ -1,6 +1,6 @@
-"""Every library entry point rejects a NaN or infinite time, step, length or
-parameter, and an order or exponent out of its range, with ValueError, as
-the CLI's field rules do."""
+"""Every library entry point rejects a NaN or infinite time, step, length,
+value or parameter, and an order or exponent out of its range, with
+ValueError, as the CLI's field rules do."""
 
 import math
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sevolab.exponents import SystemParams
+from sevolab.fitting import DecayFit, NormSeries, compare_rates
 from sevolab.multipliers import (
     duhamel_weights,
     ode_residual,
@@ -33,9 +34,10 @@ NAN, INF = math.nan, math.inf
 PARAMS = SystemParams(1, 1.0, 1.0, 3.0, 4.0)
 GRID = GridSpec(1, 64, 20.0)
 G = GaussianProfile(0.01, 1.0)
-DATA = InitialData.from_profiles(G, None, None, G, 1.0, 1.0, 1)
+DATA = InitialData(u0=G, v1=G)
 MU = np.array([0.0, 0.3, 40.0])
 COMBO = BracketCombo(((1.0, 3.0),))
+FIT = DecayFit(-0.5, 0.0, 1.0, (1.0, 10.0))
 
 
 def state():
@@ -100,6 +102,24 @@ CASES = {
     "eta_ratio_sup.kappa=inf": lambda: eta_ratio_sup(6.0, INF),
     "eta_ratio_sup.kappa=1": lambda: eta_ratio_sup(6.0, 1.0),
     "eta_ratio_sup.kappa=0.5": lambda: eta_ratio_sup(6.0, 0.5),
+    "fractional_laplacian_bracket.scale=nan":
+        lambda: fractional_laplacian_bracket(COMBO, 0.5, 1.0, 1, scale=NAN),
+    "fractional_laplacian_bracket.scale=inf":
+        lambda: fractional_laplacian_bracket(COMBO, 0.5, 1.0, 1, scale=INF),
+    "fractional_laplacian_bracket.scale=0":
+        lambda: fractional_laplacian_bracket(COMBO, 0.5, 1.0, 1, scale=0.0),
+    "fractional_laplacian_fourier.scale=nan":
+        lambda: fractional_laplacian_fourier(COMBO, 0.5, 1.0, scale=NAN),
+    "fractional_laplacian_fourier.scale=inf":
+        lambda: fractional_laplacian_fourier(COMBO, 0.5, 1.0, scale=INF),
+    "fractional_laplacian_fourier.scale=-1":
+        lambda: fractional_laplacian_fourier(COMBO, 0.5, 1.0, scale=-1.0),
+    "NormSeries.value=nan": lambda: NormSeries([(1.0, 1.0), (2.0, NAN), (3.0, 1.0)]),
+    "NormSeries.value=inf": lambda: NormSeries([(1.0, 1.0), (2.0, INF)]),
+    "NormSeries.t=nan": lambda: NormSeries([(NAN, 1.0), (2.0, 1.0)]),
+    "NormSeries.t=inf": lambda: NormSeries([(1.0, 1.0), (INF, 1.0)]),
+    "compare_rates.tol=nan": lambda: compare_rates(FIT, -0.5, NAN),
+    "compare_rates.tol=inf": lambda: compare_rates(FIT, -0.5, INF),
 }
 
 

@@ -415,7 +415,7 @@ class TestFunctionalGrowthEcho:
         params = SystemParams(1, 1, 1, 2, 2)
         grid = GridSpec(1, 512, 40.0)
         g = GaussianProfile(1e-2, 1.0)
-        data = InitialData.from_profiles(None, g, None, g, 1.0, 1.0, 1)
+        data = InitialData(u1=g, v1=g)
         radii = (4.0, 8.0, 16.0)
         snap_times = sorted(set(
             float(t) for R in radii for t in np.linspace(0.0, R**2, 65)))
@@ -446,7 +446,7 @@ class TestStreamedFunctionals:
         grid = GridSpec(1, 256, 20.0)
         params = SystemParams(1, 1, 1, 2, 2)
         g = GaussianProfile(3.0, 1.0)
-        data = InitialData.from_profiles(None, g, None, g, 1.0, 1.0, 1)
+        data = InitialData(u1=g, v1=g)
         observer = Functionals(grid, params, [TestFunctionSpec(gamma=1.0, r=2.0, R=3.0)],
                                np.linspace(0.0, 9.0, 65))
         result = run(grid, data, params, 9.0, [9.0], observers=[observer])
@@ -460,7 +460,7 @@ class TestStreamedFunctionals:
         grid = GridSpec(2, 256, 20.0)
         params = SystemParams(2, 1, 1, 3, 3)
         g = GaussianProfile(1e-2, 1.0)
-        data = InitialData.from_profiles(g, g, g, g, 1.0, 1.0, 2)
+        data = InitialData(g, g, g, g)
         specs = [TestFunctionSpec(gamma=1.0, r=2.0, R=1.0)]
         peaks = []
         for count in (10, 40):

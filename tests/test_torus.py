@@ -33,10 +33,6 @@ from sevolab.torus import (
 PARAMS = SystemParams(1, 1, 1, 3, 4)
 
 
-def make_data(u0=None, u1=None, v0=None, v1=None, sigma1=1.0, sigma2=1.0, n=1):
-    return InitialData.from_profiles(u0, u1, v0, v1, sigma1, sigma2, n)
-
-
 class Snapshots:
     """Observer keeping the full-grid (t, u, v) at its times."""
 
@@ -83,7 +79,8 @@ def rfftn_corner(grid, f):
 
 def rfftn_reference_step(grid, data, params, dt):
     """One coupled step of the full-grid rfftn half spectrum, each field on
-    its own with np.power; returns the corner bins of (u, ut, v, vt)."""
+    its own with np.power; returns the corner bins of (u, v, ut, vt), the
+    rows of the state's w and then of its wt."""
     r = grid.unfold(grid.radius())
     u, ut, v, vt = (np.fft.rfftn(prof.value(r)) for prof in (data.u0, data.u1,
                                                              data.v0, data.v1))
@@ -105,11 +102,11 @@ def rfftn_reference_step(grid, data, params, dt):
               for ((k0, k1, dk0, dk1), _), (w, wt) in zip(ops, ((u, ut), (v, vt)))]
     start = coupling(u, v)
     end = coupling(linear[0][0], linear[1][0])
-    expected = []
+    rows, rows_t = [], []
     for (_, (A, B, Ad, Bd)), (w, wt), n0, n1 in zip(ops, linear, start, end):
-        expected += [corner(grid, w + (A - B) * n0 + B * n1),
-                     corner(grid, wt + (Ad - Bd) * n0 + Bd * n1)]
-    return expected
+        rows.append(corner(grid, w + (A - B) * n0 + B * n1))
+        rows_t.append(corner(grid, wt + (Ad - Bd) * n0 + Bd * n1))
+    return rows + rows_t
 
 
 class TestGridSpec:
@@ -145,49 +142,42 @@ class TestInit:
     def test_grid_norm_matches_continuum(self, n_dim):
         grid = GridSpec(n_dim, {1: 512, 2: 128, 3: 64}[n_dim], 40.0 if n_dim == 1 else 12.0)
         g = GaussianProfile(1.0, 1.0)
-        state = init(grid, make_data(u0=g), PARAMS)
+        state = init(grid, InitialData(u0=g), PARAMS)
         assert six_norms(state)["u_l2"] == pytest.approx(g.l2(n_dim), rel=1e-8)
 
     def test_zero_data_gives_zero_state(self):
         grid = GridSpec(1, 64, 20.0)
-        state = init(grid, make_data(), PARAMS)
-        for arr in state.fields():
+        state = init(grid, InitialData(), PARAMS)
+        for arr in (state.w, state.wt):
             assert np.all(arr == 0)
 
     def test_zero_mode_is_mass_quadrature(self):
         grid = GridSpec(1, 512, 40.0)
         g = GaussianProfile(0.3, 1.5)
-        state = init(grid, make_data(u1=g), PARAMS)
-        assert state.ut_hat[0].real * grid.dx == pytest.approx(g.mass(1), rel=1e-8)
+        state = init(grid, InitialData(u1=g), PARAMS)
+        assert state.wt[0, 0] * grid.dx == pytest.approx(g.mass(1), rel=1e-8)
 
     def test_profile_too_wide(self):
         grid = GridSpec(1, 64, 20.0)
         with pytest.raises(ProfileTooWideError):
-            init(grid, make_data(u0=GaussianProfile(1.0, 10.0)), PARAMS)
-
-    def test_a_norms(self):
-        g = GaussianProfile(2.0, 1.0)
-        data = make_data(u0=g, u1=g, sigma1=1.5)
-        expected = g.l1(1) + g.h_sigma(1.5, 1) + g.l1(1) + g.l2(1)
-        assert data.a_norm_u == pytest.approx(expected)
-        assert data.a_norm_v == 0.0
+            init(grid, InitialData(u0=GaussianProfile(1.0, 10.0)), PARAMS)
 
     @pytest.mark.parametrize("n_dim,npts", [(1, 256), (2, 64), (3, 32)])
     def test_corner_coefficients_are_rfftn_bins(self, n_dim, npts):
         grid = GridSpec(n_dim, npts, 10.0)
         g, h = GaussianProfile(0.8, 1.2), GaussianProfile(-0.4, 0.9)
-        state = init(grid, make_data(u0=g, v1=h, n=n_dim), PARAMS)
+        state = init(grid, InitialData(u0=g, v1=h), PARAMS)
         r = grid.unfold(grid.radius())
         assert state.w.shape == state.wt.shape == (2, *grid.corner_shape)
-        for got, prof in ((state.u_hat, g), (state.vt_hat, h)):
+        for got, prof in ((state.w[0], g), (state.wt[1], h)):
             ref = rfftn_corner(grid, prof.value(r))
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_inverse_transform_matches_profile_pointwise(self):
         grid = GridSpec(1, 256, 30.0)
         g = GaussianProfile(0.8, 1.2)
-        state = init(grid, make_data(v0=g), PARAMS)
-        recovered = np.fft.irfftn(state.v_hat, s=(256,), axes=(0,))
+        state = init(grid, InitialData(v0=g), PARAMS)
+        recovered = np.fft.irfftn(state.w[1], s=(256,), axes=(0,))
         sampled = g.value(grid.unfold(grid.radius()))
         assert np.max(np.abs(recovered - sampled)) < 1e-10
 
@@ -211,7 +201,7 @@ class TestCornerMemory:
 
     def test_init(self):
         g = GaussianProfile(0.5, 1.0)
-        data = make_data(u0=g, u1=g, v0=g, v1=g, n=3)
+        data = InitialData(u0=g, u1=g, v0=g, v1=g)
         assert self.peak(lambda: init(self.GRID, data, self.PARAMS)) <= self.LIMIT
 
     def test_corner_grid(self):
@@ -229,25 +219,25 @@ class TestLinearStep:
     def test_zero_mode_formula(self):
         grid = GridSpec(1, 128, 20.0)
         g = GaussianProfile(1.0, 1.0)
-        state = init(grid, make_data(u1=g), PARAMS)
+        state = init(grid, InitialData(u1=g), PARAMS)
         out = linear_step(state, 2.5)
-        expected = state.ut_hat[0] * (1.0 - math.exp(-2.5))
-        assert out.u_hat[0] == pytest.approx(expected, rel=1e-13)
+        expected = state.wt[0, 0] * (1.0 - math.exp(-2.5))
+        assert out.w[0, 0] == pytest.approx(expected, rel=1e-13)
 
     def test_half_steps_compose_exactly(self):
         grid = GridSpec(1, 128, 20.0)
         g = GaussianProfile(1.0, 1.0)
-        state = init(grid, make_data(u0=g, v1=g), PARAMS)
+        state = init(grid, InitialData(u0=g, v1=g), PARAMS)
         once = linear_step(state, 0.8)
         twice = linear_step(linear_step(state, 0.4), 0.4)
-        for a, b in zip(once.fields(), twice.fields()):
+        for a, b in zip((once.w, once.wt), (twice.w, twice.wt)):
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_sets_energy_like_the_coupled_step(self):
         grid = GridSpec(2, 32, 10.0)
         params = SystemParams(2, 1.0, 1.5, 3.0, 3.0)
         g = GaussianProfile(0.5, 1.0)
-        state = init(grid, make_data(u0=g, v1=g, n=2), params)
+        state = init(grid, InitialData(u0=g, v1=g), params)
         out = linear_step(state, 0.3)
         mult = corner_grid(grid)[1]
         assert out.energy == _energy(out.w, mult) + _energy(out.wt, mult)
@@ -255,15 +245,15 @@ class TestLinearStep:
 
     def test_overflow_sets_blowup_flag(self):
         grid = GridSpec(1, 64, 20.0)
-        state = init(grid, make_data(u0=GaussianProfile(1.0, 1.0)), PARAMS)
-        state.u_hat *= 1e300
+        state = init(grid, InitialData(u0=GaussianProfile(1.0, 1.0)), PARAMS)
+        state.w[0] *= 1e300
         stepped = linear_step(state, 0.1)
         assert stepped.blown_up and not math.isfinite(stepped.energy)
 
     def test_cross_validation_against_oracle(self):
         grid = GridSpec(1, 1024, 100.0)
         g = GaussianProfile(1e-2, 1.0)
-        data = make_data(u0=g, u1=g, v0=g, v1=g)
+        data = InitialData(u0=g, u1=g, v0=g, v1=g)
         times = [1.0, 5.0, 20.0, 80.0, 150.0]
         result = run(grid, data, PARAMS, 150.0, times, linear_only=True)
         for t, val in result.series["v_l2"].entries:
@@ -282,15 +272,15 @@ class TestDuhamelStep:
     def test_vanishing_coupling_reduces_to_linear(self):
         grid = GridSpec(1, 128, 20.0)
         g = GaussianProfile(0.5, 1.0)
-        state = init(grid, make_data(u0=g, u1=g), PARAMS)  # v identically zero
+        state = init(grid, InitialData(u0=g, u1=g), PARAMS)  # v identically zero
         stepped = duhamel_step(state, 0.2, PARAMS.p, PARAMS.q)
         lin = linear_step(state, 0.2)
-        assert np.max(np.abs(stepped.u_hat - lin.u_hat)) == 0.0
-        assert np.max(np.abs(stepped.ut_hat - lin.ut_hat)) == 0.0
+        assert np.max(np.abs(stepped.w[0] - lin.w[0])) == 0.0
+        assert np.max(np.abs(stepped.wt[0] - lin.wt[0])) == 0.0
 
     def test_single_mode_constant_forcing_weight(self):
         grid = GridSpec(1, 128, 20.0)
-        state = init(grid, make_data(), PARAMS)
+        state = init(grid, InitialData(), PARAMS)
         k_index = 5
         xi5 = 2 * math.pi * np.fft.fftfreq(128, d=grid.dx)[k_index]
         amp = 0.3
@@ -304,10 +294,10 @@ class TestDuhamelStep:
                                 epsabs=1e-16, epsrel=1e-13)
         force_hat = np.fft.fftn(grid.unfold(force))
         expected = force_hat[k_index] * oracle_weight
-        assert stepped.u_hat[k_index] == pytest.approx(expected, rel=1e-10)
+        assert stepped.w[0, k_index] == pytest.approx(expected, rel=1e-10)
         # derivative channel gets k1(dt) as its weight
         expected_dt = force_hat[k_index] * _propagator_scalar(dt, mu)[1]
-        assert stepped.ut_hat[k_index] == pytest.approx(expected_dt, rel=1e-10)
+        assert stepped.wt[0, k_index] == pytest.approx(expected_dt, rel=1e-10)
 
     def test_manufactured_solution_second_order(self):
         # exact solution u* = exp(-t) g(x), v* = 0, via compensating forcing
@@ -316,7 +306,7 @@ class TestDuhamelStep:
         gx = g.value(grid.radius())  # corner samples, as the forcing returns
         lap_g = grid.to_physical(grid.xi_mag() ** 2 * grid.to_spectral(gx))
 
-        data = make_data(u0=g, u1=GaussianProfile(-0.1, 2.0))
+        data = InitialData(u0=g, u1=GaussianProfile(-0.1, 2.0))
         q = PARAMS.q
 
         def fu(t):
@@ -346,10 +336,11 @@ class TestDuhamelStep:
         grid = GridSpec(1, 256, 30.0)
         params = SystemParams(1, 1.0, 1.5, 2.5, 3.0)
         g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
-        data = make_data(u0=g, u1=h, v0=h, v1=g, sigma1=1.0, sigma2=1.5)
+        data = InitialData(u0=g, u1=h, v0=h, v1=g)
         dt = 0.07
         stepped = duhamel_step(init(grid, data, params), dt, params.p, params.q)
-        for got, ref in zip(stepped.fields(), rfftn_reference_step(grid, data, params, dt)):
+        reference = rfftn_reference_step(grid, data, params, dt)
+        for got, ref in zip([*stepped.w, *stepped.wt], reference):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n_dim,npts", [(2, 32), (3, 16)])
@@ -357,10 +348,11 @@ class TestDuhamelStep:
         grid = GridSpec(n_dim, npts, 10.0)
         params = SystemParams(n_dim, 1.0, 1.0, 3.0, 2.5)
         g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
-        data = make_data(u0=g, u1=h, v0=h, v1=g, n=n_dim)
+        data = InitialData(u0=g, u1=h, v0=h, v1=g)
         dt = 0.07
         stepped = duhamel_step(init(grid, data, params), dt, params.p, params.q)
-        for got, ref in zip(stepped.fields(), rfftn_reference_step(grid, data, params, dt)):
+        reference = rfftn_reference_step(grid, data, params, dt)
+        for got, ref in zip([*stepped.w, *stepped.wt], reference):
             assert got.shape == grid.corner_shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -368,7 +360,7 @@ class TestDuhamelStep:
         # forcing returns corner samples; a full-grid field cannot broadcast
         grid = GridSpec(2, 32, 8.0)
         params = SystemParams(2, 1.0, 1.0, 3.0, 3.0)
-        state = init(grid, make_data(u0=GaussianProfile(0.5, 1.0), n=2), params)
+        state = init(grid, InitialData(u0=GaussianProfile(0.5, 1.0)), params)
         even = np.exp(-grid.radius() ** 2)
         full = grid.unfold(even)
         for forcing in ((None, lambda t: full), (lambda t: full, None)):
@@ -380,7 +372,7 @@ class TestDuhamelStep:
         grid = GridSpec(2, 32, 12.0)
         g = GaussianProfile(0.5, 1.0)
         params = SystemParams(2, 1.0, 1.0, 3.0, 3.5)
-        state = init(grid, make_data(u0=g, v1=g, n=2), params)
+        state = init(grid, InitialData(u0=g, v1=g), params)
         calls = {"idctn": 0, "dctn": 0}
         for name in calls:
             original = getattr(scipy.fft, name)
@@ -407,7 +399,7 @@ class TestDuhamelStep:
         grid = GridSpec(n_dim, npts, half_length)
         params = SystemParams(n_dim, sigma1, sigma2, p, q)
         g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
-        data = make_data(u0=g, u1=h, v0=h, v1=g, sigma1=sigma1, sigma2=sigma2, n=n_dim)
+        data = InitialData(u0=g, u1=h, v0=h, v1=g)
         r = grid.radius()
         forcing = ((lambda t: np.exp(-r * r) * math.cos(t),
                     lambda t: 0.2 * (1.0 + t) * np.exp(-r * r / 4.0)) if forced else None)
@@ -421,8 +413,8 @@ class TestDuhamelStep:
 
     def test_overflow_sets_blowup_flag(self):
         grid = GridSpec(1, 64, 20.0)
-        state = init(grid, make_data(u0=GaussianProfile(1.0, 1.0)), PARAMS)
-        state.u_hat *= 1e300
+        state = init(grid, InitialData(u0=GaussianProfile(1.0, 1.0)), PARAMS)
+        state.w[0] *= 1e300
         stepped = duhamel_step(state, 0.1, 9.0, 9.0)
         assert stepped.blown_up
 
@@ -431,7 +423,7 @@ class TestRunInvariants:
     def test_realness_and_symmetry(self):
         grid = GridSpec(1, 256, 30.0)
         g = GaussianProfile(0.5, 1.0)
-        data = make_data(u0=g, u1=g, v0=g, v1=g)
+        data = InitialData(u0=g, u1=g, v0=g, v1=g)
         params = SystemParams(1, 1, 1, 2, 2)
         snaps = Snapshots([1.5, 3.0])
         run(grid, data, params, 3.0, [3.0], observers=[snaps])
@@ -444,14 +436,14 @@ class TestRunInvariants:
     def test_realness_of_spectral_state(self):
         grid = GridSpec(1, 128, 20.0)
         g = GaussianProfile(0.5, 1.0)
-        data = make_data(u0=g, v0=g)
+        data = InitialData(u0=g, v0=g)
         params = SystemParams(1, 1.5, 1, 2, 3)
         state = init(grid, data, params)
         for _ in range(5):
             state = duhamel_step(state, 0.1, params.p, params.q)
         # the corner state is real by construction; after coupled steps it is
         # still the rfftn spectrum of the unfolded field, which is real
-        for arr in (state.u_hat, state.v_hat):
+        for arr in state.w:
             assert arr.dtype == np.float64
             ref = rfftn_corner(grid, grid.unfold(grid.to_physical(arr)))
             assert np.max(np.abs(ref.imag)) < 1e-10 * np.max(np.abs(ref.real))
@@ -462,7 +454,7 @@ class TestRunInvariants:
         g = GaussianProfile(0.5, 1.0)
         params = SystemParams(2, 1, 1, 2, 2)
         snaps = Snapshots([0.0, 0.5])
-        run(grid, make_data(u0=g, v1=g, n=2), params, 0.5, [0.5], observers=[snaps])
+        run(grid, InitialData(u0=g, v1=g), params, 0.5, [0.5], observers=[snaps])
         assert len(snaps.fields) == 2
         for _, u, v in snaps.fields:
             for f in (u, v):
@@ -475,7 +467,7 @@ class TestRunInvariants:
     def test_step_halving_self_convergence(self):
         grid = GridSpec(1, 256, 30.0)
         g = GaussianProfile(0.05, 1.0)
-        data = make_data(u0=g, u1=g, v0=g, v1=g)
+        data = InitialData(u0=g, u1=g, v0=g, v1=g)
         params = SystemParams(1, 1, 1, 2, 2)
         finals = []
         for dt in (0.2, 0.1, 0.05):
@@ -488,14 +480,14 @@ class TestRunInvariants:
     def test_records_strictly_increasing_and_within_tmax(self):
         grid = GridSpec(1, 128, 20.0)
         g = GaussianProfile(0.01, 1.0)
-        res = run(grid, make_data(u0=g), PARAMS, 2.0, [0.5, 1.0, 2.0])
+        res = run(grid, InitialData(u0=g), PARAMS, 2.0, [0.5, 1.0, 2.0])
         times = res.series["u_l2"].times()
         assert np.all(np.diff(times) > 0)
         assert times[-1] <= 2.0
 
     def test_zero_data_stays_zero_without_blowup(self):
         grid = GridSpec(1, 64, 20.0)
-        res = run(grid, make_data(), PARAMS, 2.0, [1.0, 2.0])
+        res = run(grid, InitialData(), PARAMS, 2.0, [1.0, 2.0])
         assert res.blowup is None
         assert all(v == 0.0 for _, v in res.series["u_l2"].entries)
         assert all(v == 0.0 for _, v in res.series["v_dt"].entries)
@@ -505,7 +497,7 @@ class TestRunInvariants:
         grid = GridSpec(1, 64, 20.0)
         snaps = Snapshots(times)
         with pytest.raises(ValueError, match="observer times must lie in"):
-            run(grid, make_data(), PARAMS, 3.0, [3.0], observers=[snaps])
+            run(grid, InitialData(), PARAMS, 3.0, [3.0], observers=[snaps])
         assert snaps.fields == []
 
     def test_observers_called_at_their_times_until_blowup(self):
@@ -514,7 +506,7 @@ class TestRunInvariants:
         params = SystemParams(1, 1.0, 1.0, 2.0, 2.0)
         g = GaussianProfile(3.0, 1.0)
         early, late = Snapshots([0.0, 1.0, 2.0, 3.0]), Snapshots([2.5, 5.0, 8.0])
-        res = run(grid, make_data(u1=g, v1=g), params, 10.0, [10.0],
+        res = run(grid, InitialData(u1=g, v1=g), params, 10.0, [10.0],
                   observers=[early, late])
         assert 3.0 < res.blowup["time"] < 5.0
         assert [t for t, _, _ in early.fields] == [0.0, 1.0, 2.0, 3.0]
@@ -524,7 +516,7 @@ class TestRunInvariants:
     def test_nonpositive_threshold_rejected(self, threshold):
         grid = GridSpec(1, 64, 20.0)
         with pytest.raises(ValueError, match="blowup_threshold must be positive"):
-            run(grid, make_data(), PARAMS, 1.0, [1.0], blowup_threshold=threshold)
+            run(grid, InitialData(), PARAMS, 1.0, [1.0], blowup_threshold=threshold)
 
 
 class TestPower:
@@ -575,7 +567,7 @@ class TestStepKernel:
 
         monkeypatch.setattr("sevolab.torus._StepKernel", Recorded)
         grid = GridSpec(1, 64, 20.0)
-        data = make_data(u0=GaussianProfile(0.01, 1.0))
+        data = InitialData(u0=GaussianProfile(0.01, 1.0))
         run(grid, data, PARAMS, 1.0, [0.5, 1.0], dt=0.1, linear_only=True)
         state = init(grid, data, PARAMS)
         linear_step(state, 0.1)
@@ -585,7 +577,7 @@ class TestStepKernel:
     def test_coupled_steps_reuse_their_buffers(self, monkeypatch):
         grid = GridSpec(1, 64, 20.0)
         kernel = _StepKernel(grid, 1.0, 1.0)
-        state = init(grid, make_data(u0=GaussianProfile(0.01, 1.0)), PARAMS)
+        state = init(grid, InitialData(u0=GaussianProfile(0.01, 1.0)), PARAMS)
         inputs = []
         original = scipy.fft.idctn
 
@@ -611,7 +603,7 @@ class TestBlowupPastValidity:
         grid = GridSpec(1, 256, 20.0)
         params = SystemParams(1, 1.0, 1.0, 2.0, 2.0)
         g = GaussianProfile(amp, 1.0)
-        res = run(grid, make_data(u1=g, v1=g), params, 40.0, [1.0, 5.0, 10.0, 40.0])
+        res = run(grid, InitialData(u1=g, v1=g), params, 40.0, [1.0, 5.0, 10.0, 40.0])
         assert res.t_valid == pytest.approx(5.25)
         assert res.blowup is not None
         assert (res.blowup["time"] > res.t_valid) is flagged
@@ -628,7 +620,7 @@ class TestRunEcho:
 
     def test_echo_counts_steps_and_builds(self):
         grid = GridSpec(1, 64, 20.0)
-        data = make_data(u0=GaussianProfile(0.01, 1.0))
+        data = InitialData(u0=GaussianProfile(0.01, 1.0))
         res = run(grid, data, PARAMS, 1.0, [0.25, 0.5, 1.0], dt=0.1)
         assert set(res.config_echo) == self.ECHO_KEYS
         # 0.25 = 0.1 + 0.1 + 0.05, 0.5 likewise, 1.0 = 5 x 0.1
@@ -637,7 +629,7 @@ class TestRunEcho:
 
     def test_halt_at_time_zero_echoes_same_keys(self):
         grid = GridSpec(1, 64, 20.0)
-        data = make_data(u0=GaussianProfile(1.0, 1.0))
+        data = InitialData(u0=GaussianProfile(1.0, 1.0))
         res = run(grid, data, PARAMS, 1.0, [1.0], dt=0.1, blowup_threshold=1e-12)
         assert res.blowup["time"] == 0.0
         assert set(res.config_echo) == self.ECHO_KEYS
@@ -653,9 +645,9 @@ class TestSixNorms:
         # included, so each multiplicity is checked against the full grid
         grid = GridSpec(n_dim, npts, 10.0)
         rng = np.random.default_rng(n_dim)
-        state = init(grid, make_data(n=n_dim), PARAMS)
-        state.u_hat = grid.to_spectral(rng.standard_normal(grid.corner_shape))
-        full = grid.unfold(grid.to_physical(state.u_hat))
+        state = init(grid, InitialData(), PARAMS)
+        state.w[0] = grid.to_spectral(rng.standard_normal(grid.corner_shape))
+        full = grid.unfold(grid.to_physical(state.w[0]))
         norms = six_norms(state)
         assert norms["u_l2"] == pytest.approx(math.sqrt(grid.dV * np.sum(full**2)),
                                               rel=1e-13)
@@ -668,27 +660,27 @@ class TestSixNorms:
 class TestDetectBlowup:
     def make_state(self):
         grid = GridSpec(1, 64, 20.0)
-        return init(grid, make_data(u0=GaussianProfile(1.0, 1.0)), PARAMS)
+        return init(grid, InitialData(u0=GaussianProfile(1.0, 1.0)), PARAMS)
 
     def test_norm_over_threshold(self):
         state = self.make_state()
-        state.u_hat *= 1e7
+        state.w[0] *= 1e7
         assert detect_blowup(state, 1e6)
 
     def test_zero_state(self):
         grid = GridSpec(1, 64, 20.0)
-        state = init(grid, make_data(), PARAMS)
+        state = init(grid, InitialData(), PARAMS)
         assert not detect_blowup(state, 1e6)
 
     def test_single_nonfinite_coefficient(self):
         state = self.make_state()
-        state.v_hat[3] = np.nan
+        state.w[1, 3] = np.nan
         assert detect_blowup(state, 1e6)
 
     @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
     def test_invalid_threshold_rejected(self, threshold):
         state = self.make_state()
-        state.u_hat *= 1e12
+        state.w[0] *= 1e12
         with pytest.raises(ValueError, match="threshold must be positive"):
             detect_blowup(state, threshold)
 
