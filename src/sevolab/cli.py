@@ -33,8 +33,10 @@ class ConfigError(ValueError):
 # if optional; a rule types a value or raises ConfigError naming its path
 # --------------------------------------------------------------------------
 
-def _read(obj, path: str, fields: dict) -> dict:
-    """Every field of the table ``fields`` read from ``obj`` by its rule."""
+def _read(obj, path: str, fields: dict,
+          read=lambda rule, value, path, key: rule(value, f"{path}.{key}")) -> dict:
+    """Every field of the table ``fields`` read from ``obj`` by its rule, which
+    ``read`` calls with the value and the field's path."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = sorted(set(obj) - set(fields))
@@ -46,7 +48,7 @@ def _read(obj, path: str, fields: dict) -> dict:
     out = {}
     for key, field in fields.items():
         rule, default = field if type(field) is tuple else (field, None)
-        out[key] = rule(obj[key], f"{path}.{key}") if key in obj else default
+        out[key] = read(rule, obj[key], path, key) if key in obj else default
     return out
 
 
@@ -114,13 +116,19 @@ def _exponent_range(value, path) -> list[float]:
     return [round(x, 10) for x in values]
 
 
+def _window(value, path) -> tuple[float, float]:
+    lo, hi = _array(_real, _real)(value, path)
+    if lo >= hi:
+        raise ConfigError(f"{path}: expected lo < hi, got [{lo:g}, {hi:g}]")
+    return lo, hi
+
+
 SPACING_FIELDS = {"kind": _enum("log", "linear"), "t_min": _real, "t_max": _real,
                   "count": _positive_int}
 #: the SystemParams fields, each by its rule; also the flags of ``classify``
-CLASSIFY_FLAGS = {"n": _positive_int, "sigma1": _number(1, strict=False),
-                  "sigma2": _number(1, strict=False), "p": _number(1), "q": _number(1),
-                  "eps": _positive}
-PARAMS_FIELDS = {**CLASSIFY_FLAGS, "eps": (_positive, 0.01)}
+PARAMS_FIELDS = {"n": _positive_int, "sigma1": _number(1, strict=False),
+                 "sigma2": _number(1, strict=False), "p": _number(1), "q": _number(1),
+                 "eps": (_positive, 0.01)}
 _grid = _object({"n_dim": _integer, "points_per_dim": _integer,
                  "half_length": _positive}, torus.GridSpec)
 _gaussian = _object({"kind": _enum("gaussian"), "amplitude": _real, "width": _positive},
@@ -137,7 +145,7 @@ RUN_FIELDS = {
     "dt": _AUTO, "blowup_threshold": _AUTO,
     "seed": (_integer, 0),
     "linear_only": (_enum(True, False), False),
-    "fit_window": (_array(_real, _real), None),
+    "fit_window": (_window, None),
 }
 SWEEP_FIELDS = {
     "p_range": _exponent_range, "q_range": _exponent_range,
@@ -242,8 +250,8 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _write_text(path: str | None, text: str):
-    if path is None or path == "-":
+def _write_text(path: str, text: str):
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -272,61 +280,81 @@ def verdict_json(params: exponents.SystemParams) -> dict:
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands, each with a field table of its flags, read as a config is read
 # --------------------------------------------------------------------------
 
+def _text(value, path):
+    """A flag's text as given: a file path, or a spec that its command reads."""
+    return value
+
+
+def _flag_number(text: str):
+    """The int, or else the float, that a flag's text spells; else the text."""
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _read_flag(rule, text, path, key):
+    """A flag's text read by its rule and reported as ``--flag``; text that
+    spells a number is that number, unless the rule is ``_text``."""
+    return rule(text if rule is _text else _flag_number(text), _flag(key))
+
+
+_dimension = _enum(1, 2, 3)
+LINEAR_DECAY_FLAGS = {"sigma": _positive, "n": _dimension,
+                      "kind": _enum(*(k.value for k in oracle.NormKind)), "t": _text,
+                      "w0_amplitude": (_real, 1.0), "w0_width": (_positive, 1.0),
+                      "w1_amplitude": (_real, 0.0), "w1_width": (_positive, 1.0),
+                      "out": (_text, "-")}
+SIMULATE_FLAGS = {"config": _text, "out_dir": (_text, "sim-out")}
+SWEEP_FLAGS = {"config": _text, "out": _text, "workers": (_positive_int, None)}
+TESTFN_FLAGS = {"gamma": _number(1, strict=False), "r": _positive, "R": _positive,
+                "n": (_dimension, 1)}
+_TGRID_FIELDS = {**SPACING_FIELDS, "kind": _enum("log", "lin")}
+
+
+def _check_out(path: str) -> None:
+    """Reject, before any work, an ``--out`` file that cannot be created."""
+    folder = os.path.dirname(path) or "."
+    if path != "-" and (os.path.isdir(path) or not os.path.isdir(folder)):
+        raise ConfigError(f"--out: cannot create the file {path!r}")
+
+
 def cmd_classify(args) -> int:
-    _read_flags(args, CLASSIFY_FLAGS)
-    params = exponents.SystemParams(args.n, args.sigma1, args.sigma2,
-                                    args.p, args.q, args.eps)
+    params = exponents.SystemParams(**vars(args))
     print(json.dumps(verdict_json(params), indent=2, sort_keys=True))
     return 0
 
 
 def _parse_tgrid(spec: str) -> list[float]:
-    """Times of ``log|lin:lo:hi:count``, each part read by its field rule."""
+    """Times of ``log|lin:lo:hi:count``, each part read as a flag by its field rule."""
     parts = spec.split(":")
     if len(parts) != 4:
         raise ConfigError("--t: t-grid must look like log:1e2:1e5:40 or lin:0:100:11")
-    numbers = []
-    for key, text in zip(("t_min", "t_max", "count"), parts[1:]):
-        try:
-            numbers.append(float(text))
-        except ValueError:
-            raise ConfigError(f"--t.{key}: expected a number, got {text!r}") from None
-    lo, hi, count = numbers
-    return _spaced({"kind": _enum("log", "lin")(parts[0], "--t.kind"),
-                    "t_min": _real(lo, "--t.t_min"), "t_max": _real(hi, "--t.t_max"),
-                    "count": _positive_int(count, "--t.count")}, "--t")
-
-
-_dimension = _enum(1, 2, 3)
-LINEAR_DECAY_FLAGS = {"sigma": _positive, "n": _dimension,
-                      "w0_amplitude": _real, "w0_width": _positive,
-                      "w1_amplitude": _real, "w1_width": _positive}
-TESTFN_FLAGS = {"gamma": _number(1, strict=False), "r": _positive, "R": _positive,
-                "n": _dimension}
-
-
-def _read_flags(args, rules: dict) -> None:
-    """Each flag of ``rules`` (by its argparse name) read in place by its rule,
-    which reports it as ``--flag``."""
-    for name, rule in rules.items():
-        setattr(args, name, rule(getattr(args, name), "--" + name.replace("_", "-")))
+    values = {key: _flag_number(part) for key, part in zip(_TGRID_FIELDS, parts)}
+    return _spaced(_read(values, "--t", _TGRID_FIELDS), "--t")
 
 
 def cmd_linear_decay(args) -> int:
-    _read_flags(args, LINEAR_DECAY_FLAGS)
-    kind = {k.value: k for k in oracle.NormKind}[args.kind]
     t_grid = _parse_tgrid(args.t)
     w0 = GaussianProfile(args.w0_amplitude, args.w0_width) if args.w0_amplitude else None
     w1 = GaussianProfile(args.w1_amplitude, args.w1_width) if args.w1_amplitude else None
     if w0 is None and w1 is None:
         raise ConfigError("at least one of w0, w1 must be nonzero")
+    _check_out(args.out)
     cfg = {"sigma": args.sigma, "n": args.n, "kind": args.kind, "t": args.t,
            "w0": [args.w0_amplitude, args.w0_width],
            "w1": [args.w1_amplitude, args.w1_width]}
-    series = oracle.decay_series(w0, w1, args.sigma, args.n, kind, t_grid)
+    series = oracle.decay_series(w0, w1, args.sigma, args.n, oracle.NormKind(args.kind),
+                                 t_grid)
 
     lines = [f"# config-hash: {config_hash(cfg)}", "t,norm,kind,sigma,n"]
     for t, v in series.entries:
@@ -346,11 +374,8 @@ def cmd_linear_decay(args) -> int:
 def run_norms_csv(result: torus.RunResult, hash_str: str) -> str:
     lines = [f"# config-hash: {hash_str}",
              "t,norm_u_l2,norm_u_dsigma,norm_ut,norm_v_l2,norm_v_dsigma,norm_vt"]
-    order = ("u_l2", "u_dsigma", "u_dt", "v_l2", "v_dsigma", "v_dt")
-    times = [t for t, _ in result.series["u_l2"].entries]
-    table = {k: dict(result.series[k].entries) for k in order}
-    for t in times:
-        lines.append(",".join([_fmt(t)] + [_fmt(table[k][t]) for k in order]))
+    for row in zip(*(result.series[k].entries for k in torus.NORM_LABELS)):  # one time base
+        lines.append(",".join([_fmt(row[0][0])] + [_fmt(v) for _, v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -386,6 +411,7 @@ def cmd_simulate(args) -> int:
     raw = _load_json(args.config)
     cfg = load_run_config(raw)
     hash_str = config_hash(raw)
+    os.makedirs(args.out_dir, exist_ok=True)  # a bad location fails before the run
     result = torus.run(cfg["grid"], cfg["data"], cfg["params"], cfg["t_max"],
                        cfg["record"], dt=cfg["dt"],
                        blowup_threshold=cfg["blowup_threshold"],
@@ -403,12 +429,10 @@ def cmd_simulate(args) -> int:
         "regime": exponents.classify_regime(cfg["params"]).regime.value,
         "run": result.config_echo,
     }
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    _write_text(os.path.join(out_dir, "norms.csv"), run_norms_csv(result, hash_str))
-    _write_text(os.path.join(out_dir, "events.json"),
+    _write_text(os.path.join(args.out_dir, "norms.csv"), run_norms_csv(result, hash_str))
+    _write_text(os.path.join(args.out_dir, "events.json"),
                 json.dumps(events, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({"blowup": result.blowup, "out_dir": out_dir},
+    print(json.dumps({"blowup": result.blowup, "out_dir": args.out_dir},
                      sort_keys=True))
     return 0
 
@@ -482,7 +506,9 @@ def sweep_csv(rows: list[dict], hash_str: str) -> str:
 
 def cmd_sweep(args) -> int:
     raw = _load_json(args.config)
-    rows = run_sweep(load_sweep_config(raw), workers=args.workers)
+    cfg = load_sweep_config(raw)
+    _check_out(args.out)
+    rows = run_sweep(cfg, workers=args.workers)
     _write_text(args.out, sweep_csv(rows, config_hash(raw)))
     warnings = {f"{r['p']:g},{r['q']:g}": r["warnings"] for r in rows if r["warnings"]}
     print(json.dumps({"cells": len(rows), "errors": sum(1 for r in rows if r["error"]),
@@ -491,7 +517,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_testfn_check(args) -> int:
-    _read_flags(args, TESTFN_FLAGS)
     spec = testfn.TestFunctionSpec(gamma=args.gamma, r=args.r, R=args.R)
     # out to ~8R the bracket still carries weight; far beyond, the exact
     # identity drowns in cancellation and only the envelope bound is tested
@@ -542,71 +567,45 @@ def cmd_testfn_check(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
-def _worker_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with one flag per field of the command's
+    table, required when the table gives no default.  Flags stay text, and
+    flags not given stay absent, for ``main`` to read by the table."""
     parser = argparse.ArgumentParser(
         prog="sevolab",
         description="Numerical laboratory for damped sigma-evolution systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("classify", help="regime classification for (n, s1, s2, p, q)")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--sigma1", type=float, required=True)
-    c.add_argument("--sigma2", type=float, required=True)
-    c.add_argument("--p", type=float, required=True)
-    c.add_argument("--q", type=float, required=True)
-    c.add_argument("--eps", type=float, default=0.01)
-    c.set_defaults(func=cmd_classify)
-
-    d = sub.add_parser("linear-decay", help="oracle decay study of the linear flow")
-    d.add_argument("--sigma", type=float, required=True)
-    d.add_argument("--n", type=int, required=True, help="dimension: 1, 2 or 3")
-    d.add_argument("--kind", choices=["l2", "dsigma", "dt"], required=True)
-    d.add_argument("--t", required=True, help="grid spec, e.g. log:1e2:1e5:40")
-    d.add_argument("--w0-amplitude", type=float, default=1.0)
-    d.add_argument("--w0-width", type=float, default=1.0)
-    d.add_argument("--w1-amplitude", type=float, default=0.0)
-    d.add_argument("--w1-width", type=float, default=1.0)
-    d.add_argument("--out", default="-")
-    d.set_defaults(func=cmd_linear_decay)
-
-    s = sub.add_parser("simulate", help="run one coupled-system simulation")
-    s.add_argument("--config", required=True)
-    s.add_argument("--out-dir", default="sim-out")
-    s.set_defaults(func=cmd_simulate)
-
-    w = sub.add_parser("sweep", help="(p, q) phase-diagram sweep")
-    w.add_argument("--config", required=True)
-    w.add_argument("--out", required=True)
-    w.add_argument("--workers", type=_worker_count, default=None,
-                   help="process count (default: min(8, cpu count))")
-    w.set_defaults(func=cmd_sweep)
-
-    t = sub.add_parser("testfn-check", help="test-function identity report")
-    t.add_argument("--gamma", type=float, required=True)
-    t.add_argument("--r", type=float, required=True)
-    t.add_argument("--R", type=float, required=True)
-    t.add_argument("--n", type=int, default=1, help="dimension: 1, 2 or 3")
-    t.set_defaults(func=cmd_testfn_check)
-
+    dimension = {"n": "dimension: 1, 2 or 3"}
+    decay = {**dimension, "kind": "one of " + ", ".join(k.value for k in oracle.NormKind),
+             "t": "grid spec, e.g. log:1e2:1e5:40"}
+    for name, text, handler, table, flag_help in [
+            ("classify", "regime classification for (n, s1, s2, p, q)", cmd_classify,
+             PARAMS_FIELDS, {}),
+            ("linear-decay", "oracle decay study of the linear flow", cmd_linear_decay,
+             LINEAR_DECAY_FLAGS, decay),
+            ("simulate", "run one coupled-system simulation", cmd_simulate,
+             SIMULATE_FLAGS, {}),
+            ("sweep", "(p, q) phase-diagram sweep", cmd_sweep, SWEEP_FLAGS,
+             {"workers": "process count (default: min(8, cpu count))"}),
+            ("testfn-check", "test-function identity report", cmd_testfn_check,
+             TESTFN_FLAGS, dimension)]:
+        command = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for key, field in table.items():
+            command.add_argument(_flag(key), required=type(field) is not tuple,
+                                 help=flag_help.get(key))
+        command.set_defaults(run=(handler, table))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    (handler, table), _ = args.pop("run"), args.pop("command")
     try:
-        return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+        return handler(argparse.Namespace(**_read(args, "", table, _read_flag)))
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (QuadratureFailure, ArithmeticError) as exc:

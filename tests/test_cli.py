@@ -60,6 +60,12 @@ class TestClassify:
         assert gn[2] == {"identifier": "GN12A2.q_upper", "holds": False,
                          "lhs": 6.0, "rhs": 3.0}
 
+    def test_integral_n_text_read_as_integer(self, capsys):
+        # flag text is read as the number it spells, as params.n: 1.0 is in a config
+        outputs = [run_cli(capsys, "classify", "--n", n, "--sigma1", "1", "--sigma2", "1",
+                           "--p", "3", "--q", "4") for n in ("1", "1.0")]
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--n", "1")
         assert code == 1
@@ -121,6 +127,12 @@ class TestSimulate:
             assert code == 0
             outputs.append((out_dir / "norms.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_config_directory_is_an_error(self, capsys, tmp_path):
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(tmp_path),
+                                    "--out-dir", str(tmp_path / "out"))
+        assert code == 1 and stdout == "" and err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -336,6 +348,11 @@ class TestConfigReader:
         ("classify", "p", "nan", "--p"),
         ("classify", "q", "1", "--q"),
         ("classify", "eps", "0", "--eps"),
+        ("classify", "n", "x", "--n"),
+        ("testfn-check", "n", "x", "--n"),
+        ("linear-decay", "kind", "foo", "--kind"),
+        ("linear-decay", "w0-amplitude", "x", "--w0-amplitude"),
+        ("simulate", "fit_window", [10, 1], "config.fit_window"),
     ]
     # the flags of each flag-driven subcommand that the table patches
     FLAGS = {"classify": {"n": "1", "sigma1": "1", "sigma2": "1", "p": "3", "q": "3"},
@@ -378,6 +395,25 @@ class TestConfigReader:
             assert code == 1
         assert runs == []
 
+    def test_bad_output_location_rejected_before_any_run(self, capsys, tmp_path,
+                                                         monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli.torus, "run", lambda *a, **k: runs.append(a))
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        sweep, run = tmp_path / "sweep.json", tmp_path / "run.json"
+        sweep.write_text(json.dumps(SWEEP_CONFIG))
+        run.write_text(json.dumps(BASE_RUN_CONFIG))
+        for argv in (["sweep", "--config", str(sweep), "--workers", "1",
+                      "--out", str(tmp_path / "no_dir" / "phase.csv")],
+                     ["sweep", "--config", str(sweep), "--workers", "1",
+                      "--out", str(tmp_path)],
+                     ["simulate", "--config", str(run), "--out-dir", str(a_file)]):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 1 and stdout == "" and err.startswith("error: ")
+        assert runs == []
+        assert not (tmp_path / "no_dir").exists() and a_file.read_text() == ""
+
     def test_workers_below_one_rejected(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(SWEEP_CONFIG))
@@ -386,6 +422,24 @@ class TestConfigReader:
                                "--out", str(out), "--workers", "0")
         assert code == 1 and "--workers" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,table,helps", [
+        ("classify", cli.PARAMS_FIELDS, []),
+        ("linear-decay", cli.LINEAR_DECAY_FLAGS,
+         ["dimension: 1, 2 or 3", "grid spec, e.g. log:1e2:1e5:40"]),
+        ("simulate", cli.SIMULATE_FLAGS, []),
+        ("sweep", cli.SWEEP_FLAGS, ["process count (default: min(8, cpu count))"]),
+        ("testfn-check", cli.TESTFN_FLAGS, ["dimension: 1, 2 or 3"]),
+    ])
+    def test_help_lists_every_flag_of_its_table(self, capsys, monkeypatch, command,
+                                                table, helps):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per flag
+        code, stdout, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        options = stdout.split("options:")[1]
+        for key in table:
+            assert f"  --{key.replace('_', '-')} {key.upper()}" in options
+        assert all(text in options for text in helps)
 
     def test_sweep_tasks_carry_typed_inputs(self):
         cfg = cli.load_sweep_config(SWEEP_CONFIG)
