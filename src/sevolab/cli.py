@@ -58,17 +58,18 @@ def _number(lo: float | None = None, strict: bool = True, integer: bool = False)
         if type(value) not in (int, float) or not math.isfinite(value) \
                 or integer and value != int(value):
             kind = "an integer" if integer else "a finite number"
-            raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+            raise ConfigError(f"{path}: expected {kind}, got {json.dumps(value)}")
         if lo is not None and (value <= lo if strict else value < lo):
-            raise ConfigError(
-                f"{path}: must be {'>' if strict else '>='} {lo:g}, got {value!r}")
+            raise ConfigError(f"{path}: must be {'>' if strict else '>='} {lo:g}, "
+                              f"got {json.dumps(value)}")
         return int(value) if integer else float(value)
     return rule
 
 
 def _auto_or_positive(value, path):
     if value != "auto" and not (type(value) in (int, float) and 0 < value < math.inf):
-        raise ConfigError(f'{path}: expected "auto" or a finite number > 0, got {value!r}')
+        raise ConfigError(f'{path}: expected "auto" or a finite number > 0, '
+                          f'got {json.dumps(value)}')
     return value if value == "auto" else float(value)
 
 
@@ -348,7 +349,7 @@ def cmd_linear_decay(args) -> int:
     w0 = GaussianProfile(args.w0_amplitude, args.w0_width) if args.w0_amplitude else None
     w1 = GaussianProfile(args.w1_amplitude, args.w1_width) if args.w1_amplitude else None
     if w0 is None and w1 is None:
-        raise ConfigError("at least one of w0, w1 must be nonzero")
+        raise ConfigError("--w0-amplitude: must be nonzero when --w1-amplitude is 0")
     _check_out(args.out)
     cfg = {"sigma": args.sigma, "n": args.n, "kind": args.kind, "t": args.t,
            "w0": [args.w0_amplitude, args.w0_width],

@@ -35,7 +35,6 @@ from scipy.special import kv
 from .exponents import SystemParams
 from .profiles import GaussianProfile, sphere_surface
 from .quadutil import QuadratureFailure, adaptive_quad
-from .torus import corner_grid
 
 __all__ = [
     "BracketCombo", "TestFunctionSpec", "FunctionalValues",
@@ -525,8 +524,8 @@ class Functionals:
     I_R integrates |v|**p and J_R |u|**q against the space cutoff and the
     time cutoff eta over [0, R**(2*sigma)].  Called as ``observer(t, state)``
     at each of its ``times``, it keeps only t and, per spec, the grid sums of
-    |v|**p and |u|**q against the cutoff, taken on the corner grid with the
-    multiplicity weights; :meth:`values` integrates them in time by the
+    |v|**p and |u|**q against the cutoff on the corner grid, where a sample
+    stands for 2**n points; :meth:`values` integrates them in time by the
     trapezoid rule, the late-window variants over the window's second half.
     Requires sigma1 == sigma2; for integer orders the compactly supported
     cutoff is used, otherwise the bracket <x/R>**(-r).
@@ -545,8 +544,8 @@ class Functionals:
         cutoffs = [eta(radius / spec.R, self._lam) if integer
                    else (1.0 + (radius / spec.R) ** 2) ** (-spec.r / 2.0)
                    for spec in self.specs]
-        #: (spec, *corner_shape) cutoffs times multiplicity times cell volume
-        self._weights = np.stack(cutoffs) * (corner_grid(grid)[1] * grid.dV)
+        #: (spec, *corner_shape) cutoffs times the volume of a sample's 2**n cells
+        self._weights = np.stack(cutoffs) * (2 ** grid.n_dim * grid.dV)
         #: per observed time: t, then the |v|**p sum of each spec, then the |u|**q ones
         self._rows: list[list[float]] = []
 

@@ -2,13 +2,15 @@
 
 Every datum is a Gaussian centred at the origin, and both the symbol
 |xi|**(2 sigma) and the pointwise |.|**p keep a field even in each
-coordinate.  So a field is fixed by its samples on the corner [-L, 0]^n of
-the box, indices 0..N/2 of each axis, and the state holds their DCT-I
-coefficients: the DFT coefficients of the full periodic field at the
-frequencies [0, N/2]^n, which are real.  A coefficient off an axis's zero
-and N/2 planes stands for itself and its mirror image on that axis, so sums
-over the spectrum weight it by its multiplicity, 2 per such axis.  Both
-components go through the same kind of propagator and meet only in the
+coordinate.  On the cell-centred grid x_j = -L + (j + 1/2)*dx, x -> -x maps
+index j to N-1-j, so a field is fixed by its samples on the corner [-L, 0]^n,
+indices 0..N/2-1 of each axis.  The state holds their DCT-II coefficients:
+the DFT coefficients of the full periodic field at the frequencies [0, N/2)^n
+times the phase exp(-i*pi*k/N) per axis, which are real; an even field on
+this grid has no N/2 mode.  A coefficient off an axis's zero plane stands for
+itself and its mirror image on that axis, so sums over the spectrum weight it
+by its multiplicity, 2 per such axis.
+Both components go through the same kind of propagator and meet only in the
 coupling, so u and v are stacked and transformed and updated as one array.
 The linear flow is advanced exactly, mode by mode, with the multipliers
 from :mod:`sevolab.multipliers`; the coupling |v|**p, |u|**q enters through
@@ -59,8 +61,8 @@ class ProfileTooWideError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic box [-L, L)^n sampled with a power-of-two grid per dimension;
-    its arrays cover the corner only, and :meth:`unfold` is the full-grid view."""
+    """Periodic box [-L, L)^n, a power-of-two grid of cell centres per
+    dimension; its arrays cover the corner only, :meth:`unfold` the full grid."""
 
     n_dim: int
     points_per_dim: int
@@ -93,8 +95,8 @@ class GridSpec:
 
     @property
     def corner_shape(self) -> tuple[int, ...]:
-        """Samples per axis of the corner [-L, 0]^n: indices 0..N/2."""
-        return (self.points_per_dim // 2 + 1,) * self.n_dim
+        """Samples per axis of the corner [-L, 0]^n: indices 0..N/2-1."""
+        return (self.points_per_dim // 2,) * self.n_dim
 
     def _corner_norm(self, axis: np.ndarray) -> np.ndarray:
         """sqrt(a_j**2 + a_k**2 + ...) at each corner point from the values a
@@ -102,12 +104,12 @@ class GridSpec:
         return np.sqrt(functools.reduce(np.add.outer, [axis * axis] * self.n_dim))
 
     def radius(self) -> np.ndarray:
-        """|x| at the corner samples x_j = -L + dx*j, j = 0..N/2."""
+        """|x| at the corner samples x_j = -L + dx*(j + 1/2), j = 0..N/2-1."""
         j = np.arange(self.corner_shape[0])
-        return self._corner_norm(-self.half_length + self.dx * j)
+        return self._corner_norm(-self.half_length + self.dx * (j + 0.5))
 
     def xi_mag(self) -> np.ndarray:
-        """|xi| at the corner frequencies xi_k = 2*pi*k/(N*dx), k = 0..N/2."""
+        """|xi| at the corner frequencies xi_k = 2*pi*k/(N*dx), k = 0..N/2-1."""
         k = np.arange(self.corner_shape[0])
         df = 1.0 / (self.points_per_dim * self.dx)
         return self._corner_norm(2.0 * math.pi * (k * df))
@@ -116,32 +118,30 @@ class GridSpec:
         """Corner samples of the field(s) with corner coefficients ``w_hat``
         over the trailing n_dim axes, so one field or a stack of fields in one
         call; with ``overwrite`` the result may take w_hat's memory."""
-        return scipy.fft.idctn(w_hat, type=1, axes=range(-self.n_dim, 0),
+        return scipy.fft.idctn(w_hat, type=2, axes=range(-self.n_dim, 0),
                                overwrite_x=overwrite)
 
     def to_spectral(self, w: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Corner coefficients of corner samples (trailing n_dim axes)."""
-        return scipy.fft.dctn(w, type=1, axes=range(-self.n_dim, 0),
+        return scipy.fft.dctn(w, type=2, axes=range(-self.n_dim, 0),
                               overwrite_x=overwrite)
 
     def unfold(self, w: np.ndarray) -> np.ndarray:
-        """Full-grid field(s) of corner samples, reflected j -> N - j on each
+        """Full-grid field(s) of corner samples, reflected j -> N-1-j on each
         of the trailing n_dim axes."""
-        half = self.points_per_dim // 2
-        index = np.r_[0:half + 1, half - 1:0:-1]
         for axis in range(-self.n_dim, 0):
-            w = np.take(w, index, axis=axis)
+            w = np.concatenate((w, np.flip(w, axis)), axis)
         return w
 
 
 @functools.lru_cache(maxsize=8)
 def corner_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """|xi| at the corner frequencies [0, N/2]^n and the multiplicity of each
-    bin: the product over axes of 1 on the zero and N/2 planes, 2 elsewhere
+    """|xi| at the corner frequencies [0, N/2)^n and the multiplicity of each
+    bin: the product over axes of 1 on the zero plane, 2 elsewhere
     (read-only)."""
     xi = grid.xi_mag()
     axis = np.full(grid.corner_shape[0], 2.0)
-    axis[[0, -1]] = 1.0
+    axis[0] = 1.0
     mult = functools.reduce(np.multiply.outer, [axis] * grid.n_dim)
     xi.flags.writeable = mult.flags.writeable = False
     return xi, mult
@@ -166,7 +166,7 @@ class InitialData:
 
 @dataclass
 class SpectralState:
-    """Corner (DCT-I) coefficients of (u, u_t, v, v_t) plus time and symbol
+    """Corner (DCT-II) coefficients of (u, u_t, v, v_t) plus time and symbol
     metadata, stacked: ``w = [u, v]`` and ``wt = [u_t, v_t]``, each a real
     array of shape ``(2, *corner_shape)`` with the u row first, so that one
     transform or update covers both components.  ``energy`` is the

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from sevolab import cli
+from sevolab import cli, torus
 from sevolab.profiles import GaussianProfile
 
 
@@ -208,6 +208,37 @@ class TestSimulate:
         assert events["blowup"]["time"] <= 50.0
 
 
+class TestStepSequence:
+    """The step sequence is pinned: a change of grid layout or transform must
+    leave ``default_dt`` (through ``GridSpec.xi_max``) and every step time
+    where they are, as the frozen benchmark blow-up times lie on them."""
+
+    @pytest.mark.parametrize("dt,echo_dt,steps", [(0.05, 0.05, 100),
+                                                  ("auto", 0.06257744563882642, 80)])
+    def test_base_config_echo(self, dt, echo_dt, steps):
+        cfg = cli.load_run_config(dict(BASE_RUN_CONFIG, dt=dt))
+        result = torus.run(cfg["grid"], cfg["data"], cfg["params"], cfg["t_max"],
+                           cfg["record"], dt=cfg["dt"],
+                           blowup_threshold=cfg["blowup_threshold"])
+        assert result.config_echo["dt"] == echo_dt
+        assert result.config_echo["steps"] == steps
+
+    def test_acceptance_sweep_cell_blowup_time(self):
+        # the (1.5, 1.5) cell of the acceptance sweep (tests/test_acceptance.py)
+        sweep = dict(SWEEP_CONFIG, p_range=[1.5, 1.5, 0.5], q_range=[1.5, 1.5, 0.5],
+                     seed=0, cell={"grid": {"n_dim": 1, "points_per_dim": 2048,
+                                            "half_length": 200.0},
+                                   "amplitude": 0.01, "width": 1.0, "t_max": 500.0,
+                                   "record_count": 24, "fit_t_min": 60.0})
+        task, = cli.load_sweep_config(sweep)["tasks"]
+        result = torus.run(task["grid"], task["data"], task["params"], task["t_max"],
+                           task["record"], dt=task["dt"],
+                           blowup_threshold=task["blowup_threshold"])
+        assert result.config_echo["dt"] == 0.03908138622918087
+        assert result.config_echo["steps"] == 1739
+        assert result.blowup["time"] == 67.65320967160956
+
+
 SWEEP_CONFIG = {
     "p_range": [2.0, 2.5, 0.5],
     "q_range": [2.0, 2.5, 0.5],
@@ -353,6 +384,7 @@ class TestConfigReader:
         ("linear-decay", "kind", "foo", "--kind"),
         ("linear-decay", "w0-amplitude", "x", "--w0-amplitude"),
         ("simulate", "fit_window", [10, 1], "config.fit_window"),
+        ("linear-decay", "w0-amplitude", "0", "--w0-amplitude"),  # and w1 is 0
     ]
     # the flags of each flag-driven subcommand that the table patches
     FLAGS = {"classify": {"n": "1", "sigma1": "1", "sigma2": "1", "p": "3", "q": "3"},
@@ -379,6 +411,22 @@ class TestConfigReader:
         assert code == 1
         assert err.startswith(f"error: {field_path}: ")
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "linear-decay"])
+    def test_bad_flag_text_quoted_as_json(self, capsys, command):
+        # the integer rule of classify and the choice rule of linear-decay
+        # show the rejected text the same way
+        argv = [x for k, v in dict(self.FLAGS[command], n="x").items()
+                for x in (f"--{k}", v)]
+        code, _, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert err.startswith("error: --n: expected ") and err.endswith(', got "x"\n')
+
+    def test_both_amplitudes_zero_names_the_flags(self, capsys):
+        argv = [x for k, v in self.FLAGS["linear-decay"].items() for x in (f"--{k}", v)]
+        code, _, err = run_cli(capsys, "linear-decay", *argv, "--w0-amplitude", "0")
+        assert code == 1
+        assert err == "error: --w0-amplitude: must be nonzero when --w1-amplitude is 0\n"
 
     def test_sweep_error_raised_before_any_cell_runs(self, capsys, tmp_path,
                                                      monkeypatch):

@@ -395,6 +395,29 @@ class TestFunctionals:
         with pytest.raises(InsufficientSnapshotsError):  # window is [0, 16]
             frozen_values(self.grid, params, [spec], np.linspace(0, 8.0, 65), 1.0, 1.0)
 
+    @pytest.mark.parametrize("n_dim,npts,sigma", [(1, 64, 1.0), (2, 32, 1.0),
+                                                  (3, 16, 1.0), (2, 32, 1.5)])
+    def test_grid_sums_match_the_unfolded_full_grid(self, n_dim, npts, sigma):
+        # random corner samples weight every corner point differently, so each
+        # sample's weight is checked against the points it stands for on the
+        # full grid, whatever the corner layout
+        grid = GridSpec(n_dim, npts, 10.0)
+        params = SystemParams(n_dim, sigma, sigma, 2.5, 3.0)
+        specs = [TestFunctionSpec.for_blowup(params, R) for R in (3.0, 6.0)]
+        observer = Functionals(grid, params, specs, [0.0])
+        rng = np.random.default_rng(n_dim)
+        samples = rng.standard_normal((2, *grid.corner_shape))
+        state = SpectralState(grid.to_spectral(samples), np.zeros_like(samples), 0.0,
+                              grid, params.sigma1, params.sigma2)
+        observer(0.0, state)
+        u, v = grid.unfold(grid.to_physical(state.w))
+        r = grid.unfold(grid.radius())
+        cutoffs = [eta(r / spec.R, observer._lam) if sigma == 1.0
+                   else (1.0 + (r / spec.R) ** 2) ** (-spec.r / 2.0) for spec in specs]
+        expected = [0.0, *(grid.dV * np.sum(c * np.abs(v) ** params.p) for c in cutoffs),
+                    *(grid.dV * np.sum(c * np.abs(u) ** params.q) for c in cutoffs)]
+        np.testing.assert_allclose(observer._rows[0], expected, rtol=1e-13, atol=0)
+
     def test_positivity(self):
         params = SystemParams(1, 1, 1, 2, 2)
         spec = TestFunctionSpec(gamma=1.0, r=2.0, R=3.0)

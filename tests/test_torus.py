@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -45,8 +46,23 @@ class Snapshots:
 
 
 def corner(grid, w):
-    """The corner (indices 0..N/2 of each axis) of a full-grid array."""
-    return w[(slice(0, grid.points_per_dim // 2 + 1),) * grid.n_dim]
+    """The corner (indices 0..N/2-1 of each axis) of a full-grid array."""
+    return w[(slice(0, grid.points_per_dim // 2),) * grid.n_dim]
+
+
+def full_xi_mag(grid):
+    """|xi| at the full grid's DFT bins, in np.fft order."""
+    axis = 2.0 * math.pi * np.fft.fftfreq(grid.points_per_dim, d=grid.dx)
+    return np.sqrt(sum(c * c for c in np.meshgrid(*[axis] * grid.n_dim, indexing="ij")))
+
+
+def corner_bins(grid, f_hat):
+    """The corner coefficients of a full-grid DFT (or rfftn half spectrum):
+    bins [0, N/2)^n, each times exp(-i*pi*k/N) per axis, the phase of the
+    half-cell offset of the cell-centred samples."""
+    k = np.arange(grid.points_per_dim // 2)
+    k_sum = functools.reduce(np.add.outer, [k] * grid.n_dim)
+    return corner(grid, f_hat) * np.exp(-1j * math.pi * k_sum / grid.points_per_dim)
 
 
 def two_pass_step(state, dt, p, q, forcing, kernel):
@@ -73,14 +89,14 @@ def two_pass_step(state, dt, p, q, forcing, kernel):
 
 
 def rfftn_corner(grid, f):
-    """Bins [0, N/2]^n of the rfftn half spectrum of a full-grid field."""
-    return corner(grid, np.fft.rfftn(f))
+    """The corner coefficients of a full-grid field, from its rfftn."""
+    return corner_bins(grid, np.fft.rfftn(f))
 
 
 def rfftn_reference_step(grid, data, params, dt):
     """One coupled step of the full-grid rfftn half spectrum, each field on
-    its own with np.power; returns the corner bins of (u, v, ut, vt), the
-    rows of the state's w and then of its wt."""
+    its own with np.power; returns the corner coefficients of (u, v, ut,
+    vt), the rows of the state's w and then of its wt."""
     r = grid.unfold(grid.radius())
     u, ut, v, vt = (np.fft.rfftn(prof.value(r)) for prof in (data.u0, data.u1,
                                                              data.v0, data.v1))
@@ -92,7 +108,7 @@ def rfftn_reference_step(grid, data, params, dt):
         return (np.fft.rfftn(np.power(np.abs(phys(v)), params.p)),
                 np.fft.rfftn(np.power(np.abs(phys(u)), params.q)))
 
-    xi_half = grid.unfold(grid.xi_mag())[..., :grid.points_per_dim // 2 + 1]
+    xi_half = full_xi_mag(grid)[..., :grid.points_per_dim // 2 + 1]
     ops = []
     for sigma in (params.sigma1, params.sigma2):
         mu = xi_half ** (2.0 * sigma)
@@ -104,8 +120,8 @@ def rfftn_reference_step(grid, data, params, dt):
     end = coupling(linear[0][0], linear[1][0])
     rows, rows_t = [], []
     for (_, (A, B, Ad, Bd)), (w, wt), n0, n1 in zip(ops, linear, start, end):
-        rows.append(corner(grid, w + (A - B) * n0 + B * n1))
-        rows_t.append(corner(grid, wt + (Ad - Bd) * n0 + Bd * n1))
+        rows.append(corner_bins(grid, w + (A - B) * n0 + B * n1))
+        rows_t.append(corner_bins(grid, wt + (Ad - Bd) * n0 + Bd * n1))
     return rows + rows_t
 
 
@@ -126,7 +142,7 @@ class TestGridSpec:
     @pytest.mark.parametrize("n_dim", [1, 2, 3])
     def test_corner_arrays_match_full_grid_construction(self, n_dim):
         grid = GridSpec(n_dim, 32, 7.3)
-        x = -grid.half_length + grid.dx * np.arange(32)
+        x = -grid.half_length + grid.dx * (np.arange(32) + 0.5)  # cell centres
         xi = 2.0 * math.pi * np.fft.fftfreq(32, d=grid.dx)
         for got, axis in ((grid.radius(), x), (grid.xi_mag(), xi)):
             full = np.sqrt(sum(c * c for c in np.meshgrid(*[axis] * n_dim, indexing="ij")))
@@ -177,13 +193,15 @@ class TestInit:
         grid = GridSpec(1, 256, 30.0)
         g = GaussianProfile(0.8, 1.2)
         state = init(grid, InitialData(v0=g), PARAMS)
-        recovered = np.fft.irfftn(state.w[1], s=(256,), axes=(0,))
+        # the full half spectrum: bins 0..127 undo the phase, bin 128 is 0
+        phase = np.exp(1j * math.pi * np.arange(128) / 256)
+        recovered = np.fft.irfft(np.append(state.w[1] * phase, 0.0), n=256)
         sampled = g.value(grid.unfold(grid.radius()))
         assert np.max(np.abs(recovered - sampled)) < 1e-10
 
 
 class TestCornerMemory:
-    # a 64^3 corner is 33^3 samples, 0.29 MiB per field, and a full-grid
+    # a 64^3 corner is 32^3 samples, 0.25 MiB per field, and a full-grid
     # array 2 MiB: building a state, the corner tables or a functional
     # observer never goes through the full grid
     GRID = GridSpec(3, 64, 12.0)
@@ -292,7 +310,7 @@ class TestDuhamelStep:
         mu = xi5 ** 2
         oracle_weight, _ = quad(lambda s: _propagator_scalar(s, mu)[1], 0, dt,
                                 epsabs=1e-16, epsrel=1e-13)
-        force_hat = np.fft.fftn(grid.unfold(force))
+        force_hat = rfftn_corner(grid, grid.unfold(force))
         expected = force_hat[k_index] * oracle_weight
         assert stepped.w[0, k_index] == pytest.approx(expected, rel=1e-10)
         # derivative channel gets k1(dt) as its weight
@@ -373,16 +391,16 @@ class TestDuhamelStep:
         g = GaussianProfile(0.5, 1.0)
         params = SystemParams(2, 1.0, 1.0, 3.0, 3.5)
         state = init(grid, InitialData(u0=g, v1=g), params)
-        calls = {"idctn": 0, "dctn": 0}
+        calls = {"idctn": [], "dctn": []}
         for name in calls:
             original = getattr(scipy.fft, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(kwargs["type"])
                 return _original(*args, **kwargs)
             monkeypatch.setattr(scipy.fft, name, counted)
         duhamel_step(state, 0.05, params.p, params.q)
-        assert calls == {"idctn": 1, "dctn": 1}
+        assert calls == {"idctn": [2], "dctn": [2]}
 
     # (n_dim, points, L, sigma1, sigma2, p, q, forced): q = 3.7 and p = 2.7
     # take np.power in _power, the other exponents its repeated squares
@@ -428,8 +446,8 @@ class TestRunInvariants:
         snaps = Snapshots([1.5, 3.0])
         run(grid, data, params, 3.0, [3.0], observers=[snaps])
         state_like = snaps.fields[-1][1]
-        # reflection symmetry on the periodic grid: index j <-> (N - j) mod N
-        reflected = np.roll(state_like[::-1], 1)
+        # reflection symmetry on the cell-centred grid: index j <-> N - 1 - j
+        reflected = state_like[::-1]
         scale = np.max(np.abs(state_like))
         assert np.max(np.abs(state_like - reflected)) < 1e-9 * scale
 
@@ -442,7 +460,7 @@ class TestRunInvariants:
         for _ in range(5):
             state = duhamel_step(state, 0.1, params.p, params.q)
         # the corner state is real by construction; after coupled steps it is
-        # still the rfftn spectrum of the unfolded field, which is real
+        # still the phased rfftn spectrum of the unfolded field, which is real
         for arr in state.w:
             assert arr.dtype == np.float64
             ref = rfftn_corner(grid, grid.unfold(grid.to_physical(arr)))
@@ -460,7 +478,7 @@ class TestRunInvariants:
             for f in (u, v):
                 assert f.shape == (32, 32)
                 for axis in (0, 1):
-                    assert np.array_equal(f, np.roll(np.flip(f, axis), 1, axis))
+                    assert np.array_equal(f, np.flip(f, axis))
         _, u0, _ = snaps.fields[0]
         assert np.max(np.abs(u0 - g.value(grid.unfold(grid.radius())))) < 1e-12
 
@@ -587,7 +605,7 @@ class TestStepKernel:
         monkeypatch.setattr(scipy.fft, "idctn", recorded)
         state = duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
         buffer = kernel.stages
-        assert buffer.shape == (2, 2, 33)
+        assert buffer.shape == (2, 2, 32)
         duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
         assert kernel.stages is buffer
         # each step transforms the one buffer in place, and nothing else
@@ -641,8 +659,8 @@ class TestRunEcho:
 class TestSixNorms:
     @pytest.mark.parametrize("n_dim,npts", [(1, 64), (2, 32), (3, 16)])
     def test_parseval_on_the_full_grid(self, n_dim, npts):
-        # random corner samples put energy on every plane, the N/2 ones
-        # included, so each multiplicity is checked against the full grid
+        # random corner samples put energy on every plane, so each
+        # multiplicity is checked against the full grid
         grid = GridSpec(n_dim, npts, 10.0)
         rng = np.random.default_rng(n_dim)
         state = init(grid, InitialData(), PARAMS)
@@ -652,7 +670,7 @@ class TestSixNorms:
         assert norms["u_l2"] == pytest.approx(math.sqrt(grid.dV * np.sum(full**2)),
                                               rel=1e-13)
         full_hat = np.fft.fftn(full)
-        xi = grid.unfold(grid.xi_mag())
+        xi = full_xi_mag(grid)
         dsigma = grid.dV / grid.n_total * np.sum(xi ** 2 * np.abs(full_hat) ** 2)
         assert norms["u_dsigma"] == pytest.approx(math.sqrt(dsigma), rel=1e-13)
 
