@@ -164,10 +164,12 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     Hypersingular quadrature split at the singularity: radii below a small
     threshold use the analytic Taylor form of the symmetrised difference
     (second differences of O(1) values cancel catastrophically there), the
-    middle range is adaptive with breakpoints at |x|, and the far tail is
-    integrated in closed form from the bracket decay.  rel_tol governs the
-    component quadratures; far past the bracket scale the pieces cancel, so
-    the achievable relative accuracy of the final value degrades with x.
+    middle range [lo_cut, big] is adaptive in log(rho), which makes its
+    decades of power-law decay equal intervals, with breakpoints at
+    log(c*|x|), c = 1/2, 1, 2, 4, and the far tail is integrated in closed
+    form from the bracket decay.  rel_tol governs the component
+    quadratures; far past the bracket scale the pieces cancel, so the
+    achievable relative accuracy of the final value degrades with x.
     """
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
@@ -205,9 +207,9 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     big = max(200.0 * (x + scale), 1e3 * scale)
     i_inner = adaptive_quad(inner, 0.0, lo_cut ** (2.0 - 2.0 * s),
                             points=[h_sw ** (2.0 - 2.0 * s)], rel_tol=0.1 * rel_tol)
-    i_mid = adaptive_quad(lambda rho: centred(rho) * rho ** (-1.0 - 2.0 * s),
-                          lo_cut, big,
-                          points=[x / 2.0, x, 2.0 * x, 4.0 * x],
+    i_mid = adaptive_quad(lambda v: centred(math.exp(v)) * math.exp(-2.0 * s * v),
+                          math.log(lo_cut), math.log(big),
+                          points=[math.log(c * x) for c in (0.5, 1, 2, 4)] if x else None,
                           rel_tol=rel_tol, limit=500)
     # analytic tail: the -omega*f(x) part exactly, the bracket part to leading order
     i_tail = -omega * fx * big ** (-2.0 * s) / (2.0 * s)

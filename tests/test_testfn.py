@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sevolab import quadutil, testfn
 from sevolab.exponents import SystemParams
 from sevolab.profiles import GaussianProfile, sphere_surface
+from sevolab.quadutil import adaptive_quad
 from sevolab.testfn import (
     BracketCombo,
     Functionals,
@@ -20,6 +22,7 @@ from sevolab.testfn import (
     eta_derivs,
     eta_ratio_sup,
     fd_neg_laplacian,
+    frac_lap_normalization,
     fractional_laplacian_bracket,
     fractional_laplacian_fourier,
     fractional_laplacian_gamma,
@@ -194,6 +197,76 @@ class TestFractionalEvaluators:
         direct = fractional_laplacian_gamma(spec, 2.0, n, factored=False)
         factored = fractional_laplacian_gamma(spec, 2.0, n, factored=True)
         assert direct == pytest.approx(factored, rel=1e-6)
+
+
+def linear_middle_reference(combo, s, x, n, scale=1.0, rel_tol=1e-10):
+    """fractional_laplacian_bracket with its middle range [lo_cut, big]
+    integrated in rho itself rather than in log(rho): the earlier form."""
+    x = abs(float(x))
+    omega = sphere_surface(n)
+    fx = combo.value(x, scale)
+    taylor2, taylor4 = _sphere_taylor(combo, x, n, scale)
+    sphere = _sphere_sum(combo, x, n, scale)
+    h_sw = 1e-3 * scale * (1.0 + x / scale)
+
+    def centred(rho):
+        if rho < h_sw:
+            return taylor2 * rho * rho + taylor4 * rho**4
+        return sphere(rho) - omega * fx
+
+    alpha = 1.0 / (2.0 - 2.0 * s)
+
+    def inner(u):
+        rho = u**alpha
+        return centred(rho) * rho ** (-1.0 - 2.0 * s) * alpha * u ** (alpha - 1.0)
+
+    lo_cut = max(scale, x / 8.0)
+    big = max(200.0 * (x + scale), 1e3 * scale)
+    i_inner = adaptive_quad(inner, 0.0, lo_cut ** (2.0 - 2.0 * s),
+                            points=[h_sw ** (2.0 - 2.0 * s)], rel_tol=0.1 * rel_tol)
+    i_mid = adaptive_quad(lambda rho: centred(rho) * rho ** (-1.0 - 2.0 * s),
+                          lo_cut, big, points=[x / 2.0, x, 2.0 * x, 4.0 * x],
+                          rel_tol=rel_tol, limit=500)
+    i_tail = -omega * fx * big ** (-2.0 * s) / (2.0 * s)
+    for c, ell in combo.terms:
+        i_tail += omega * c * scale**ell * big ** (-ell - 2.0 * s) / (ell + 2.0 * s)
+    return -frac_lap_normalization(n, s) * (i_inner + i_mid + i_tail)
+
+
+class TestLogMiddleRange:
+    """The middle range in log(rho) gives the linear-variable values with fewer
+    integrand calls."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_matches_linear_variable_form(self, n, s):
+        combo = integer_laplacian_bracket(2.0, 1, n)
+        for scale in (1.0, 7.3):
+            for z in (0.0, 0.7, 5.3, 40.0):
+                got = fractional_laplacian_bracket(combo, s, z * scale, n, scale)
+                want = linear_middle_reference(combo, s, z * scale, n, scale)
+                assert got == pytest.approx(want, rel=1e-9), (scale, z)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_envelope_needs_three_quarters_of_the_calls(self, n, monkeypatch):
+        calls = [0]
+        original = quadutil.quad
+
+        def counted(fn, a, b, **kwargs):
+            def integrand(v):
+                calls[0] += 1
+                return fn(v)
+            return original(integrand, a, b, **kwargs)
+
+        def envelope_calls():
+            calls[0] = 0
+            envelope_ratio(1.5, 1.0, n, [0.0] + list(np.geomspace(0.1, 1e3, 9)))
+            return calls[0]
+
+        monkeypatch.setattr(quadutil, "quad", counted)
+        log_form = envelope_calls()
+        monkeypatch.setattr(testfn, "fractional_laplacian_bracket", linear_middle_reference)
+        assert log_form <= 0.75 * envelope_calls()
 
 
 class TestGammaEvaluator:

@@ -93,11 +93,17 @@ def rfftn_corner(grid, f):
     return corner_bins(grid, np.fft.rfftn(f))
 
 
-def rfftn_reference_step(grid, data, params, dt):
-    """One coupled step of the full-grid rfftn half spectrum, each field on
-    its own with np.power; returns the corner coefficients of (u, v, ut,
-    vt), the rows of the state's w and then of its wt."""
-    r = grid.unfold(grid.radius())
+def full_radius(grid):
+    """|x| at every cell centre x_j = -L + dx*(j + 1/2), j = 0..N-1, of the
+    full grid, built without the corner's reflection."""
+    axis = -grid.half_length + grid.dx * (np.arange(grid.points_per_dim) + 0.5)
+    return np.sqrt(sum(c * c for c in np.meshgrid(*[axis] * grid.n_dim, indexing="ij")))
+
+
+def rfftn_reference_spectra(grid, data, params, dt, steps):
+    """``steps`` coupled steps of the full-grid rfftn half spectra, each field
+    on its own with np.power; returns the half spectra of (u, v, ut, vt)."""
+    r = full_radius(grid)
     u, ut, v, vt = (np.fft.rfftn(prof.value(r)) for prof in (data.u0, data.u1,
                                                              data.v0, data.v1))
 
@@ -114,15 +120,22 @@ def rfftn_reference_step(grid, data, params, dt):
         mu = xi_half ** (2.0 * sigma)
         tables = propagator_arrays(dt, mu)
         ops.append((tables, duhamel_weights(dt, mu, tables)))
-    linear = [(k0 * w + k1 * wt, dk0 * w + dk1 * wt)
-              for ((k0, k1, dk0, dk1), _), (w, wt) in zip(ops, ((u, ut), (v, vt)))]
-    start = coupling(u, v)
-    end = coupling(linear[0][0], linear[1][0])
-    rows, rows_t = [], []
-    for (_, (A, B, Ad, Bd)), (w, wt), n0, n1 in zip(ops, linear, start, end):
-        rows.append(corner_bins(grid, w + (A - B) * n0 + B * n1))
-        rows_t.append(corner_bins(grid, wt + (Ad - Bd) * n0 + Bd * n1))
-    return rows + rows_t
+    fields = [(u, ut), (v, vt)]
+    for _ in range(steps):
+        start = coupling(fields[0][0], fields[1][0])
+        linear = [(k0 * w + k1 * wt, dk0 * w + dk1 * wt)
+                  for ((k0, k1, dk0, dk1), _), (w, wt) in zip(ops, fields)]
+        end = coupling(linear[0][0], linear[1][0])
+        fields = [(w + (A - B) * n0 + B * n1, wt + (Ad - Bd) * n0 + Bd * n1)
+                  for (_, (A, B, Ad, Bd)), (w, wt), n0, n1 in zip(ops, linear, start, end)]
+    (u, ut), (v, vt) = fields
+    return u, v, ut, vt
+
+
+def rfftn_reference_step(grid, data, params, dt):
+    """One step of :func:`rfftn_reference_spectra` as corner coefficients:
+    the rows of the state's w and then of its wt."""
+    return [corner_bins(grid, f) for f in rfftn_reference_spectra(grid, data, params, dt, 1)]
 
 
 class TestGridSpec:
@@ -450,6 +463,22 @@ class TestRunInvariants:
         reflected = state_like[::-1]
         scale = np.max(np.abs(state_like))
         assert np.max(np.abs(state_like - reflected)) < 1e-9 * scale
+
+    @pytest.mark.parametrize("n_dim,npts,half_length", [(1, 256, 30.0), (2, 32, 10.0)])
+    def test_unfolded_fields_match_full_grid_reference(self, n_dim, npts, half_length):
+        # unfold makes the observed fields symmetric whatever the solver did;
+        # the full-grid reference assumes no reflection, so a wrong one in the
+        # transforms or in unfold moves the fields away from it
+        grid = GridSpec(n_dim, npts, half_length)
+        params = SystemParams(n_dim, 1.0, 1.0, 3.0, 2.5)
+        g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
+        data = InitialData(u0=g, u1=h, v0=h, v1=g)
+        snaps = Snapshots([0.25])
+        run(grid, data, params, 0.25, [0.25], dt=0.0625, observers=[snaps])
+        u_hat, v_hat, _, _ = rfftn_reference_spectra(grid, data, params, 0.0625, 4)
+        for got, ref_hat in zip(snaps.fields[-1][1:], (u_hat, v_hat)):
+            ref = np.fft.irfftn(ref_hat, s=got.shape, axes=range(n_dim))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_realness_of_spectral_state(self):
         grid = GridSpec(1, 128, 20.0)
