@@ -2,7 +2,6 @@
 
 from .exponents import (
     ConditionReport,
-    GNExponent,
     Regime,
     RegimeVerdict,
     SystemParams,

@@ -37,12 +37,6 @@ class NoSolutionError(ValueError):
     """No finite critical exponent exists for the requested parameters."""
 
 
-def _frac(x: Number) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def _cmp(a: Fraction, b: Fraction) -> int:
     """Compare with a relative tolerance band: -1, 0 (tie) or +1."""
     diff = a - b
@@ -50,14 +44,6 @@ def _cmp(a: Fraction, b: Fraction) -> int:
     if abs(diff) <= REL_TOL * scale:
         return 0
     return -1 if diff < 0 else 1
-
-
-def _le(a: Fraction, b: Fraction) -> bool:
-    return _cmp(a, b) <= 0
-
-
-def _lt(a: Fraction, b: Fraction) -> bool:
-    return _cmp(a, b) < 0
 
 
 @dataclass(frozen=True)
@@ -91,7 +77,7 @@ class SystemParams:
         return min(self.sigma1, self.sigma2)
 
     def equal_orders(self) -> bool:
-        return _cmp(_frac(self.sigma1), _frac(self.sigma2)) == 0
+        return _cmp(Fraction(self.sigma1), Fraction(self.sigma2)) == 0
 
 
 @dataclass(frozen=True)
@@ -137,11 +123,6 @@ class TheoreticalRates:
     g3: float
 
 
-@dataclass(frozen=True)
-class GNExponent:
-    theta: float
-
-
 def _rec(identifier: str, holds: bool, lhs: Fraction | float, rhs: Fraction | float) -> ConditionReport:
     return ConditionReport(identifier, bool(holds), float(lhs), float(rhs))
 
@@ -154,11 +135,11 @@ def _family(tag: str, n: Fraction, sa: Fraction, sb: Fraction, a: Fraction,
     identifier; its upper bounds n/(n - 2*sigma) all have n > 2*sigma.
     """
     two = Fraction(2)
-    if _le(n, 2 * sb):
+    if _cmp(n, 2 * sb) <= 0:
         branch, uppers = "A1", {}
-    elif _le(n, 2 * sa):
+    elif _cmp(n, 2 * sa) <= 0:
         branch, uppers = "A2", {names[0]: sb}
-    elif _le(n, 4 * sb):
+    elif _cmp(n, 4 * sb) <= 0:
         branch, uppers = "A3", {names[0]: sb, names[1]: sa}
     else:
         branch = None
@@ -168,21 +149,28 @@ def _family(tag: str, n: Fraction, sa: Fraction, sb: Fraction, a: Fraction,
     else:
         for name, value in sorted(zip(names, (a, b))):
             ident = f"GN{tag}{branch}.{name}"
-            records.append(_rec(f"{ident}_lower", _le(two, value), value, two))
+            records.append(_rec(f"{ident}_lower", _cmp(two, value) <= 0, value, two))
             if name in uppers:
                 upper = n / (n - 2 * uppers[name])
-                records.append(_rec(f"{ident}_upper", _le(value, upper), value, upper))
+                records.append(_rec(f"{ident}_upper", _cmp(value, upper) <= 0, value, upper))
 
     exp = f"exponent{tag}"
     lhs = (1 + b) / ((b - 1) * (sb / sa - 1) + a * b - 1)
     bound_a, bound_b = 1 + 2 * sb / n, 1 + 2 * sa / n
     records += [
-        _rec(f"{exp}A1", _lt(lhs, n / (2 * sb)), lhs, n / (2 * sb)),
-        _rec(f"{exp}A2.{names[0]}", _le(a, bound_a), a, bound_a),
-        _rec(f"{exp}A2.order", _le(bound_a, bound_b), bound_a, bound_b),
-        _rec(f"{exp}A2.{names[1]}", _lt(bound_b, b), bound_b, b),
+        _rec(f"{exp}A1", _cmp(lhs, n / (2 * sb)) < 0, lhs, n / (2 * sb)),
+        _rec(f"{exp}A2.{names[0]}", _cmp(a, bound_a) <= 0, a, bound_a),
+        _rec(f"{exp}A2.order", _cmp(bound_a, bound_b) <= 0, bound_a, bound_b),
+        _rec(f"{exp}A2.{names[1]}", _cmp(bound_b, b) < 0, bound_b, b),
     ]
     return records
+
+
+def _families(params: SystemParams) -> tuple[list[ConditionReport], list[ConditionReport]]:
+    """The records of the Theorem 1.1 family and of the Theorem 1.2 family."""
+    n, s1, s2, p, q = map(Fraction, (params.n, params.sigma1, params.sigma2, params.p, params.q))
+    return (_family("11", n, s1, s2, p, q, ("p", "q")),
+            _family("12", n, s2, s1, q, p, ("q", "p")))
 
 
 def check_conditions(params: SystemParams) -> list[ConditionReport]:
@@ -191,10 +179,8 @@ def check_conditions(params: SystemParams) -> list[ConditionReport]:
     Returns one record per elementary inequality; compound conditions are
     split into suffixed sub-records (``.p_lower``, ``.order`` and so on).
     """
-    n, s1, s2, p, q = (_frac(x) for x in (params.n, params.sigma1, params.sigma2,
-                                          params.p, params.q))
-    return (_family("11", n, s1, s2, p, q, ("p", "q"))
-            + _family("12", n, s2, s1, q, p, ("q", "p")))
+    fam11, fam12 = _families(params)
+    return fam11 + fam12
 
 
 def blowup_condition(params: SystemParams) -> ConditionReport:
@@ -203,10 +189,7 @@ def blowup_condition(params: SystemParams) -> ConditionReport:
     Only meaningful for sigma1 == sigma2; the record is still computed with
     sigma = sigma1 otherwise so callers can inspect it.
     """
-    n = _frac(params.n)
-    s = _frac(params.sigma1)
-    p = _frac(params.p)
-    q = _frac(params.q)
+    n, s, p, q = map(Fraction, (params.n, params.sigma1, params.p, params.q))
     lhs = (1 + max(p, q)) / (p * q - 1)
     rhs = n / (2 * s)
     return _rec("optimal13.2", _cmp(lhs, rhs) >= 0, lhs, rhs)
@@ -218,30 +201,23 @@ def classify_regime(params: SystemParams) -> RegimeVerdict:
     Existence of the first kind requires sigma1 >= sigma2 and the whole
     first family of conditions; the second kind mirrors it.  Blow-up is
     reported only for equal orders, when the critical inequality holds.
-    Anything else is Unclassified, with the full condition report attached.
+    Anything else is Unclassified, with the full condition report attached:
+    both families, then for equal orders the blow-up record.
     """
-    records = check_conditions(params)
-    s1 = _frac(params.sigma1)
-    s2 = _frac(params.sigma2)
-
-    fam11 = [r for r in records if r.identifier.startswith(("GN11", "exponent11"))]
-    fam12 = [r for r in records if r.identifier.startswith(("GN12", "exponent12"))]
-
-    report = list(records)
-    equal = _cmp(s1, s2) == 0
-    if equal:
-        blow = blowup_condition(params)
-        report.append(blow)
+    fam11, fam12 = _families(params)
+    report = fam11 + fam12
+    order = _cmp(Fraction(params.sigma1), Fraction(params.sigma2))
+    if order == 0:
+        report.append(blowup_condition(params))
+    if order >= 0 and all(r.holds for r in fam11):
+        regime = Regime.EXISTENCE_THM11
+    elif order <= 0 and all(r.holds for r in fam12):
+        regime = Regime.EXISTENCE_THM12
+    elif order == 0 and report[-1].holds:
+        regime = Regime.BLOWUP_THM13
     else:
-        blow = None
-
-    if _cmp(s1, s2) >= 0 and all(r.holds for r in fam11):
-        return RegimeVerdict(Regime.EXISTENCE_THM11, tuple(report))
-    if _cmp(s2, s1) >= 0 and all(r.holds for r in fam12):
-        return RegimeVerdict(Regime.EXISTENCE_THM12, tuple(report))
-    if equal and blow is not None and blow.holds:
-        return RegimeVerdict(Regime.BLOWUP_THM13, tuple(report))
-    return RegimeVerdict(Regime.UNCLASSIFIED, tuple(report))
+        regime = Regime.UNCLASSIFIED
+    return RegimeVerdict(regime, tuple(report))
 
 
 def critical_q(n: int, sigma: Number, p: Number) -> float:
@@ -253,9 +229,7 @@ def critical_q(n: int, sigma: Number, p: Number) -> float:
     """
     if p <= 1:
         raise ValueError("p must be > 1")
-    nf = _frac(n)
-    sf = _frac(sigma)
-    pf = _frac(p)
+    nf, sf, pf = map(Fraction, (n, sigma, p))
     denom = nf * pf - 2 * sf
     if _cmp(denom, Fraction(0)) <= 0:
         raise NoSolutionError(
@@ -273,12 +247,12 @@ def loss_of_decay(params: SystemParams, side: str) -> float:
     The value is 1 - n*(p-1)/(2*sigma2) + eps (resp. with q, sigma1); at the
     integrability boundary p == 1 + 2*sigma2/n it equals eps exactly.
     """
-    n = _frac(params.n)
-    e = _frac(params.eps)
+    n = Fraction(params.n)
+    e = Fraction(params.eps)
     if side == "u":
-        val = 1 - n * (_frac(params.p) - 1) / (2 * _frac(params.sigma2)) + e
+        val = 1 - n * (Fraction(params.p) - 1) / (2 * Fraction(params.sigma2)) + e
     elif side == "v":
-        val = 1 - n * (_frac(params.q) - 1) / (2 * _frac(params.sigma1)) + e
+        val = 1 - n * (Fraction(params.q) - 1) / (2 * Fraction(params.sigma1)) + e
     else:
         raise ValueError(f"side must be 'u' or 'v', got {side!r}")
     return float(val)
@@ -291,9 +265,7 @@ def theoretical_rates(params: SystemParams) -> TheoreticalRates:
     the second the v side does.  Raises WrongRegimeError otherwise.
     """
     verdict = classify_regime(params)
-    n = _frac(params.n)
-    s1 = _frac(params.sigma1)
-    s2 = _frac(params.sigma2)
+    n, s1, s2 = map(Fraction, (params.n, params.sigma1, params.sigma2))
     base_f = -n / (4 * s1)
     base_g = -n / (4 * s2)
     if verdict.regime is Regime.EXISTENCE_THM11:
@@ -307,7 +279,7 @@ def theoretical_rates(params: SystemParams) -> TheoreticalRates:
     return TheoreticalRates(f1, f1 - 0.5, f1 - 1.0, g1, g1 - 0.5, g1 - 1.0)
 
 
-def gn_theta(p: Number, p0: Number, p1: Number, s: Number, sigma: Number, n: int) -> GNExponent:
+def gn_theta(p: Number, p0: Number, p1: Number, s: Number, sigma: Number, n: int) -> float:
     """Interpolation exponent of the fractional Gagliardo-Nirenberg inequality.
 
     theta = (1/p0 - 1/p + s/n) / (1/p0 - 1/p1 + sigma/n), admissible when
@@ -315,17 +287,17 @@ def gn_theta(p: Number, p0: Number, p1: Number, s: Number, sigma: Number, n: int
     """
     if not (1 < p and 1 < p0 and 1 < p1):
         raise ValueError("p, p0, p1 must all be > 1")
-    sf, sigf = _frac(s), _frac(sigma)
+    sf, sigf = Fraction(s), Fraction(sigma)
     if not (0 <= sf <= sigf):
         raise ValueError("need 0 <= s <= sigma")
-    nf = _frac(n)
-    theta = (1 / _frac(p0) - 1 / _frac(p) + sf / nf) / \
-            (1 / _frac(p0) - 1 / _frac(p1) + sigf / nf)
+    nf = Fraction(n)
+    theta = (1 / Fraction(p0) - 1 / Fraction(p) + sf / nf) / \
+            (1 / Fraction(p0) - 1 / Fraction(p1) + sigf / nf)
     lo = sf / sigf
     if _cmp(theta, lo) < 0 or _cmp(theta, Fraction(1)) > 0:
         raise InvalidRangeError(
             f"theta={float(theta)} outside [{float(lo)}, 1]")
-    return GNExponent(float(theta))
+    return float(theta)
 
 
 def gamma_exponents(params: SystemParams) -> tuple[float, float]:
@@ -340,10 +312,7 @@ def gamma_exponents(params: SystemParams) -> tuple[float, float]:
     if not params.equal_orders():
         raise SigmaMismatchError(
             f"gamma exponents need sigma1 == sigma2, got {params.sigma1} != {params.sigma2}")
-    n = _frac(params.n)
-    s = _frac(params.sigma1)
-    p = _frac(params.p)
-    q = _frac(params.q)
+    n, s, p, q = map(Fraction, (params.n, params.sigma1, params.p, params.q))
     p_conj = p / (p - 1)
     q_conj = q / (q - 1)
     m = n + 2 * s

@@ -161,13 +161,15 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
                                  scale: float = 1.0, rel_tol: float = 1e-10) -> float:
     """(-Lap)**s of sum_i c_i <y/scale>**(-l_i) at the (radial) point x.
 
-    Hypersingular quadrature split at the singularity: radii below a small
-    threshold use the analytic Taylor form of the symmetrised difference
-    (second differences of O(1) values cancel catastrophically there), the
-    middle range [lo_cut, big] is adaptive in log(rho), which makes its
-    decades of power-law decay equal intervals, with breakpoints at
-    log(c*|x|), c = 1/2, 1, 2, 4, and the far tail is integrated in closed
-    form from the bracket decay.  rel_tol governs the component
+    Hypersingular quadrature split at the singularity.  Below a small radius
+    h_sw the symmetrised difference is its Taylor form (second differences
+    of O(1) values cancel catastrophically there), integrated against
+    rho**(-1-2s) in closed form.  [h_sw, lo_cut] and [lo_cut, big] are
+    adaptive in log(rho), which makes the decades of rho**(-2s) and of the
+    power-law decay equal intervals, the latter with breakpoints at
+    log(c*|x|), c = 1/2, 1, 2, 4; the far tail is integrated in closed form
+    from the bracket decay.  No step raises to a power of 1/(1-s), so orders
+    near an integer are as stable as any.  rel_tol governs both
     quadratures; far past the bracket scale the pieces cancel, so the
     achievable relative accuracy of the final value degrades with x.
     """
@@ -187,28 +189,20 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     taylor2, taylor4 = _sphere_taylor(combo, x, n, scale)
     sphere = _sphere_sum(combo, x, n, scale)
 
-    # Small-rho threshold: Taylor error ~ rho**6 * Lap**3 f relative to rho**2 * Lap f;
-    # a breakpoint of the inner quadrature, where the integrand switches form.
+    def in_log(v: float) -> float:
+        """(S_f(rho) - omega*f(x)) * rho**(-2s) at rho = e**v, the integrand
+        in rho times drho/dv."""
+        return (sphere(math.exp(v)) - omega * fx) * math.exp(-2.0 * s * v)
+
+    # Taylor error ~ rho**6 * Lap**3 f relative to rho**2 * Lap f: below h_sw
+    # the closed-form head of t2*rho**2 + t4*rho**4 stands for the sphere sum
     h_sw = 1e-3 * scale * (1.0 + z)
-
-    def centred(rho: float) -> float:
-        """S_f(rho) - omega * f(x), stable for all rho."""
-        if rho < h_sw:
-            return taylor2 * rho * rho + taylor4 * rho**4
-        return sphere(rho) - omega * fx
-
-    alpha = 1.0 / (2.0 - 2.0 * s)
-
-    def inner(u: float) -> float:
-        rho = u**alpha
-        return centred(rho) * rho ** (-1.0 - 2.0 * s) * alpha * u ** (alpha - 1.0)
-
     lo_cut = max(scale, x / 8.0)
     big = max(200.0 * (x + scale), 1e3 * scale)
-    i_inner = adaptive_quad(inner, 0.0, lo_cut ** (2.0 - 2.0 * s),
-                            points=[h_sw ** (2.0 - 2.0 * s)], rel_tol=0.1 * rel_tol)
-    i_mid = adaptive_quad(lambda v: centred(math.exp(v)) * math.exp(-2.0 * s * v),
-                          math.log(lo_cut), math.log(big),
+    i_head = (taylor2 * h_sw ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+              + taylor4 * h_sw ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s))
+    i_inner = adaptive_quad(in_log, math.log(h_sw), math.log(lo_cut), rel_tol=rel_tol)
+    i_mid = adaptive_quad(in_log, math.log(lo_cut), math.log(big),
                           points=[math.log(c * x) for c in (0.5, 1, 2, 4)] if x else None,
                           rel_tol=rel_tol, limit=500)
     # analytic tail: the -omega*f(x) part exactly, the bracket part to leading order
@@ -217,7 +211,7 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
         i_tail += (omega * c * scale**ell
                    * big ** (-ell - 2.0 * s) / (ell + 2.0 * s))
 
-    return -frac_lap_normalization(n, s) * (i_inner + i_mid + i_tail)
+    return -frac_lap_normalization(n, s) * (i_head + i_inner + i_mid + i_tail)
 
 
 # --------------------------------------------------------------------------

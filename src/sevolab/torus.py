@@ -9,7 +9,7 @@ the DFT coefficients of the full periodic field at the frequencies [0, N/2)^n
 times the phase exp(-i*pi*k/N) per axis, which are real; an even field on
 this grid has no N/2 mode.  A coefficient off an axis's zero plane stands for
 itself and its mirror image on that axis, so sums over the spectrum weight it
-by its multiplicity, 2 per such axis.
+by its multiplicity, 2 per such axis, times the Parseval factor dV/N^n.
 Both components go through the same kind of propagator and meet only in the
 coupling, so u and v are stacked and transformed and updated as one array.
 The linear flow is advanced exactly, mode by mode, with the multipliers
@@ -136,20 +136,21 @@ class GridSpec:
 
 @functools.lru_cache(maxsize=8)
 def corner_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """|xi| at the corner frequencies [0, N/2)^n and the multiplicity of each
-    bin: the product over axes of 1 on the zero plane, 2 elsewhere
-    (read-only)."""
+    """|xi| at the corner frequencies [0, N/2)^n and the Parseval weight of
+    each bin: its multiplicity, the product over axes of 1 on the zero plane
+    and 2 elsewhere, times dV/N^n (read-only)."""
     xi = grid.xi_mag()
     axis = np.full(grid.corner_shape[0], 2.0)
     axis[0] = 1.0
-    mult = functools.reduce(np.multiply.outer, [axis] * grid.n_dim)
-    xi.flags.writeable = mult.flags.writeable = False
-    return xi, mult
+    weight = functools.reduce(np.multiply.outer, [axis] * grid.n_dim) * (grid.dV / grid.n_total)
+    xi.flags.writeable = weight.flags.writeable = False
+    return xi, weight
 
 
 def _energy(f: np.ndarray, weight: np.ndarray) -> float:
-    """sum(weight * f**2) over a field or a stack of fields f; inf or nan if
-    f is non-finite."""
+    """sum(weight * f**2) over a field or a stack of fields f, with the weight
+    of :func:`corner_grid` their squared L2 norm; inf or nan if f is
+    non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.vdot(f, weight * f))
 
@@ -169,10 +170,11 @@ class SpectralState:
     """Corner (DCT-II) coefficients of (u, u_t, v, v_t) plus time and symbol
     metadata, stacked: ``w = [u, v]`` and ``wt = [u_t, v_t]``, each a real
     array of shape ``(2, *corner_shape)`` with the u row first, so that one
-    transform or update covers both components.  ``energy`` is the
-    multiplicity-weighted sum of coefficient**2 over both stacks, set by the
-    step that made the state (None at ``init``).  ``blown_up`` stays set from
-    the first step whose energy is not finite, though each norm may still be."""
+    transform or update covers both components.  ``energy`` is the squared
+    L2 norm of u, v, u_t and v_t together, the Parseval-weighted sum of
+    coefficient**2 over both stacks, set by the step that made the state
+    (None at ``init``).  ``blown_up`` stays set from the first step whose
+    energy is not finite, though each norm may still be."""
 
     w: np.ndarray
     wt: np.ndarray
@@ -199,7 +201,10 @@ def t_valid(grid: GridSpec, params: SystemParams) -> float:
 
 
 def default_dt(grid: GridSpec, params: SystemParams) -> float:
-    """0.1 * min(1, 2*pi/omega_max): resolves the fastest mode oscillation."""
+    """0.1 * min(1, 2*pi/omega_max), omega_max the fastest damped frequency
+    at the per-axis Nyquist |xi| = pi/dx: ten steps per period there.  The
+    corner's largest |xi| is sqrt(n)*(pi/dx)*(1 - 2/N), whose modes get fewer
+    (about 7.1 at 256^2, L = 64, sigma = 1); the propagator is exact for them."""
     om_max = 0.0
     for sigma in (params.sigma1, params.sigma2):
         mu = grid.xi_max ** (2.0 * sigma)
@@ -251,7 +256,7 @@ class _StepKernel:
 
     def __init__(self, grid: GridSpec, sigma1: float, sigma2: float):
         sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
-        xi, self.mult = corner_grid(grid)
+        xi, self.weight = corner_grid(grid)
         self.mu = np.stack([xi ** (2.0 * s) for s in sigmas])
         #: (tables, weights) of step dt; built over mu, not self, so that a
         #: kernel holds no reference cycle and is freed when its run ends
@@ -299,10 +304,10 @@ def _stepped(state: SpectralState, w: np.ndarray, wt: np.ndarray, dt: float,
     one weighted pass; a non-finite energy (overflow included) marks it as
     blown up instead of raising.  The energy is the sum of :func:`_energy`
     over w and wt, with the weighted products written into ``kernel.tmp``."""
-    mult, tmp = kernel.mult, kernel.tmp
+    weight, tmp = kernel.weight, kernel.tmp
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = float(np.vdot(w, np.multiply(mult, w, out=tmp))
-                       + np.vdot(wt, np.multiply(mult, wt, out=tmp)))
+        energy = float(np.vdot(w, np.multiply(weight, w, out=tmp))
+                       + np.vdot(wt, np.multiply(weight, wt, out=tmp)))
     return SpectralState(w, wt, state.time + dt, state.grid, state.sigma1, state.sigma2,
                          blown_up=state.blown_up or not math.isfinite(energy),
                          energy=energy)
@@ -387,24 +392,15 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
 
 
 def six_norms(state: SpectralState) -> dict[str, float]:
-    """The six recorded L2-type norms, computed on the frequency side."""
-    grid = state.grid
-    factor = grid.dV / grid.n_total
-    xi, mult = corner_grid(grid)
-    w1 = mult * xi ** (2.0 * state.sigma1)
-    w2 = mult * xi ** (2.0 * state.sigma2)
-
-    def norm(arr, weight=mult):
-        return math.sqrt(factor * _energy(arr, weight))
-
-    return {
-        "u_l2": norm(state.w[0]),
-        "u_dsigma": norm(state.w[0], w1),
-        "u_dt": norm(state.wt[0]),
-        "v_l2": norm(state.w[1]),
-        "v_dsigma": norm(state.w[1], w2),
-        "v_dt": norm(state.wt[1]),
-    }
+    """The six recorded L2-type norms in NORM_LABELS order, computed on the
+    frequency side: ||w||, |||D|**sigma w|| and ||w_t|| of u, then of v."""
+    xi, weight = corner_grid(state.grid)
+    norms = {}
+    for name, w, wt, sigma in zip("uv", state.w, state.wt, (state.sigma1, state.sigma2)):
+        norms[f"{name}_l2"] = math.sqrt(_energy(w, weight))
+        norms[f"{name}_dsigma"] = math.sqrt(_energy(w, weight * xi ** (2.0 * sigma)))
+        norms[f"{name}_dt"] = math.sqrt(_energy(wt, weight))
+    return norms
 
 
 def _checked_norms(state: SpectralState) -> tuple[Optional[dict[str, float]], float]:
@@ -424,11 +420,11 @@ def detect_blowup(state: SpectralState, threshold: float) -> bool:
 
 
 def _top_octave_fraction(state: SpectralState) -> float:
-    xi, mult = corner_grid(state.grid)
-    top = mult * (xi > state.grid.xi_max / 2.0)
+    xi, weight = corner_grid(state.grid)
+    top = weight * (xi > state.grid.xi_max / 2.0)
     worst = 0.0
     for arr in state.w:
-        total = _energy(arr, mult)
+        total = _energy(arr, weight)
         if total > 0.0:
             worst = max(worst, _energy(arr, top) / total)
     return worst
@@ -511,7 +507,7 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
             state = advance(state, min(dt_val, pending[-1] - state.time))
             steps += 1
             # cheap per-step guard between events; a nan energy fails it too
-            if not math.sqrt(state.energy * grid.dV / grid.n_total) <= 4.0 * threshold:
+            if not math.sqrt(state.energy) <= 4.0 * threshold:
                 alive = handle_event(state.time)
         else:
             state.time = pending.pop()

@@ -315,6 +315,15 @@ class TestTestfnCheck:
         assert doc["plancherel_residual"] <= 1e-6
         assert "above" in doc["envelope_bound_constants"]
 
+    def test_near_integer_order(self, capsys):
+        # gamma = 1.99 once overflowed in the hypersingular inner range
+        code, out, _ = run_cli(capsys, "testfn-check", "--gamma", "1.99",
+                               "--r", "2", "--R", "3", "--n", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["scaling_max_rel_err"] <= 1e-8
+        assert math.isfinite(doc["envelope_bound_constants"]["above"])
+
     def test_integer_report_has_fd_residual(self, capsys):
         code, out, _ = run_cli(capsys, "testfn-check", "--gamma", "2",
                                "--r", "1.5", "--R", "4", "--n", "1")

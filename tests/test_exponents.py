@@ -126,6 +126,19 @@ class TestClassify:
         verdict = classify_regime(SystemParams(1, 1, 1, 3, 3))
         assert verdict.regime is Regime.BLOWUP_THM13
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_report_is_both_families_then_the_blowup_record(self, n):
+        grid = [1.0, 1.5, 2.0, 3.0]
+        powers = [1.5, 2.0, 3.0, 4.5]
+        for s1, s2, p, q in itertools.product(grid, grid, powers, powers):
+            params = SystemParams(n, s1, s2, p, q)
+            expected = check_conditions(params)
+            if params.equal_orders():
+                expected.append(blowup_condition(params))
+            report = classify_regime(params).report
+            assert report == tuple(expected)
+            assert (report[-1].identifier == "optimal13.2") == params.equal_orders()
+
 
 class TestCriticalQ:
     def test_equal_exponent_critical_point(self):
@@ -184,13 +197,13 @@ class TestTheoreticalRates:
 
 class TestGNTheta:
     def test_formula_example(self):
-        assert gn_theta(4, 2, 2, 0, 1, 2).theta == pytest.approx(0.5)
+        assert gn_theta(4, 2, 2, 0, 1, 2) == pytest.approx(0.5)
 
     def test_identity_case(self):
-        assert gn_theta(2, 2, 2, 0, 1.7, 3).theta == pytest.approx(0.0)
+        assert gn_theta(2, 2, 2, 0, 1.7, 3) == pytest.approx(0.0)
 
     def test_boundary_case(self):
-        assert gn_theta(5, 2, 5, 1.2, 1.2, 2).theta == pytest.approx(1.0)
+        assert gn_theta(5, 2, 5, 1.2, 1.2, 2) == pytest.approx(1.0)
 
     def test_invalid_range(self):
         # p < p0 with s = 0 gives theta < 0
@@ -267,8 +280,8 @@ class TestProperties:
            sigma=st.floats(1, 3), n=st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
     def test_gn_theta_boundary_identities(self, p0, p1, sigma, n):
-        assert gn_theta(p0, p0, p1, 0.0, sigma, n).theta == pytest.approx(0.0, abs=1e-12)
-        assert gn_theta(p1, p0, p1, sigma, sigma, n).theta == pytest.approx(1.0)
+        assert gn_theta(p0, p0, p1, 0.0, sigma, n) == pytest.approx(0.0, abs=1e-12)
+        assert gn_theta(p1, p0, p1, sigma, sigma, n) == pytest.approx(1.0)
 
     @given(p=rational, sigma2=sigma_rational, n=st.integers(1, 4))
     @settings(max_examples=200, deadline=None)

@@ -200,8 +200,10 @@ class TestFractionalEvaluators:
 
 
 def linear_middle_reference(combo, s, x, n, scale=1.0, rel_tol=1e-10):
-    """fractional_laplacian_bracket with its middle range [lo_cut, big]
-    integrated in rho itself rather than in log(rho): the earlier form."""
+    """An earlier form of fractional_laplacian_bracket: the middle range
+    [lo_cut, big] integrated in rho itself rather than in log(rho), and the
+    inner range [0, lo_cut] in u = rho**(2-2s), with the Taylor form below
+    h_sw, rather than in closed form plus log(rho)."""
     x = abs(float(x))
     omega = sphere_surface(n)
     fx = combo.value(x, scale)
@@ -268,6 +270,30 @@ class TestLogMiddleRange:
         monkeypatch.setattr(testfn, "fractional_laplacian_bracket", linear_middle_reference)
         assert log_form <= 0.75 * envelope_calls()
 
+
+class TestNearIntegerOrders:
+    """Fractional parts close to 1, where the inner range once overflowed
+    under the substitution rho = u**(1/(2-2s)), give finite values that tend
+    to -Lap as s -> 1."""
+
+    ORDERS = [0.96, 0.975, 0.99, 0.999, 0.99999]
+    single = BracketCombo(((1.0, 2.0),))
+
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_one_dimension_matches_fourier(self, s):
+        got = fractional_laplacian_bracket(self.single, s, 1.0, 1)
+        assert math.isfinite(got)
+        assert got == pytest.approx(fractional_laplacian_fourier(self.single, s, 1.0),
+                                    abs=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_tends_to_the_laplacian(self, n, s):
+        # -Lap <x>**(-2) at x = 1 is (n - 2)/2: 0 in 2D, 0.5 in 3D
+        laplacian = integer_laplacian_bracket(2.0, 1, n).value(1.0)
+        got = fractional_laplacian_bracket(self.single, s, 1.0, n)
+        assert math.isfinite(got)
+        assert abs(got - laplacian) <= 2.0 * (1.0 - s)
 
 class TestGammaEvaluator:
     def test_integer_order_matches_fd(self):

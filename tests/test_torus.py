@@ -703,6 +703,17 @@ class TestSixNorms:
         dsigma = grid.dV / grid.n_total * np.sum(xi ** 2 * np.abs(full_hat) ** 2)
         assert norms["u_dsigma"] == pytest.approx(math.sqrt(dsigma), rel=1e-13)
 
+    @pytest.mark.parametrize("n_dim,npts", [(1, 64), (2, 32), (3, 16)])
+    def test_step_energy_is_the_squared_l2_norm(self, n_dim, npts):
+        # run's guard compares sqrt(energy) with the norm threshold, so the
+        # energy is the squared L2 norm of u, v, u_t and v_t on the full grid
+        grid = GridSpec(n_dim, npts, 10.0)
+        g = GaussianProfile(0.5, 1.0)
+        state = init(grid, InitialData(u0=g, u1=g, v0=g, v1=g), PARAMS)
+        state = linear_step(state, 0.3)
+        fields = grid.unfold(grid.to_physical(np.concatenate((state.w, state.wt))))
+        assert state.energy == pytest.approx(grid.dV * np.sum(fields**2), rel=1e-13)
+
 
 class TestDetectBlowup:
     def make_state(self):
@@ -738,3 +749,10 @@ class TestDefaultDt:
         dt = default_dt(grid, PARAMS)
         om_max = math.sqrt(4 * grid.xi_max**2 - 1) / 2
         assert dt == pytest.approx(0.1 * 2 * math.pi / om_max)
+
+    def test_same_in_every_dimension(self):
+        # omega_max is taken at the per-axis Nyquist |xi| = pi/dx, not at the
+        # corner's largest |xi|, which grows like sqrt(n_dim)
+        dts = {default_dt(GridSpec(n, 256, 64.0), SystemParams(n, 1.0, 1.5, 3, 4))
+               for n in (1, 2, 3)}
+        assert len(dts) == 1
