@@ -34,7 +34,7 @@ from scipy.special import kv
 
 from .exponents import SystemParams
 from .profiles import GaussianProfile, sphere_surface
-from .quadutil import QuadratureFailure, adaptive_quad
+from .quadutil import QuadratureFailure, adaptive_quad, gauss_kronrod
 
 __all__ = [
     "BracketCombo", "TestFunctionSpec", "FunctionalValues",
@@ -122,26 +122,25 @@ def _sphere_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights * (2.0 * math.pi)  # 2*pi * int_{-1}^{1} f dmu
 
 
-def _sphere_sum(combo: BracketCombo, x: float, n: int,
-                scale: float) -> Callable[[float], float]:
+def _sphere_sum(combo: BracketCombo, x: float, n: int, scale: float) -> Callable:
     """rho -> int_{S^{n-1}} f(x + rho*omega) domega for the combo f at the
-    given scale and a radial point x >= 0 (for n = 1 simply f(x+rho) + f(x-rho)).
+    given scale and a radial point x >= 0 (for n = 1 simply f(x+rho) + f(x-rho)),
+    on a float or an array of radii alike.
 
-    n = 1 is float arithmetic.  For n = 2, 3 the 64-node rule of
-    :func:`_sphere_rule` is evaluated on squared radii: one pow over the
-    (term, node) table and one weighted sum, with the coefficients folded
-    into the weights.
+    For n = 2, 3 the 64-node rule of :func:`_sphere_rule` is evaluated on
+    squared radii: one pow over the (radius, node) table per term and one
+    weighted sum, with the coefficients folded into the weights.
     """
     if n == 1:
         return lambda rho: combo.value(x + rho, scale) + combo.value(x - rho, scale)
     cos, weights = _sphere_rule(n)
-    powers = np.array([[-ell / 2.0] for _, ell in combo.terms])
-    coef_weights = np.array([[c] for c, _ in combo.terms]) * weights
+    terms = [(-ell / 2.0, c * weights) for c, ell in combo.terms]
     s2 = scale * scale
 
-    def total(rho: float) -> float:
+    def total(rho):
+        rho = np.asarray(rho, dtype=float)[..., None]
         base = (1.0 + (x * x + rho * rho) / s2) + (2.0 * x * rho / s2) * cos
-        return float(np.vdot(coef_weights, base**powers))
+        return sum(base**power @ w for power, w in terms)
 
     return total
 
@@ -167,11 +166,13 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     rho**(-1-2s) in closed form.  [h_sw, lo_cut] and [lo_cut, big] are
     adaptive in log(rho), which makes the decades of rho**(-2s) and of the
     power-law decay equal intervals, the latter with breakpoints at
-    log(c*|x|), c = 1/2, 1, 2, 4; the far tail is integrated in closed form
-    from the bracket decay.  No step raises to a power of 1/(1-s), so orders
-    near an integer are as stable as any.  rel_tol governs both
-    quadratures; far past the bracket scale the pieces cancel, so the
-    achievable relative accuracy of the final value degrades with x.
+    log(c*|x|), c = 1/2, 1, 2, 4; both run on :func:`gauss_kronrod`, whose
+    array integrand takes the sphere sums of all of a round's nodes at once.
+    The far tail is integrated in closed form from the bracket decay.  No
+    step raises to a power of 1/(1-s), so orders near an integer are as
+    stable as any.  rel_tol governs both quadratures; far past the bracket
+    scale the pieces cancel, so the achievable relative accuracy of the
+    final value degrades with x.
     """
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
@@ -189,10 +190,10 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     taylor2, taylor4 = _sphere_taylor(combo, x, n, scale)
     sphere = _sphere_sum(combo, x, n, scale)
 
-    def in_log(v: float) -> float:
+    def in_log(v):
         """(S_f(rho) - omega*f(x)) * rho**(-2s) at rho = e**v, the integrand
         in rho times drho/dv."""
-        return (sphere(math.exp(v)) - omega * fx) * math.exp(-2.0 * s * v)
+        return (sphere(np.exp(v)) - omega * fx) * np.exp(-2.0 * s * v)
 
     # Taylor error ~ rho**6 * Lap**3 f relative to rho**2 * Lap f: below h_sw
     # the closed-form head of t2*rho**2 + t4*rho**4 stands for the sphere sum
@@ -201,8 +202,8 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
     big = max(200.0 * (x + scale), 1e3 * scale)
     i_head = (taylor2 * h_sw ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
               + taylor4 * h_sw ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s))
-    i_inner = adaptive_quad(in_log, math.log(h_sw), math.log(lo_cut), rel_tol=rel_tol)
-    i_mid = adaptive_quad(in_log, math.log(lo_cut), math.log(big),
+    i_inner = gauss_kronrod(in_log, math.log(h_sw), math.log(lo_cut), rel_tol=rel_tol)
+    i_mid = gauss_kronrod(in_log, math.log(lo_cut), math.log(big),
                           points=[math.log(c * x) for c in (0.5, 1, 2, 4)] if x else None,
                           rel_tol=rel_tol, limit=500)
     # analytic tail: the -omega*f(x) part exactly, the bracket part to leading order
@@ -218,11 +219,11 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x: float, n: int
 # Fourier-side evaluator (independent cross-check, n = 1)
 # --------------------------------------------------------------------------
 
-def _combo_transform(combo: BracketCombo, scale: float) -> Callable[[float], float]:
+def _combo_transform(combo: BracketCombo, scale: float) -> Callable:
     """xi -> the non-unitary 1D transform of the combo at the given scale, for
-    xi >= 0, in floats: each <y>**(-l), l > 1, gives coef * xi**nu * K_nu(xi)
-    with nu = (l-1)/2, and below xi = 1e-8 the limit 2**(nu-1) Gamma(nu) of
-    xi**nu * K_nu(xi) avoids the K_nu overflow."""
+    xi >= 0, on a float or an array alike: each <y>**(-l), l > 1, gives
+    coef * xi**nu * K_nu(xi) with nu = (l-1)/2, and below xi = 1e-8 the
+    limit 2**(nu-1) Gamma(nu) of xi**nu * K_nu(xi) avoids the K_nu overflow."""
     terms = []
     for c, ell in combo.terms:
         if ell <= 1.0:
@@ -231,11 +232,11 @@ def _combo_transform(combo: BracketCombo, scale: float) -> Callable[[float], flo
         coef = math.sqrt(2.0 * math.pi) / (2.0 ** ((ell - 2.0) / 2.0) * gamma_fn(ell / 2.0))
         terms.append((c * scale * coef, nu, 2.0 ** (nu - 1.0) * gamma_fn(nu)))
 
-    def fhat(xi: float) -> float:
-        y = scale * xi
-        if y < 1e-8:
-            return sum(a * limit for a, _, limit in terms)
-        return sum(a * y**nu * kv(nu, y) for a, nu, _ in terms)
+    def fhat(xi):
+        y = scale * np.asarray(xi, dtype=float)
+        small = y < 1e-8
+        y = np.maximum(y, 1e-8)
+        return sum(np.where(small, a * limit, a * y**nu * kv(nu, y)) for a, nu, limit in terms)
 
     return fhat
 
@@ -258,17 +259,17 @@ def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float,
     fhat = _combo_transform(combo, scale)
     two_s = 2.0 * s
 
-    def integrand(xi: float) -> float:
-        return xi**two_s * fhat(xi) * math.cos(x * xi)
+    def integrand(xi):
+        return xi**two_s * fhat(xi) * np.cos(x * xi)
 
     cutoff = 80.0 / scale
     # K_nu decays like exp(-scale*xi); resolve each cosine oscillation.
     # The oscillatory integral may cancel to zero, so the error is judged
     # against the non-oscillatory envelope.
-    envelope = adaptive_quad(lambda xi: abs(xi**two_s * fhat(xi)),
+    envelope = gauss_kronrod(lambda xi: np.abs(xi**two_s * fhat(xi)),
                              0.0, cutoff, points=[1.0 / scale], rel_tol=1e-6)
     n_osc = 1 + int(abs(x) * cutoff / (2.0 * math.pi))
-    val = adaptive_quad(integrand, 0.0, cutoff,
+    val = gauss_kronrod(integrand, 0.0, cutoff,
                         points=[0.1 / scale, 1.0 / scale],
                         rel_tol=1e-10, limit=max(200, 30 * n_osc),
                         err_scale=1e-2 * envelope)
@@ -480,11 +481,11 @@ def plancherel_pairing(spec: TestFunctionSpec, g: GaussianProfile,
     psi_transform = _combo_transform(BracketCombo(((1.0, spec.r),)), R)
     a, b = g.hat_coefficients(1)
 
-    def lhs_integrand(xi: float) -> float:
+    def lhs_integrand(xi):
         psi_hat = psi_transform(xi) / math.sqrt(2.0 * math.pi)
-        return psi_hat * xi ** (2.0 * sigma) * (a * math.exp(b * xi * xi))
+        return psi_hat * xi ** (2.0 * sigma) * (a * np.exp(b * xi * xi))
 
-    lhs = 2.0 * adaptive_quad(lhs_integrand, 0.0, 80.0 / min(R, 1.0) + 10.0 / g.width,
+    lhs = 2.0 * gauss_kronrod(lhs_integrand, 0.0, 80.0 / min(R, 1.0) + 10.0 / g.width,
                               points=[0.5 / R, 2.0 / R], rel_tol=1e-9)
 
     gamma_spec = TestFunctionSpec(gamma=sigma, r=spec.r, R=R)

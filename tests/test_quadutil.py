@@ -1,43 +1,97 @@
 import math
 
+import numpy as np
 import pytest
 
-from sevolab import quadutil
-from sevolab.quadutil import QuadratureFailure, adaptive_quad
+from sevolab.quadutil import QuadratureFailure, adaptive_quad, gauss_kronrod
+
+
+def counting(fn, sizes):
+    """fn, appending the number of nodes of each call to sizes."""
+    def integrand(x):
+        sizes.append(np.size(x))
+        return fn(x)
+    return integrand
 
 
 class TestAdaptiveQuad:
-    def test_breakpoints_outside_the_interval_are_clipped(self, monkeypatch):
-        seen = []
-        original = quadutil.quad
+    """The behaviours both engines share; TestGaussKronrod runs them on the other."""
 
-        def recorded(fn, a, b, **kwargs):
-            seen.append(kwargs["points"])
-            return original(fn, a, b, **kwargs)
+    integrate = staticmethod(adaptive_quad)
 
-        monkeypatch.setattr(quadutil, "quad", recorded)
-        got = adaptive_quad(lambda x: abs(x - 0.3), 0.0, 1.0,
-                            points=[2.0, 0.3, -1.0, 0.0, 1.0])
+    def test_breakpoints_outside_the_interval_are_clipped(self):
+        # with the one interior breakpoint the piecewise-linear integrand is
+        # exact on the first two 21-node panels, and no node leaves (0, 1)
+        def nodes_seen(fn, points):
+            seen = []
+
+            def recorded(x):
+                seen.append(np.atleast_1d(x))
+                return fn(x)
+
+            value = self.integrate(recorded, 0.0, 1.0, points=points)
+            return value, np.concatenate(seen)
+
+        got, nodes = nodes_seen(lambda x: np.abs(x - 0.3), [2.0, 0.3, -1.0, 0.0, 1.0])
         assert got == pytest.approx(0.3**2 / 2 + 0.7**2 / 2, rel=1e-12)
-        adaptive_quad(math.exp, 0.0, 1.0, points=[-1.0, 1.0, 5.0])
-        assert seen == [[0.3], None]
+        assert nodes.size == 42 and 0.0 < nodes.min() and nodes.max() < 1.0
+        _, nodes = nodes_seen(np.exp, [-1.0, 1.0, 5.0])
+        assert nodes.size == 21 and 0.0 < nodes.min() and nodes.max() < 1.0
 
     def test_err_scale_accepts_an_integral_that_cancels(self):
         # int_0^2pi sin = 0: the error estimate dwarfs the value itself
         with pytest.raises(QuadratureFailure):
-            adaptive_quad(math.sin, 0.0, 2.0 * math.pi)
-        assert abs(adaptive_quad(math.sin, 0.0, 2.0 * math.pi, err_scale=1.0)) < 1e-12
+            self.integrate(np.sin, 0.0, 2.0 * math.pi)
+        assert abs(self.integrate(np.sin, 0.0, 2.0 * math.pi, err_scale=1.0)) < 1e-12
 
     def test_exhausted_budget_raises(self):
         def fn(x):
-            return math.cos(50.0 * x)
+            return np.cos(50.0 * x)
 
         with pytest.raises(QuadratureFailure):
-            adaptive_quad(fn, 0.0, 10.0, limit=2)
-        assert adaptive_quad(fn, 0.0, 10.0) == pytest.approx(math.sin(500.0) / 50.0,
-                                                             rel=1e-10)
+            self.integrate(fn, 0.0, 10.0, limit=2)
+        assert self.integrate(fn, 0.0, 10.0) == pytest.approx(math.sin(500.0) / 50.0,
+                                                              rel=1e-10)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_integral_raises(self, value):
         with pytest.raises(QuadratureFailure):
-            adaptive_quad(lambda x: value, 0.0, 1.0)
+            self.integrate(lambda x: 0.0 * x + value, 0.0, 1.0)
+
+    def test_error_at_the_rounding_floor_stops_the_subdivision(self):
+        # int_0^2pi sin cancels to rounding on the first panel, whose error
+        # is then 50*eps*int |sin|: bisection cannot reduce it
+        sizes = []
+        self.integrate(counting(np.sin, sizes), 0.0, 2.0 * math.pi, err_scale=1.0)
+        assert sum(sizes) == 21
+
+
+class TestGaussKronrod(TestAdaptiveQuad):
+    integrate = staticmethod(gauss_kronrod)
+
+    @pytest.mark.parametrize("degree", [0, 1, 10, 19, 20, 29])
+    def test_one_panel_is_exact_for_polynomials(self, degree):
+        # the 21-point Kronrod rule integrates degree 31 exactly; the
+        # embedded 10-point Gauss rule, and so the error estimate, only
+        # degree 19, hence the loose rel_tol of the one-panel estimate
+        poly = np.polynomial.Polynomial(np.random.default_rng(degree).uniform(0.0, 1.0,
+                                                                              degree + 1))
+        want = poly.integ()(1.3) - poly.integ()(0.2)
+        got = gauss_kronrod(poly, 0.2, 1.3, limit=1, rel_tol=1e-6)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("fn,a,b,points", [
+        (lambda x: np.exp(-((x - 0.4) / 0.01) ** 2), 0.0, 1.0, None),
+        (lambda x: np.abs(x - 0.3), 0.0, 1.0, [0.3]),
+        (lambda x: np.cos(50.0 * x), 0.0, 10.0, None),
+    ], ids=["narrow_gaussian", "kink_at_breakpoint", "oscillation"])
+    def test_agrees_with_quadpack(self, fn, a, b, points):
+        assert gauss_kronrod(fn, a, b, points=points) == \
+            pytest.approx(adaptive_quad(fn, a, b, points=points), rel=1e-12)
+
+    def test_bisects_several_intervals_per_call(self):
+        # as many nodes as QUADPACK's calls, in a handful of calls
+        quadpack, rounds = [], []
+        adaptive_quad(counting(lambda x: np.cos(50.0 * x), quadpack), 0.0, 10.0)
+        gauss_kronrod(counting(lambda x: np.cos(50.0 * x), rounds), 0.0, 10.0)
+        assert len(rounds) <= 10 and sum(rounds) <= 1.1 * len(quadpack)

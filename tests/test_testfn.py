@@ -1,14 +1,15 @@
+import importlib
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sevolab import quadutil, testfn
+from sevolab import testfn
 from sevolab.exponents import SystemParams
 from sevolab.profiles import GaussianProfile, sphere_surface
-from sevolab.quadutil import adaptive_quad
 from sevolab.testfn import (
     BracketCombo,
     Functionals,
@@ -203,7 +204,8 @@ def linear_middle_reference(combo, s, x, n, scale=1.0, rel_tol=1e-10):
     """An earlier form of fractional_laplacian_bracket: the middle range
     [lo_cut, big] integrated in rho itself rather than in log(rho), and the
     inner range [0, lo_cut] in u = rho**(2-2s), with the Taylor form below
-    h_sw, rather than in closed form plus log(rho)."""
+    h_sw, rather than in closed form plus log(rho).  It integrates on the
+    evaluator's engine, looked up on ``testfn`` as the evaluator does."""
     x = abs(float(x))
     omega = sphere_surface(n)
     fx = combo.value(x, scale)
@@ -212,9 +214,8 @@ def linear_middle_reference(combo, s, x, n, scale=1.0, rel_tol=1e-10):
     h_sw = 1e-3 * scale * (1.0 + x / scale)
 
     def centred(rho):
-        if rho < h_sw:
-            return taylor2 * rho * rho + taylor4 * rho**4
-        return sphere(rho) - omega * fx
+        return np.where(rho < h_sw, taylor2 * rho * rho + taylor4 * rho**4,
+                        sphere(rho) - omega * fx)
 
     alpha = 1.0 / (2.0 - 2.0 * s)
 
@@ -224,11 +225,11 @@ def linear_middle_reference(combo, s, x, n, scale=1.0, rel_tol=1e-10):
 
     lo_cut = max(scale, x / 8.0)
     big = max(200.0 * (x + scale), 1e3 * scale)
-    i_inner = adaptive_quad(inner, 0.0, lo_cut ** (2.0 - 2.0 * s),
-                            points=[h_sw ** (2.0 - 2.0 * s)], rel_tol=0.1 * rel_tol)
-    i_mid = adaptive_quad(lambda rho: centred(rho) * rho ** (-1.0 - 2.0 * s),
-                          lo_cut, big, points=[x / 2.0, x, 2.0 * x, 4.0 * x],
-                          rel_tol=rel_tol, limit=500)
+    i_inner = testfn.gauss_kronrod(inner, 0.0, lo_cut ** (2.0 - 2.0 * s),
+                                   points=[h_sw ** (2.0 - 2.0 * s)], rel_tol=0.1 * rel_tol)
+    i_mid = testfn.gauss_kronrod(lambda rho: centred(rho) * rho ** (-1.0 - 2.0 * s),
+                                 lo_cut, big, points=[x / 2.0, x, 2.0 * x, 4.0 * x],
+                                 rel_tol=rel_tol, limit=500)
     i_tail = -omega * fx * big ** (-2.0 * s) / (2.0 * s)
     for c, ell in combo.terms:
         i_tail += omega * c * scale**ell * big ** (-ell - 2.0 * s) / (ell + 2.0 * s)
@@ -237,7 +238,7 @@ def linear_middle_reference(combo, s, x, n, scale=1.0, rel_tol=1e-10):
 
 class TestLogMiddleRange:
     """The middle range in log(rho) gives the linear-variable values with fewer
-    integrand calls."""
+    integrand nodes."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -251,24 +252,24 @@ class TestLogMiddleRange:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_envelope_needs_three_quarters_of_the_calls(self, n, monkeypatch):
-        calls = [0]
-        original = quadutil.quad
+        nodes = [0]
+        original = testfn.gauss_kronrod
 
         def counted(fn, a, b, **kwargs):
             def integrand(v):
-                calls[0] += 1
+                nodes[0] += np.size(v)
                 return fn(v)
             return original(integrand, a, b, **kwargs)
 
-        def envelope_calls():
-            calls[0] = 0
+        def envelope_nodes():
+            nodes[0] = 0
             envelope_ratio(1.5, 1.0, n, [0.0] + list(np.geomspace(0.1, 1e3, 9)))
-            return calls[0]
+            return nodes[0]
 
-        monkeypatch.setattr(quadutil, "quad", counted)
-        log_form = envelope_calls()
+        monkeypatch.setattr(testfn, "gauss_kronrod", counted)
+        log_form = envelope_nodes()
         monkeypatch.setattr(testfn, "fractional_laplacian_bracket", linear_middle_reference)
-        assert log_form <= 0.75 * envelope_calls()
+        assert 0 < log_form <= 0.75 * envelope_nodes()
 
 
 class TestNearIntegerOrders:
@@ -294,6 +295,24 @@ class TestNearIntegerOrders:
         got = fractional_laplacian_bracket(self.single, s, 1.0, n)
         assert math.isfinite(got)
         assert abs(got - laplacian) <= 2.0 * (1.0 - s)
+
+
+class TestBenchCatalogue:
+    """Every test-function entry of the benchmark's quadrature catalogue gives
+    its frozen reference output, and the entries failing there fail here."""
+
+    FAILING = {"envelope": {"envelope|2.5|0.5|1", "envelope|2.5|1|1", "envelope|2.5|2|1"}}
+
+    @pytest.mark.parametrize("kind", ["fraclap", "fourier", "envelope"])
+    def test_matches_the_reference(self, kind, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        reference = workloads.load_reference("quadrature")
+        jobs = [workloads.run_quad_job(spec) for spec in workloads.quad_catalogue()[kind]]
+        mismatches = {job.key: workloads.check(job, reference)[0] for job in jobs}
+        assert {key: why for key, why in mismatches.items() if why} == {}
+        assert {job.key for job in jobs if job.error} == self.FAILING.get(kind, set())
+
 
 class TestGammaEvaluator:
     def test_integer_order_matches_fd(self):
