@@ -2,7 +2,9 @@
 
 ``adaptive_quad`` wraps QUADPACK, which calls the integrand once per node,
 for closures over floats: the oracle's integrand (about 1 us a node) and
-integrands that are quadratures themselves.  ``gauss_kronrod`` runs
+integrands that are quadratures themselves; ``quadpack`` gives its value
+and error estimate unjudged, and QAWO for a cos or sin weight, to a caller
+that sums pieces (the oracle's oscillatory split).  ``gauss_kronrod`` runs
 QUADPACK's 21-point rule with one call per round of bisections, for
 arithmetic on arrays (``testfn``'s sphere sums and Bessel-K transforms),
 whose cost per call is numpy dispatch, not nodes.  Both accept by one rule.
@@ -37,6 +39,24 @@ def _accepted(val: float, err: float, rel_tol: float, err_scale: float) -> float
     return val
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    """ValueError unless rel_tol is finite and > 0 (a NaN passes every test)."""
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be finite and positive")
+
+
+def quadpack(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
+             limit: int = 200, weight=None, wvar=None) -> tuple[float, float]:
+    """QUADPACK's value and error estimate of fn on [a, b], its warnings
+    suppressed.  ``weight`` "cos"/"sin" integrates fn(x)*cos/sin(wvar*x) on
+    QAWO, whose modified Chebyshev moments take the oscillation exactly."""
+    _check_rel_tol(rel_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(fn, a, b, points=_breakpoints(points, a, b) or None, limit=limit,
+                    epsabs=1e-300, epsrel=rel_tol, weight=weight, wvar=wvar)[:2]
+
+
 def adaptive_quad(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
                   limit: int = 200, err_scale: float = 0.0) -> float:
     """Integrate fn on [a, b]; raise QuadratureFailure if the estimate is untrusted.
@@ -48,10 +68,7 @@ def adaptive_quad(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10
     callers accept integrals that legitimately cancel to zero.  A value or
     error estimate that is not finite is never accepted.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, a, b, points=_breakpoints(points, a, b) or None,
-                        limit=limit, epsabs=1e-300, epsrel=rel_tol)
+    val, err = quadpack(fn, a, b, points=points, rel_tol=rel_tol, limit=limit)
     return _accepted(val, err, rel_tol, err_scale)
 
 
@@ -99,6 +116,7 @@ def gauss_kronrod(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10
     ``limit`` intervals, or only errors at their rounding floor; there is no
     extrapolation.  Keywords and acceptance are those of adaptive_quad.
     """
+    _check_rel_tol(rel_tol)
     edges = np.array([a, *_breakpoints(points, a, b), b], dtype=float)
     with np.errstate(all="ignore"):
         panels = _panels(fn, edges[:-1], edges[1:])

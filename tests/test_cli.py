@@ -6,7 +6,9 @@ import pickle
 import pytest
 
 from sevolab import cli, torus
+from sevolab.oracle import NormKind
 from sevolab.profiles import GaussianProfile
+from test_oracle import brute_force
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +86,21 @@ class TestLinearDecay:
         assert fit_line.startswith("# fit: ")
         exponent = float(fit_line.split("exponent=")[1].split()[0])
         assert exponent == pytest.approx(-0.25, abs=0.05)
+
+    def test_high_sigma_series(self, capsys, tmp_path):
+        # the single QUADPACK call fails at t ~ 13 (exit 2); the oscillatory
+        # split takes the times up to about 30, the single call the rest
+        out = tmp_path / "decay.csv"
+        code, _, err = run_cli(capsys, "linear-decay", "--sigma", "2.75", "--n", "3",
+                               "--kind", "dt", "--w0-amplitude", "1", "--w0-width", "1",
+                               "--w1-amplitude", "0", "--t", "log:1:100:17", "--out", str(out))
+        assert code == 0, err
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:-1]]
+        assert len(rows) == 17
+        for t, norm, *_ in rows:
+            want = brute_force(GaussianProfile(1.0, 1.0), None, float(t), 2.75, 3,
+                               NormKind.TIME_DERIVATIVE)
+            assert float(norm) == pytest.approx(want, rel=1e-9)
 
     def test_single_point_warns_without_fit(self, capsys):
         code, out, _ = run_cli(capsys, "linear-decay", "--sigma", "1", "--n", "1",

@@ -18,6 +18,7 @@ from sevolab.multipliers import (
 )
 from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
+from sevolab.quadutil import adaptive_quad, gauss_kronrod
 from sevolab.testfn import (
     BracketCombo,
     TestFunctionSpec,
@@ -79,6 +80,10 @@ CASES = {
     "linear_norm.t=nan": lambda: linear_norm(G, None, NAN, 1.0, 1, NormKind.SOLUTION_L2),
     "linear_norm.sigma=nan": lambda: linear_norm(G, None, 1.0, NAN, 1, NormKind.SOLUTION_L2),
     "linear_norm.sigma=-1": lambda: linear_norm(G, None, 1.0, -1.0, 1, NormKind.SOLUTION_L2),
+    "linear_norm.rel_tol=nan":
+        lambda: linear_norm(G, None, 1.0, 1.0, 1, NormKind.SOLUTION_L2, rel_tol=NAN),
+    "adaptive_quad.rel_tol=nan": lambda: adaptive_quad(np.cos, 0.0, 1.0, rel_tol=NAN),
+    "gauss_kronrod.rel_tol=inf": lambda: gauss_kronrod(np.cos, 0.0, 1.0, rel_tol=INF),
     "TestFunctionSpec.gamma=nan": lambda: TestFunctionSpec(gamma=NAN, r=2.0, R=4.0),
     "TestFunctionSpec.gamma=inf": lambda: TestFunctionSpec(gamma=INF, r=2.0, R=4.0),
     "TestFunctionSpec.r=nan": lambda: TestFunctionSpec(gamma=1.5, r=NAN, R=4.0),

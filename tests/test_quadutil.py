@@ -58,6 +58,13 @@ class TestAdaptiveQuad:
         with pytest.raises(QuadratureFailure):
             self.integrate(lambda x: 0.0 * x + value, 0.0, 1.0)
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
+        # a NaN or infinite tolerance accepted one panel of cos(50x) on
+        # [0, 10]: 0.6134 against sin(500)/50 = -0.00936
+        with pytest.raises(ValueError):
+            self.integrate(lambda x: np.cos(50.0 * x), 0.0, 10.0, rel_tol=rel_tol, limit=1)
+
     def test_error_at_the_rounding_floor_stops_the_subdivision(self):
         # int_0^2pi sin cancels to rounding on the first panel, whose error
         # is then 50*eps*int |sin|: bisection cannot reduce it
