@@ -319,7 +319,7 @@ SIMULATE_FLAGS = {"config": _text, "out_dir": (_text, "sim-out")}
 SWEEP_FLAGS = {"config": _text, "out": _text, "workers": (_positive_int, None)}
 TESTFN_FLAGS = {"gamma": _number(1, strict=False), "r": _positive, "R": _positive,
                 "n": (_dimension, 1)}
-_TGRID_FIELDS = {**SPACING_FIELDS, "kind": _enum("log", "lin")}
+_TGRID_FIELDS = {**SPACING_FIELDS, "kind": _enum("log", "lin"), "t_min": _number(0, strict=False)}
 
 
 def _check_out(path: str) -> None:
@@ -341,7 +341,10 @@ def _parse_tgrid(spec: str) -> list[float]:
     if len(parts) != 4:
         raise ConfigError("--t: t-grid must look like log:1e2:1e5:40 or lin:0:100:11")
     values = {key: _flag_number(part) for key, part in zip(_TGRID_FIELDS, parts)}
-    return _spaced(_read(values, "--t", _TGRID_FIELDS), "--t")
+    times = _spaced(_read(values, "--t", _TGRID_FIELDS), "--t")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"--t.t_min: must be < t_max when count > 1, got {times[0]:g}")
+    return times
 
 
 def cmd_linear_decay(args) -> int:

@@ -520,10 +520,10 @@ class Functionals:
 
     I_R integrates |v|**p and J_R |u|**q against the space cutoff and the
     time cutoff eta over [0, R**(2*sigma)].  Called as ``observer(t, state)``
-    at each of its ``times``, it keeps only t and, per spec, the grid sums of
-    |v|**p and |u|**q against the cutoff on the corner grid, where a sample
-    stands for 2**n points; :meth:`values` integrates them in time by the
-    trapezoid rule, the late-window variants over the window's second half.
+    at each of its ``times``, it keeps only t and, per spec, the integrals of
+    |v|**p and |u|**q against the cutoff: sums over the corner samples, each
+    weighted by ``grid.sample_weight``.  :meth:`values` integrates them in time
+    by the trapezoid rule, the late-window variants over the window's second half.
     Requires sigma1 == sigma2; for integer orders the compactly supported
     cutoff is used, otherwise the bracket <x/R>**(-r).
     """
@@ -541,16 +541,15 @@ class Functionals:
         cutoffs = [eta(radius / spec.R, self._lam) if integer
                    else (1.0 + (radius / spec.R) ** 2) ** (-spec.r / 2.0)
                    for spec in self.specs]
-        #: (spec, *corner_shape) cutoffs times the volume of a sample's 2**n cells
-        self._weights = np.stack(cutoffs) * (2 ** grid.n_dim * grid.dV)
+        #: (spec, *corner_shape) cutoffs times the volume a sample stands for
+        self._weights = np.stack(cutoffs) * grid.sample_weight
         #: per observed time: t, then the |v|**p sum of each spec, then the |u|**q ones
         self._rows: list[list[float]] = []
 
     def __call__(self, t: float, state) -> None:
         u, v = np.abs(state.grid.to_physical(state.w))
-        axes = u.ndim
-        self._rows.append([t, *np.tensordot(self._weights, v**self.params.p, axes),
-                           *np.tensordot(self._weights, u**self.params.q, axes)])
+        self._rows.append([t, *np.tensordot(self._weights, v**self.params.p, u.ndim),
+                           *np.tensordot(self._weights, u**self.params.q, u.ndim)])
 
     def values(self) -> tuple[FunctionalValues, ...]:
         """The functionals of each spec, in order; InsufficientSnapshotsError

@@ -7,11 +7,10 @@ index j to N-1-j, so a field is fixed by its samples on the corner [-L, 0]^n,
 indices 0..N/2-1 of each axis.  The state holds their DCT-II coefficients:
 the DFT coefficients of the full periodic field at the frequencies [0, N/2)^n
 times the phase exp(-i*pi*k/N) per axis, which are real; an even field on
-this grid has no N/2 mode.  A coefficient off an axis's zero plane stands for
-itself and its mirror image on that axis, so sums over the spectrum weight it
-by its multiplicity, 2 per such axis, times the Parseval factor dV/N^n.
-Both components go through the same kind of propagator and meet only in the
-coupling, so u and v are stacked and transformed and updated as one array.
+this grid has no N/2 mode.  :class:`GridSpec` owns this layout and every
+weight it implies.  Both components go through the same kind of propagator
+and meet only in the coupling, so u and v are stacked and transformed and
+updated as one array.
 The linear flow is advanced exactly, mode by mode, with the multipliers
 from :mod:`sevolab.multipliers`; the coupling |v|**p, |u|**q enters through
 a second-order exponential integrator: the nonlinearity is evaluated in
@@ -62,7 +61,13 @@ class ProfileTooWideError(ValueError):
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic box [-L, L)^n, a power-of-two grid of cell centres per
-    dimension; its arrays cover the corner only, :meth:`unfold` the full grid."""
+    dimension; its arrays cover the corner only, :meth:`unfold` the full grid.
+    It is the one owner of that layout; the simulator reads of it the field
+    shape ``corner_shape``, the pair ``to_physical``/``to_spectral``,
+    ``radius()`` (``init``, forcing, ``Functionals``), ``spectral_weights``
+    (the steps, ``six_norms``, the top-octave monitor), ``sample_weight``
+    (``Functionals``), and ``half_length`` and ``xi_max`` (``t_valid``,
+    ``check_profile_widths``, ``default_dt``)."""
 
     n_dim: int
     points_per_dim: int
@@ -84,10 +89,6 @@ class GridSpec:
     @property
     def dV(self) -> float:
         return self.dx**self.n_dim
-
-    @property
-    def n_total(self) -> int:
-        return self.points_per_dim**self.n_dim
 
     @property
     def xi_max(self) -> float:
@@ -114,6 +115,26 @@ class GridSpec:
         df = 1.0 / (self.points_per_dim * self.dx)
         return self._corner_norm(2.0 * math.pi * (k * df))
 
+    @functools.cached_property
+    def spectral_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(|xi|, norm, top) at the corner frequencies, built once, read-only.
+        ``norm`` is the Parseval weight: a coefficient's multiplicity, 2 for
+        each axis off whose zero plane it also stands for its mirror image,
+        times dV/N^n, so sum(norm * f**2) is the squared L2 norm of the field
+        with coefficients f.  ``top`` is ``norm`` where |xi| > xi_max/2, else 0."""
+        xi = self.xi_mag()
+        axis = np.where(np.arange(self.corner_shape[0]) == 0, 1.0, 2.0)
+        multiplicity = functools.reduce(np.multiply.outer, [axis] * self.n_dim)
+        norm = multiplicity * (self.dV / self.points_per_dim**self.n_dim)
+        top = norm * (xi > self.xi_max / 2.0)
+        xi.flags.writeable = norm.flags.writeable = top.flags.writeable = False
+        return xi, norm, top
+
+    @property
+    def sample_weight(self) -> float:
+        """The volume a corner sample stands for: 2**n mirror images, dV each."""
+        return 2 ** self.n_dim * self.dV
+
     def to_physical(self, w_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Corner samples of the field(s) with corner coefficients ``w_hat``
         over the trailing n_dim axes, so one field or a stack of fields in one
@@ -134,25 +155,12 @@ class GridSpec:
         return w
 
 
-@functools.lru_cache(maxsize=8)
-def corner_grid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """|xi| at the corner frequencies [0, N/2)^n and the Parseval weight of
-    each bin: its multiplicity, the product over axes of 1 on the zero plane
-    and 2 elsewhere, times dV/N^n (read-only)."""
-    xi = grid.xi_mag()
-    axis = np.full(grid.corner_shape[0], 2.0)
-    axis[0] = 1.0
-    weight = functools.reduce(np.multiply.outer, [axis] * grid.n_dim) * (grid.dV / grid.n_total)
-    xi.flags.writeable = weight.flags.writeable = False
-    return xi, weight
-
-
-def _energy(f: np.ndarray, weight: np.ndarray) -> float:
-    """sum(weight * f**2) over a field or a stack of fields f, with the weight
-    of :func:`corner_grid` their squared L2 norm; inf or nan if f is
-    non-finite."""
+def _energy(f: np.ndarray, weight: np.ndarray, out: Optional[np.ndarray] = None) -> float:
+    """sum(weight * f**2) over a field or a stack of fields f, with the norm
+    weight of :attr:`GridSpec.spectral_weights` their squared L2 norm; inf or
+    nan if f is non-finite.  The products go to ``out`` if given."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.vdot(f, weight * f))
+        return float(np.vdot(f, np.multiply(weight, f, out=out)))
 
 
 @dataclass(frozen=True)
@@ -171,10 +179,9 @@ class SpectralState:
     metadata, stacked: ``w = [u, v]`` and ``wt = [u_t, v_t]``, each a real
     array of shape ``(2, *corner_shape)`` with the u row first, so that one
     transform or update covers both components.  ``energy`` is the squared
-    L2 norm of u, v, u_t and v_t together, the Parseval-weighted sum of
-    coefficient**2 over both stacks, set by the step that made the state
-    (None at ``init``).  ``blown_up`` stays set from the first step whose
-    energy is not finite, though each norm may still be."""
+    L2 norm of u, v, u_t and v_t together, set by the step that made the
+    state (None at ``init``).  ``blown_up`` stays set from the first step
+    whose energy is not finite, though each norm may still be."""
 
     w: np.ndarray
     wt: np.ndarray
@@ -256,7 +263,7 @@ class _StepKernel:
 
     def __init__(self, grid: GridSpec, sigma1: float, sigma2: float):
         sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
-        xi, self.weight = corner_grid(grid)
+        xi, self.weight, _ = grid.spectral_weights
         self.mu = np.stack([xi ** (2.0 * s) for s in sigmas])
         #: (tables, weights) of step dt; built over mu, not self, so that a
         #: kernel holds no reference cycle and is freed when its run ends
@@ -302,12 +309,8 @@ def _stepped(state: SpectralState, w: np.ndarray, wt: np.ndarray, dt: float,
              kernel: _StepKernel) -> SpectralState:
     """The state (w, wt) one step dt after ``state``, with its ``energy`` from
     one weighted pass; a non-finite energy (overflow included) marks it as
-    blown up instead of raising.  The energy is the sum of :func:`_energy`
-    over w and wt, with the weighted products written into ``kernel.tmp``."""
-    weight, tmp = kernel.weight, kernel.tmp
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = float(np.vdot(w, np.multiply(weight, w, out=tmp))
-                       + np.vdot(wt, np.multiply(weight, wt, out=tmp)))
+    blown up instead of raising.  The weighted products go to ``kernel.tmp``."""
+    energy = _energy(w, kernel.weight, kernel.tmp) + _energy(wt, kernel.weight, kernel.tmp)
     return SpectralState(w, wt, state.time + dt, state.grid, state.sigma1, state.sigma2,
                          blown_up=state.blown_up or not math.isfinite(energy),
                          energy=energy)
@@ -318,8 +321,7 @@ def linear_step(state: SpectralState, dt: float,
     """Advance the linear system exactly by dt (any dt > 0)."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
-    if kernel is None:
-        kernel = _StepKernel(state.grid, state.sigma1, state.sigma2)
+    kernel = kernel or _StepKernel(state.grid, state.sigma1, state.sigma2)
     w, wt = _linear_fields(state, kernel.get(dt)[0], kernel.tmp)
     return _stepped(state, w, wt, dt, kernel)
 
@@ -365,8 +367,7 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
     grid = state.grid
-    if kernel is None:
-        kernel = _StepKernel(grid, state.sigma1, state.sigma2)
+    kernel = kernel or _StepKernel(grid, state.sigma1, state.sigma2)
     tables, (ab, b, abd, bd) = kernel.get(dt)
     tmp = kernel.tmp
     t0 = state.time
@@ -394,7 +395,7 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
 def six_norms(state: SpectralState) -> dict[str, float]:
     """The six recorded L2-type norms in NORM_LABELS order, computed on the
     frequency side: ||w||, |||D|**sigma w|| and ||w_t|| of u, then of v."""
-    xi, weight = corner_grid(state.grid)
+    xi, weight, _ = state.grid.spectral_weights
     norms = {}
     for name, w, wt, sigma in zip("uv", state.w, state.wt, (state.sigma1, state.sigma2)):
         norms[f"{name}_l2"] = math.sqrt(_energy(w, weight))
@@ -420,14 +421,10 @@ def detect_blowup(state: SpectralState, threshold: float) -> bool:
 
 
 def _top_octave_fraction(state: SpectralState) -> float:
-    xi, weight = corner_grid(state.grid)
-    top = weight * (xi > state.grid.xi_max / 2.0)
-    worst = 0.0
-    for arr in state.w:
-        total = _energy(arr, weight)
-        if total > 0.0:
-            worst = max(worst, _energy(arr, top) / total)
-    return worst
+    """The largest share of a field's energy in the top octave, over u and v."""
+    _, weight, top = state.grid.spectral_weights
+    shares = [(_energy(f, top), _energy(f, weight)) for f in state.w]
+    return max((part / total for part, total in shares if total > 0.0), default=0.0)
 
 
 def run(grid: GridSpec, data: InitialData, params: SystemParams,

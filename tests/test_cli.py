@@ -108,6 +108,16 @@ class TestLinearDecay:
         assert code == 0
         assert "# warning: too few points" in out
 
+    @pytest.mark.parametrize("spec", ["lin:-1:5:3", "lin:5:1:3"])
+    def test_bad_times_fail_before_quadrature(self, capsys, monkeypatch, spec):
+        def no_quadrature(*args):
+            raise AssertionError("decay_series called")
+        monkeypatch.setattr(cli.oracle, "decay_series", no_quadrature)
+        code, _, err = run_cli(capsys, "linear-decay", "--sigma", "1", "--n", "1",
+                               "--kind", "l2", "--t", spec)
+        assert code == 1
+        assert err.startswith("error: --t.t_min: ")
+
     def test_bad_grid_spec(self, capsys):
         code, _, err = run_cli(capsys, "linear-decay", "--sigma", "1", "--n", "1",
                                "--kind", "l2", "--t", "nonsense")
@@ -587,6 +597,10 @@ class TestConfigReader:
         ("lin:0:10:2.5", "--t.count"),
         ("lin:0:inf:5", "--t.t_max"),
         ("exp:1:10:5", "--t.kind"),
+        ("lin:-1:5:3", "--t.t_min"),
+        ("lin:5:1:3", "--t.t_min"),
+        ("lin:5:5:3", "--t.t_min"),
+        ("log:1e3:1e2:2", "--t.t_min"),
     ])
     def test_tgrid_rejected_with_part(self, spec, field_path):
         with pytest.raises(cli.ConfigError, match=f"^{field_path}: "):

@@ -20,7 +20,7 @@ from sevolab.torus import (
     _energy,
     _StepKernel,
     _power,
-    corner_grid,
+    _top_octave_fraction,
     default_dt,
     detect_blowup,
     duhamel_step,
@@ -161,6 +161,26 @@ class TestGridSpec:
             full = np.sqrt(sum(c * c for c in np.meshgrid(*[axis] * n_dim, indexing="ij")))
             assert np.array_equal(got, corner(grid, full))
 
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_weights_are_built_once_and_read_only(self, n_dim):
+        grid = GridSpec(n_dim, 32, 7.3)
+        weights = grid.spectral_weights
+        assert grid.spectral_weights is weights
+        xi, norm, top = weights
+        for arr in weights:
+            assert arr.shape == grid.corner_shape and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * n_dim] = 1.0
+        assert np.array_equal(xi, grid.xi_mag())
+        assert np.array_equal(top, np.where(xi > grid.xi_max / 2.0, norm, 0.0))
+        assert 0 < np.count_nonzero(top) < top.size
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_samples_weigh_the_whole_box(self, n_dim):
+        grid = GridSpec(n_dim, 32, 7.3)
+        volume = grid.sample_weight * math.prod(grid.corner_shape)
+        assert volume == pytest.approx((2.0 * grid.half_length) ** n_dim, rel=1e-14)
+
     def test_t_valid_window(self):
         grid = GridSpec(1, 4096, 200.0)
         assert t_valid(grid, PARAMS) == pytest.approx(624.0)
@@ -235,12 +255,11 @@ class TestCornerMemory:
         data = InitialData(u0=g, u1=g, v0=g, v1=g)
         assert self.peak(lambda: init(self.GRID, data, self.PARAMS)) <= self.LIMIT
 
-    def test_corner_grid(self):
-        corner_grid.cache_clear()
-        assert self.peak(lambda: corner_grid(self.GRID)) <= self.LIMIT
+    def test_spectral_weights(self):
+        grid = GridSpec(3, 64, 12.0)  # a new grid, so that the weights are built here
+        assert self.peak(lambda: grid.spectral_weights) <= self.LIMIT
 
     def test_functionals(self):
-        corner_grid.cache_clear()
         spec = TestFunctionSpec(gamma=1.0, r=3.0, R=4.0)
         assert self.peak(lambda: Functionals(self.GRID, self.PARAMS, [spec], [0.5, 1.0])) \
             <= self.LIMIT
@@ -270,9 +289,20 @@ class TestLinearStep:
         g = GaussianProfile(0.5, 1.0)
         state = init(grid, InitialData(u0=g, v1=g), params)
         out = linear_step(state, 0.3)
-        mult = corner_grid(grid)[1]
+        mult = grid.spectral_weights[1]
         assert out.energy == _energy(out.w, mult) + _energy(out.wt, mult)
         assert out.energy > 0 and not out.blown_up
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_dt_with_any_kernel(self, dt):
+        grid = GridSpec(1, 64, 20.0)
+        state = init(grid, InitialData(u0=GaussianProfile(0.01, 1.0)), PARAMS)
+        kernel = _StepKernel(grid, 1.0, 1.0)
+        linear_step(state, 0.1, kernel=kernel)  # the kernel holds a valid step
+        for step in (lambda: linear_step(state, dt), lambda: linear_step(state, dt, kernel),
+                     lambda: duhamel_step(state, dt, 3.0, 4.0, kernel=kernel)):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                step()
 
     def test_overflow_sets_blowup_flag(self):
         grid = GridSpec(1, 64, 20.0)
@@ -700,7 +730,7 @@ class TestSixNorms:
                                               rel=1e-13)
         full_hat = np.fft.fftn(full)
         xi = full_xi_mag(grid)
-        dsigma = grid.dV / grid.n_total * np.sum(xi ** 2 * np.abs(full_hat) ** 2)
+        dsigma = grid.dV / npts**n_dim * np.sum(xi ** 2 * np.abs(full_hat) ** 2)
         assert norms["u_dsigma"] == pytest.approx(math.sqrt(dsigma), rel=1e-13)
 
     @pytest.mark.parametrize("n_dim,npts", [(1, 64), (2, 32), (3, 16)])
@@ -713,6 +743,28 @@ class TestSixNorms:
         state = linear_step(state, 0.3)
         fields = grid.unfold(grid.to_physical(np.concatenate((state.w, state.wt))))
         assert state.energy == pytest.approx(grid.dV * np.sum(fields**2), rel=1e-13)
+
+
+class TestTopOctaveMonitor:
+    @pytest.mark.parametrize("n_dim,npts", [(1, 128), (2, 32), (3, 32)])
+    def test_fraction_matches_the_full_grid(self, n_dim, npts):
+        # widths of a few cells leave a top-octave share well above rounding;
+        # v is the narrower, so the worst row is not the first
+        grid = GridSpec(n_dim, npts, 10.0)
+        data = InitialData(u0=GaussianProfile(1.0, 2.0 * grid.dx),
+                           v0=GaussianProfile(0.5, grid.dx))
+        state = init(grid, data, PARAMS)
+        top = full_xi_mag(grid) > math.pi / (2.0 * grid.dx)
+        shares = []
+        for row in state.w:
+            power = np.abs(np.fft.fftn(grid.unfold(grid.to_physical(row)))) ** 2
+            shares.append(np.sum(power[top]) / np.sum(power))
+        assert shares[1] > shares[0] > 1e-6
+        assert _top_octave_fraction(state) == pytest.approx(shares[1], rel=1e-13)
+
+    def test_zero_field_has_no_share(self):
+        grid = GridSpec(2, 32, 10.0)
+        assert _top_octave_fraction(init(grid, InitialData(), PARAMS)) == 0.0
 
 
 class TestDetectBlowup:
