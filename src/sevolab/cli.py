@@ -110,8 +110,10 @@ def _object(fields: dict, build=None):
 
 
 def _exponent_range(value, path) -> list[float]:
-    """[lo, hi, step] with lo > 1 and step > 0: the values lo + k*step <= hi."""
+    """[lo, hi, step] with 1 < lo <= hi and step > 0: the values lo + k*step <= hi."""
     lo, hi, step = _array(_number(1), _real, _positive)(value, path)
+    if hi < lo:
+        raise ConfigError(f"{path}: expected lo <= hi, got [{lo:g}, {hi:g}]")
     values = itertools.takewhile(lambda x: x <= hi + 1e-9,
                                  (lo + k * step for k in itertools.count()))
     return [round(x, 10) for x in values]
@@ -160,13 +162,14 @@ SWEEP_FIELDS = {
 
 
 def _spaced(spec: dict, path: str) -> list[float]:
-    """``count`` log- or linearly spaced times from ``t_min`` to ``t_max``."""
+    """``count`` log- or linearly spaced times from ``t_min`` to ``t_max``, increasing."""
     lo, hi, count = spec["t_min"], spec["t_max"], spec["count"]
-    if spec["kind"] == "log":
-        if lo <= 0:
-            raise ConfigError(f"{path}.t_min: log spacing needs t_min > 0")
-        return list(np.geomspace(lo, hi, count))
-    return list(np.linspace(lo, hi, count))
+    if spec["kind"] == "log" and lo <= 0:
+        raise ConfigError(f"{path}.t_min: log spacing needs t_min > 0")
+    times = list((np.geomspace if spec["kind"] == "log" else np.linspace)(lo, hi, count))
+    if not all(a < b for a, b in zip(times, times[1:])):  # nan fails too
+        raise ConfigError(f"{path}.t_min: must be < t_max when count > 1, got {lo:g}")
+    return times
 
 
 def _record_times(spec, t_max: float, path: str) -> list[float]:
@@ -215,17 +218,16 @@ def load_sweep_config(obj: dict, path: str = "config") -> dict:
     _fits_box(grid, data, lambda name: f"{path}.cell.width")
     cell_params = [exponents.SystemParams(p=p, q=q, **fixed)
                    for p in cfg["p_range"] for q in cfg["q_range"]]
-    tasks = []
-    if cell_params:  # t_valid hangs on the grid and sigma_min only, so all cells share it
-        t_max = min(cell["t_max"], torus.t_valid(grid, cell_params[0]))
-        if t_max < 1.0:
-            raise ConfigError(f"{path}.cell.t_max: min(t_max, t_valid) = {t_max:g} < 1")
-        record = _record_times({"kind": "log", "t_min": 1.0, "t_max": t_max,
-                                "count": cell["record_count"]}, t_max, f"{path}.cell")
-        tasks = [{"p": params.p, "q": params.q, "params": params, "grid": grid,
-                  "data": data, "t_max": t_max, "record": record,
-                  **{k: cell[k] for k in ("dt", "blowup_threshold", "fit_t_min")}}
-                 for params in cell_params]
+    # t_valid hangs on the grid and sigma_min only, so all cells share it
+    t_max = min(cell["t_max"], torus.t_valid(grid, cell_params[0]))
+    if t_max < 1.0:
+        raise ConfigError(f"{path}.cell.t_max: min(t_max, t_valid) = {t_max:g} < 1")
+    times = np.geomspace(1.0, t_max, cell["record_count"])  # all 1, and valid, at t_max = 1
+    record = _record_times(times, t_max, f"{path}.cell")
+    tasks = [{"p": params.p, "q": params.q, "params": params, "grid": grid,
+              "data": data, "t_max": t_max, "record": record,
+              **{k: cell[k] for k in ("dt", "blowup_threshold", "fit_t_min")}}
+             for params in cell_params]
     return {"p_values": cfg["p_range"], "q_values": cfg["q_range"], "grid": grid,
             "tasks": tasks}
 
@@ -341,10 +343,7 @@ def _parse_tgrid(spec: str) -> list[float]:
     if len(parts) != 4:
         raise ConfigError("--t: t-grid must look like log:1e2:1e5:40 or lin:0:100:11")
     values = {key: _flag_number(part) for key, part in zip(_TGRID_FIELDS, parts)}
-    times = _spaced(_read(values, "--t", _TGRID_FIELDS), "--t")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError(f"--t.t_min: must be < t_max when count > 1, got {times[0]:g}")
-    return times
+    return _spaced(_read(values, "--t", _TGRID_FIELDS), "--t")
 
 
 def cmd_linear_decay(args) -> int:

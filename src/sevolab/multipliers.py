@@ -77,16 +77,16 @@ def roots(xi_mag: float, sigma: float) -> CharacteristicRoots:
     return CharacteristicRoots(complex(-0.5, om), complex(-0.5, -om))
 
 
-def propagator_arrays(t: float, mu: np.ndarray):
+def propagator_arrays(t: float, mu: np.ndarray) -> np.ndarray:
     """Vectorised multiplier tables (k0, k1, dk0, dk1) for mu = |xi|**(2*sigma).
 
-    t is a finite scalar >= 0; mu an array of nonnegative symbol values.
+    t is a finite scalar >= 0; mu an array of nonnegative symbol values.  The
+    tables come stacked in one array of shape ``(4, *mu.shape)``.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
     mu = np.asarray(mu, dtype=float)
-    k0 = np.empty_like(mu)
-    k1 = np.empty_like(mu)
+    k0, k1, dk0, dk1 = tables = np.empty((4, *mu.shape))
     d = 1.0 - 4.0 * mu
     real = d >= 0.0
 
@@ -105,7 +105,8 @@ def propagator_arrays(t: float, mu: np.ndarray):
     k1c = env * t * np.sinc(om * t / math.pi)
     k1[cplx] = k1c
     k0[cplx] = env * np.cos(om * t) + 0.5 * k1c
-    return k0, k1, -mu * k1, k0 - k1
+    dk0[...], dk1[...] = -mu * k1, k0 - k1
+    return tables
 
 
 def _propagator_scalar(t: float, mu: float) -> tuple[float, float, float, float]:
@@ -188,10 +189,10 @@ def _phi_weights(dt: float, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dt * dt * A, dt * dt * B
 
 
-def duhamel_weights(dt: float, mu: np.ndarray, tables=None):
+def duhamel_weights(dt: float, mu: np.ndarray, tables=None) -> np.ndarray:
     """Exact inhomogeneous weights for one exponential step.
 
-    Returns (A, B, Ad, Bd) with
+    Returns (A, B, Ad, Bd), stacked in one array of shape ``(4, *mu.shape)``, with
         A  = int_0^dt k1(dt - tau)            dtau
         B  = int_0^dt k1(dt - tau) * tau/dt   dtau
         Ad = int_0^dt k1'(dt - tau)           dtau
@@ -209,10 +210,15 @@ def duhamel_weights(dt: float, mu: np.ndarray, tables=None):
     if tables is None:
         tables = propagator_arrays(dt, mu)
     k0, k1 = tables[0], tables[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A = (1.0 - k0) / mu
-        B = A - (A + k1 - dt * k0) / (mu * dt)
     small = mu * (dt * dt) < _SMALL_MU_DT2 * max(1.0, dt * dt)
-    if np.any(small):
-        A[small], B[small] = _phi_weights(dt, mu[small])
-    return A, B, k1, A / dt
+    series = _phi_weights(dt, mu[small])  # first: its work arrays are the largest
+    A, B, Ad, Bd = weights = np.empty((4, *mu.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):  # one temporary at a time
+        np.divide(1.0 - k0, mu, out=A)
+        np.add(A, k1, out=B)
+        B -= dt * k0
+        B /= mu * dt
+        np.subtract(A, B, out=B)
+    A[small], B[small] = series
+    Ad[...], Bd[...] = k1, A / dt
+    return weights

@@ -547,7 +547,7 @@ class Functionals:
         self._rows: list[list[float]] = []
 
     def __call__(self, t: float, state) -> None:
-        u, v = np.abs(state.grid.to_physical(state.w))
+        u, v = np.abs(state.grid.to_physical(state.y[0]))
         self._rows.append([t, *np.tensordot(self._weights, v**self.params.p, u.ndim),
                            *np.tensordot(self._weights, u**self.params.q, u.ndim)])
 

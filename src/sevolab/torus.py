@@ -9,8 +9,8 @@ the DFT coefficients of the full periodic field at the frequencies [0, N/2)^n
 times the phase exp(-i*pi*k/N) per axis, which are real; an even field on
 this grid has no N/2 mode.  :class:`GridSpec` owns this layout and every
 weight it implies.  Both components go through the same kind of propagator
-and meet only in the coupling, so u and v are stacked and transformed and
-updated as one array.
+and meet only in the coupling, so (u, v, u_t, v_t) is one array, on which
+the propagator and the Duhamel weights act as 2x2 matrices per mode.
 The linear flow is advanced exactly, mode by mode, with the multipliers
 from :mod:`sevolab.multipliers`; the coupling |v|**p, |u|**q enters through
 a second-order exponential integrator: the nonlinearity is evaluated in
@@ -175,16 +175,14 @@ class InitialData:
 
 @dataclass
 class SpectralState:
-    """Corner (DCT-II) coefficients of (u, u_t, v, v_t) plus time and symbol
-    metadata, stacked: ``w = [u, v]`` and ``wt = [u_t, v_t]``, each a real
-    array of shape ``(2, *corner_shape)`` with the u row first, so that one
-    transform or update covers both components.  ``energy`` is the squared
-    L2 norm of u, v, u_t and v_t together, set by the step that made the
-    state (None at ``init``).  ``blown_up`` stays set from the first step
-    whose energy is not finite, though each norm may still be."""
+    """Corner (DCT-II) coefficients of (u, v, u_t, v_t) plus time and symbol
+    metadata: ``y``, real, of shape ``(2, 2, *corner_shape)``, is indexed
+    [value or time derivative, component].  ``energy`` is the squared L2 norm
+    of all four, set by the step that made the state (None at ``init``).
+    ``blown_up`` stays set from the first step whose energy is not finite,
+    though each norm may still be."""
 
-    w: np.ndarray
-    wt: np.ndarray
+    y: np.ndarray
     time: float
     grid: GridSpec
     sigma1: float
@@ -241,18 +239,20 @@ def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralSta
     for row, prof in zip(phys, (data.u0, data.v0, data.u1, data.v1)):
         if prof is not None:
             row[...] = prof.value(r)
-    hat = grid.to_spectral(phys, overwrite=True)
-    return SpectralState(hat[:2], hat[2:], 0.0, grid, params.sigma1, params.sigma2)
+    y = grid.to_spectral(phys, overwrite=True).reshape(2, 2, *grid.corner_shape)
+    return SpectralState(y, 0.0, grid, params.sigma1, params.sigma2)
 
 
 class _StepKernel:
-    """Per-(grid, sigma) propagator tables and Duhamel weights for the last
+    """Per-(grid, sigma) propagator and Duhamel weights for the last
     MAX_ENTRIES step sizes, the least recently used evicted first, and the
     work arrays of a step.
 
-    Tables and weights are stacked like the state: shape
-    ``(1, *corner_shape)`` when sigma1 == sigma2, broadcasting over both rows,
-    else ``(2, *corner_shape)`` with the u row first.  Record intervals are
+    ``get(dt)`` is ``(K, W)``, per mode the 2x2 propagator
+    ``K = [[k0, k1], [dk0, dk1]]`` and Duhamel weights
+    ``W = [[A - B, B], [Ad - Bd, Bd]]`` that act on the state's first axis,
+    each of shape ``(2, 2, c, *corner_shape)``: c = 1 when sigma1 == sigma2,
+    broadcasting over both components, else 2 with the u row first.  Record intervals are
     visited in order, so the main dt stays resident and only the final,
     shorter step of each interval is rebuilt.  ``builds`` counts the step sizes built.
     An entry is evicted after its successor is built, so MAX_ENTRIES + 1 are
@@ -265,13 +265,13 @@ class _StepKernel:
         sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
         xi, self.weight, _ = grid.spectral_weights
         self.mu = np.stack([xi ** (2.0 * s) for s in sigmas])
-        #: (tables, weights) of step dt; built over mu, not self, so that a
+        #: (K, W) of step dt; built over mu, not self, so that a
         #: kernel holds no reference cycle and is freed when its run ends
         self.get = functools.lru_cache(maxsize=self.MAX_ENTRIES)(
             functools.partial(self._build, self.mu))
-        #: a temporary of the stack's shape; each step overwrites it, and it
-        #: is the work space of |.|**e while the couplings are evaluated
-        self.tmp = np.empty((2, *grid.corner_shape))
+        #: a temporary of the state's shape; each step overwrites it, and its
+        #: first half is the work space of |.|**e while the couplings are evaluated
+        self.tmp = np.empty((2, 2, *grid.corner_shape))
 
     @property
     def builds(self) -> int:
@@ -282,36 +282,32 @@ class _StepKernel:
         """The coupling buffer of a coupled step, shape ``(2, 2, *corner_shape)``
         (stage, component), transformed in place, allocated on the first one;
         each step overwrites it.  Linear steps never touch it."""
-        return np.empty((2, *self.tmp.shape))
+        return np.empty_like(self.tmp)
 
     @staticmethod
-    def _build(mu: np.ndarray, dt: float) -> tuple[tuple, tuple]:
-        """(tables, weights) of step dt: the ``propagator_arrays`` table and
-        (A - B, B, Ad - Bd, Bd) of :func:`duhamel_weights`."""
+    def _build(mu: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(K, W) of step dt: views of the stacks of ``propagator_arrays`` and
+        :func:`duhamel_weights`, W's first column made A - B and Ad - Bd in place."""
         tables = propagator_arrays(dt, mu)
-        A, B, Ad, Bd = duhamel_weights(dt, mu, tables)
-        return tables, (A - B, B, Ad - Bd, Bd)
+        W = duhamel_weights(dt, mu, tables).reshape(2, 2, *mu.shape)
+        W[:, 0] -= W[:, 1]
+        return tables.reshape(2, 2, *mu.shape), W
 
 
-def _linear_fields(state: SpectralState, tables,
-                   tmp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """New stacks (w, wt) advanced exactly by the step the tables were built
-    for; ``tmp`` is work space of the stack's shape."""
-    k0, k1, dk0, dk1 = tables
-    w = k0 * state.w
-    w += np.multiply(k1, state.wt, out=tmp)
-    wt = dk0 * state.w
-    wt += np.multiply(dk1, state.wt, out=tmp)
-    return w, wt
+def _propagated(y: np.ndarray, K: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """K[:, 0]*y[0] + K[:, 1]*y[1], a new array: y advanced by K's step; ``tmp`` is work space."""
+    out = np.multiply(K[:, 0], y[0])
+    out += np.multiply(K[:, 1], y[1], out=tmp)
+    return out
 
 
-def _stepped(state: SpectralState, w: np.ndarray, wt: np.ndarray, dt: float,
+def _stepped(state: SpectralState, y: np.ndarray, dt: float,
              kernel: _StepKernel) -> SpectralState:
-    """The state (w, wt) one step dt after ``state``, with its ``energy`` from
+    """The state ``y`` one step dt after ``state``, with its ``energy`` from
     one weighted pass; a non-finite energy (overflow included) marks it as
     blown up instead of raising.  The weighted products go to ``kernel.tmp``."""
-    energy = _energy(w, kernel.weight, kernel.tmp) + _energy(wt, kernel.weight, kernel.tmp)
-    return SpectralState(w, wt, state.time + dt, state.grid, state.sigma1, state.sigma2,
+    energy = _energy(y, kernel.weight, kernel.tmp)
+    return SpectralState(y, state.time + dt, state.grid, state.sigma1, state.sigma2,
                          blown_up=state.blown_up or not math.isfinite(energy),
                          energy=energy)
 
@@ -322,8 +318,7 @@ def linear_step(state: SpectralState, dt: float,
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
     kernel = kernel or _StepKernel(state.grid, state.sigma1, state.sigma2)
-    w, wt = _linear_fields(state, kernel.get(dt)[0], kernel.tmp)
-    return _stepped(state, w, wt, dt, kernel)
+    return _stepped(state, _propagated(state.y, kernel.get(dt)[0], kernel.tmp), dt, kernel)
 
 
 def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
@@ -368,28 +363,28 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
         raise ValueError("dt must be finite and positive")
     grid = state.grid
     kernel = kernel or _StepKernel(grid, state.sigma1, state.sigma2)
-    tables, (ab, b, abd, bd) = kernel.get(dt)
+    K, W = kernel.get(dt)
     tmp = kernel.tmp
     t0 = state.time
     with np.errstate(over="ignore", invalid="ignore"):
-        w, wt = _linear_fields(state, tables, tmp)
+        y = _propagated(state.y, K, tmp)
         stages = kernel.stages
-        stages[0] = state.w
-        stages[1] = w
+        stages[0] = state.y[0]
+        stages[1] = y[0]
         phys = grid.to_physical(stages, overwrite=True)  # (stage, component)
         np.abs(phys, out=phys)
-        _power(phys[:, 0], q, tmp)
-        _power(phys[:, 1], p, tmp)
+        _power(phys[:, 0], q, tmp[0])
+        _power(phys[:, 1], p, tmp[0])
         for f, row in zip(forcing or (), (1, 0)):  # fu joins |v|**p, fv |u|**q
             if f is not None:
                 phys[0, row] += f(t0)
                 phys[1, row] += f(t0 + dt)
         # each stage's coupling [|v|**p, |u|**q] is its component axis reversed
-        n0, n1 = grid.to_spectral(phys, overwrite=True)[:, ::-1]
-        for acc, weight, n in ((w, ab, n0), (w, b, n1), (wt, abd, n0), (wt, bd, n1)):
-            acc += np.multiply(weight, n, out=tmp)
+        n = grid.to_spectral(phys, overwrite=True)[:, ::-1]
+        y += np.multiply(W[:, 0], n[0], out=tmp)
+        y += np.multiply(W[:, 1], n[1], out=tmp)
 
-    return _stepped(state, w, wt, dt, kernel)
+    return _stepped(state, y, dt, kernel)
 
 
 def six_norms(state: SpectralState) -> dict[str, float]:
@@ -397,7 +392,7 @@ def six_norms(state: SpectralState) -> dict[str, float]:
     frequency side: ||w||, |||D|**sigma w|| and ||w_t|| of u, then of v."""
     xi, weight, _ = state.grid.spectral_weights
     norms = {}
-    for name, w, wt, sigma in zip("uv", state.w, state.wt, (state.sigma1, state.sigma2)):
+    for name, w, wt, sigma in zip("uv", state.y[0], state.y[1], (state.sigma1, state.sigma2)):
         norms[f"{name}_l2"] = math.sqrt(_energy(w, weight))
         norms[f"{name}_dsigma"] = math.sqrt(_energy(w, weight * xi ** (2.0 * sigma)))
         norms[f"{name}_dt"] = math.sqrt(_energy(wt, weight))
@@ -423,7 +418,7 @@ def detect_blowup(state: SpectralState, threshold: float) -> bool:
 def _top_octave_fraction(state: SpectralState) -> float:
     """The largest share of a field's energy in the top octave, over u and v."""
     _, weight, top = state.grid.spectral_weights
-    shares = [(_energy(f, top), _energy(f, weight)) for f in state.w]
+    shares = [(_energy(f, top), _energy(f, weight)) for f in state.y[0]]
     return max((part / total for part, total in shares if total > 0.0), default=0.0)
 
 

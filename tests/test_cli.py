@@ -296,16 +296,30 @@ class TestSweep:
         assert [r[0] for r in rows] == sorted(r[0] for r in rows)
         assert all(r[3] != "" for r in rows)
 
-    def test_empty_range_gives_header_only(self, capsys, tmp_path):
-        cfg = dict(SWEEP_CONFIG, p_range=[3.0, 2.0, 0.5])
+    @pytest.mark.parametrize("field", ["p_range", "q_range"])
+    def test_empty_range_rejected(self, capsys, tmp_path, field):
+        # hi < lo would be a sweep of no cells; lo == hi is one value
+        cfg = dict(SWEEP_CONFIG, **{field: [3.0, 2.0, 0.5]})
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "phase.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path),
+                               "--out", str(out), "--workers", "1")
+        assert code == 1
+        assert err == f"error: config.{field}: expected lo <= hi, got [3, 2]\n"
+        assert not out.exists()
+
+    def test_window_of_exactly_one(self, capsys, tmp_path):
+        # the sweep's own record times run from 1 to min(t_max, t_valid) = 1
+        cfg = copy.deepcopy(SWEEP_CONFIG)
+        cfg["cell"]["t_max"] = 1.0
+        tasks = cli.load_sweep_config(cfg)["tasks"]
+        assert [task["record"] for task in tasks] == [[0.0, 1.0]] * 4
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
         code, _, _ = run_cli(capsys, "sweep", "--config", str(path),
-                             "--out", str(out), "--workers", "1")
+                             "--out", str(tmp_path / "phase.csv"), "--workers", "1")
         assert code == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 2  # hash comment + header
 
     def test_unclassified_cells_simulated(self, capsys, tmp_path):
         cfg = dict(SWEEP_CONFIG, p_range=[1.5, 1.5, 1.0], q_range=[1.5, 1.5, 1.0])
@@ -397,6 +411,11 @@ class TestConfigReader:
         ("sweep", "cell.width", 8.0, "config.cell.width"),
         ("linear-decay", "t", "lin:nan:10:5", "--t.t_min"),
         ("linear-decay", "t", "log:0:1e5:5", "--t.t_min"),
+        # record spacings whose times do not increase, the rule of --t
+        ("simulate", "record", {"kind": "linear", "t_min": 5, "t_max": 1, "count": 3},
+         "config.record.t_min"),
+        ("simulate", "record", {"kind": "log", "t_min": 3, "t_max": 3, "count": 4},
+         "config.record.t_min"),
         ("linear-decay", "sigma", "nan", "--sigma"),
         ("linear-decay", "sigma", "0", "--sigma"),
         ("linear-decay", "w0-amplitude", "nan", "--w0-amplitude"),
@@ -588,6 +607,7 @@ class TestConfigReader:
         ("lin:.5:10:5", [0.5, 2.875, 5.25, 7.625, 10.0]),
         ("lin:+1:5.:3", [1.0, 3.0, 5.0]),
         ("log:1e2:1e4:03", [100.0, 1000.0, 10000.0]),
+        ("log:1e2:1e2:1", [100.0]),
     ])
     def test_tgrid_spellings_accepted(self, spec, expected):
         assert cli._parse_tgrid(spec) == pytest.approx(expected, rel=1e-15)
@@ -601,6 +621,9 @@ class TestConfigReader:
         ("lin:5:1:3", "--t.t_min"),
         ("lin:5:5:3", "--t.t_min"),
         ("log:1e3:1e2:2", "--t.t_min"),
+        # geomspace warns and makes the middle time nan
+        pytest.param("log:1:-1:3", "--t.t_min",
+                     marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
     ])
     def test_tgrid_rejected_with_part(self, spec, field_path):
         with pytest.raises(cli.ConfigError, match=f"^{field_path}: "):

@@ -428,8 +428,8 @@ def frozen_values(grid, params, specs, times, u_value, v_value):
     observed at ``times``."""
     observer = Functionals(grid, params, specs, times)
     corner = np.multiply.outer([u_value, v_value], np.ones(grid.corner_shape))
-    state = SpectralState(grid.to_spectral(corner), np.zeros_like(corner), 0.0, grid,
-                          params.sigma1, params.sigma2)
+    y = np.stack((grid.to_spectral(corner), np.zeros_like(corner)))
+    state = SpectralState(y, 0.0, grid, params.sigma1, params.sigma2)
     for t in observer.times:
         observer(t, state)
     return observer.values()
@@ -443,7 +443,7 @@ class Snapshots:
         self.fields = []
 
     def __call__(self, t, state):
-        self.fields.append((t, *state.grid.unfold(state.grid.to_physical(state.w))))
+        self.fields.append((t, *state.grid.unfold(state.grid.to_physical(state.y[0]))))
 
 
 def snapshot_functionals(snaps, grid, spec, params):
@@ -525,10 +525,10 @@ class TestFunctionals:
         observer = Functionals(grid, params, specs, [0.0])
         rng = np.random.default_rng(n_dim)
         samples = rng.standard_normal((2, *grid.corner_shape))
-        state = SpectralState(grid.to_spectral(samples), np.zeros_like(samples), 0.0,
-                              grid, params.sigma1, params.sigma2)
+        y = np.stack((grid.to_spectral(samples), np.zeros_like(samples)))
+        state = SpectralState(y, 0.0, grid, params.sigma1, params.sigma2)
         observer(0.0, state)
-        u, v = grid.unfold(grid.to_physical(state.w))
+        u, v = grid.unfold(grid.to_physical(state.y[0]))
         r = grid.unfold(grid.radius())
         cutoffs = [eta(r / spec.R, observer._lam) if sigma == 1.0
                    else (1.0 + (r / spec.R) ** 2) ** (-spec.r / 2.0) for spec in specs]

@@ -8,7 +8,12 @@ import scipy.fft
 from scipy.integrate import quad
 
 from sevolab.exponents import SystemParams
-from sevolab.multipliers import _propagator_scalar, duhamel_weights, propagator_arrays
+from sevolab.multipliers import (
+    _propagator_scalar,
+    duhamel_weights,
+    propagation_matrix,
+    propagator_arrays,
+)
 from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
 from sevolab.testfn import Functionals, TestFunctionSpec
@@ -42,7 +47,7 @@ class Snapshots:
         self.fields = []
 
     def __call__(self, t, state):
-        self.fields.append((t, *state.grid.unfold(state.grid.to_physical(state.w))))
+        self.fields.append((t, *state.grid.unfold(state.grid.to_physical(state.y[0]))))
 
 
 def corner(grid, w):
@@ -69,7 +74,7 @@ def two_pass_step(state, dt, p, q, forcing, kernel):
     """The ETD2 step with one transform pair per coupling stage, written
     out: the reference that the stacked step must reproduce bit for bit."""
     grid = state.grid
-    (k0, k1, dk0, dk1), (ab, b, abd, bd) = kernel.get(dt)
+    ((k0, k1), (dk0, dk1)), ((ab, b), (abd, bd)) = kernel.get(dt)
 
     def coupling(w, t):
         phys = np.abs(grid.to_physical(w))
@@ -80,11 +85,12 @@ def two_pass_step(state, dt, p, q, forcing, kernel):
             phys[0] += forcing[1](t)
         return grid.to_spectral(phys)[::-1]
 
-    n0 = coupling(state.w, state.time)
-    w = k0 * state.w + k1 * state.wt
-    wt = dk0 * state.w + dk1 * state.wt
+    w0, wt0 = state.y
+    n0 = coupling(w0, state.time)
+    w = k0 * w0 + k1 * wt0
+    wt = dk0 * w0 + dk1 * wt0
     n1 = coupling(w, state.time + dt)
-    return SpectralState(w + ab * n0 + b * n1, wt + abd * n0 + bd * n1,
+    return SpectralState(np.stack((w + ab * n0 + b * n1, wt + abd * n0 + bd * n1)),
                          state.time + dt, grid, state.sigma1, state.sigma2)
 
 
@@ -134,7 +140,7 @@ def rfftn_reference_spectra(grid, data, params, dt, steps):
 
 def rfftn_reference_step(grid, data, params, dt):
     """One step of :func:`rfftn_reference_spectra` as corner coefficients:
-    the rows of the state's w and then of its wt."""
+    the rows of the state's y[0] and then of its y[1]."""
     return [corner_bins(grid, f) for f in rfftn_reference_spectra(grid, data, params, dt, 1)]
 
 
@@ -197,14 +203,14 @@ class TestInit:
     def test_zero_data_gives_zero_state(self):
         grid = GridSpec(1, 64, 20.0)
         state = init(grid, InitialData(), PARAMS)
-        for arr in (state.w, state.wt):
+        for arr in state.y:
             assert np.all(arr == 0)
 
     def test_zero_mode_is_mass_quadrature(self):
         grid = GridSpec(1, 512, 40.0)
         g = GaussianProfile(0.3, 1.5)
         state = init(grid, InitialData(u1=g), PARAMS)
-        assert state.wt[0, 0] * grid.dx == pytest.approx(g.mass(1), rel=1e-8)
+        assert state.y[1, 0, 0] * grid.dx == pytest.approx(g.mass(1), rel=1e-8)
 
     def test_profile_too_wide(self):
         grid = GridSpec(1, 64, 20.0)
@@ -217,8 +223,8 @@ class TestInit:
         g, h = GaussianProfile(0.8, 1.2), GaussianProfile(-0.4, 0.9)
         state = init(grid, InitialData(u0=g, v1=h), PARAMS)
         r = grid.unfold(grid.radius())
-        assert state.w.shape == state.wt.shape == (2, *grid.corner_shape)
-        for got, prof in ((state.w[0], g), (state.wt[1], h)):
+        assert state.y.shape == (2, 2, *grid.corner_shape)
+        for got, prof in ((state.y[0, 0], g), (state.y[1, 1], h)):
             ref = rfftn_corner(grid, prof.value(r))
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -228,7 +234,7 @@ class TestInit:
         state = init(grid, InitialData(v0=g), PARAMS)
         # the full half spectrum: bins 0..127 undo the phase, bin 128 is 0
         phase = np.exp(1j * math.pi * np.arange(128) / 256)
-        recovered = np.fft.irfft(np.append(state.w[1] * phase, 0.0), n=256)
+        recovered = np.fft.irfft(np.append(state.y[0, 1] * phase, 0.0), n=256)
         sampled = g.value(grid.unfold(grid.radius()))
         assert np.max(np.abs(recovered - sampled)) < 1e-10
 
@@ -271,8 +277,8 @@ class TestLinearStep:
         g = GaussianProfile(1.0, 1.0)
         state = init(grid, InitialData(u1=g), PARAMS)
         out = linear_step(state, 2.5)
-        expected = state.wt[0, 0] * (1.0 - math.exp(-2.5))
-        assert out.w[0, 0] == pytest.approx(expected, rel=1e-13)
+        expected = state.y[1, 0, 0] * (1.0 - math.exp(-2.5))
+        assert out.y[0, 0, 0] == pytest.approx(expected, rel=1e-13)
 
     def test_half_steps_compose_exactly(self):
         grid = GridSpec(1, 128, 20.0)
@@ -280,7 +286,7 @@ class TestLinearStep:
         state = init(grid, InitialData(u0=g, v1=g), PARAMS)
         once = linear_step(state, 0.8)
         twice = linear_step(linear_step(state, 0.4), 0.4)
-        for a, b in zip((once.w, once.wt), (twice.w, twice.wt)):
+        for a, b in zip(once.y, twice.y):
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_sets_energy_like_the_coupled_step(self):
@@ -290,7 +296,7 @@ class TestLinearStep:
         state = init(grid, InitialData(u0=g, v1=g), params)
         out = linear_step(state, 0.3)
         mult = grid.spectral_weights[1]
-        assert out.energy == _energy(out.w, mult) + _energy(out.wt, mult)
+        assert out.energy == _energy(out.y, mult)
         assert out.energy > 0 and not out.blown_up
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
@@ -307,7 +313,7 @@ class TestLinearStep:
     def test_overflow_sets_blowup_flag(self):
         grid = GridSpec(1, 64, 20.0)
         state = init(grid, InitialData(u0=GaussianProfile(1.0, 1.0)), PARAMS)
-        state.w[0] *= 1e300
+        state.y[0, 0] *= 1e300
         stepped = linear_step(state, 0.1)
         assert stepped.blown_up and not math.isfinite(stepped.energy)
 
@@ -336,8 +342,8 @@ class TestDuhamelStep:
         state = init(grid, InitialData(u0=g, u1=g), PARAMS)  # v identically zero
         stepped = duhamel_step(state, 0.2, PARAMS.p, PARAMS.q)
         lin = linear_step(state, 0.2)
-        assert np.max(np.abs(stepped.w[0] - lin.w[0])) == 0.0
-        assert np.max(np.abs(stepped.wt[0] - lin.wt[0])) == 0.0
+        assert np.max(np.abs(stepped.y[0, 0] - lin.y[0, 0])) == 0.0
+        assert np.max(np.abs(stepped.y[1, 0] - lin.y[1, 0])) == 0.0
 
     def test_single_mode_constant_forcing_weight(self):
         grid = GridSpec(1, 128, 20.0)
@@ -355,10 +361,10 @@ class TestDuhamelStep:
                                 epsabs=1e-16, epsrel=1e-13)
         force_hat = rfftn_corner(grid, grid.unfold(force))
         expected = force_hat[k_index] * oracle_weight
-        assert stepped.w[0, k_index] == pytest.approx(expected, rel=1e-10)
+        assert stepped.y[0, 0, k_index] == pytest.approx(expected, rel=1e-10)
         # derivative channel gets k1(dt) as its weight
         expected_dt = force_hat[k_index] * _propagator_scalar(dt, mu)[1]
-        assert stepped.wt[0, k_index] == pytest.approx(expected_dt, rel=1e-10)
+        assert stepped.y[1, 0, k_index] == pytest.approx(expected_dt, rel=1e-10)
 
     def test_manufactured_solution_second_order(self):
         # exact solution u* = exp(-t) g(x), v* = 0, via compensating forcing
@@ -401,7 +407,7 @@ class TestDuhamelStep:
         dt = 0.07
         stepped = duhamel_step(init(grid, data, params), dt, params.p, params.q)
         reference = rfftn_reference_step(grid, data, params, dt)
-        for got, ref in zip([*stepped.w, *stepped.wt], reference):
+        for got, ref in zip([*stepped.y[0], *stepped.y[1]], reference):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n_dim,npts", [(2, 32), (3, 16)])
@@ -413,7 +419,7 @@ class TestDuhamelStep:
         dt = 0.07
         stepped = duhamel_step(init(grid, data, params), dt, params.p, params.q)
         reference = rfftn_reference_step(grid, data, params, dt)
-        for got, ref in zip([*stepped.w, *stepped.wt], reference):
+        for got, ref in zip([*stepped.y[0], *stepped.y[1]], reference):
             assert got.shape == grid.corner_shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -469,13 +475,13 @@ class TestDuhamelStep:
         for _ in range(4):
             stacked = duhamel_step(stacked, 0.03, p, q, forcing=forcing, kernel=kernel)
             reference = two_pass_step(reference, 0.03, p, q, forcing, kernel)
-        assert np.array_equal(stacked.w, reference.w)
-        assert np.array_equal(stacked.wt, reference.wt)
+        assert np.array_equal(stacked.y[0], reference.y[0])
+        assert np.array_equal(stacked.y[1], reference.y[1])
 
     def test_overflow_sets_blowup_flag(self):
         grid = GridSpec(1, 64, 20.0)
         state = init(grid, InitialData(u0=GaussianProfile(1.0, 1.0)), PARAMS)
-        state.w[0] *= 1e300
+        state.y[0, 0] *= 1e300
         stepped = duhamel_step(state, 0.1, 9.0, 9.0)
         assert stepped.blown_up
 
@@ -520,7 +526,7 @@ class TestRunInvariants:
             state = duhamel_step(state, 0.1, params.p, params.q)
         # the corner state is real by construction; after coupled steps it is
         # still the phased rfftn spectrum of the unfolded field, which is real
-        for arr in state.w:
+        for arr in state.y[0]:
             assert arr.dtype == np.float64
             ref = rfftn_corner(grid, grid.unfold(grid.to_physical(arr)))
             assert np.max(np.abs(ref.imag)) < 1e-10 * np.max(np.abs(ref.real))
@@ -634,6 +640,21 @@ class TestStepKernel:
         assert kernel.builds == 5
         assert kernel.get(main) is entry
 
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    def test_propagator_rows_follow_the_components(self, n_dim):
+        # sigma1 != sigma2: K[:, :, 0] is u's 2x2 matrix and K[:, :, 1] is v's
+        grid = GridSpec(n_dim, 32, 10.0)
+        sigmas = (1.0, 1.5)
+        dt = 0.37
+        K, W = _StepKernel(grid, *sigmas).get(dt)
+        assert K.shape == W.shape == (2, 2, 2, *grid.corner_shape)
+        xi = grid.xi_mag()
+        for mode in [(0,) * n_dim, (1,) * n_dim, (3,) + (0,) * (n_dim - 1), (15,) * n_dim]:
+            for row, sigma in enumerate(sigmas):
+                expected = propagation_matrix(dt, xi[mode], sigma)
+                got = K[(slice(None), slice(None), row, *mode)]
+                assert got == pytest.approx(expected, rel=1e-14, abs=1e-300)
+
     def test_linear_steps_allocate_no_coupling_buffers(self, monkeypatch):
         kernels = []
 
@@ -723,8 +744,8 @@ class TestSixNorms:
         grid = GridSpec(n_dim, npts, 10.0)
         rng = np.random.default_rng(n_dim)
         state = init(grid, InitialData(), PARAMS)
-        state.w[0] = grid.to_spectral(rng.standard_normal(grid.corner_shape))
-        full = grid.unfold(grid.to_physical(state.w[0]))
+        state.y[0, 0] = grid.to_spectral(rng.standard_normal(grid.corner_shape))
+        full = grid.unfold(grid.to_physical(state.y[0, 0]))
         norms = six_norms(state)
         assert norms["u_l2"] == pytest.approx(math.sqrt(grid.dV * np.sum(full**2)),
                                               rel=1e-13)
@@ -741,7 +762,7 @@ class TestSixNorms:
         g = GaussianProfile(0.5, 1.0)
         state = init(grid, InitialData(u0=g, u1=g, v0=g, v1=g), PARAMS)
         state = linear_step(state, 0.3)
-        fields = grid.unfold(grid.to_physical(np.concatenate((state.w, state.wt))))
+        fields = grid.unfold(grid.to_physical(state.y))
         assert state.energy == pytest.approx(grid.dV * np.sum(fields**2), rel=1e-13)
 
 
@@ -756,7 +777,7 @@ class TestTopOctaveMonitor:
         state = init(grid, data, PARAMS)
         top = full_xi_mag(grid) > math.pi / (2.0 * grid.dx)
         shares = []
-        for row in state.w:
+        for row in state.y[0]:
             power = np.abs(np.fft.fftn(grid.unfold(grid.to_physical(row)))) ** 2
             shares.append(np.sum(power[top]) / np.sum(power))
         assert shares[1] > shares[0] > 1e-6
@@ -774,7 +795,7 @@ class TestDetectBlowup:
 
     def test_norm_over_threshold(self):
         state = self.make_state()
-        state.w[0] *= 1e7
+        state.y[0, 0] *= 1e7
         assert detect_blowup(state, 1e6)
 
     def test_zero_state(self):
@@ -784,13 +805,13 @@ class TestDetectBlowup:
 
     def test_single_nonfinite_coefficient(self):
         state = self.make_state()
-        state.w[1, 3] = np.nan
+        state.y[0, 1, 3] = np.nan
         assert detect_blowup(state, 1e6)
 
     @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
     def test_invalid_threshold_rejected(self, threshold):
         state = self.make_state()
-        state.w[0] *= 1e12
+        state.y[0, 0] *= 1e12
         with pytest.raises(ValueError, match="threshold must be positive"):
             detect_blowup(state, threshold)
 
