@@ -164,8 +164,9 @@ SWEEP_FIELDS = {
 def _spaced(spec: dict, path: str) -> list[float]:
     """``count`` log- or linearly spaced times from ``t_min`` to ``t_max``, increasing."""
     lo, hi, count = spec["t_min"], spec["t_max"], spec["count"]
-    if spec["kind"] == "log" and lo <= 0:
-        raise ConfigError(f"{path}.t_min: log spacing needs t_min > 0")
+    for key in ("t_min", "t_max"):
+        if spec["kind"] == "log" and spec[key] <= 0:
+            raise ConfigError(f"{path}.{key}: log spacing needs {key} > 0")
     times = list((np.geomspace if spec["kind"] == "log" else np.linspace)(lo, hi, count))
     if not all(a < b for a, b in zip(times, times[1:])):  # nan fails too
         raise ConfigError(f"{path}.t_min: must be < t_max when count > 1, got {lo:g}")

@@ -8,15 +8,17 @@ that sums pieces (the oracle's oscillatory split).  ``gauss_kronrod`` runs
 QUADPACK's 21-point rule with one call per round of bisections, for
 arithmetic on arrays (``testfn``'s sphere sums and Bessel-K transforms),
 whose cost per call is numpy dispatch, not nodes.  Both accept by one rule.
+QUADPACK's module, scipy.integrate, is imported on the first ``quadpack``
+call: its import tree (about 0.3 s) is paid only by processes that integrate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 
 class QuadratureFailure(RuntimeError):
@@ -45,16 +47,25 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise ValueError("rel_tol must be finite and positive")
 
 
+@functools.cache
+def _integrate():
+    """scipy.integrate, imported on the first call and cached after it."""
+    import scipy.integrate
+    return scipy.integrate
+
+
 def quadpack(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
              limit: int = 200, weight=None, wvar=None) -> tuple[float, float]:
     """QUADPACK's value and error estimate of fn on [a, b], its warnings
     suppressed.  ``weight`` "cos"/"sin" integrates fn(x)*cos/sin(wvar*x) on
     QAWO, whose modified Chebyshev moments take the oscillation exactly."""
     _check_rel_tol(rel_tol)
+    integrate = _integrate()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(fn, a, b, points=_breakpoints(points, a, b) or None, limit=limit,
-                    epsabs=1e-300, epsrel=rel_tol, weight=weight, wvar=wvar)[:2]
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(fn, a, b, points=_breakpoints(points, a, b) or None,
+                              limit=limit, epsabs=1e-300, epsrel=rel_tol,
+                              weight=weight, wvar=wvar)[:2]
 
 
 def adaptive_quad(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,

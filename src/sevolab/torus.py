@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft
+import scipy.fftpack
 
 from .exponents import SystemParams
 from .fitting import NormSeries
@@ -138,14 +138,23 @@ class GridSpec:
     def to_physical(self, w_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Corner samples of the field(s) with corner coefficients ``w_hat``
         over the trailing n_dim axes, so one field or a stack of fields in one
-        call; with ``overwrite`` the result may take w_hat's memory."""
-        return scipy.fft.idctn(w_hat, type=2, axes=range(-self.n_dim, 0),
-                               overwrite_x=overwrite)
+        call; with ``overwrite`` the result may take w_hat's memory.
+
+        The pair runs scipy.fft's pocketfft DCTs through ``scipy.fftpack``,
+        which skips scipy.fft's backend dispatch: on a 2-vCPU VM the pair of
+        a coupled 1D step at 2048 points took 49 us against 57 us, of a step
+        of about 100-110 us.  fftpack's inverse is unnormalised; the scale
+        (0.5/M)**n, M the corner length, is a power of two, so the result is
+        scipy.fft.idctn's to the bit."""
+        w = scipy.fftpack.idctn(w_hat, type=2, axes=range(-self.n_dim, 0),
+                                overwrite_x=overwrite)
+        w *= (0.5 / self.corner_shape[0]) ** self.n_dim
+        return w
 
     def to_spectral(self, w: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Corner coefficients of corner samples (trailing n_dim axes)."""
-        return scipy.fft.dctn(w, type=2, axes=range(-self.n_dim, 0),
-                              overwrite_x=overwrite)
+        return scipy.fftpack.dctn(w, type=2, axes=range(-self.n_dim, 0),
+                                  overwrite_x=overwrite)
 
     def unfold(self, w: np.ndarray) -> np.ndarray:
         """Full-grid field(s) of corner samples, reflected j -> N-1-j on each
@@ -387,14 +396,24 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     return _stepped(state, y, dt, kernel)
 
 
+@functools.lru_cache(maxsize=8)
+def _dsigma_weight(grid: GridSpec, sigma: float) -> np.ndarray:
+    """The norm weight times |xi|**(2 sigma), whose energy is |||D|**sigma w||**2;
+    built once per (grid, sigma), read-only."""
+    xi, weight, _ = grid.spectral_weights
+    out = weight * xi ** (2.0 * sigma)
+    out.flags.writeable = False
+    return out
+
+
 def six_norms(state: SpectralState) -> dict[str, float]:
     """The six recorded L2-type norms in NORM_LABELS order, computed on the
     frequency side: ||w||, |||D|**sigma w|| and ||w_t|| of u, then of v."""
-    xi, weight, _ = state.grid.spectral_weights
+    _, weight, _ = state.grid.spectral_weights
     norms = {}
     for name, w, wt, sigma in zip("uv", state.y[0], state.y[1], (state.sigma1, state.sigma2)):
         norms[f"{name}_l2"] = math.sqrt(_energy(w, weight))
-        norms[f"{name}_dsigma"] = math.sqrt(_energy(w, weight * xi ** (2.0 * sigma)))
+        norms[f"{name}_dsigma"] = math.sqrt(_energy(w, _dsigma_weight(state.grid, sigma)))
         norms[f"{name}_dt"] = math.sqrt(_energy(wt, weight))
     return norms
 

@@ -411,6 +411,9 @@ class TestConfigReader:
         ("sweep", "cell.width", 8.0, "config.cell.width"),
         ("linear-decay", "t", "lin:nan:10:5", "--t.t_min"),
         ("linear-decay", "t", "log:0:1e5:5", "--t.t_min"),
+        ("linear-decay", "t", "log:1:0:3", "--t.t_max"),
+        ("simulate", "record", {"kind": "log", "t_min": 1, "t_max": 0, "count": 3},
+         "config.record.t_max"),
         # record spacings whose times do not increase, the rule of --t
         ("simulate", "record", {"kind": "linear", "t_min": 5, "t_max": 1, "count": 3},
          "config.record.t_min"),
@@ -621,9 +624,9 @@ class TestConfigReader:
         ("lin:5:1:3", "--t.t_min"),
         ("lin:5:5:3", "--t.t_min"),
         ("log:1e3:1e2:2", "--t.t_min"),
-        # geomspace warns and makes the middle time nan
-        pytest.param("log:1:-1:3", "--t.t_min",
-                     marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+        # rejected before geomspace, which would warn and make a nan time
+        ("log:1:-1:3", "--t.t_max"),
+        ("log:1:0:3", "--t.t_max"),
     ])
     def test_tgrid_rejected_with_part(self, spec, field_path):
         with pytest.raises(cli.ConfigError, match=f"^{field_path}: "):

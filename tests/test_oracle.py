@@ -59,7 +59,7 @@ def counted_quad(monkeypatch):
             return fn(x)
         return quad(integrand, *args, **kwargs)
 
-    monkeypatch.setattr(quadutil, "quad", counting)
+    monkeypatch.setattr(quadutil._integrate(), "quad", counting)
     return calls
 
 

@@ -1,8 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sevolab
+from sevolab import quadutil
 from sevolab.quadutil import QuadratureFailure, adaptive_quad, gauss_kronrod
 
 
@@ -102,3 +108,28 @@ class TestGaussKronrod(TestAdaptiveQuad):
         adaptive_quad(counting(lambda x: np.cos(50.0 * x), quadpack), 0.0, 10.0)
         gauss_kronrod(counting(lambda x: np.cos(50.0 * x), rounds), 0.0, 10.0)
         assert len(rounds) <= 10 and sum(rounds) <= 1.1 * len(quadpack)
+
+
+# the modules that importing sevolab.cli adds to those scipy.fft loads
+NEW_MODULES = """
+import sys, scipy.fft
+before = set(sys.modules)
+import sevolab.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_leaves_quadpack_unloaded():
+    src = str(pathlib.Path(sevolab.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    added = subprocess.run([sys.executable, "-c", NEW_MODULES], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "sevolab.cli" in added
+    assert [m for m in added if m.startswith("scipy.integrate")] == []
+
+
+def test_quadpack_reads_scipy_integrate():
+    # tests that count QUADPACK calls patch quad on this module
+    import scipy.integrate
+    assert quadutil._integrate() is scipy.integrate

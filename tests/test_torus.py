@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.fftpack
 from scipy.integrate import quad
 
 from sevolab.exponents import SystemParams
@@ -22,6 +23,7 @@ from sevolab.torus import (
     InitialData,
     ProfileTooWideError,
     SpectralState,
+    _dsigma_weight,
     _energy,
     _StepKernel,
     _power,
@@ -190,6 +192,20 @@ class TestGridSpec:
     def test_t_valid_window(self):
         grid = GridSpec(1, 4096, 200.0)
         assert t_valid(grid, PARAMS) == pytest.approx(624.0)
+
+    # 16 points per axis, then the sweep_1d and simulate_2d bench grids
+    @pytest.mark.parametrize("n_dim,npts", [(1, 16), (2, 16), (3, 16), (1, 2048), (2, 256)])
+    def test_transform_pair_is_scipy_fft_to_the_bit(self, n_dim, npts):
+        grid = GridSpec(n_dim, npts, 10.0)
+        axes = range(-n_dim, 0)
+        rng = np.random.default_rng(npts + n_dim)
+        for scale in (1e-8, 1.0, 1e8):
+            x = scale * rng.standard_normal((2, 2, *grid.corner_shape))
+            for got, expected in ((grid.to_physical(x), scipy.fft.idctn(x, type=2, axes=axes)),
+                                  (grid.to_spectral(x), scipy.fft.dctn(x, type=2, axes=axes))):
+                assert np.array_equal(got, expected)
+            assert np.array_equal(grid.to_physical(x.copy(), overwrite=True),
+                                  scipy.fft.idctn(x, type=2, axes=axes))
 
 
 class TestInit:
@@ -442,12 +458,12 @@ class TestDuhamelStep:
         state = init(grid, InitialData(u0=g, v1=g), params)
         calls = {"idctn": [], "dctn": []}
         for name in calls:
-            original = getattr(scipy.fft, name)
+            original = getattr(scipy.fftpack, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name].append(kwargs["type"])
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, counted)
+            monkeypatch.setattr(scipy.fftpack, name, counted)
         duhamel_step(state, 0.05, params.p, params.q)
         assert calls == {"idctn": [2], "dctn": [2]}
 
@@ -677,12 +693,12 @@ class TestStepKernel:
         kernel = _StepKernel(grid, 1.0, 1.0)
         state = init(grid, InitialData(u0=GaussianProfile(0.01, 1.0)), PARAMS)
         inputs = []
-        original = scipy.fft.idctn
+        original = scipy.fftpack.idctn
 
         def recorded(x, *args, **kwargs):
             inputs.append((x, kwargs.get("overwrite_x")))
             return original(x, *args, **kwargs)
-        monkeypatch.setattr(scipy.fft, "idctn", recorded)
+        monkeypatch.setattr(scipy.fftpack, "idctn", recorded)
         state = duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
         buffer = kernel.stages
         assert buffer.shape == (2, 2, 32)
@@ -764,6 +780,18 @@ class TestSixNorms:
         state = linear_step(state, 0.3)
         fields = grid.unfold(grid.to_physical(state.y))
         assert state.energy == pytest.approx(grid.dV * np.sum(fields**2), rel=1e-13)
+
+    def test_dsigma_weight_is_built_once_per_grid_and_order(self):
+        grid = GridSpec(2, 32, 10.0)
+        xi, weight, _ = grid.spectral_weights
+        got = _dsigma_weight(grid, 1.5)
+        assert _dsigma_weight(GridSpec(2, 32, 10.0), 1.5) is got
+        assert _dsigma_weight(grid, 1.0) is not got
+        assert np.array_equal(got, weight * xi ** 3.0) and not got.flags.writeable
+        state = init(grid, InitialData(u0=GaussianProfile(0.5, 1.0)),
+                     SystemParams(2, 1.5, 1.5, 3.0, 3.0))
+        expected = math.sqrt(_energy(state.y[0, 0], weight * xi ** 3.0))
+        assert six_norms(state)["u_dsigma"] == expected
 
 
 class TestTopOctaveMonitor:
