@@ -207,6 +207,17 @@ class TestGridSpec:
             assert np.array_equal(grid.to_physical(x.copy(), overwrite=True),
                                   scipy.fft.idctn(x, type=2, axes=axes))
 
+    @pytest.mark.parametrize("n_dim,npts", [(1, 16), (2, 16), (3, 16), (1, 2048), (2, 256)])
+    def test_transform_pair_keeps_its_input(self, n_dim, npts):
+        # the pair runs one call per axis; only the first may copy, so
+        # without overwrite no call may write into the caller's array
+        grid = GridSpec(n_dim, npts, 10.0)
+        x = np.random.default_rng(npts - n_dim).standard_normal((2, 2, *grid.corner_shape))
+        kept = x.copy()
+        for transform in (grid.to_physical, grid.to_spectral):
+            assert transform(x) is not x
+            assert np.array_equal(x, kept)
+
 
 class TestInit:
     @pytest.mark.parametrize("n_dim", [1, 2, 3])
@@ -456,16 +467,17 @@ class TestDuhamelStep:
         g = GaussianProfile(0.5, 1.0)
         params = SystemParams(2, 1.0, 1.0, 3.0, 3.5)
         state = init(grid, InitialData(u0=g, v1=g), params)
-        calls = {"idctn": [], "dctn": []}
+        calls = {"idct": [], "dct": []}
         for name in calls:
             original = getattr(scipy.fftpack, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name].append(kwargs["type"])
+                calls[_name].append((kwargs["type"], kwargs["axis"]))
                 return _original(*args, **kwargs)
             monkeypatch.setattr(scipy.fftpack, name, counted)
         duhamel_step(state, 0.05, params.p, params.q)
-        assert calls == {"idctn": [2], "dctn": [2]}
+        # one inverse and one forward pass: a type-2 call per axis each way
+        assert calls == {"idct": [(2, -2), (2, -1)], "dct": [(2, -2), (2, -1)]}
 
     # (n_dim, points, L, sigma1, sigma2, p, q, forced): q = 3.7 and p = 2.7
     # take np.power in _power, the other exponents its repeated squares
@@ -474,6 +486,8 @@ class TestDuhamelStep:
         "2d-unequal-orders": (2, 32, 10.0, 1.0, 1.5, 2.5, 3.7, False),
         "3d": (3, 16, 10.0, 1.0, 1.0, 2.7, 2.5, False),
         "1d-forced": (1, 128, 20.0, 1.0, 1.0, 3.0, 3.0, True),
+        # the sweep_1d bench grid, on the sqrt path of _power
+        "1d-sweep": (1, 2048, 200.0, 1.0, 1.0, 2.5, 4.5, False),
     }
 
     @pytest.mark.parametrize("case", STACKED_CASES.values(), ids=STACKED_CASES.keys())
@@ -693,18 +707,19 @@ class TestStepKernel:
         kernel = _StepKernel(grid, 1.0, 1.0)
         state = init(grid, InitialData(u0=GaussianProfile(0.01, 1.0)), PARAMS)
         inputs = []
-        original = scipy.fftpack.idctn
+        original = scipy.fftpack.idct
 
         def recorded(x, *args, **kwargs):
             inputs.append((x, kwargs.get("overwrite_x")))
             return original(x, *args, **kwargs)
-        monkeypatch.setattr(scipy.fftpack, "idctn", recorded)
+        monkeypatch.setattr(scipy.fftpack, "idct", recorded)
         state = duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
         buffer = kernel.stages
         assert buffer.shape == (2, 2, 32)
         duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
         assert kernel.stages is buffer
-        # each step transforms the one buffer in place, and nothing else
+        # each step transforms the one buffer in place, and nothing else;
+        # in 1D the inverse pass is one call
         assert len(inputs) == 2
         assert all(x is buffer and overwrite for x, overwrite in inputs)
 
