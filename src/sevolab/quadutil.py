@@ -4,10 +4,17 @@
 for closures over floats: the oracle's integrand (about 1 us a node) and
 integrands that are quadratures themselves; ``quadpack`` gives its value
 and error estimate unjudged, and QAWO for a cos or sin weight, to a caller
-that sums pieces (the oracle's oscillatory split).  ``gauss_kronrod`` runs
-QUADPACK's 21-point rule with one call per round of bisections, for
-arithmetic on arrays (``testfn``'s sphere sums and Bessel-K transforms),
-whose cost per call is numpy dispatch, not nodes.  Both accept by one rule.
+that sums pieces (the oracle's oscillatory split).
+``gauss_kronrod_estimates`` runs QUADPACK's 21-point rule on a batch of
+integrals, each with its own interval, breakpoints, limit and tolerance,
+and evaluates one round of bisections of every unfinished integral in one
+call of an array integrand; it serves arithmetic on arrays (``testfn``'s
+sphere sums and Bessel-K transforms), whose cost per call is numpy
+dispatch, not nodes.  That is also why it takes batches: the ten points of
+an envelope bound took 3.5 ms as twenty integrals one at a time and 1.9 ms
+as two batches of ten.  ``gauss_kronrod_batch`` judges a batch, and
+``gauss_kronrod`` is the batch of one, at the cost of the one-integral loop
+it replaced (within 3 % over the bench catalogue).  All accept by one rule.
 QUADPACK's module, scipy.integrate, is imported on the first ``quadpack``
 call: its import tree (about 0.3 s) is paid only by processes that integrate.
 """
@@ -96,24 +103,115 @@ _WG = np.array([0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.219086
 _NODES = np.concatenate([-_XK, _XK[-2::-1]])
 _KRONROD, _GAUSS = (np.concatenate([w, w[-2::-1]]) for w in (_WK, _WG))
 _EPS = np.finfo(float).eps
+#: the rounding floor 50*eps*resabs, and the resabs below which it is not taken
+_FLOOR = 50.0 * _EPS
+_FLOOR_MIN = np.finfo(float).tiny / _FLOOR
 
 
-def _panels(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _panels(fn, lo: np.ndarray, hi: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Rows lo, hi, integral, error estimate and its rounding floor of fn on
-    each [lo_i, hi_i]: QUADPACK's qk21 on every interval from one call of fn.
+    each [lo_i, hi_i]: QUADPACK's qk21 on every interval from one call of fn,
+    which gets the nodes and each node's integral index (``index``).
     Bisection cannot shrink an error at its floor, 50*eps*int |fn|."""
     half = 0.5 * (hi - lo)
+    abs_half = np.abs(half)
     nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES
-    f = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    f = np.asarray(fn(nodes.ravel(), index), dtype=float).reshape(nodes.shape)
     resk = f @ _KRONROD
-    resabs = np.abs(f) @ _KRONROD * np.abs(half)
-    resasc = np.abs(f - 0.5 * resk[:, None]) @ _KRONROD * np.abs(half)
+    resabs = np.abs(f) @ _KRONROD * abs_half
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ _KRONROD * abs_half
     err = np.abs((resk - f @ _GAUSS) * half)
     err = np.where((resasc != 0.0) & (err != 0.0),
                    resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
-    floor = 50.0 * _EPS * resabs
-    err = np.where(resabs > np.finfo(float).tiny / (50.0 * _EPS), np.maximum(floor, err), err)
+    floor = _FLOOR * resabs
+    err = np.where(resabs > _FLOOR_MIN, np.maximum(floor, err), err)
     return np.array([lo, hi, resk * half, err, floor])
+
+
+def _per_integral(value, k: int):
+    """value as k per-integral values: a scalar repeated, or the sequence itself."""
+    return value if isinstance(value, (list, tuple, np.ndarray)) else (value,) * k
+
+
+def gauss_kronrod_estimates(fn, a, b, *, points=None, rel_tol=1e-10,
+                            limit=200) -> tuple[np.ndarray, np.ndarray]:
+    """The value and error estimate of each of a batch of integrals, unjudged.
+
+    Integral i runs over [a[i], b[i]] with the breakpoints points[i] (None
+    or a sequence, clipped as adaptive_quad clips them); ``points`` None
+    gives none to any.  rel_tol and limit are one value for all or one per
+    integral.  fn maps a 1-D array of nodes and the same-shaped array of
+    their integral indices to the integrand values.  Each round, for each
+    unfinished integral, picks the intervals of largest error that together
+    cover the excess of its summed error over rel_tol*|sum|, and bisects
+    them all in one call of fn; an integral is finished when there is no
+    excess, or ``limit`` intervals, or only errors at their rounding floor.
+    There is no extrapolation.  An integral's intervals, sums and choices
+    are those it would have alone; only the rows of the shared node table
+    move, which can change its last bit.
+    """
+    k = len(a)
+    points = points or (None,) * k
+    tols, limits = _per_integral(rel_tol, k), _per_integral(limit, k)
+    if not len(b) == len(points) == len(tols) == len(limits) == k:
+        raise ValueError("a batch needs one b, points, rel_tol and limit per integral")
+    for tol in tols:
+        _check_rel_tol(tol)
+    edges = [[lo, *_breakpoints(pts, lo, hi), hi] for lo, hi, pts in zip(a, b, points)]
+    #: the intervals to integrate this round, and the integrals they belong to
+    #: with their counts
+    todo_lo = np.array([x for e in edges for x in e[:-1]], dtype=float)
+    todo_hi = np.array([x for e in edges for x in e[1:]], dtype=float)
+    todo = [(i, len(e) - 1) for i, e in enumerate(edges)]
+    kept = [np.empty((5, 0))] * k
+    values, errors = [0.0] * k, [0.0] * k
+    with np.errstate(all="ignore"):
+        while todo:
+            index, end = np.empty(todo_lo.size * _NODES.size, dtype=np.intp), 0
+            for i, count in todo:
+                index[end:end + count * _NODES.size] = i
+                end += count * _NODES.size
+            new = _panels(fn, todo_lo, todo_hi, index)
+            lo_parts, hi_parts, later, end = [], [], [], 0
+            for i, count in todo:
+                panels = np.concatenate([kept[i], new[:, end:end + count]], axis=1)
+                end += count
+                lo, hi, val, err, floor = panels
+                total, total_err = float(val.sum()), float(err.sum())
+                values[i], errors[i] = total, total_err
+                excess = total_err - tols[i] * abs(total)
+                reducible = (err > floor).nonzero()[0]
+                if not (excess > 0.0 and math.isfinite(total) and reducible.size
+                        and lo.size < limits[i]):
+                    continue
+                order = reducible[err[reducible].argsort()[::-1]]
+                count = int(err[order].cumsum().searchsorted(excess)) + 1
+                split = order[:min(count, limits[i] - lo.size)]
+                keep = np.ones(lo.size, dtype=bool)
+                keep[split] = False
+                kept[i] = panels[:, keep]
+                left, right = lo[split], hi[split]
+                mid = 0.5 * (left + right)
+                lo_parts += [left, mid]
+                hi_parts += [mid, right]
+                later.append((i, 2 * split.size))
+            if later:
+                todo_lo, todo_hi = np.concatenate(lo_parts), np.concatenate(hi_parts)
+            todo = later
+    return np.array(values), np.array(errors)
+
+
+def gauss_kronrod_batch(fn, a, b, *, points=None, rel_tol=1e-10, limit=200,
+                        err_scale=0.0) -> np.ndarray:
+    """The value of each of a batch of integrals (see gauss_kronrod_estimates),
+    judged as adaptive_quad judges one, err_scale one value for all or one per
+    integral; the first integral whose estimate is untrusted raises its
+    QuadratureFailure."""
+    values, errors = gauss_kronrod_estimates(fn, a, b, points=points, rel_tol=rel_tol,
+                                             limit=limit)
+    k = len(values)
+    return np.array([_accepted(*judged) for judged in zip(
+        values, errors, _per_integral(rel_tol, k), _per_integral(err_scale, k), strict=True)])
 
 
 def gauss_kronrod(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
@@ -121,28 +219,11 @@ def gauss_kronrod(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10
     """Integrate the array integrand fn on [a, b]; raise QuadratureFailure if
     the estimate is untrusted.
 
-    fn maps a 1-D array of nodes to its values.  Each round bisects, in one
-    call of fn, the intervals of largest error that together cover the
-    excess of the summed error over rel_tol*|sum|, until there is none, or
-    ``limit`` intervals, or only errors at their rounding floor; there is no
-    extrapolation.  Keywords and acceptance are those of adaptive_quad.
+    fn maps a 1-D array of nodes to its values.  The batch of one of
+    gauss_kronrod_batch: each round bisects, in one call of fn, the
+    intervals of largest error that together cover the excess of the summed
+    error over rel_tol*|sum|.  Keywords and acceptance are those of
+    adaptive_quad.
     """
-    _check_rel_tol(rel_tol)
-    edges = np.array([a, *_breakpoints(points, a, b), b], dtype=float)
-    with np.errstate(all="ignore"):
-        panels = _panels(fn, edges[:-1], edges[1:])
-        while True:
-            lo, hi, val, err, floor = panels
-            total, total_err = float(val.sum()), float(err.sum())
-            excess = total_err - rel_tol * abs(total)
-            reducible = np.flatnonzero(err > floor)
-            if not (excess > 0.0 and math.isfinite(total) and reducible.size
-                    and lo.size < limit):
-                break
-            order = reducible[np.argsort(err[reducible])[::-1]]
-            count = int(np.searchsorted(np.cumsum(err[order]), excess)) + 1
-            split = order[:min(count, limit - lo.size)]
-            mid = 0.5 * (lo[split] + hi[split])
-            panels = np.concatenate([np.delete(panels, split, axis=1), _panels(
-                fn, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))], axis=1)
-    return _accepted(total, total_err, rel_tol, err_scale)
+    return float(gauss_kronrod_batch(lambda x, _: fn(x), (a,), (b,), points=(points,),
+                                     rel_tol=rel_tol, limit=limit, err_scale=err_scale)[0])

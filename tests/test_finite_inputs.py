@@ -18,7 +18,7 @@ from sevolab.multipliers import (
 )
 from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
-from sevolab.quadutil import adaptive_quad, gauss_kronrod
+from sevolab.quadutil import adaptive_quad, gauss_kronrod, gauss_kronrod_batch
 from sevolab.testfn import (
     BracketCombo,
     TestFunctionSpec,
@@ -27,6 +27,7 @@ from sevolab.testfn import (
     eta_ratio_sup,
     fractional_laplacian_bracket,
     fractional_laplacian_fourier,
+    fractional_laplacian_gamma,
     integer_laplacian_bracket,
 )
 from sevolab.torus import GridSpec, InitialData, duhamel_step, init, linear_step, run
@@ -84,6 +85,8 @@ CASES = {
         lambda: linear_norm(G, None, 1.0, 1.0, 1, NormKind.SOLUTION_L2, rel_tol=NAN),
     "adaptive_quad.rel_tol=nan": lambda: adaptive_quad(np.cos, 0.0, 1.0, rel_tol=NAN),
     "gauss_kronrod.rel_tol=inf": lambda: gauss_kronrod(np.cos, 0.0, 1.0, rel_tol=INF),
+    "gauss_kronrod_batch.rel_tol=[1e-10,nan]": lambda: gauss_kronrod_batch(
+        lambda x, _: np.cos(x), [0.0, 0.0], [1.0, 2.0], rel_tol=[1e-10, NAN]),
     "TestFunctionSpec.gamma=nan": lambda: TestFunctionSpec(gamma=NAN, r=2.0, R=4.0),
     "TestFunctionSpec.gamma=inf": lambda: TestFunctionSpec(gamma=INF, r=2.0, R=4.0),
     "TestFunctionSpec.r=nan": lambda: TestFunctionSpec(gamma=1.5, r=NAN, R=4.0),
@@ -98,6 +101,12 @@ CASES = {
     "fractional_laplacian_bracket.x=inf": lambda: fractional_laplacian_bracket(COMBO, 0.5, INF, 1),
     "fractional_laplacian_bracket.x=-inf":
         lambda: fractional_laplacian_bracket(COMBO, 0.5, -INF, 2),
+    "fractional_laplacian_bracket.x=[0.7,nan]":
+        lambda: fractional_laplacian_bracket(COMBO, 0.5, np.array([0.7, NAN]), 3),
+    "fractional_laplacian_bracket.x=[[inf],[0.7]]":
+        lambda: fractional_laplacian_bracket(COMBO, 0.5, np.array([[INF], [0.7]]), 1),
+    "fractional_laplacian_gamma.x=[0.7,-inf]": lambda: fractional_laplacian_gamma(
+        TestFunctionSpec(gamma=1.5, r=2.0, R=4.0), np.array([0.7, -INF]), 2),
     "fractional_laplacian_fourier.x=nan": lambda: fractional_laplacian_fourier(COMBO, 0.5, NAN),
     "fractional_laplacian_fourier.x=inf": lambda: fractional_laplacian_fourier(COMBO, 0.5, INF),
     "fractional_laplacian_fourier.s=nan": lambda: fractional_laplacian_fourier(COMBO, NAN, 0.7),

@@ -9,7 +9,13 @@ import pytest
 
 import sevolab
 from sevolab import quadutil
-from sevolab.quadutil import QuadratureFailure, adaptive_quad, gauss_kronrod
+from sevolab.quadutil import (
+    QuadratureFailure,
+    adaptive_quad,
+    gauss_kronrod,
+    gauss_kronrod_batch,
+    gauss_kronrod_estimates,
+)
 
 
 def counting(fn, sizes):
@@ -108,6 +114,88 @@ class TestGaussKronrod(TestAdaptiveQuad):
         adaptive_quad(counting(lambda x: np.cos(50.0 * x), quadpack), 0.0, 10.0)
         gauss_kronrod(counting(lambda x: np.cos(50.0 * x), rounds), 0.0, 10.0)
         assert len(rounds) <= 10 and sum(rounds) <= 1.1 * len(quadpack)
+
+
+def by_index(fns, sizes=None):
+    """The batch integrand that evaluates fns[i] on the nodes of integral i,
+    appending the number of nodes of each call to sizes if given."""
+    def integrand(x, index):
+        if sizes is not None:
+            sizes.append(x.size)
+        out = np.empty_like(x)
+        for i, fn in enumerate(fns):
+            mine = index == i
+            out[mine] = fn(x[mine])
+        return out
+    return integrand
+
+
+class TestBatch:
+    """A batch integrates each integral as its scalar call does."""
+
+    # different intervals, breakpoints and limits; the third exhausts its budget
+    FNS = [lambda x: np.exp(-((x - 0.4) / 0.01) ** 2), lambda x: np.abs(x - 0.3),
+           lambda x: np.cos(50.0 * x), lambda x: np.cos(50.0 * x)]
+    A, B = [0.0, -1.0, 0.0, 0.0], [1.0, 1.0, 10.0, 10.0]
+    POINTS = [None, [0.3, 5.0], None, [2.5]]
+    LIMITS = [200, 200, 2, 300]
+
+    def scalar(self, i):
+        return gauss_kronrod(self.FNS[i], self.A[i], self.B[i], points=self.POINTS[i],
+                             limit=self.LIMITS[i])
+
+    def test_values_are_the_scalar_calls(self):
+        # the batch shares each round's node table, whose rows move: the last
+        # bits of a value may differ, its intervals do not
+        values, _ = gauss_kronrod_estimates(by_index(self.FNS), self.A, self.B,
+                                            points=self.POINTS, limit=self.LIMITS)
+        for i in (0, 1, 3):
+            assert values[i] == pytest.approx(self.scalar(i), rel=1e-14, abs=1e-300)
+        with pytest.raises(QuadratureFailure) as scalar:
+            self.scalar(2)
+        with pytest.raises(QuadratureFailure) as batch:
+            gauss_kronrod_batch(by_index(self.FNS), self.A, self.B, points=self.POINTS,
+                                limit=self.LIMITS)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_one_call_per_round(self):
+        # each round bisects every unfinished integral in one call, so the
+        # batch makes as many calls as its longest integral, on all their nodes
+        batch = []
+        gauss_kronrod_estimates(by_index(self.FNS, batch), self.A, self.B,
+                                points=self.POINTS, limit=self.LIMITS)
+        alone = []
+        for i in range(4):
+            alone.append([])
+            gauss_kronrod_estimates(by_index(self.FNS[i:i + 1], alone[i]),
+                                    self.A[i:i + 1], self.B[i:i + 1],
+                                    points=self.POINTS[i:i + 1], limit=self.LIMITS[i])
+        assert len(batch) == max(len(sizes) for sizes in alone)
+        assert sum(batch) == sum(map(sum, alone))
+
+    def test_first_failure_raises(self):
+        # integrals 1 and 3 fail: 1 with its exhausted budget, 3 cancelling to zero
+        fns = [np.exp, lambda x: np.cos(50.0 * x), np.exp, np.sin]
+        a, b, limits = [0.0] * 4, [1.0, 10.0, 2.0, 2.0 * math.pi], [200, 2, 200, 200]
+        with pytest.raises(QuadratureFailure) as first:
+            gauss_kronrod(fns[1], a[1], b[1], limit=limits[1])
+        with pytest.raises(QuadratureFailure) as batch:
+            gauss_kronrod_batch(by_index(fns), a, b, limit=limits)
+        assert str(batch.value) == str(first.value)
+        # an err_scale per integral accepts the cancelling one
+        with pytest.raises(QuadratureFailure) as batch:
+            gauss_kronrod_batch(by_index(fns[2:]), a[2:], b[2:], err_scale=[0.0, 0.0])
+        assert "too large" in str(batch.value)
+        values = gauss_kronrod_batch(by_index(fns[2:]), a[2:], b[2:], err_scale=[0.0, 1.0])
+        assert values[0] == pytest.approx(math.expm1(2.0), rel=1e-12)
+        assert abs(values[1]) < 1e-12
+
+    def test_one_entry_per_integral(self):
+        with pytest.raises(ValueError):
+            gauss_kronrod_estimates(by_index([np.exp] * 2), [0.0, 0.0], [1.0])
+        with pytest.raises(ValueError):
+            gauss_kronrod_estimates(by_index([np.exp] * 2), [0.0, 0.0], [1.0, 1.0],
+                                    points=[None])
 
 
 # the modules that importing sevolab.cli adds to those scipy.fft loads

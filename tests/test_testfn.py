@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sevolab import testfn
+from sevolab import quadutil, testfn
 from sevolab.exponents import SystemParams
 from sevolab.profiles import GaussianProfile, sphere_surface
+from sevolab.quadutil import QuadratureFailure
 from sevolab.testfn import (
     BracketCombo,
     Functionals,
@@ -31,6 +32,10 @@ from sevolab.testfn import (
     plancherel_pairing,
 )
 from sevolab.torus import GridSpec, InitialData, SpectralState, run
+
+#: a batch moves the rows of its shared node table, which changes the last
+#: bits of each quadrature; the pieces of a value cancel by up to a few decades
+REL_BATCH = 1000.0 * np.finfo(float).eps
 
 
 class TestBracketRecursion:
@@ -71,12 +76,12 @@ class TestBracketRecursion:
             for combo, x, scale in [(BracketCombo(((1.0, 2.0),)), 0.0, 1.0),
                                     (integer_laplacian_bracket(1.5, 1, n), 0.7, 1.0),
                                     (BracketCombo(((2.0, 3.4), (-0.5, 1.0))), 5.0, 3.0)]:
-                sphere = _sphere_sum(combo, x, n, scale)
+                sphere = _sphere_sum(combo, n, scale)
                 t2, t4 = _sphere_taylor(combo, x, n, scale)
                 f_x = combo.value(x, scale) * sphere_surface(n)
 
                 def remainder(rho):
-                    return abs(sphere(rho) - f_x - (t2 * rho**2 + t4 * rho**4))
+                    return abs(sphere(x, rho) - f_x - (t2 * rho**2 + t4 * rho**4))
 
                 rho = 0.1 * scale
                 assert remainder(rho) / remainder(rho / 2) > 32.0, (n, x)
@@ -120,19 +125,19 @@ class TestFloatEvaluation:
         combo = integer_laplacian_bracket(r, m, n)
         for scale in (1.0, 7.3):
             for x in (0.0, 0.7, 5.3, 40.0):
-                sphere = _sphere_sum(combo, x, n, scale)
+                sphere = _sphere_sum(combo, n, scale)
                 for rho in np.geomspace(1e-3, 1e4, 40):
                     rho = float(rho)
                     want = self.per_rho_sphere_sum(combo, x, rho, n, scale)
                     # relative to the sum of |terms|: mixed-sign combos cancel
                     bound = self.per_rho_sphere_sum(absolute(combo), x, rho, n, scale)
-                    assert abs(sphere(rho) - want) <= 1e-13 * bound
+                    assert abs(sphere(x, rho) - want) <= 1e-13 * bound
 
     def test_one_dimensional_sphere_sum_is_two_points(self):
         combo = integer_laplacian_bracket(1.5, 1, 1)
-        sphere = _sphere_sum(combo, 0.7, 1, 3.0)
+        sphere = _sphere_sum(combo, 1, 3.0)
         for rho in (0.01, 0.7, 2.0, 50.0):
-            assert sphere(rho) == combo.value(0.7 + rho, 3.0) + combo.value(0.7 - rho, 3.0)
+            assert sphere(0.7, rho) == combo.value(0.7 + rho, 3.0) + combo.value(0.7 - rho, 3.0)
 
 
 def bracket_transform(ell, xi):
@@ -210,12 +215,12 @@ def linear_middle_reference(combo, s, x, n, scale=1.0, rel_tol=1e-10):
     omega = sphere_surface(n)
     fx = combo.value(x, scale)
     taylor2, taylor4 = _sphere_taylor(combo, x, n, scale)
-    sphere = _sphere_sum(combo, x, n, scale)
+    sphere = _sphere_sum(combo, n, scale)
     h_sw = 1e-3 * scale * (1.0 + x / scale)
 
     def centred(rho):
         return np.where(rho < h_sw, taylor2 * rho * rho + taylor4 * rho**4,
-                        sphere(rho) - omega * fx)
+                        sphere(x, rho) - omega * fx)
 
     alpha = 1.0 / (2.0 - 2.0 * s)
 
@@ -252,13 +257,15 @@ class TestLogMiddleRange:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_envelope_needs_three_quarters_of_the_calls(self, n, monkeypatch):
+        # the evaluator batches on testfn's engine, the reference calls
+        # gauss_kronrod, a batch of one on quadutil's: both are counted
         nodes = [0]
-        original = testfn.gauss_kronrod
+        original = quadutil.gauss_kronrod_estimates
 
         def counted(fn, a, b, **kwargs):
-            def integrand(v):
+            def integrand(v, index):
                 nodes[0] += np.size(v)
-                return fn(v)
+                return fn(v, index)
             return original(integrand, a, b, **kwargs)
 
         def envelope_nodes():
@@ -266,10 +273,76 @@ class TestLogMiddleRange:
             envelope_ratio(1.5, 1.0, n, [0.0] + list(np.geomspace(0.1, 1e3, 9)))
             return nodes[0]
 
-        monkeypatch.setattr(testfn, "gauss_kronrod", counted)
+        monkeypatch.setattr(testfn, "gauss_kronrod_estimates", counted)
+        monkeypatch.setattr(quadutil, "gauss_kronrod_estimates", counted)
         log_form = envelope_nodes()
-        monkeypatch.setattr(testfn, "fractional_laplacian_bracket", linear_middle_reference)
+
+        def reference(combo, s, x, n, **kwargs):
+            return np.array([linear_middle_reference(combo, s, z, n, **kwargs) for z in x])
+
+        monkeypatch.setattr(testfn, "fractional_laplacian_bracket", reference)
         assert 0 < log_form <= 0.75 * envelope_nodes()
+
+
+class TestArrayPoints:
+    """An array of points gives each point's scalar value from one batch per
+    quadrature range, and its first failure in the scalar order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_array_matches_scalar_calls(self, n, s):
+        # the bench catalogue's points
+        combo = integer_laplacian_bracket(2.0, 1, n)
+        for scale in (1.0, 7.3):
+            xs = scale * np.array([0.0, 0.7, 5.3, 40.0])
+            got = fractional_laplacian_bracket(combo, s, xs, n, scale)
+            want = [fractional_laplacian_bracket(combo, s, x, n, scale) for x in xs]
+            assert got.shape == xs.shape
+            assert got == pytest.approx(want, rel=REL_BATCH), scale
+
+    def test_gamma_keeps_the_array_shape(self):
+        spec = TestFunctionSpec(gamma=1.5, r=2.0, R=3.0)
+        xs = np.array([[0.0, 0.7], [5.3, 40.0]])
+        for factored in (False, True):
+            got = fractional_laplacian_gamma(spec, xs, 2, factored=factored)
+            want = [fractional_laplacian_gamma(spec, x, 2, factored=factored)
+                    for x in xs.ravel()]
+            assert got.shape == xs.shape
+            assert got.ravel() == pytest.approx(want, rel=REL_BATCH)
+
+    def test_first_failing_point_raises(self):
+        # x = 1e3 fails in the middle range at gamma = 2.5, r = 1, n = 1
+        spec = TestFunctionSpec(gamma=2.5, r=1.0, R=1.0)
+        with pytest.raises(QuadratureFailure) as scalar:
+            fractional_laplacian_gamma(spec, 1e3, 1, rel_tol=1e-6)
+        with pytest.raises(QuadratureFailure) as batch:
+            fractional_laplacian_gamma(spec, np.array([0.7, 1e3, 3e3]), 1, rel_tol=1e-6)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_failures_raise_point_by_point_inner_first(self, monkeypatch):
+        # spoil the inner range at point 1 and the middle range at point 0:
+        # the scalar calls would meet point 0's middle range first
+        original = testfn.gauss_kronrod_estimates
+        values_seen = []
+
+        def spoiled(fn, a, b, **kwargs):
+            values, errors = original(fn, a, b, **kwargs)
+            errors[1 - len(values_seen)] = math.inf
+            values_seen.append(values)
+            return values, errors
+
+        monkeypatch.setattr(testfn, "gauss_kronrod_estimates", spoiled)
+        combo = integer_laplacian_bracket(2.0, 1, 2)
+        with pytest.raises(QuadratureFailure) as failure:
+            fractional_laplacian_bracket(combo, 0.5, np.array([0.7, 5.3]), 2)
+        inner, middle = values_seen
+        assert str(failure.value).endswith(f"for value {middle[0]:.6e}")
+        assert f"{middle[0]:.6e}" != f"{inner[1]:.6e}"
+
+    def test_envelope_returns_case_and_float(self):
+        case, const = envelope_ratio(1.5, 1.0, 2, [0.0] + list(np.geomspace(0.1, 1e3, 9)))
+        assert isinstance(case, str) and isinstance(const, float)
+        assert case == "above" and 0.0 < const < math.inf
 
 
 class TestNearIntegerOrders:
