@@ -12,9 +12,9 @@ call of an array integrand; it serves arithmetic on arrays (``testfn``'s
 sphere sums and Bessel-K transforms), whose cost per call is numpy
 dispatch, not nodes.  That is also why it takes batches: the ten points of
 an envelope bound took 3.5 ms as twenty integrals one at a time and 1.9 ms
-as two batches of ten.  ``gauss_kronrod_batch`` judges a batch, and
-``gauss_kronrod`` is the batch of one, at the cost of the one-integral loop
-it replaced (within 3 % over the bench catalogue).  All accept by one rule.
+as two batches of ten.  ``gauss_kronrod`` is the batch of one, at the cost
+of the one-integral loop it replaced (within 3 % over the bench catalogue).
+All accept by one rule.
 QUADPACK's module, scipy.integrate, is imported on the first ``quadpack``
 call: its import tree (about 0.3 s) is paid only by processes that integrate.
 """
@@ -201,29 +201,17 @@ def gauss_kronrod_estimates(fn, a, b, *, points=None, rel_tol=1e-10,
     return np.array(values), np.array(errors)
 
 
-def gauss_kronrod_batch(fn, a, b, *, points=None, rel_tol=1e-10, limit=200,
-                        err_scale=0.0) -> np.ndarray:
-    """The value of each of a batch of integrals (see gauss_kronrod_estimates),
-    judged as adaptive_quad judges one, err_scale one value for all or one per
-    integral; the first integral whose estimate is untrusted raises its
-    QuadratureFailure."""
-    values, errors = gauss_kronrod_estimates(fn, a, b, points=points, rel_tol=rel_tol,
-                                             limit=limit)
-    k = len(values)
-    return np.array([_accepted(*judged) for judged in zip(
-        values, errors, _per_integral(rel_tol, k), _per_integral(err_scale, k), strict=True)])
-
-
 def gauss_kronrod(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
                   limit: int = 200, err_scale: float = 0.0) -> float:
     """Integrate the array integrand fn on [a, b]; raise QuadratureFailure if
     the estimate is untrusted.
 
     fn maps a 1-D array of nodes to its values.  The batch of one of
-    gauss_kronrod_batch: each round bisects, in one call of fn, the
+    gauss_kronrod_estimates: each round bisects, in one call of fn, the
     intervals of largest error that together cover the excess of the summed
     error over rel_tol*|sum|.  Keywords and acceptance are those of
     adaptive_quad.
     """
-    return float(gauss_kronrod_batch(lambda x, _: fn(x), (a,), (b,), points=(points,),
-                                     rel_tol=rel_tol, limit=limit, err_scale=err_scale)[0])
+    (val,), (err,) = gauss_kronrod_estimates(lambda x, _: fn(x), (a,), (b,), points=(points,),
+                                             rel_tol=rel_tol, limit=limit)
+    return float(_accepted(val, err, rel_tol, err_scale))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -280,11 +281,11 @@ class _StepKernel:
     ``K = [[k0, k1], [dk0, dk1]]`` and Duhamel weights
     ``W = [[A - B, B], [Ad - Bd, Bd]]`` that act on the state's first axis,
     each of shape ``(2, 2, c, *corner_shape)``: c = 1 when sigma1 == sigma2,
-    broadcasting over both components, else 2 with the u row first.  Record intervals are
-    visited in order, so the main dt stays resident and only the final,
-    shorter step of each interval is rebuilt.  ``builds`` counts the step sizes built.
-    An entry is evicted after its successor is built, so MAX_ENTRIES + 1 are
-    alive during a build.
+    broadcasting over both components, else 2 with the u row first.  Record
+    intervals are visited in order, so the main dt stays resident and only the
+    final, shorter step of each interval is rebuilt.  ``builds`` counts the
+    step sizes built.  An entry is evicted after its successor is built, so
+    MAX_ENTRIES + 1 are alive during a build.
     """
 
     MAX_ENTRIES = 2
@@ -348,8 +349,7 @@ def linear_step(state: SpectralState, dt: float,
         raise ValueError("dt must be finite and positive")
     kernel = kernel or _StepKernel(state.grid, state.sigma1, state.sigma2)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _stepped(state, _propagated(state.y, kernel.get(dt)[0], kernel.tmp),
-                        dt, kernel)
+        return _stepped(state, _propagated(state.y, kernel.get(dt)[0], kernel.tmp), dt, kernel)
 
 
 def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
@@ -467,6 +467,34 @@ def _top_octave_fraction(state: SpectralState) -> float:
     return max((part / total for part, total in shares if total > 0.0), default=0.0)
 
 
+def _auto_or_positive(name: str, value: float | str) -> float | str:
+    """``"auto"``, or value as a float if it is a finite real > 0, not a bool."""
+    if value != "auto" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                            or not 0 < value < math.inf):
+        raise ValueError(f'{name} must be positive: "auto" or a finite real > 0, got {value!r}')
+    return value if value == "auto" else float(value)
+
+
+class _Stepper:
+    """A run's step rule: dt, kernel, step and step count.  ``toward`` looks the
+    step up in the module on every call, so that a replaced one is used."""
+
+    def __init__(self, grid: GridSpec, params: SystemParams, dt: float | str,
+                 linear_only: bool, forcing: Optional[tuple[Callable, Callable]]):
+        self.dt = default_dt(grid, params) if dt == "auto" else _auto_or_positive("dt", dt)
+        self.kernel = _StepKernel(grid, params.sigma1, params.sigma2)
+        self.coupling = None if linear_only else (params.p, params.q, forcing)
+        self.steps = 0
+
+    def toward(self, state: SpectralState, t_event: float) -> SpectralState:
+        """The state one step of min(dt, t_event - state.time) after ``state``."""
+        dt = min(self.dt, t_event - state.time)
+        self.steps += 1
+        if self.coupling is None:
+            return linear_step(state, dt, kernel=self.kernel)
+        return duhamel_step(state, dt, *self.coupling, kernel=self.kernel)
+
+
 def run(grid: GridSpec, data: InitialData, params: SystemParams,
         t_max: float, record_times: Sequence[float],
         dt: float | str = "auto", blowup_threshold: float | str = "auto",
@@ -474,14 +502,15 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
         forcing: Optional[tuple[Callable, Callable]] = None) -> RunResult:
     """Advance the coupled system to t_max, recording the six norms.
 
-    One loop steps to each event in turn: 0, the record times, the observers'
-    times and t_max.  An observer has ``times`` and is called as
-    ``observer(t, state)`` at each of them while the state is finite; it
-    keeps what it needs, so memory does not grow with the number of events.
-    The run stops with a blow-up report at the first event, or step flagged
-    by the guard on ``state.energy``, where a norm crosses the threshold or
-    turns non-finite.  With linear_only=True every step is the exact linear
-    propagator (used for cross-validation against the whole-space oracle).
+    One loop steps to each event in turn (0, the record times, the observers'
+    times and t_max) by a :class:`_Stepper`, and keeps the events, the
+    per-step guard, the recorder, the observers and the top-octave monitor.
+    An observer's ``observer(t, state)`` is called at each of its ``times``
+    while the state is finite; it keeps what it needs.  The run stops with a
+    blow-up report at the first event, or step flagged by the guard on
+    ``state.energy``, where a norm crosses the threshold or turns non-finite.
+    linear_only=True steps by the exact linear propagator alone.  dt and
+    blowup_threshold are "auto" or a finite real > 0, not a bool.
     ``config_echo`` holds dt, the threshold, the initial total norm and the
     deterministic counts ``steps`` and ``kernel_builds``.
     """
@@ -493,32 +522,19 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     if not all(0.0 <= t <= t_max for t in events):
         raise ValueError("record_times and observer times must lie in [0, t_max]")
 
-    dt_val = default_dt(grid, params) if dt == "auto" else float(dt)
-    if not 0 < dt_val < math.inf:
-        raise ValueError("dt must be finite and positive")
-    if blowup_threshold != "auto" and not blowup_threshold > 0:
-        raise ValueError("blowup_threshold must be positive")
-
+    stepper = _Stepper(grid, params, dt, linear_only, forcing)
+    threshold = _auto_or_positive("blowup_threshold", blowup_threshold)
     state = init(grid, data, params)
     initial_total = sum(six_norms(state).values())
-    if blowup_threshold == "auto":
+    if threshold == "auto":
         threshold = 1e6 * initial_total if initial_total > 0 else 1e6
-    else:
-        threshold = float(blowup_threshold)
 
-    kernel = _StepKernel(grid, params.sigma1, params.sigma2)
-    # bound on every call, so that a replaced module-level step is the one used
-    if linear_only:
-        advance = functools.partial(linear_step, kernel=kernel)
-    else:
-        advance = functools.partial(duhamel_step, p=params.p, q=params.q,
-                                    forcing=forcing, kernel=kernel)
     series: dict[str, list[tuple[float, float]]] = {k: [] for k in NORM_LABELS}
     warnings: list[str] = []
     blowup: Optional[dict] = None
 
-    def handle_event(t: float) -> bool:
-        """Record and observe at time t; returns False when the run should halt."""
+    def handle_event(t: float) -> None:
+        """Record and observe at time t; set ``blowup`` when the run should halt."""
         nonlocal blowup
         norms, peak = _checked_norms(state)
         if norms is not None:
@@ -533,31 +549,25 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
                     f"top-octave energy fraction exceeded {TAIL_ENERGY_WARN:.0e} at t={t:g}")
         if peak > threshold:
             blowup = {"time": t, "norm_at_detection": peak}
-            return False
-        return True
 
     pending = sorted(events, reverse=True)  # the next event last
-    steps = 0
-    alive = True
-    while alive and pending:
+    while pending and blowup is None:
         if state.time < pending[-1] - 1e-9:
-            state = advance(state, min(dt_val, pending[-1] - state.time))
-            steps += 1
+            state = stepper.toward(state, pending[-1])
             # cheap per-step guard between events; a nan energy fails it too
             if not math.sqrt(state.energy) <= 4.0 * threshold:
-                alive = handle_event(state.time)
+                handle_event(state.time)
         else:
             state.time = pending.pop()
-            alive = handle_event(state.time)
+            handle_event(state.time)
 
     window = t_valid(grid, params)
     if blowup is not None and blowup["time"] > window:
         warnings.append(f"blow-up at t={blowup['time']:g} is past t_valid={window:g}, "
                         "where the torus no longer stands for the whole space")
-    return RunResult({k: NormSeries(v) for k, v in series.items()},
-                     blowup,
-                     {"threshold": threshold, "dt": dt_val,
-                      "initial_total_norm": initial_total, "steps": steps,
-                      "kernel_builds": kernel.builds},
+    return RunResult({k: NormSeries(v) for k, v in series.items()}, blowup,
+                     {"threshold": threshold, "dt": stepper.dt,
+                      "initial_total_norm": initial_total, "steps": stepper.steps,
+                      "kernel_builds": stepper.kernel.builds},
                      window, warnings)
 

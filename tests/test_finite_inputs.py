@@ -18,7 +18,7 @@ from sevolab.multipliers import (
 )
 from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
-from sevolab.quadutil import adaptive_quad, gauss_kronrod, gauss_kronrod_batch
+from sevolab.quadutil import adaptive_quad, gauss_kronrod, gauss_kronrod_estimates
 from sevolab.testfn import (
     BracketCombo,
     TestFunctionSpec,
@@ -62,6 +62,12 @@ CASES = {
     "run.t_max=inf": lambda: run(GRID, DATA, PARAMS, INF, []),
     "run.dt=nan": lambda: run(GRID, DATA, PARAMS, 1.0, [1.0], dt=NAN),
     "run.dt=inf": lambda: run(GRID, DATA, PARAMS, 1.0, [1.0], dt=INF),
+    # a bool or a string other than "auto" is not coerced to a number
+    "run.dt=True": lambda: run(GRID, DATA, PARAMS, 1.0, [1.0], dt=True),
+    "run.dt=fast": lambda: run(GRID, DATA, PARAMS, 1.0, [1.0], dt="fast"),
+    "run.blowup_threshold=True":
+        lambda: run(GRID, DATA, PARAMS, 1.0, [1.0], blowup_threshold=True),
+    "run.blowup_threshold=x": lambda: run(GRID, DATA, PARAMS, 1.0, [1.0], blowup_threshold="x"),
     "linear_step.dt=nan": lambda: linear_step(state(), NAN),
     "duhamel_step.dt=nan": lambda: duhamel_step(state(), NAN, 3.0, 4.0),
     "duhamel_step.dt=inf": lambda: duhamel_step(state(), INF, 3.0, 4.0),
@@ -85,7 +91,7 @@ CASES = {
         lambda: linear_norm(G, None, 1.0, 1.0, 1, NormKind.SOLUTION_L2, rel_tol=NAN),
     "adaptive_quad.rel_tol=nan": lambda: adaptive_quad(np.cos, 0.0, 1.0, rel_tol=NAN),
     "gauss_kronrod.rel_tol=inf": lambda: gauss_kronrod(np.cos, 0.0, 1.0, rel_tol=INF),
-    "gauss_kronrod_batch.rel_tol=[1e-10,nan]": lambda: gauss_kronrod_batch(
+    "gauss_kronrod_estimates.rel_tol[1]=nan": lambda: gauss_kronrod_estimates(
         lambda x, _: np.cos(x), [0.0, 0.0], [1.0, 2.0], rel_tol=[1e-10, NAN]),
     "TestFunctionSpec.gamma=nan": lambda: TestFunctionSpec(gamma=NAN, r=2.0, R=4.0),
     "TestFunctionSpec.gamma=inf": lambda: TestFunctionSpec(gamma=INF, r=2.0, R=4.0),

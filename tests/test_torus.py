@@ -766,6 +766,27 @@ class TestRunEcho:
         assert res.config_echo["steps"] == 0
         assert res.config_echo["kernel_builds"] == 0
 
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_steps_are_looked_up_in_the_module(self, monkeypatch, linear_only):
+        # a step function replaced in sevolab.torus, as the bench's step probe
+        # replaces duhamel_step, sees every step of a run started after it
+        calls = {"linear_step": 0, "duhamel_step": 0}
+
+        def counted(step):
+            def wrapper(*args, **kwargs):
+                calls[step.__name__] += 1
+                return step(*args, **kwargs)
+            return wrapper
+        for step in (linear_step, duhamel_step):
+            monkeypatch.setattr(f"sevolab.torus.{step.__name__}", counted(step))
+        grid = GridSpec(1, 64, 20.0)
+        data = InitialData(u0=GaussianProfile(0.01, 1.0))
+        res = run(grid, data, PARAMS, 1.0, [0.25, 0.5, 1.0], dt=0.1, linear_only=linear_only)
+        steps = res.config_echo["steps"]
+        assert steps == 11
+        assert calls == {"linear_step": steps if linear_only else 0,
+                         "duhamel_step": 0 if linear_only else steps}
+
 
 class TestSixNorms:
     @pytest.mark.parametrize("n_dim,npts", [(1, 64), (2, 32), (3, 16)])
