@@ -30,9 +30,9 @@ class GaussianProfile:
     width: float
 
     def __post_init__(self):
-        if not 0 < self.width < math.inf:
+        if isinstance(self.width, bool) or not 0 < self.width < math.inf:
             raise ValueError("width must be finite and positive")
-        if not -math.inf < self.amplitude < math.inf:
+        if isinstance(self.amplitude, bool) or not -math.inf < self.amplitude < math.inf:
             raise ValueError("amplitude must be finite")
 
     def value(self, r):

@@ -28,6 +28,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +47,10 @@ NORM_LABELS = ("u_l2", "u_dsigma", "u_dt", "v_l2", "v_dsigma", "v_dt")
 TAIL_TOL = 1e-10
 #: spectral-tail monitor: top-octave energy fraction triggering a warning
 TAIL_ENERGY_WARN = 1e-6
+#: corner points per field from which a coupled step runs stage 0 on a helper thread:
+#: with its 85 us handoff a step took 215 -> 223 us at 64^2, 400 -> 306 at 8192 (2 vCPUs)
+_SPLIT_POINTS = 2**13
+_VDOT_CHUNK = 8192  # below the 10 000 elements from which OpenBLAS's dot uses threads
 
 
 class ProfileTooWideError(ValueError):
@@ -76,12 +82,12 @@ class GridSpec:
     half_length: float
 
     def __post_init__(self):
-        if self.n_dim not in (1, 2, 3):
+        if isinstance(self.n_dim, bool) or self.n_dim not in (1, 2, 3):
             raise ValueError("n_dim must be 1, 2 or 3")
         npts = self.points_per_dim
         if npts < 16 or npts & (npts - 1) != 0:
             raise ValueError("points_per_dim must be a power of two >= 16")
-        if not 0 < self.half_length < math.inf:
+        if isinstance(self.half_length, bool) or not 0 < self.half_length < math.inf:
             raise ValueError("half_length must be finite and positive")
 
     @property
@@ -188,8 +194,12 @@ def _energy(f: np.ndarray, weight: np.ndarray, out: Optional[np.ndarray] = None)
     """sum(weight * f**2) over a field or a stack of fields f, with the norm
     weight of :attr:`GridSpec.spectral_weights` their squared L2 norm; inf or
     nan if f is non-finite, which warns unless the caller ignores over and
-    invalid in ``np.errstate``.  The products go to ``out`` if given."""
-    return float(np.vdot(f, np.multiply(weight, f, out=out)))
+    invalid in ``np.errstate``.  The products go to ``out`` if given; the sum is
+    one np.vdot per _VDOT_CHUNK elements (sizes are powers of two), in order."""
+    wf = np.multiply(weight, f, out=out)
+    if f.size <= _VDOT_CHUNK:
+        return float(np.vdot(f, wf))
+    return float(sum(map(np.vdot, f.reshape(-1, _VDOT_CHUNK), wf.reshape(-1, _VDOT_CHUNK))))
 
 
 @dataclass(frozen=True)
@@ -285,7 +295,10 @@ class _StepKernel:
     intervals are visited in order, so the main dt stays resident and only the
     final, shorter step of each interval is rebuilt.  ``builds`` counts the
     step sizes built.  An entry is evicted after its successor is built, so
-    MAX_ENTRIES + 1 are alive during a build.
+    MAX_ENTRIES + 1 are alive during a build.  ``helper`` runs a coupled step's
+    first stage: a one-thread executor, with its own work space ``helper_tmp``,
+    from _SPLIT_POINTS corner points when the process has 2 CPUs, else None.  The
+    kernel owns it, not the module, so a forked sweep worker starts its own thread.
     """
 
     MAX_ENTRIES = 2
@@ -301,6 +314,10 @@ class _StepKernel:
         #: a temporary of the state's shape; each step overwrites it, and its
         #: first half is the work space of |.|**e while the couplings are evaluated
         self.tmp = np.empty((2, 2, *grid.corner_shape))
+        affinity = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+        split = self.tmp[0, 0].size >= _SPLIT_POINTS and len(affinity(0)) > 1
+        self.helper = ThreadPoolExecutor(1) if split else None
+        self.helper_tmp = np.empty((1, *grid.corner_shape)) if split else None
 
     @property
     def builds(self) -> int:
@@ -345,7 +362,7 @@ def _stepped(state: SpectralState, y: np.ndarray, dt: float,
 def linear_step(state: SpectralState, dt: float,
                 kernel: Optional[_StepKernel] = None) -> SpectralState:
     """Advance the linear system exactly by dt (any dt > 0)."""
-    if not 0 < dt < math.inf:
+    if isinstance(dt, bool) or not 0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
     kernel = kernel or _StepKernel(state.grid, state.sigma1, state.sigma2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -357,7 +374,8 @@ def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
 
     When 2e is an integer in [2, 12] this is a product of repeated squares of
     x and at most one sqrt, a few multiplies per element where np.power pays
-    for a log and an exp; other exponents go to np.power.
+    for a log and an exp; other exponents go to np.power.  Without a sqrt the
+    first odd factor stays in x, squared on in tmp: x**3 is two multiplies.
     """
     halves = 2.0 * e
     if not (2.0 <= halves <= 12.0 and halves == int(halves)):
@@ -365,17 +383,42 @@ def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
         return
     n, half = divmod(int(halves), 2)
     acc = np.sqrt(x, out=tmp) if half else None  # the product of the odd factors
+    square = x  # x**(2**k) at the k-th bit of n
     while n > 1:
-        if n & 1:
-            if acc is None:
-                acc = tmp
-                acc[...] = x
-            else:
-                acc *= x
-        x *= x
+        if n & 1 and acc is None:
+            acc, square = x, np.multiply(x, x, out=tmp)
+        else:
+            if n & 1:
+                acc *= square
+            square *= square
         n >>= 1
     if acc is not None:
-        x *= acc
+        np.multiply(acc, square, out=x)
+
+
+def _coupling(stages: np.ndarray, sources: Sequence, times: Sequence, grid: GridSpec,
+              p: float, q: float, forcing: Optional[tuple], tmp: np.ndarray) -> np.ndarray:
+    """The coefficients of [|v|**p, |u|**q] (plus forcing) at k stages, shape
+    (k, 2, *corner_shape): stage i from the (u, v) coefficients ``sources[i]`` at
+    ``times[i]``, scaled by ``grid.inverse_scale`` into ``stages`` and transformed
+    there in place; ``tmp``, k fields, is the work space of |.|**e."""
+    for stage, source in zip(stages, sources):
+        np.multiply(source, grid.inverse_scale, out=stage)
+    # (stage, component); bit for bit grid.to_physical of the unscaled stages
+    phys = _cosine_transform(scipy.fftpack.idct, stages, grid.n_dim, True)
+    np.abs(phys, out=phys)
+    _power(phys[:, 0], q, tmp)
+    _power(phys[:, 1], p, tmp)
+    for f, row in zip(forcing or (), (1, 0)):  # fu joins |v|**p, fv |u|**q
+        if f is not None:
+            for stage, t in zip(phys, times):
+                stage[row] += f(t)
+    # each stage's coupling [|v|**p, |u|**q] is its component axis reversed
+    return grid.to_spectral(phys, overwrite=True)[:, ::-1]
+
+
+#: _coupling on the helper thread, which enters its own np.errstate: it is per thread
+_helper_coupling = np.errstate(over="ignore", invalid="ignore")(_coupling)
 
 
 def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
@@ -385,35 +428,31 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
 
     The coupling is interpolated linearly in time between its value at the
     step start and at the exact-linear predictor of the step end.  The
-    predictor does not depend on the first stage, so both stages are stacked
-    and share one inverse and one forward transform; they are written times
-    ``grid.inverse_scale``, so the inverse needs no scaling pass.
-    ``forcing`` = (fu, fv), either may be None: each maps t to corner samples
-    (values at ``grid.radius()``) added to the source of the u or v equation.
+    predictor does not depend on the first stage, so :func:`_coupling` takes
+    both stacked, sharing one transform pair, or, with the kernel's helper,
+    the first on that thread while this one makes the predictor and the second,
+    to the same bits.  ``forcing`` = (fu, fv), either may be None: each maps t
+    to corner samples (values at ``grid.radius()``) added to the source of the
+    u or v equation; with a helper, both are called at t0 on its thread.
     """
-    if not 0 < dt < math.inf:
+    if isinstance(dt, bool) or not 0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
     grid = state.grid
     kernel = kernel or _StepKernel(grid, state.sigma1, state.sigma2)
     K, W = kernel.get(dt)
-    tmp = kernel.tmp
+    tmp, stages = kernel.tmp, kernel.stages
     t0 = state.time
+    coupling = (grid, p, q, forcing)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _propagated(state.y, K, tmp)
-        stages = kernel.stages
-        np.multiply(state.y[0], grid.inverse_scale, out=stages[0])
-        np.multiply(y[0], grid.inverse_scale, out=stages[1])
-        # (stage, component); bit for bit grid.to_physical of the unscaled stages
-        phys = _cosine_transform(scipy.fftpack.idct, stages, grid.n_dim, True)
-        np.abs(phys, out=phys)
-        _power(phys[:, 0], q, tmp[0])
-        _power(phys[:, 1], p, tmp[0])
-        for f, row in zip(forcing or (), (1, 0)):  # fu joins |v|**p, fv |u|**q
-            if f is not None:
-                phys[0, row] += f(t0)
-                phys[1, row] += f(t0 + dt)
-        # each stage's coupling [|v|**p, |u|**q] is its component axis reversed
-        n = grid.to_spectral(phys, overwrite=True)[:, ::-1]
+        if kernel.helper is None:
+            y = _propagated(state.y, K, tmp)
+            n = _coupling(stages, (state.y[0], y[0]), (t0, t0 + dt), *coupling, tmp[0])
+        else:
+            first = kernel.helper.submit(_helper_coupling, stages[:1], (state.y[0],), (t0,),
+                                         *coupling, kernel.helper_tmp)
+            y = _propagated(state.y, K, tmp)
+            n1 = _coupling(stages[1:], (y[0],), (t0 + dt,), *coupling, tmp[0, :1])
+            n = (first.result()[0], n1[0])
         y += np.multiply(W[:, 0], n[0], out=tmp)
         y += np.multiply(W[:, 1], n[1], out=tmp)
         return _stepped(state, y, dt, kernel)

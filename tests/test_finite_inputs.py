@@ -69,6 +69,13 @@ CASES = {
         lambda: run(GRID, DATA, PARAMS, 1.0, [1.0], blowup_threshold=True),
     "run.blowup_threshold=x": lambda: run(GRID, DATA, PARAMS, 1.0, [1.0], blowup_threshold="x"),
     "linear_step.dt=nan": lambda: linear_step(state(), NAN),
+    # the public steps and constructors take no bool for a number either
+    "linear_step.dt=True": lambda: linear_step(state(), True),
+    "duhamel_step.dt=True": lambda: duhamel_step(state(), True, 3.0, 4.0),
+    "GridSpec.half_length=True": lambda: GridSpec(1, 64, True),
+    "GridSpec.n_dim=True": lambda: GridSpec(True, 64, 20.0),
+    "GaussianProfile.width=True": lambda: GaussianProfile(1.0, True),
+    "GaussianProfile.amplitude=True": lambda: GaussianProfile(True, 1.0),
     "duhamel_step.dt=nan": lambda: duhamel_step(state(), NAN, 3.0, 4.0),
     "duhamel_step.dt=inf": lambda: duhamel_step(state(), INF, 3.0, 4.0),
     "propagator.t=nan": lambda: propagator(NAN, 0.5, 1.0),

@@ -1,5 +1,10 @@
 import functools
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -8,6 +13,7 @@ import scipy.fft
 import scipy.fftpack
 from scipy.integrate import quad
 
+from sevolab import torus
 from sevolab.exponents import SystemParams
 from sevolab.multipliers import (
     _propagator_scalar,
@@ -516,6 +522,115 @@ class TestDuhamelStep:
         assert stepped.blown_up
 
 
+def run_python(code: str, **env: str) -> str:
+    """The stdout of ``code`` in a fresh interpreter that imports this sevolab,
+    with ``env`` added to the environment.  After two minutes the interpreter
+    and every process it started are killed, and the test fails."""
+    src = os.path.dirname(os.path.dirname(torus.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    with subprocess.Popen([sys.executable, "-c", textwrap.dedent(code)], text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}) as proc:
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail("timed out after 120 s")
+    assert proc.returncode == 0, err
+    return out
+
+
+class TestStageThreads:
+    """From _SPLIT_POINTS corner points a coupled step runs its first stage on
+    the kernel's helper thread, with the bits of the stacked dispatch."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # the helper needs 2 CPUs; this process is made to see them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    # (n_dim, points, L, sigma1, sigma2, p, q, forced): q = 3.7 takes np.power
+    SPLIT_CASES = {
+        "256^2": (2, 256, 64.0, 1.0, 1.0, 2.5, 3.5, False),
+        "256^2-unequal-orders": (2, 256, 64.0, 1.0, 1.5, 3.0, 3.7, False),
+        # the forcing at t0 is evaluated on the helper thread
+        "256^2-forced": (2, 256, 64.0, 1.0, 1.0, 3.0, 3.0, True),
+        "32^3": (3, 32, 16.0, 1.0, 1.0, 2.5, 4.0, False),
+    }
+
+    @pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES.keys())
+    def test_split_matches_stacked(self, monkeypatch, two_cpus, case):
+        n_dim, npts, half_length, sigma1, sigma2, p, q, forced = case
+        grid = GridSpec(n_dim, npts, half_length)
+        params = SystemParams(n_dim, sigma1, sigma2, p, q)
+        g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
+        data = InitialData(u0=g, u1=h, v0=h, v1=g)
+        r = grid.radius()
+        forcing = ((lambda t: np.exp(-r * r) * math.cos(t),
+                    lambda t: 0.2 * (1.0 + t) * np.exp(-r * r / 4.0)) if forced else None)
+        ends = []
+        for split_points in (2**62, 1):
+            monkeypatch.setattr("sevolab.torus._SPLIT_POINTS", split_points)
+            kernel = _StepKernel(grid, sigma1, sigma2)
+            assert (kernel.helper is None) == (split_points > 1)
+            state = init(grid, data, params)
+            for _ in range(50):
+                state = duhamel_step(state, 0.05, p, q, forcing=forcing, kernel=kernel)
+            ends.append(state)
+        stacked, split = ends
+        assert np.all(np.isfinite(stacked.y))
+        assert np.array_equal(split.y, stacked.y)
+        assert split.energy == stacked.energy
+
+    def test_cut_off_keeps_small_grids_stacked(self, two_cpus):
+        # the sweep_1d grid's 1024 corner points stay on one thread
+        assert _StepKernel(GridSpec(1, 2048, 200.0), 1.0, 1.0).helper is None
+        assert _StepKernel(GridSpec(2, 128, 32.0), 1.0, 1.0).helper is None
+        assert _StepKernel(GridSpec(2, 256, 64.0), 1.0, 1.0).helper is not None
+
+    def test_sweep_pool_forked_after_a_threaded_step(self):
+        # the parent's kernel has started its helper thread when the sweep's
+        # pool forks; each worker's kernels start their own, so it finishes
+        out = run_python("""
+            import os
+            os.sched_getaffinity = lambda pid: {0, 1}
+            from sevolab import cli, torus
+            from sevolab.exponents import SystemParams
+            from sevolab.profiles import GaussianProfile
+            grid = torus.GridSpec(2, 256, 64.0)
+            g = GaussianProfile(0.01, 1.0)
+            state = torus.init(grid, torus.InitialData(u0=g, v0=g), SystemParams(2, 1, 1, 3, 3))
+            kernel = torus._StepKernel(grid, 1.0, 1.0)
+            assert kernel.helper is not None
+            torus.duhamel_step(state, 0.1, 3.0, 3.0, kernel=kernel)
+            grid_cfg = {"n_dim": 2, "points_per_dim": 256, "half_length": 64.0}
+            cfg = cli.load_sweep_config({
+                "p_range": [3, 3.5, 0.5], "q_range": [3, 3, 0.5],
+                "fixed": {"n": 2, "sigma1": 1, "sigma2": 1},
+                "cell": {"grid": grid_cfg, "amplitude": 0.01, "width": 1.0, "t_max": 2.0,
+                         "record_count": 2, "fit_t_min": 1.0, "dt": 0.1}})
+            print([(row["p"], row["error"]) for row in cli.run_sweep(cfg, workers=2)])
+        """)
+        assert out.strip() == "[(3.0, ''), (3.5, '')]"
+
+    def test_norms_do_not_depend_on_blas_threads(self):
+        # a 128^2 corner: each norm sums 16384 products, past the size from
+        # which OpenBLAS splits a dot product over its threads
+        code = """
+            from sevolab import torus
+            from sevolab.exponents import SystemParams
+            from sevolab.profiles import GaussianProfile
+            g = GaussianProfile(0.02, 1.0)
+            state = torus.init(torus.GridSpec(2, 256, 64.0), torus.InitialData(u0=g, u1=g, v0=g),
+                               SystemParams(2, 1, 1, 3, 4))
+            for _ in range(3):
+                state = torus.duhamel_step(state, 0.1, 3.0, 4.0)
+            print(state.energy.hex(), *(v.hex() for v in torus.six_norms(state).values()))
+        """
+        pinned, threaded = (run_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert pinned == threaded
+
+
 class TestRunInvariants:
     def test_realness_and_symmetry(self):
         grid = GridSpec(1, 256, 30.0)
@@ -647,6 +762,24 @@ class TestPower:
         assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
         if e == 3.0:
             assert np.array_equal(got, x * x * x)  # products, not np.power
+
+    @pytest.mark.parametrize("e", [h / 2 for h in range(2, 13)])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_products_are_binary_powers(self, x, e, strided):
+        # the reference multiplies the factors of x**(2**k) at the set bits of
+        # e//1, after sqrt(x) for a half, in order, then the top square: the
+        # product _power keeps bit for bit, on a field or a strided stack
+        n, half = divmod(int(2 * e), 2)
+        factors, square = [np.sqrt(x)] if half else [], x
+        while n > 1:
+            if n & 1:
+                factors.append(square)
+            square, n = square * square, n >> 1
+        ref = functools.reduce(np.multiply, factors) * square if factors else square
+        got = np.stack([x, x])[:, ::2] if strided else x.copy()
+        _power(got, e, np.empty_like(got))
+        assert all(np.array_equal(row, ref[::2] if strided else ref)
+                   for row in np.atleast_2d(got))
 
     @pytest.mark.parametrize("e", [1.3, 7.25])
     def test_other_exponents_fall_back(self, x, e):
