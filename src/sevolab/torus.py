@@ -291,14 +291,18 @@ class _StepKernel:
     ``K = [[k0, k1], [dk0, dk1]]`` and Duhamel weights
     ``W = [[A - B, B], [Ad - Bd, Bd]]`` that act on the state's first axis,
     each of shape ``(2, 2, c, *corner_shape)``: c = 1 when sigma1 == sigma2,
-    broadcasting over both components, else 2 with the u row first.  Record
-    intervals are visited in order, so the main dt stays resident and only the
-    final, shorter step of each interval is rebuilt.  ``builds`` counts the
-    step sizes built.  An entry is evicted after its successor is built, so
+    broadcasting over both components, else 2 with the u row first.  A mode's
+    tables depend on it only through mu = |xi|**(2 sigma): they are built on the
+    distinct ``symbols`` and gathered by ``index``, of shape ``(c, *corner_shape)``,
+    bit for bit the per-mode build while both table functions act elementwise in mu.
+    Record intervals are visited in order, so the main dt stays resident and
+    only the final, shorter step of each interval is rebuilt.  ``builds`` counts
+    the step sizes built.  An entry is evicted after its successor is built, so
     MAX_ENTRIES + 1 are alive during a build.  ``helper`` runs a coupled step's
     first stage: a one-thread executor, with its own work space ``helper_tmp``,
-    from _SPLIT_POINTS corner points when the process has 2 CPUs, else None.  The
-    kernel owns it, not the module, so a forked sweep worker starts its own thread.
+    from _SPLIT_POINTS corner points when the process has 2 CPUs, else None, both
+    made on the first coupled step.  The kernel owns it, not the module, so a
+    forked sweep worker starts its own thread.
     """
 
     MAX_ENTRIES = 2
@@ -306,18 +310,15 @@ class _StepKernel:
     def __init__(self, grid: GridSpec, sigma1: float, sigma2: float):
         sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
         xi, self.weight, _ = grid.spectral_weights
-        self.mu = np.stack([xi ** (2.0 * s) for s in sigmas])
-        #: (K, W) of step dt; built over mu, not self, so that a
+        mu = np.stack([xi ** (2.0 * s) for s in sigmas])
+        self.symbols, self.index = np.unique(mu, return_inverse=True)
+        #: (K, W) of step dt; built over the symbols, not self, so that a
         #: kernel holds no reference cycle and is freed when its run ends
         self.get = functools.lru_cache(maxsize=self.MAX_ENTRIES)(
-            functools.partial(self._build, self.mu))
+            functools.partial(self._build, self.symbols, self.index))
         #: a temporary of the state's shape; each step overwrites it, and its
         #: first half is the work space of |.|**e while the couplings are evaluated
         self.tmp = np.empty((2, 2, *grid.corner_shape))
-        affinity = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
-        split = self.tmp[0, 0].size >= _SPLIT_POINTS and len(affinity(0)) > 1
-        self.helper = ThreadPoolExecutor(1) if split else None
-        self.helper_tmp = np.empty((1, *grid.corner_shape)) if split else None
 
     @property
     def builds(self) -> int:
@@ -330,14 +331,25 @@ class _StepKernel:
         each step overwrites it.  Linear steps never touch it."""
         return np.empty_like(self.tmp)
 
+    @functools.cached_property
+    def helper(self) -> Optional[ThreadPoolExecutor]:
+        affinity = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+        split = self.tmp[0, 0].size >= _SPLIT_POINTS and len(affinity(0)) > 1
+        return ThreadPoolExecutor(1) if split else None
+
+    @functools.cached_property
+    def helper_tmp(self) -> np.ndarray:
+        return np.empty_like(self.tmp[0, :1])
+
     @staticmethod
-    def _build(mu: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(K, W) of step dt: views of the stacks of ``propagator_arrays`` and
-        :func:`duhamel_weights`, W's first column made A - B and Ad - Bd in place."""
-        tables = propagator_arrays(dt, mu)
-        W = duhamel_weights(dt, mu, tables).reshape(2, 2, *mu.shape)
-        W[:, 0] -= W[:, 1]
-        return tables.reshape(2, 2, *mu.shape), W
+    def _build(symbols: np.ndarray, index: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
+        """(K, W) of step dt: the stacks of ``propagator_arrays`` and
+        :func:`duhamel_weights` on the symbols, W's first column made A - B and
+        Ad - Bd, each gathered onto the modes by one ``take``."""
+        tables = propagator_arrays(dt, symbols)
+        W = duhamel_weights(dt, symbols, tables)
+        W[::2] -= W[1::2]
+        return tuple(a.take(index, axis=-1).reshape(2, 2, *index.shape) for a in (tables, W))
 
 
 def _propagated(y: np.ndarray, K: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -827,13 +827,54 @@ class TestStepKernel:
                 kernels.append(self)
 
         monkeypatch.setattr("sevolab.torus._StepKernel", Recorded)
-        grid = GridSpec(1, 64, 20.0)
+        # a 256^2 corner on 2 CPUs would run a coupled step's first stage on a helper
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         data = InitialData(u0=GaussianProfile(0.01, 1.0))
-        run(grid, data, PARAMS, 1.0, [0.5, 1.0], dt=0.1, linear_only=True)
-        state = init(grid, data, PARAMS)
+        for grid in (GridSpec(1, 64, 20.0), GridSpec(2, 256, 64.0)):
+            run(grid, data, PARAMS, 1.0, [0.5, 1.0], dt=0.1, linear_only=True)
+        state = init(GridSpec(1, 64, 20.0), data, PARAMS)
         linear_step(state, 0.1)
-        assert len(kernels) == 2
-        assert all("stages" not in vars(k) for k in kernels)
+        assert len(kernels) == 3
+        buffers = ("stages", "helper", "helper_tmp")
+        assert all(name not in vars(k) for k in kernels for name in buffers)
+        # the first coupled step makes them
+        large = kernels[1]
+        state = init(GridSpec(2, 256, 64.0), data, PARAMS)
+        duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=large)
+        assert all(name in vars(large) for name in buffers)
+        assert large.helper is not None
+
+    @pytest.mark.parametrize("dt", [1e-4, 0.0637, 0.37, 2.5])
+    @pytest.mark.parametrize("sigmas", [(1.0, 1.0), (1.0, 1.5)], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_tables_are_the_per_mode_build(self, n_dim, sigmas, dt):
+        # the tables are built on the distinct symbols and gathered: the
+        # per-mode build's bits, as both table functions act elementwise in mu
+        grid = GridSpec(n_dim, 32, 10.0)
+        xi = grid.spectral_weights[0]
+        mu = np.stack([xi ** (2.0 * s) for s in dict.fromkeys(sigmas)])
+        tables = propagator_arrays(dt, mu)
+        weights = duhamel_weights(dt, mu, tables).reshape(2, 2, *mu.shape)
+        weights[:, 0] -= weights[:, 1]
+        K, W = _StepKernel(grid, *sigmas).get(dt)
+        assert np.array_equal(K, tables.reshape(2, 2, *mu.shape))
+        assert np.array_equal(W, weights)
+
+    @pytest.mark.parametrize("grid, distinct", [
+        (GridSpec(2, 256, 64.0), 6492),  # of 16384 modes
+        (GridSpec(1, 2048, 200.0), 1024),  # a 1D corner repeats no |xi|
+    ], ids=["256^2", "1D-2048"])
+    def test_builds_see_each_symbol_once(self, monkeypatch, grid, distinct):
+        sizes = []
+
+        def counted(t, mu):
+            sizes.append(np.size(mu))
+            return propagator_arrays(t, mu)
+        monkeypatch.setattr("sevolab.torus.propagator_arrays", counted)
+        kernel = _StepKernel(grid, 1.0, 1.0)
+        K, _ = kernel.get(0.05)
+        assert sizes == [distinct]
+        assert K.shape == (2, 2, 1, *grid.corner_shape)
 
     def test_coupled_steps_reuse_their_buffers(self, monkeypatch):
         grid = GridSpec(1, 64, 20.0)
