@@ -1,0 +1,34 @@
+"""The library's one rule for scalar inputs: a value passes only if it is a
+``numbers.Real`` and not a bool, lies in its stated range, and is a
+``numbers.Integral`` where it counts something.  Nothing is coerced: True is
+not 1, '1' is not a number, and NaN lies in no range."""
+
+import math
+import numbers
+
+
+def require(value, name: str, lo=-math.inf, hi=math.inf, closed: str = "", integral: bool = False):
+    """value if the rule takes it, else ValueError "<name> must ..., got <value>".
+    The range runs from lo to hi, lo finite unless the range is all reals; an
+    end is excluded unless ``closed`` holds its bracket ("[" for lo, "]" for
+    hi), so an excluded infinite end keeps the value finite.  A float strictly
+    inside passes on the first test, as cheaply as an inline one."""
+    if type(value) is float and lo < value < hi and not integral:
+        return value
+    typed = (isinstance(value, numbers.Integral if integral else numbers.Real)
+             and not isinstance(value, bool))
+    if typed and (lo <= value if "[" in closed else lo < value) \
+            and (value <= hi if "]" in closed else value < hi):
+        return value
+    lo, hi = float(lo), float(hi)
+    left, right = ("[" if "[" in closed else "("), ("]" if "]" in closed else ")")
+    if lo == -math.inf:
+        must = "be finite"
+    elif hi < math.inf:
+        must = f"{'be an integer' if integral else 'lie'} in {left}{lo:g}, {hi:g}{right}"
+    else:
+        kind = "an integer " if integral else "finite and " if right == ")" else ""
+        bound = "positive" if (lo, left) == (0, "(") else f"{'>=' if left == '[' else '>'} {lo:g}"
+        must = f"be {kind}{bound}"
+    got = repr(value) if typed else f"{value!r}, a {type(value).__name__}"
+    raise ValueError(f"{name} must {must}, got {got}")

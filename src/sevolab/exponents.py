@@ -15,6 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
+from ._inputs import require
+
 Number = Union[int, float, Fraction]
 
 #: relative tolerance used to decide equality in boundary comparisons
@@ -63,14 +65,10 @@ class SystemParams:
     eps: float = 0.01
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not (1 <= self.sigma1 < math.inf and 1 <= self.sigma2 < math.inf):
-            raise ValueError("sigma1 and sigma2 must be finite and >= 1")
-        if not (1 < self.p < math.inf and 1 < self.q < math.inf):
-            raise ValueError("p and q must be finite and > 1")
-        if not 0 < self.eps < math.inf:
-            raise ValueError("eps must be finite and positive")
+        require(self.n, "n", 1, closed="[", integral=True)
+        for name, lo, closed in (("sigma1", 1.0, "["), ("sigma2", 1.0, "["), ("p", 1.0, ""),
+                                 ("q", 1.0, ""), ("eps", 0.0, "")):
+            require(getattr(self, name), name, lo, closed=closed)
 
     @property
     def sigma_min(self) -> float:
@@ -227,9 +225,8 @@ def critical_q(n: int, sigma: Number, p: Number) -> float:
     then on the existence side of the curve).  Raises NoSolutionError when
     n*p <= 2*sigma, where the equation has no finite solution at all.
     """
-    if p <= 1:
-        raise ValueError("p must be > 1")
-    nf, sf, pf = map(Fraction, (n, sigma, p))
+    nf = Fraction(require(n, "n", 1, closed="[", integral=True))
+    sf, pf = Fraction(require(sigma, "sigma", 0.0)), Fraction(require(p, "p", 1.0))
     denom = nf * pf - 2 * sf
     if _cmp(denom, Fraction(0)) <= 0:
         raise NoSolutionError(
@@ -285,12 +282,13 @@ def gn_theta(p: Number, p0: Number, p1: Number, s: Number, sigma: Number, n: int
     theta = (1/p0 - 1/p + s/n) / (1/p0 - 1/p1 + sigma/n), admissible when
     s/sigma <= theta <= 1.  Raises InvalidRangeError outside that range.
     """
-    if not (1 < p and 1 < p0 and 1 < p1):
-        raise ValueError("p, p0, p1 must all be > 1")
-    sf, sigf = Fraction(s), Fraction(sigma)
-    if not (0 <= sf <= sigf):
-        raise ValueError("need 0 <= s <= sigma")
-    nf = Fraction(n)
+    for value, name in ((p, "p"), (p0, "p0"), (p1, "p1")):
+        require(value, name, 1.0)
+    sf = Fraction(require(s, "s", 0.0, closed="["))
+    sigf = Fraction(require(sigma, "sigma", 0.0))
+    if not sf <= sigf:
+        raise ValueError("need s <= sigma")
+    nf = Fraction(require(n, "n", 1, closed="[", integral=True))
     theta = (1 / Fraction(p0) - 1 / Fraction(p) + sf / nf) / \
             (1 / Fraction(p0) - 1 / Fraction(p1) + sigf / nf)
     lo = sf / sigf

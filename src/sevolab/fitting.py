@@ -7,10 +7,11 @@ the exponent a exactly, matching how the predicted rates are normalised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._inputs import require
 
 
 class InsufficientDataError(ValueError):
@@ -31,8 +32,9 @@ class NormSeries:
     entries: list[tuple[float, float]]
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for entry in self.entries for x in entry):
-            raise ValueError("times and values must be finite")
+        for t, value in self.entries:
+            require(t, "times")
+            require(value, "values")
         ts = [t for t, _ in self.entries]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("time stamps must be strictly increasing")
@@ -86,8 +88,7 @@ def compare_rates(fit: DecayFit, predicted: float, tol: float,
     slack): pass when the observed decay is at least as fast, within tol,
     i.e. fit <= predicted + tol.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
+    require(tol, "tol", 0.0)
     if one_sided:
         return fit.exponent <= predicted + tol
     return abs(fit.exponent - predicted) <= tol

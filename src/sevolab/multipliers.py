@@ -32,12 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import require
+
 #: mu*dt**2 below this (mu, when dt > 1) takes the series branch of
 #: duhamel_weights; above it the closed forms lose at most ~3e-13 relative
 _SMALL_MU_DT2 = 0.1
-#: terms of the weight series, exact to rounding while |lam*dt| <= _SERIES_DT_MAX
+#: most terms of the weight series, exact to rounding while |lam*dt| <= _SERIES_DT_MAX
 _SERIES_TERMS = 30
 _SERIES_DT_MAX = 2.0
+#: the series looks at its sums once a term bound is below this, a quarter of the
+#: spacing of 1: its |A| and |B| are below 1, so no larger bound can stop it
+_STOP_GATE = np.spacing(1.0) / 4.0
 
 
 @dataclass(frozen=True)
@@ -58,11 +63,8 @@ class PropagatorValue:
 
 def _symbol(xi_mag: float, sigma: float) -> float:
     """mu = |xi|**(2*sigma) for a finite |xi| >= 0 and a finite sigma > 0."""
-    if not 0.0 <= xi_mag < math.inf:
-        raise ValueError("xi_mag must be finite and >= 0")
-    if not 0.0 < sigma < math.inf:
-        raise ValueError("sigma must be finite and positive")
-    return float(xi_mag) ** (2.0 * sigma)
+    xi_mag = float(require(xi_mag, "xi_mag", 0.0, closed="["))
+    return xi_mag ** (2.0 * require(sigma, "sigma", 0.0))
 
 
 def roots(xi_mag: float, sigma: float) -> CharacteristicRoots:
@@ -83,8 +85,7 @@ def propagator_arrays(t: float, mu: np.ndarray) -> np.ndarray:
     t is a finite scalar >= 0; mu an array of nonnegative symbol values.  The
     tables come stacked in one array of shape ``(4, *mu.shape)``.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")
+    require(t, "t", 0.0, closed="[")
     mu = np.asarray(mu, dtype=float)
     k0, k1, dk0, dk1 = tables = np.empty((4, *mu.shape))
     d = 1.0 - 4.0 * mu
@@ -132,10 +133,8 @@ def _propagator_scalar(t: float, mu: float) -> tuple[float, float, float, float]
 
 def propagator(t: float, xi_mag: float, sigma: float) -> PropagatorValue:
     """Multiplier values at one (t, |xi|, sigma); exact for any finite t >= 0."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")
-    mu = _symbol(xi_mag, sigma)
-    k0, k1, dk0, dk1 = _propagator_scalar(float(t), mu)
+    t = float(require(t, "t", 0.0, closed="["))
+    k0, k1, dk0, dk1 = _propagator_scalar(t, _symbol(xi_mag, sigma))
     return PropagatorValue(k0, k1, dk0, dk1)
 
 
@@ -147,8 +146,7 @@ def propagation_matrix(t: float, xi_mag: float, sigma: float) -> np.ndarray:
 
 def ode_residual(t: float, xi_mag: float, sigma: float, h: float) -> float:
     """Centred-difference residual of the mode ODE; O(h**2) for the exact multiplier."""
-    if not 0 < h <= t < math.inf:
-        raise ValueError("need finite t >= h > 0")
+    require(t, "t", require(h, "h", 0.0), closed="[")
     mu = _symbol(xi_mag, sigma)
     vm = _propagator_scalar(t - h, mu)
     v0 = _propagator_scalar(t, mu)
@@ -169,6 +167,17 @@ def _phi_weights(dt: float, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so A = dt**2 * sum_m h_m/(m+2)! and B = dt**2 * sum_m h_m/(m+3)! with
     the real recurrence h_m = -dt*h_{m-1} - mu*dt**2*h_{m-2} (h_0 = 1).
     Longer steps are composed from two half steps.
+
+    The sums stop after M terms, at most _SERIES_TERMS, with the bits of all
+    _SERIES_TERMS.  As h_m = sum_i x1**i * x2**(m-i) and each |x| is at most
+    rho = dt*max(1, sqrt(max mu)), |h_m| <= (m+1)*rho**m; doubled, this also
+    bounds the computed h_m, whose rounding is far smaller.  The series runs
+    on mu*dt**2 < _SMALL_MU_DT2*max(1, dt**2) and dt <= 2, so rho <= 2, and
+    there 2*(m+1)*rho**m/(m+2)! and /(m+3)! fall with m from m = 1 on.  The
+    sums stop where that bound at m = M, the next term's, is below a quarter
+    of the spacing of the smallest |A| of the partial sums (|B| for B): an
+    addition that small rounds back to the sum it is added to, so no
+    omitted one would change a bit.
     """
     if dt > _SERIES_DT_MAX:
         half = dt / 2.0
@@ -176,6 +185,7 @@ def _phi_weights(dt: float, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k0, k1, _, _ = propagator_arrays(half, mu)
         return A * (1.0 + k0) + k1 * k1, 0.5 * (k0 * B + k1 * A / half + A + B)
     prod = mu * (dt * dt)
+    rho = dt * max(1.0, math.sqrt(np.max(mu, initial=0.0)))
     h_prev = np.zeros_like(mu)
     h = np.ones_like(mu)
     A = np.zeros_like(mu)
@@ -185,6 +195,10 @@ def _phi_weights(dt: float, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         A += h / fact
         fact *= m + 3
         B += h / fact
+        bound = 2.0 * (m + 2) * rho ** (m + 1) / fact  # of A's later terms; B's is / (m + 4)
+        if bound < _STOP_GATE and bound < np.spacing(np.abs(A).min(initial=1.0)) / 4.0 \
+                and bound / (m + 4) < np.spacing(np.abs(B).min(initial=1.0)) / 4.0:
+            break
         h_prev, h = h, -dt * h - prod * h_prev
     return dt * dt * A, dt * dt * B
 
@@ -204,8 +218,7 @@ def duhamel_weights(dt: float, mu: np.ndarray, tables=None) -> np.ndarray:
     mu -> 0, so modes with mu*dt**2 below _SMALL_MU_DT2 (mu below it when
     dt > 1) take the phi-function series of :func:`_phi_weights` instead.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError("dt must be finite and positive")
+    require(dt, "dt", 0.0)
     mu = np.asarray(mu, dtype=float)
     if tables is None:
         tables = propagator_arrays(dt, mu)

@@ -19,10 +19,11 @@ import math
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
+from ._inputs import require
 from .fitting import NormSeries
 from .multipliers import _propagator_scalar
 from .profiles import GaussianProfile, sphere_surface
-from .quadutil import QuadratureFailure, _accepted, _check_rel_tol, adaptive_quad, quadpack
+from .quadutil import QuadratureFailure, _accepted, adaptive_quad, quadpack
 
 __all__ = ["NormKind", "linear_norm", "decay_series", "QuadratureFailure"]
 
@@ -103,13 +104,10 @@ def linear_norm(w0: Optional[GaussianProfile], w1: Optional[GaussianProfile],
     above omega = _S1, m**2 is a smooth mean, integrated with the range
     below, plus cos and sin(2*omega*t) parts on QAWO.
     """
-    if n not in (1, 2, 3):
-        raise ValueError("n must be 1, 2 or 3")
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be finite and positive")
-    _check_rel_tol(rel_tol)
+    require(n, "n", 1, 3, "[]", integral=True)
+    t = float(require(t, "t", 0.0, closed="["))
+    require(sigma, "sigma", 0.0)
+    require(rel_tol, "rel_tol", 0.0)
     if w0 is None and w1 is None:
         return 0.0
 
@@ -159,6 +157,5 @@ def decay_series(w0: Optional[GaussianProfile], w1: Optional[GaussianProfile],
                  sigma: float, n: int, kind: NormKind,
                  t_grid: Sequence[float]) -> NormSeries:
     """One linear_norm evaluation per grid time, packaged for fitting."""
-    entries = [(float(t), linear_norm(w0, w1, float(t), sigma, n, kind))
-               for t in t_grid]
+    entries = [(float(t), linear_norm(w0, w1, t, sigma, n, kind)) for t in t_grid]
     return NormSeries(entries)

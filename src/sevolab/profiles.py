@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import require
+
 
 def sphere_surface(n: int) -> float:
     """Surface measure of the unit sphere in R^n (2, 2*pi, 4*pi for n = 1, 2, 3)."""
@@ -30,10 +32,8 @@ class GaussianProfile:
     width: float
 
     def __post_init__(self):
-        if isinstance(self.width, bool) or not 0 < self.width < math.inf:
-            raise ValueError("width must be finite and positive")
-        if isinstance(self.amplitude, bool) or not -math.inf < self.amplitude < math.inf:
-            raise ValueError("amplitude must be finite")
+        require(self.amplitude, "amplitude")
+        require(self.width, "width", 0.0)
 
     def value(self, r):
         """Profile value at radius r (array friendly)."""

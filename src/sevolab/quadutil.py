@@ -27,6 +27,8 @@ import warnings
 
 import numpy as np
 
+from ._inputs import require
+
 
 class QuadratureFailure(RuntimeError):
     """Adaptive quadrature could not meet its tolerance within budget."""
@@ -48,12 +50,6 @@ def _accepted(val: float, err: float, rel_tol: float, err_scale: float) -> float
     return val
 
 
-def _check_rel_tol(rel_tol: float) -> None:
-    """ValueError unless rel_tol is finite and > 0 (a NaN passes every test)."""
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError("rel_tol must be finite and positive")
-
-
 @functools.cache
 def _integrate():
     """scipy.integrate, imported on the first call and cached after it."""
@@ -66,7 +62,7 @@ def quadpack(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
     """QUADPACK's value and error estimate of fn on [a, b], its warnings
     suppressed.  ``weight`` "cos"/"sin" integrates fn(x)*cos/sin(wvar*x) on
     QAWO, whose modified Chebyshev moments take the oscillation exactly."""
-    _check_rel_tol(rel_tol)
+    require(rel_tol, "rel_tol", 0.0)
     integrate = _integrate()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -156,7 +152,7 @@ def gauss_kronrod_estimates(fn, a, b, *, points=None, rel_tol=1e-10,
     if not len(b) == len(points) == len(tols) == len(limits) == k:
         raise ValueError("a batch needs one b, points, rel_tol and limit per integral")
     for tol in tols:
-        _check_rel_tol(tol)
+        require(tol, "rel_tol", 0.0)
     edges = [[lo, *_breakpoints(pts, lo, hi), hi] for lo, hi, pts in zip(a, b, points)]
     #: the intervals to integrate this round, and the integrals they belong to
     #: with their counts

@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
+from ._inputs import require
 from .exponents import SystemParams
 from .profiles import GaussianProfile, sphere_surface
 from .quadutil import (QuadratureFailure, _accepted, adaptive_quad, gauss_kronrod,
@@ -87,12 +88,8 @@ class BracketCombo:
 
 def integer_laplacian_bracket(r: float, m: int, n: int) -> BracketCombo:
     """(-Lap)**m <x>**(-r) by iterating the one-step recursion m times."""
-    if not 0 < r < math.inf:
-        raise ValueError("r must be finite and positive")
-    if m < 1 or int(m) != m:
-        raise ValueError("m must be a positive integer")
-    combo = BracketCombo(((1.0, float(r)),))
-    for _ in range(int(m)):
+    combo = BracketCombo(((1.0, float(require(r, "r", 0.0))),))
+    for _ in range(require(m, "m", 1, closed="[", integral=True)):
         combo = combo.neg_laplacian(n)
     return combo
 
@@ -107,8 +104,7 @@ def frac_lap_normalization(n: int, s: float) -> float:
     Under this convention the Fourier symbol of (-Lap)**s is |xi|**(2s);
     the choice is validated by the Bessel-K cross-check.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must be in (0, 1)")
+    require(s, "s", 0.0, 1.0)
     return (4.0**s * gamma_fn(n / 2.0 + s)
             / (math.pi ** (n / 2.0) * abs(gamma_fn(-s))))
 
@@ -153,26 +149,27 @@ def _sphere_sum(combo: BracketCombo, n: int, scale: float) -> Callable:
     return total
 
 
-def _sphere_taylor(combo: BracketCombo, x: float, n: int,
-                   scale: float) -> tuple[float, float]:
-    """(t2, t4) with S_f(rho) - omega*f(x) = t2 rho**2 + t4 rho**4 + O(rho**6)
+def _sphere_taylor(combo: BracketCombo, n: int, scale: float) -> Callable:
+    """x -> (t2, t4) with S_f(rho) - omega*f(x) = t2 rho**2 + t4 rho**4 + O(rho**6)
     for the combo f at the given scale, by Pizzetti's formula
-    omega * (rho**2 Lap f / (2n) + rho**4 Lap**2 f / (8n(n+2)) + ...)."""
+    omega * (rho**2 Lap f / (2n) + rho**4 Lap**2 f / (8n(n+2)) + ...); the two
+    Laplacian combos are built once, here."""
     omega = sphere_surface(n)
     lap = combo.neg_laplacian(n)
-    return (-omega * lap.value(x, scale) / (2.0 * n * scale**2),
-            omega * lap.neg_laplacian(n).value(x, scale) / (8.0 * n * (n + 2) * scale**4))
+    lap2 = lap.neg_laplacian(n)
+    return lambda x: (-omega * lap.value(x, scale) / (2.0 * n * scale**2),
+                      omega * lap2.value(x, scale) / (8.0 * n * (n + 2) * scale**4))
 
 
-def _split_point(combo: BracketCombo, s: float, x: float, n: int,
+def _split_point(combo: BracketCombo, taylor: Callable, s: float, x: float, n: int,
                  scale: float) -> tuple[float, float, float, float, float, float]:
     """The hypersingular split at the radial point x >= 0: (omega*f(x),
     h_sw, lo_cut, big, head, tail), with the quadrature ranges [h_sw, lo_cut]
     and [lo_cut, big] in rho, and the integrals below h_sw (head) and beyond
-    big (tail) in closed form."""
+    big (tail) in closed form; ``taylor`` is the combo's :func:`_sphere_taylor`."""
     omega = sphere_surface(n)
     fx = combo.value(x, scale)
-    taylor2, taylor4 = _sphere_taylor(combo, x, n, scale)
+    taylor2, taylor4 = taylor(x)
     # Taylor error ~ rho**6 * Lap**3 f relative to rho**2 * Lap f: below h_sw
     # the closed-form head of t2*rho**2 + t4*rho**4 stands for the sphere sum
     h_sw = 1e-3 * scale * (1.0 + x / scale)
@@ -211,18 +208,16 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x, n: int,
     the middle one, and the first untrusted one raises its
     QuadratureFailure, as one call per point would.
     """
-    if n not in (1, 2, 3):
-        raise ValueError("n must be 1, 2 or 3")
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must be in (0, 1)")
+    require(n, "n", 1, 3, "[]", integral=True)
+    require(s, "s", 0.0, 1.0)
     xs = np.abs(np.asarray(x, dtype=float))
     flat = xs.ravel().tolist()
     if not all(z < math.inf for z in flat):
         raise ValueError("x must be finite")
-    if not 0.0 < scale < math.inf:
-        raise ValueError("scale must be finite and positive")
+    require(scale, "scale", 0.0)
+    taylor = _sphere_taylor(combo, n, scale)
     omega_fx, h_sw, lo_cut, big, head, tail = zip(
-        *[_split_point(combo, s, z, n, scale) for z in flat])
+        *[_split_point(combo, taylor, s, z, n, scale) for z in flat])
     points, omega_fx = xs.ravel(), np.array(omega_fx)
     sphere = _sphere_sum(combo, n, scale)
 
@@ -279,13 +274,9 @@ def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float,
     with the closed-form Bessel-K transform of each bracket term; completely
     independent of the hypersingular route.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must be in (0, 1)")
-    x = float(x)
-    if not abs(x) < math.inf:
-        raise ValueError("x must be finite")
-    if not 0.0 < scale < math.inf:
-        raise ValueError("scale must be finite and positive")
+    require(s, "s", 0.0, 1.0)
+    x = float(require(x, "x"))
+    require(scale, "scale", 0.0)
     fhat = _combo_transform(combo, scale)
     two_s = 2.0 * s
 
@@ -322,10 +313,9 @@ class TestFunctionSpec:
     theta: Optional[float] = None
 
     def __post_init__(self):
-        if not 1.0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be finite and >= 1")
-        if not (0.0 < self.r < math.inf and 0.0 < self.R < math.inf):
-            raise ValueError("r and R must be finite and positive")
+        require(self.gamma, "gamma", 1.0, closed="[")
+        require(self.r, "r", 0.0)
+        require(self.R, "R", 0.0)
 
     @property
     def s(self) -> float:
@@ -385,8 +375,7 @@ def eta(x, lam: float):
     The time cutoff at x = t/T and the space cutoff at x = |y|/R; floats
     give a float, arrays an array.
     """
-    if not 1.0 <= lam < math.inf:
-        raise ValueError("lam must be finite and >= 1")
+    require(lam, "lam", 1.0, closed="[")
     chi = _chi(np.clip(np.asarray(x, dtype=float) - 0.5, 0.0, 0.5))
     out = np.maximum(chi, 0.0) ** lam  # chi rounds to about -1e-16 just below 1
     return out if out.shape else float(out)
@@ -400,8 +389,7 @@ def eta_derivs(t: float, lam: float) -> tuple[float, float, float]:
         chi = 1 - 80 tau^3 + 240 tau^4 - 192 tau^5,
     whose derivative is -960 tau^2 (1/2 - tau)^2 <= 0.
     """
-    if not 1.0 <= lam < math.inf:
-        raise ValueError("lam must be finite and >= 1")
+    require(lam, "lam", 1.0, closed="[")
     if t <= 0.5:
         return 1.0, 0.0, 0.0
     tau = min(t, 1.0) - 0.5
@@ -421,8 +409,7 @@ def eta_ratio_sup(lam: float, kappa: float) -> float:
 
     Finite by construction whenever lam >= 2*k' (k' the conjugate of kappa).
     """
-    if not 1.0 < kappa < math.inf:
-        raise ValueError("kappa must be finite and > 1")
+    require(kappa, "kappa", 1.0)
     kp = kappa / (kappa - 1.0)
     worst = 0.0
     for t in np.linspace(0.5, 1.0, 20001)[:-1]:
@@ -566,7 +553,7 @@ class Functionals:
             raise ValueError("functionals need sigma1 == sigma2")
         self.params = params
         self.specs = tuple(specs)
-        self.times = sorted(float(t) for t in times)
+        self.times = sorted(float(require(t, "times")) for t in times)
         self._lam = 2.0 * max(_conjugate(params.p), _conjugate(params.q))
         radius = grid.radius()
         integer = abs(params.sigma1 - round(params.sigma1)) < 1e-9

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.fftpack
 
+from ._inputs import require
 from .exponents import SystemParams
 from .fitting import NormSeries
 from .multipliers import duhamel_weights, propagator_arrays
@@ -82,13 +82,11 @@ class GridSpec:
     half_length: float
 
     def __post_init__(self):
-        if isinstance(self.n_dim, bool) or self.n_dim not in (1, 2, 3):
-            raise ValueError("n_dim must be 1, 2 or 3")
-        npts = self.points_per_dim
-        if npts < 16 or npts & (npts - 1) != 0:
-            raise ValueError("points_per_dim must be a power of two >= 16")
-        if isinstance(self.half_length, bool) or not 0 < self.half_length < math.inf:
-            raise ValueError("half_length must be finite and positive")
+        require(self.n_dim, "n_dim", 1, 3, "[]", integral=True)
+        npts = require(self.points_per_dim, "points_per_dim", 16, closed="[", integral=True)
+        if npts & (npts - 1) != 0:
+            raise ValueError(f"points_per_dim must be a power of two, got {npts}")
+        require(self.half_length, "half_length", 0.0)
 
     @property
     def dx(self) -> float:
@@ -374,8 +372,7 @@ def _stepped(state: SpectralState, y: np.ndarray, dt: float,
 def linear_step(state: SpectralState, dt: float,
                 kernel: Optional[_StepKernel] = None) -> SpectralState:
     """Advance the linear system exactly by dt (any dt > 0)."""
-    if isinstance(dt, bool) or not 0 < dt < math.inf:
-        raise ValueError("dt must be finite and positive")
+    require(dt, "dt", 0.0)
     kernel = kernel or _StepKernel(state.grid, state.sigma1, state.sigma2)
     with np.errstate(over="ignore", invalid="ignore"):
         return _stepped(state, _propagated(state.y, kernel.get(dt)[0], kernel.tmp), dt, kernel)
@@ -447,8 +444,7 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     to corner samples (values at ``grid.radius()``) added to the source of the
     u or v equation; with a helper, both are called at t0 on its thread.
     """
-    if isinstance(dt, bool) or not 0 < dt < math.inf:
-        raise ValueError("dt must be finite and positive")
+    require(dt, "dt", 0.0)
     grid = state.grid
     kernel = kernel or _StepKernel(grid, state.sigma1, state.sigma2)
     K, W = kernel.get(dt)
@@ -505,8 +501,7 @@ def _checked_norms(state: SpectralState) -> tuple[Optional[dict[str, float]], fl
 
 def detect_blowup(state: SpectralState, threshold: float) -> bool:
     """True iff the state has blown up or any recorded norm exceeds threshold."""
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
+    require(threshold, "threshold", 0.0, math.inf, "]")
     return _checked_norms(state)[1] > threshold
 
 
@@ -519,11 +514,12 @@ def _top_octave_fraction(state: SpectralState) -> float:
 
 
 def _auto_or_positive(name: str, value: float | str) -> float | str:
-    """``"auto"``, or value as a float if it is a finite real > 0, not a bool."""
-    if value != "auto" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                            or not 0 < value < math.inf):
-        raise ValueError(f'{name} must be positive: "auto" or a finite real > 0, got {value!r}')
-    return value if value == "auto" else float(value)
+    """``"auto"``, or value as a float if the input rule takes it as a finite real > 0."""
+    try:
+        return value if value == "auto" else float(require(value, name, 0.0))
+    except ValueError:
+        raise ValueError(f'{name} must be positive: "auto" or a finite real > 0, '
+                         f'got {value!r}') from None
 
 
 class _Stepper:
@@ -565,13 +561,11 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     ``config_echo`` holds dt, the threshold, the initial total norm and the
     deterministic counts ``steps`` and ``kernel_builds``.
     """
-    if not 0 < t_max < math.inf:
-        raise ValueError("t_max must be finite and positive")
-    record_set = {float(t) for t in record_times}
-    schedule = [(obs, {float(t) for t in obs.times}) for obs in observers]
-    events = record_set.union({0.0, float(t_max)}, *(ts for _, ts in schedule))
-    if not all(0.0 <= t <= t_max for t in events):
-        raise ValueError("record_times and observer times must lie in [0, t_max]")
+    t_max = float(require(t_max, "t_max", 0.0))
+    record_set = {float(require(t, "record_times", 0.0, t_max, "[]")) for t in record_times}
+    schedule = [(obs, {float(require(t, "observer times", 0.0, t_max, "[]")) for t in obs.times})
+                for obs in observers]
+    events = record_set.union({0.0, t_max}, *(ts for _, ts in schedule))
 
     stepper = _Stepper(grid, params, dt, linear_only, forcing)
     threshold = _auto_or_positive("blowup_threshold", blowup_threshold)

@@ -1,13 +1,16 @@
 """Every library entry point rejects a NaN or infinite time, step, length,
-value or parameter, and an order or exponent out of its range, with
-ValueError, as the CLI's field rules do."""
+value or parameter, and an order or exponent out of its range, with a
+ValueError that names it, as the CLI's field rules do.  It checks types as
+well: a bool, a string or a complex number is not taken for a real one, so
+True is not 1 and '1' is not a number."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from sevolab.exponents import SystemParams
+from sevolab.exponents import SystemParams, critical_q
 from sevolab.fitting import DecayFit, NormSeries, compare_rates
 from sevolab.multipliers import (
     duhamel_weights,
@@ -27,10 +30,19 @@ from sevolab.testfn import (
     eta_ratio_sup,
     fractional_laplacian_bracket,
     fractional_laplacian_fourier,
+    frac_lap_normalization,
     fractional_laplacian_gamma,
     integer_laplacian_bracket,
 )
-from sevolab.torus import GridSpec, InitialData, duhamel_step, init, linear_step, run
+from sevolab.torus import (
+    GridSpec,
+    InitialData,
+    detect_blowup,
+    duhamel_step,
+    init,
+    linear_step,
+    run,
+)
 
 NAN, INF = math.nan, math.inf
 PARAMS = SystemParams(1, 1.0, 1.0, 3.0, 4.0)
@@ -44,6 +56,14 @@ FIT = DecayFit(-0.5, 0.0, 1.0, (1.0, 10.0))
 
 def state():
     return init(GRID, DATA, PARAMS)
+
+
+def observer(times):
+    """A run observer that keeps nothing, called at ``times``."""
+    def observe(t, state):
+        pass
+    observe.times = times
+    return observe
 
 
 CASES = {
@@ -149,8 +169,68 @@ CASES = {
     "compare_rates.tol=inf": lambda: compare_rates(FIT, -0.5, INF),
 }
 
+#: each scalar parameter of the entry points, as a call with its value left open
+PARAMETERS = {
+    "SystemParams.n": lambda v: SystemParams(v, 1.0, 1.0, 3.0, 4.0),
+    "SystemParams.sigma1": lambda v: SystemParams(1, v, 1.0, 3.0, 4.0),
+    "SystemParams.sigma2": lambda v: SystemParams(1, 1.0, v, 3.0, 4.0),
+    "SystemParams.p": lambda v: SystemParams(1, 1.0, 1.0, v, 4.0),
+    "SystemParams.q": lambda v: SystemParams(1, 1.0, 1.0, 3.0, v),
+    "SystemParams.eps": lambda v: SystemParams(1, 1.0, 1.0, 3.0, 4.0, v),
+    "GaussianProfile.width": lambda v: GaussianProfile(1.0, v),
+    "GaussianProfile.amplitude": lambda v: GaussianProfile(v, 1.0),
+    "GridSpec.n_dim": lambda v: GridSpec(v, 64, 20.0),
+    "GridSpec.points_per_dim": lambda v: GridSpec(1, v, 20.0),
+    "GridSpec.half_length": lambda v: GridSpec(1, 64, v),
+    "TestFunctionSpec.gamma": lambda v: TestFunctionSpec(gamma=v, r=2.0, R=4.0),
+    "TestFunctionSpec.r": lambda v: TestFunctionSpec(gamma=1.5, r=v, R=4.0),
+    "TestFunctionSpec.R": lambda v: TestFunctionSpec(gamma=1.5, r=2.0, R=v),
+    "linear_norm.t": lambda v: linear_norm(G, None, v, 1.0, 1, NormKind.SOLUTION_L2),
+    "linear_norm.sigma": lambda v: linear_norm(G, None, 1.0, v, 1, NormKind.SOLUTION_L2),
+    "linear_norm.rel_tol":
+        lambda v: linear_norm(G, None, 1.0, 1.0, 1, NormKind.SOLUTION_L2, rel_tol=v),
+    "propagator.t": lambda v: propagator(v, 0.5, 1.0),
+    "propagator.xi_mag": lambda v: propagator(1.0, v, 1.0),
+    "propagator.sigma": lambda v: propagator(1.0, 0.5, v),
+    "propagator_arrays.t": lambda v: propagator_arrays(v, MU),
+    "duhamel_weights.dt": lambda v: duhamel_weights(v, MU),
+    "roots.xi_mag": lambda v: roots(v, 1.0),
+    "linear_step.dt": lambda v: linear_step(state(), v),
+    "duhamel_step.dt": lambda v: duhamel_step(state(), v, 3.0, 4.0),
+    "run.t_max": lambda v: run(GRID, DATA, PARAMS, v, []),
+    "detect_blowup.threshold": lambda v: detect_blowup(state(), v),
+    "adaptive_quad.rel_tol": lambda v: adaptive_quad(math.cos, 0.0, 1.0, rel_tol=v),
+    "gauss_kronrod.rel_tol": lambda v: gauss_kronrod(np.cos, 0.0, 1.0, rel_tol=v),
+    "integer_laplacian_bracket.r": lambda v: integer_laplacian_bracket(v, 1, 1),
+    "integer_laplacian_bracket.m": lambda v: integer_laplacian_bracket(2.0, v, 1),
+    "frac_lap_normalization.s": lambda v: frac_lap_normalization(1, v),
+    "fractional_laplacian_bracket.scale":
+        lambda v: fractional_laplacian_bracket(COMBO, 0.5, 1.0, 1, scale=v),
+    "fractional_laplacian_fourier.x": lambda v: fractional_laplacian_fourier(COMBO, 0.5, v),
+    "fractional_laplacian_fourier.scale":
+        lambda v: fractional_laplacian_fourier(COMBO, 0.5, 1.0, scale=v),
+    "eta.lam": lambda v: eta(0.7, v),
+    "eta_derivs.lam": lambda v: eta_derivs(0.7, v),
+    "compare_rates.tol": lambda v: compare_rates(FIT, -0.5, v),
+    "critical_q.sigma": lambda v: critical_q(1, v, 3.0),
+}
+#: times, which are reals too: a run's record and observer times and a series' time stamps
+TIMES = {
+    "run.record_times": lambda v: run(GRID, DATA, PARAMS, 1.0, [0.5, v]),
+    "run.observer.times": lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], observers=[observer([v])]),
+    "NormSeries.t": lambda v: NormSeries([(0.5, 1.0), (v, 1.0)]),
+}
+# a bool is not 1, a string not a number, a complex number not a real one
+for table, values in ((PARAMETERS, (True, "1", 1j, NAN)), (TIMES, (True, "1"))):
+    for param, call in table.items():
+        for value in values:
+            CASES.setdefault(f"{param}={value!r}", lambda call=call, value=value: call(value))
 
-@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
-def test_non_finite_input_rejected(call):
-    with pytest.raises(ValueError):
+
+@pytest.mark.parametrize("case,call", CASES.items(), ids=CASES.keys())
+def test_non_finite_input_rejected(case, call):
+    """A ValueError whose message names the parameter: the id's name before
+    ``=``, its index dropped, opens a clause "<name>... must"."""
+    name = re.sub(r"\[.*", "", case.split("=")[0].split(".")[-1])
+    with pytest.raises(ValueError, match=rf"\b{name}\w* must\b"):
         call()

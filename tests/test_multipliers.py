@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from sevolab.multipliers import (
     _SMALL_MU_DT2,
+    _phi_weights,
     _propagator_scalar,
     duhamel_weights,
     ode_residual,
@@ -212,3 +213,34 @@ class TestDuhamelWeights:
         # derivative channel: integral of k1' is k1(dt) - k1(0) = k1(dt)
         for i, mu in enumerate((0.0, 0.25, 0.5)):
             assert Ad[i] == pytest.approx(_propagator_scalar(dt, mu)[1], rel=1e-12)
+
+    @staticmethod
+    def thirty_term_weights(dt, mu):
+        """_phi_weights with all 30 terms of its series, as it was before the
+        series stopped early: the bits the stopping rule must keep."""
+        if dt > 2.0:
+            half = dt / 2.0
+            A, B = TestDuhamelWeights.thirty_term_weights(half, mu)
+            k0, k1, _, _ = propagator_arrays(half, mu)
+            return A * (1.0 + k0) + k1 * k1, 0.5 * (k0 * B + k1 * A / half + A + B)
+        prod = mu * (dt * dt)
+        h_prev, h = np.zeros_like(mu), np.ones_like(mu)
+        A, B = np.zeros_like(mu), np.zeros_like(mu)
+        fact = 2.0
+        for m in range(30):
+            A += h / fact
+            fact *= m + 3
+            B += h / fact
+            h_prev, h = h, -dt * h - prod * h_prev
+        return dt * dt * A, dt * dt * B
+
+    @pytest.mark.parametrize("dt", [1e-4, 0.02, 0.0637, 0.1, 0.37, 1.0, 1.9, 2.0, 2.5, 4.1, 7.0])
+    def test_series_stops_with_the_bits_of_thirty_terms(self, dt):
+        # the mu of the series branch, up to its edge, and ranges whose rho is dt
+        edge = _SMALL_MU_DT2 * max(1.0, dt * dt) / (dt * dt)
+        for top in (edge, edge / 100.0, 1e-12):
+            mu = np.concatenate([np.linspace(0.0, top, 4001), np.geomspace(1e-300, top, 400),
+                                 [np.nextafter(top, 0.0)]])
+            mu = mu[mu * (dt * dt) < _SMALL_MU_DT2 * max(1.0, dt * dt)]
+            for got, want in zip(_phi_weights(dt, mu), self.thirty_term_weights(dt, mu)):
+                assert np.array_equal(got, want)

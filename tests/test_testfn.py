@@ -77,7 +77,7 @@ class TestBracketRecursion:
                                     (integer_laplacian_bracket(1.5, 1, n), 0.7, 1.0),
                                     (BracketCombo(((2.0, 3.4), (-0.5, 1.0))), 5.0, 3.0)]:
                 sphere = _sphere_sum(combo, n, scale)
-                t2, t4 = _sphere_taylor(combo, x, n, scale)
+                t2, t4 = _sphere_taylor(combo, n, scale)(x)
                 f_x = combo.value(x, scale) * sphere_surface(n)
 
                 def remainder(rho):
@@ -214,7 +214,7 @@ def linear_middle_reference(combo, s, x, n, scale=1.0, rel_tol=1e-10):
     x = abs(float(x))
     omega = sphere_surface(n)
     fx = combo.value(x, scale)
-    taylor2, taylor4 = _sphere_taylor(combo, x, n, scale)
+    taylor2, taylor4 = _sphere_taylor(combo, n, scale)(x)
     sphere = _sphere_sum(combo, n, scale)
     h_sw = 1e-3 * scale * (1.0 + x / scale)
 
