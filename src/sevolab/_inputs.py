@@ -1,10 +1,13 @@
 """The library's one rule for scalar inputs: a value passes only if it is a
 ``numbers.Real`` and not a bool, lies in its stated range, and is a
 ``numbers.Integral`` where it counts something.  Nothing is coerced: True is
-not 1, '1' is not a number, and NaN lies in no range."""
+not 1, '1' is not a number, and NaN lies in no range.  An argument that may
+be an array passes :func:`require_reals` by its dtype instead."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 def require(value, name: str, lo=-math.inf, hi=math.inf, closed: str = "", integral: bool = False):
@@ -32,3 +35,14 @@ def require(value, name: str, lo=-math.inf, hi=math.inf, closed: str = "", integ
         must = f"be {kind}{bound}"
     got = repr(value) if typed else f"{value!r}, a {type(value).__name__}"
     raise ValueError(f"{name} must {must}, got {got}")
+
+
+def require_reals(values, name: str):
+    """values if numpy reads them (a number, a sequence or an array) as
+    integers or floats, else ValueError "<name> must ..., got <values>"; so no
+    bool, string, complex or object passes, whatever its shape."""
+    kind = np.asarray(values).dtype.kind
+    if kind in "iuf":
+        return values
+    raise ValueError(f"{name} must hold integers or floats only, got {values!r} "
+                     f"(dtype kind {kind!r})")

@@ -63,6 +63,7 @@ def quadpack(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
     suppressed.  ``weight`` "cos"/"sin" integrates fn(x)*cos/sin(wvar*x) on
     QAWO, whose modified Chebyshev moments take the oscillation exactly."""
     require(rel_tol, "rel_tol", 0.0)
+    require(limit, "limit", 1, closed="[", integral=True)
     integrate = _integrate()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -151,8 +152,9 @@ def gauss_kronrod_estimates(fn, a, b, *, points=None, rel_tol=1e-10,
     tols, limits = _per_integral(rel_tol, k), _per_integral(limit, k)
     if not len(b) == len(points) == len(tols) == len(limits) == k:
         raise ValueError("a batch needs one b, points, rel_tol and limit per integral")
-    for tol in tols:
+    for tol, count in zip(tols, limits):
         require(tol, "rel_tol", 0.0)
+        require(count, "limit", 1, closed="[", integral=True)
     edges = [[lo, *_breakpoints(pts, lo, hi), hi] for lo, hi, pts in zip(a, b, points)]
     #: the intervals to integrate this round, and the integrals they belong to
     #: with their counts

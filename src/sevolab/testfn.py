@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from ._inputs import require
+from ._inputs import require, require_reals
 from .exponents import SystemParams
 from .profiles import GaussianProfile, sphere_surface
 from .quadutil import (QuadratureFailure, _accepted, adaptive_quad, gauss_kronrod,
@@ -210,7 +210,7 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x, n: int,
     """
     require(n, "n", 1, 3, "[]", integral=True)
     require(s, "s", 0.0, 1.0)
-    xs = np.abs(np.asarray(x, dtype=float))
+    xs = np.abs(np.asarray(require_reals(x, "x"), dtype=float))
     flat = xs.ravel().tolist()
     if not all(z < math.inf for z in flat):
         raise ValueError("x must be finite")
@@ -346,6 +346,7 @@ def fractional_laplacian_gamma(spec: TestFunctionSpec, x, n: int,
     computed at x/R on the unit-scale combo and multiplied by R**(-2s);
     comparing both routes exercises the scaling identity nontrivially.
     """
+    require_reals(x, "x")
     m = spec.int_part
     s = spec.s
     combo = integer_laplacian_bracket(spec.r, m, n)
@@ -376,7 +377,7 @@ def eta(x, lam: float):
     give a float, arrays an array.
     """
     require(lam, "lam", 1.0, closed="[")
-    chi = _chi(np.clip(np.asarray(x, dtype=float) - 0.5, 0.0, 0.5))
+    chi = _chi(np.clip(np.asarray(require_reals(x, "x"), dtype=float) - 0.5, 0.0, 0.5))
     out = np.maximum(chi, 0.0) ** lam  # chi rounds to about -1e-16 just below 1
     return out if out.shape else float(out)
 

@@ -48,7 +48,8 @@ TAIL_TOL = 1e-10
 #: spectral-tail monitor: top-octave energy fraction triggering a warning
 TAIL_ENERGY_WARN = 1e-6
 #: corner points per field from which a coupled step runs stage 0 on a helper thread:
-#: with its 85 us handoff a step took 215 -> 223 us at 64^2, 400 -> 306 at 8192 (2 vCPUs)
+#: with its 85 us handoff a step took 215 -> 223 us at 64^2, 400 -> 306 at 8192 (2 vCPUs);
+#: below it the step tables take the state's shape (see _StepKernel)
 _SPLIT_POINTS = 2**13
 _VDOT_CHUNK = 8192  # below the 10 000 elements from which OpenBLAS's dot uses threads
 
@@ -280,6 +281,17 @@ def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralSta
     return SpectralState(y, 0.0, grid, params.sigma1, params.sigma2)
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array of ``shape`` whose data starts on a 64-byte
+    boundary, a cache line.  numpy aligns to 16 bytes; with the kernel's work
+    arrays, the ``out`` of most of a step's products, left to that, a 2048-point
+    step took 51-52 us in some processes and 54-57 us in others (2 vCPUs)."""
+    size = math.prod(shape)
+    buf = np.empty(size + 7)
+    start = (-buf.ctypes.data % 64) // buf.itemsize
+    return buf[start:start + size].reshape(shape)
+
+
 class _StepKernel:
     """Per-(grid, sigma) propagator and Duhamel weights for the last
     MAX_ENTRIES step sizes, the least recently used evicted first, and the
@@ -288,11 +300,19 @@ class _StepKernel:
     ``get(dt)`` is ``(K, W)``, per mode the 2x2 propagator
     ``K = [[k0, k1], [dk0, dk1]]`` and Duhamel weights
     ``W = [[A - B, B], [Ad - Bd, Bd]]`` that act on the state's first axis,
-    each of shape ``(2, 2, c, *corner_shape)``: c = 1 when sigma1 == sigma2,
-    broadcasting over both components, else 2 with the u row first.  A mode's
-    tables depend on it only through mu = |xi|**(2 sigma): they are built on the
-    distinct ``symbols`` and gathered by ``index``, of shape ``(c, *corner_shape)``,
-    bit for bit the per-mode build while both table functions act elementwise in mu.
+    each of shape ``(2, 2, c, *corner_shape)``, the u row first.  Below
+    _SPLIT_POINTS corner points, where a step runs stacked on one thread, c = 2
+    and the energy ``weight`` has the state's shape: numpy then runs each
+    product of a step over the components and modes in fewer, longer inner
+    loops than it runs a table broadcast over the components (2048 points, with
+    :func:`_coupling`'s forward-strided result and aligned work arrays: 60 -> 51
+    us a step on 2 vCPUs).  From _SPLIT_POINTS on, c = 1 when sigma1 == sigma2,
+    broadcasting over both components, else 2, and ``weight`` is the corner's:
+    this keeps the memory of large grids, and a 256^2 step measured faster with
+    it.  A mode's tables depend on it only through mu = |xi|**(2 sigma): they
+    are built on the distinct ``symbols`` and gathered by ``index``, of shape
+    ``(c, *corner_shape)``, bit for bit the per-mode build while both table
+    functions act elementwise in mu.
     Record intervals are visited in order, so the main dt stays resident and
     only the final, shorter step of each interval is rebuilt.  ``builds`` counts
     the step sizes built.  An entry is evicted after its successor is built, so
@@ -310,13 +330,16 @@ class _StepKernel:
         xi, self.weight, _ = grid.spectral_weights
         mu = np.stack([xi ** (2.0 * s) for s in sigmas])
         self.symbols, self.index = np.unique(mu, return_inverse=True)
+        if xi.size < _SPLIT_POINTS:  # stacked: tables and weight at the state's shape
+            self.index = np.broadcast_to(self.index, (2, *grid.corner_shape))
+            self.weight = np.broadcast_to(self.weight, (2, 2, *grid.corner_shape)).copy()
         #: (K, W) of step dt; built over the symbols, not self, so that a
         #: kernel holds no reference cycle and is freed when its run ends
         self.get = functools.lru_cache(maxsize=self.MAX_ENTRIES)(
             functools.partial(self._build, self.symbols, self.index))
         #: a temporary of the state's shape; each step overwrites it, and its
         #: first half is the work space of |.|**e while the couplings are evaluated
-        self.tmp = np.empty((2, 2, *grid.corner_shape))
+        self.tmp = _aligned_empty((2, 2, *grid.corner_shape))
 
     @property
     def builds(self) -> int:
@@ -327,7 +350,7 @@ class _StepKernel:
         """The coupling buffer of a coupled step, shape ``(2, 2, *corner_shape)``
         (stage, component), transformed in place, allocated on the first one;
         each step overwrites it.  Linear steps never touch it."""
-        return np.empty_like(self.tmp)
+        return _aligned_empty(self.tmp.shape)
 
     @functools.cached_property
     def helper(self) -> Optional[ThreadPoolExecutor]:
@@ -410,20 +433,22 @@ def _coupling(stages: np.ndarray, sources: Sequence, times: Sequence, grid: Grid
     """The coefficients of [|v|**p, |u|**q] (plus forcing) at k stages, shape
     (k, 2, *corner_shape): stage i from the (u, v) coefficients ``sources[i]`` at
     ``times[i]``, scaled by ``grid.inverse_scale`` into ``stages`` and transformed
-    there in place; ``tmp``, k fields, is the work space of |.|**e."""
+    there in place; ``tmp``, k fields, is the work space of |.|**e.  The fill
+    takes each source's components in reverse, (v, u), so that the result has
+    the order of the equations it drives and the Duhamel update multiplies
+    forward-strided coefficients; the transforms act per field, to the same bits."""
     for stage, source in zip(stages, sources):
-        np.multiply(source, grid.inverse_scale, out=stage)
-    # (stage, component); bit for bit grid.to_physical of the unscaled stages
+        np.multiply(source[::-1], grid.inverse_scale, out=stage)
+    # (stage, [v, u]); bit for bit grid.to_physical of the unscaled, reversed sources
     phys = _cosine_transform(scipy.fftpack.idct, stages, grid.n_dim, True)
     np.abs(phys, out=phys)
-    _power(phys[:, 0], q, tmp)
-    _power(phys[:, 1], p, tmp)
-    for f, row in zip(forcing or (), (1, 0)):  # fu joins |v|**p, fv |u|**q
+    _power(phys[:, 1], q, tmp)
+    _power(phys[:, 0], p, tmp)
+    for f, row in zip(forcing or (), (0, 1)):  # fu joins |v|**p, fv |u|**q
         if f is not None:
             for stage, t in zip(phys, times):
                 stage[row] += f(t)
-    # each stage's coupling [|v|**p, |u|**q] is its component axis reversed
-    return grid.to_spectral(phys, overwrite=True)[:, ::-1]
+    return grid.to_spectral(phys, overwrite=True)
 
 
 #: _coupling on the helper thread, which enters its own np.errstate: it is per thread
@@ -443,8 +468,13 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     to the same bits.  ``forcing`` = (fu, fv), either may be None: each maps t
     to corner samples (values at ``grid.radius()``) added to the source of the
     u or v equation; with a helper, both are called at t0 on its thread.
+    dt must be a finite real > 0, and p and q finite reals > 1, as
+    :class:`SystemParams` takes them.  The products take the kernel's tables
+    in their layout, at the state's shape on a small grid (:class:`_StepKernel`).
     """
     require(dt, "dt", 0.0)
+    require(p, "p", 1.0)
+    require(q, "q", 1.0)
     grid = state.grid
     kernel = kernel or _StepKernel(grid, state.sigma1, state.sigma2)
     K, W = kernel.get(dt)

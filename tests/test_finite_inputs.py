@@ -197,6 +197,8 @@ PARAMETERS = {
     "roots.xi_mag": lambda v: roots(v, 1.0),
     "linear_step.dt": lambda v: linear_step(state(), v),
     "duhamel_step.dt": lambda v: duhamel_step(state(), v, 3.0, 4.0),
+    "duhamel_step.p": lambda v: duhamel_step(state(), 0.1, v, 4.0),
+    "duhamel_step.q": lambda v: duhamel_step(state(), 0.1, 3.0, v),
     "run.t_max": lambda v: run(GRID, DATA, PARAMS, v, []),
     "detect_blowup.threshold": lambda v: detect_blowup(state(), v),
     "adaptive_quad.rel_tol": lambda v: adaptive_quad(math.cos, 0.0, 1.0, rel_tol=v),
@@ -220,8 +222,23 @@ TIMES = {
     "run.observer.times": lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], observers=[observer([v])]),
     "NormSeries.t": lambda v: NormSeries([(0.5, 1.0), (v, 1.0)]),
 }
+#: interval counts, integers >= 1
+COUNTS = {
+    "adaptive_quad.limit": lambda v: adaptive_quad(math.cos, 0.0, 1.0, limit=v),
+    "gauss_kronrod.limit": lambda v: gauss_kronrod(np.cos, 0.0, 50.0, limit=v),
+    "gauss_kronrod_estimates.limit": lambda v: gauss_kronrod_estimates(
+        lambda x, _: np.cos(x), [0.0, 0.0], [1.0, 2.0], limit=v),
+}
+#: points, which may be arrays: their dtype must be of integers or floats
+POINTS = {
+    "fractional_laplacian_bracket.x": lambda v: fractional_laplacian_bracket(COMBO, 0.5, v, 1),
+    "fractional_laplacian_gamma.x":
+        lambda v: fractional_laplacian_gamma(TestFunctionSpec(gamma=1.5, r=2.0, R=4.0), v, 2),
+    "eta.x": lambda v: eta(v, 2.0),
+}
 # a bool is not 1, a string not a number, a complex number not a real one
-for table, values in ((PARAMETERS, (True, "1", 1j, NAN)), (TIMES, (True, "1"))):
+for table, values in ((PARAMETERS, (True, "1", 1j, NAN)), (TIMES, (True, "1")),
+                      (COUNTS, (True, 0, 2.5)), (POINTS, ("1", True, [True], 1j))):
     for param, call in table.items():
         for value in values:
             CASES.setdefault(f"{param}={value!r}", lambda call=call, value=value: call(value))

@@ -857,14 +857,20 @@ class TestStepKernel:
         weights = duhamel_weights(dt, mu, tables).reshape(2, 2, *mu.shape)
         weights[:, 0] -= weights[:, 1]
         K, W = _StepKernel(grid, *sigmas).get(dt)
-        assert np.array_equal(K, tables.reshape(2, 2, *mu.shape))
-        assert np.array_equal(W, weights)
+        # a 16^n corner steps stacked, its tables at the state's component axis
+        assert K.shape == W.shape == (2, 2, 2, *grid.corner_shape)
+        assert np.array_equal(K, np.broadcast_to(tables.reshape(2, 2, *mu.shape), K.shape))
+        assert np.array_equal(W, np.broadcast_to(weights, W.shape))
 
-    @pytest.mark.parametrize("grid, distinct", [
-        (GridSpec(2, 256, 64.0), 6492),  # of 16384 modes
-        (GridSpec(1, 2048, 200.0), 1024),  # a 1D corner repeats no |xi|
+    # below _SPLIT_POINTS corner points a step runs stacked, and its tables and
+    # energy weight stand at the state's shape; from it they broadcast, the
+    # tables over the components and the norm weight over both leading axes
+    @pytest.mark.parametrize("grid, distinct, components, weight_shape", [
+        (GridSpec(2, 256, 64.0), 6492, 1, (128, 128)),  # of 16384 modes
+        (GridSpec(1, 2048, 200.0), 1024, 2, (2, 2, 1024)),  # a 1D corner repeats no |xi|
     ], ids=["256^2", "1D-2048"])
-    def test_builds_see_each_symbol_once(self, monkeypatch, grid, distinct):
+    def test_builds_see_each_symbol_once(self, monkeypatch, grid, distinct, components,
+                                         weight_shape):
         sizes = []
 
         def counted(t, mu):
@@ -874,7 +880,10 @@ class TestStepKernel:
         kernel = _StepKernel(grid, 1.0, 1.0)
         K, _ = kernel.get(0.05)
         assert sizes == [distinct]
-        assert K.shape == (2, 2, 1, *grid.corner_shape)
+        assert K.shape == (2, 2, components, *grid.corner_shape)
+        assert kernel.weight.shape == weight_shape
+        norm = grid.spectral_weights[1]
+        assert np.array_equal(kernel.weight, np.broadcast_to(norm, weight_shape))
 
     def test_coupled_steps_reuse_their_buffers(self, monkeypatch):
         grid = GridSpec(1, 64, 20.0)
@@ -890,6 +899,8 @@ class TestStepKernel:
         state = duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
         buffer = kernel.stages
         assert buffer.shape == (2, 2, 32)
+        # the work arrays start on a cache line, where a step's products run fastest
+        assert buffer.ctypes.data % 64 == kernel.tmp.ctypes.data % 64 == 0
         duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
         assert kernel.stages is buffer
         # each step transforms the one buffer in place, and nothing else;
