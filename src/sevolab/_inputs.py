@@ -2,7 +2,7 @@
 ``numbers.Real`` and not a bool, lies in its stated range, and is a
 ``numbers.Integral`` where it counts something.  Nothing is coerced: True is
 not 1, '1' is not a number, and NaN lies in no range.  An argument that may
-be an array passes :func:`require_reals` by its dtype instead."""
+be an array passes :func:`require_reals` by its dtype and finiteness instead."""
 
 import math
 import numbers
@@ -39,10 +39,14 @@ def require(value, name: str, lo=-math.inf, hi=math.inf, closed: str = "", integ
 
 def require_reals(values, name: str):
     """values if numpy reads them (a number, a sequence or an array) as
-    integers or floats, else ValueError "<name> must ..., got <values>"; so no
-    bool, string, complex or object passes, whatever its shape."""
-    kind = np.asarray(values).dtype.kind
-    if kind in "iuf":
+    integers or finite floats, else ValueError "<name> must ..., got
+    <values>"; so no bool, string, complex, object, NaN or infinity passes,
+    whatever its shape."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind in "iu" or (kind == "f" and np.isfinite(array).all()):
         return values
+    if kind == "f":
+        raise ValueError(f"{name} must be finite, got {values!r}")
     raise ValueError(f"{name} must hold integers or floats only, got {values!r} "
                      f"(dtype kind {kind!r})")

@@ -9,15 +9,11 @@ boundary cases such as p == 1 + 2*sigma2/n are classified deterministically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Union
 
 from ._inputs import require
-
-Number = Union[int, float, Fraction]
 
 #: relative tolerance used to decide equality in boundary comparisons
 REL_TOL = Fraction(1, 10**12)
@@ -29,14 +25,6 @@ class WrongRegimeError(ValueError):
 
 class SigmaMismatchError(ValueError):
     """An operation requiring sigma1 == sigma2 was called with distinct orders."""
-
-
-class InvalidRangeError(ValueError):
-    """Interpolation exponent fell outside its admissible range."""
-
-
-class NoSolutionError(ValueError):
-    """No finite critical exponent exists for the requested parameters."""
 
 
 def _cmp(a: Fraction, b: Fraction) -> int:
@@ -100,10 +88,6 @@ class RegimeVerdict:
     regime: Regime
     report: tuple[ConditionReport, ...] = field(default_factory=tuple)
 
-    @property
-    def failing(self) -> tuple[ConditionReport, ...]:
-        return tuple(r for r in self.report if not r.holds)
-
 
 @dataclass(frozen=True)
 class TheoreticalRates:
@@ -165,20 +149,12 @@ def _family(tag: str, n: Fraction, sa: Fraction, sb: Fraction, a: Fraction,
 
 
 def _families(params: SystemParams) -> tuple[list[ConditionReport], list[ConditionReport]]:
-    """The records of the Theorem 1.1 family and of the Theorem 1.2 family."""
+    """The records of the Theorem 1.1 family and of the Theorem 1.2 family,
+    one per elementary inequality: a compound condition is split into
+    suffixed sub-records (``.p_lower``, ``.order`` and so on)."""
     n, s1, s2, p, q = map(Fraction, (params.n, params.sigma1, params.sigma2, params.p, params.q))
     return (_family("11", n, s1, s2, p, q, ("p", "q")),
             _family("12", n, s2, s1, q, p, ("q", "p")))
-
-
-def check_conditions(params: SystemParams) -> list[ConditionReport]:
-    """Evaluate every admissibility inequality of both theorem families.
-
-    Returns one record per elementary inequality; compound conditions are
-    split into suffixed sub-records (``.p_lower``, ``.order`` and so on).
-    """
-    fam11, fam12 = _families(params)
-    return fam11 + fam12
 
 
 def blowup_condition(params: SystemParams) -> ConditionReport:
@@ -218,26 +194,6 @@ def classify_regime(params: SystemParams) -> RegimeVerdict:
     return RegimeVerdict(regime, tuple(report))
 
 
-def critical_q(n: int, sigma: Number, p: Number) -> float:
-    """Solve (1 + q)/(pq - 1) = n/(2*sigma) for q, assuming q >= p.
-
-    Returns +inf when the solution exists but lies below p (every q >= p is
-    then on the existence side of the curve).  Raises NoSolutionError when
-    n*p <= 2*sigma, where the equation has no finite solution at all.
-    """
-    nf = Fraction(require(n, "n", 1, closed="[", integral=True))
-    sf, pf = Fraction(require(sigma, "sigma", 0.0)), Fraction(require(p, "p", 1.0))
-    denom = nf * pf - 2 * sf
-    if _cmp(denom, Fraction(0)) <= 0:
-        raise NoSolutionError(
-            f"no finite critical q for n={n}, sigma={sigma}, p={p}: "
-            f"n*p - 2*sigma = {float(denom)} <= 0")
-    q_star = (nf + 2 * sf) / denom
-    if _cmp(q_star, pf) < 0:
-        return math.inf
-    return float(q_star)
-
-
 def loss_of_decay(params: SystemParams, side: str) -> float:
     """Loss-of-decay exponent: eps(p, sigma2) on the u side, eps(q, sigma1) on v.
 
@@ -274,28 +230,6 @@ def theoretical_rates(params: SystemParams) -> TheoreticalRates:
     else:
         raise WrongRegimeError(f"no theoretical rates in regime {verdict.regime.value}")
     return TheoreticalRates(f1, f1 - 0.5, f1 - 1.0, g1, g1 - 0.5, g1 - 1.0)
-
-
-def gn_theta(p: Number, p0: Number, p1: Number, s: Number, sigma: Number, n: int) -> float:
-    """Interpolation exponent of the fractional Gagliardo-Nirenberg inequality.
-
-    theta = (1/p0 - 1/p + s/n) / (1/p0 - 1/p1 + sigma/n), admissible when
-    s/sigma <= theta <= 1.  Raises InvalidRangeError outside that range.
-    """
-    for value, name in ((p, "p"), (p0, "p0"), (p1, "p1")):
-        require(value, name, 1.0)
-    sf = Fraction(require(s, "s", 0.0, closed="["))
-    sigf = Fraction(require(sigma, "sigma", 0.0))
-    if not sf <= sigf:
-        raise ValueError("need s <= sigma")
-    nf = Fraction(require(n, "n", 1, closed="[", integral=True))
-    theta = (1 / Fraction(p0) - 1 / Fraction(p) + sf / nf) / \
-            (1 / Fraction(p0) - 1 / Fraction(p1) + sigf / nf)
-    lo = sf / sigf
-    if _cmp(theta, lo) < 0 or _cmp(theta, Fraction(1)) > 0:
-        raise InvalidRangeError(
-            f"theta={float(theta)} outside [{float(lo)}, 1]")
-    return float(theta)
 
 
 def gamma_exponents(params: SystemParams) -> tuple[float, float]:

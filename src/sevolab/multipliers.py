@@ -46,12 +46,6 @@ _STOP_GATE = np.spacing(1.0) / 4.0
 
 
 @dataclass(frozen=True)
-class CharacteristicRoots:
-    lambda1: complex
-    lambda2: complex
-
-
-@dataclass(frozen=True)
 class PropagatorValue:
     """Multiplier values at one (t, |xi|): k0, k1 and their time derivatives."""
 
@@ -65,18 +59,6 @@ def _symbol(xi_mag: float, sigma: float) -> float:
     """mu = |xi|**(2*sigma) for a finite |xi| >= 0 and a finite sigma > 0."""
     xi_mag = float(require(xi_mag, "xi_mag", 0.0, closed="["))
     return xi_mag ** (2.0 * require(sigma, "sigma", 0.0))
-
-
-def roots(xi_mag: float, sigma: float) -> CharacteristicRoots:
-    """Characteristic roots lam_{1,2} = (-1 +- sqrt(1 - 4*|xi|**(2*sigma)))/2."""
-    mu = _symbol(xi_mag, sigma)
-    d = 1.0 - 4.0 * mu
-    if d >= 0.0:
-        sq = math.sqrt(d)
-        lam1 = -2.0 * mu / (1.0 + sq)
-        return CharacteristicRoots(complex(lam1), complex(-1.0 - lam1))
-    om = math.sqrt(-d) / 2.0
-    return CharacteristicRoots(complex(-0.5, om), complex(-0.5, -om))
 
 
 def propagator_arrays(t: float, mu: np.ndarray) -> np.ndarray:

@@ -6,13 +6,13 @@ integrands that are quadratures themselves; ``quadpack`` gives its value
 and error estimate unjudged, and QAWO for a cos or sin weight, to a caller
 that sums pieces (the oracle's oscillatory split).
 ``gauss_kronrod_estimates`` runs QUADPACK's 21-point rule on a batch of
-integrals, each with its own interval, breakpoints, limit and tolerance,
-and evaluates one round of bisections of every unfinished integral in one
-call of an array integrand; it serves arithmetic on arrays (``testfn``'s
-sphere sums and Bessel-K transforms), whose cost per call is numpy
-dispatch, not nodes.  That is also why it takes batches: the ten points of
-an envelope bound took 3.5 ms as twenty integrals one at a time and 1.9 ms
-as two batches of ten.  ``gauss_kronrod`` is the batch of one, at the cost
+integrals, each with its own interval and breakpoints under one limit and
+one tolerance, and evaluates one round of bisections of every unfinished
+integral in one call of an array integrand; it serves arithmetic on
+arrays (``testfn``'s sphere sums and Bessel-K transforms), whose cost per
+call is numpy dispatch, not nodes.  That is also why it takes batches: the
+ten points of an envelope bound took 3.5 ms as twenty integrals one at a
+time and 1.9 ms as two batches of ten.  ``gauss_kronrod`` is the batch of one, at the cost
 of the one-integral loop it replaced (within 3 % over the bench catalogue).
 All accept by one rule.
 QUADPACK's module, scipy.integrate, is imported on the first ``quadpack``
@@ -125,20 +125,15 @@ def _panels(fn, lo: np.ndarray, hi: np.ndarray, index: np.ndarray) -> np.ndarray
     return np.array([lo, hi, resk * half, err, floor])
 
 
-def _per_integral(value, k: int):
-    """value as k per-integral values: a scalar repeated, or the sequence itself."""
-    return value if isinstance(value, (list, tuple, np.ndarray)) else (value,) * k
-
-
-def gauss_kronrod_estimates(fn, a, b, *, points=None, rel_tol=1e-10,
-                            limit=200) -> tuple[np.ndarray, np.ndarray]:
+def gauss_kronrod_estimates(fn, a, b, *, points=None, rel_tol: float = 1e-10,
+                            limit: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """The value and error estimate of each of a batch of integrals, unjudged.
 
     Integral i runs over [a[i], b[i]] with the breakpoints points[i] (None
     or a sequence, clipped as adaptive_quad clips them); ``points`` None
-    gives none to any.  rel_tol and limit are one value for all or one per
-    integral.  fn maps a 1-D array of nodes and the same-shaped array of
-    their integral indices to the integrand values.  Each round, for each
+    gives none to any.  One rel_tol and one limit hold for the whole batch.
+    fn maps a 1-D array of nodes and the same-shaped array of their
+    integral indices to the integrand values.  Each round, for each
     unfinished integral, picks the intervals of largest error that together
     cover the excess of its summed error over rel_tol*|sum|, and bisects
     them all in one call of fn; an integral is finished when there is no
@@ -149,12 +144,10 @@ def gauss_kronrod_estimates(fn, a, b, *, points=None, rel_tol=1e-10,
     """
     k = len(a)
     points = points or (None,) * k
-    tols, limits = _per_integral(rel_tol, k), _per_integral(limit, k)
-    if not len(b) == len(points) == len(tols) == len(limits) == k:
-        raise ValueError("a batch needs one b, points, rel_tol and limit per integral")
-    for tol, count in zip(tols, limits):
-        require(tol, "rel_tol", 0.0)
-        require(count, "limit", 1, closed="[", integral=True)
+    if not len(b) == len(points) == k:
+        raise ValueError("a batch needs one b and one points entry per integral")
+    require(rel_tol, "rel_tol", 0.0)
+    require(limit, "limit", 1, closed="[", integral=True)
     edges = [[lo, *_breakpoints(pts, lo, hi), hi] for lo, hi, pts in zip(a, b, points)]
     #: the intervals to integrate this round, and the integrals they belong to
     #: with their counts
@@ -177,14 +170,14 @@ def gauss_kronrod_estimates(fn, a, b, *, points=None, rel_tol=1e-10,
                 lo, hi, val, err, floor = panels
                 total, total_err = float(val.sum()), float(err.sum())
                 values[i], errors[i] = total, total_err
-                excess = total_err - tols[i] * abs(total)
+                excess = total_err - rel_tol * abs(total)
                 reducible = (err > floor).nonzero()[0]
                 if not (excess > 0.0 and math.isfinite(total) and reducible.size
-                        and lo.size < limits[i]):
+                        and lo.size < limit):
                     continue
                 order = reducible[err[reducible].argsort()[::-1]]
                 count = int(err[order].cumsum().searchsorted(excess)) + 1
-                split = order[:min(count, limits[i] - lo.size)]
+                split = order[:min(count, limit - lo.size)]
                 keep = np.ones(lo.size, dtype=bool)
                 keep[split] = False
                 kept[i] = panels[:, keep]

@@ -212,8 +212,6 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x, n: int,
     require(s, "s", 0.0, 1.0)
     xs = np.abs(np.asarray(require_reals(x, "x"), dtype=float))
     flat = xs.ravel().tolist()
-    if not all(z < math.inf for z in flat):
-        raise ValueError("x must be finite")
     require(scale, "scale", 0.0)
     taylor = _sphere_taylor(combo, n, scale)
     omega_fx, h_sw, lo_cut, big, head, tail = zip(
@@ -391,7 +389,7 @@ def eta_derivs(t: float, lam: float) -> tuple[float, float, float]:
     whose derivative is -960 tau^2 (1/2 - tau)^2 <= 0.
     """
     require(lam, "lam", 1.0, closed="[")
-    if t <= 0.5:
+    if require(t, "t") <= 0.5:
         return 1.0, 0.0, 0.0
     tau = min(t, 1.0) - 0.5
     chi = _chi(tau)
@@ -423,14 +421,17 @@ def eta_ratio_sup(lam: float, kappa: float) -> float:
 
 def fd_neg_laplacian(fn: Callable[[float], float], x: float, n: int,
                      m: int = 1, h: float = 1e-2) -> float:
-    """(-Lap)**m of a radial profile by nested 4th-order centred differences.
+    """(-Lap)**m of a radial profile by nested 4th-order centred differences
+    of step h, in R^n for n = 1, 2, 3; m = 0 gives fn(x).
 
     fn maps a (possibly negative) radial coordinate to the profile value;
     used as the independent oracle for the bracket recursion and for the
     integer-order cutoff.
     """
-    if m == 0:
-        return fn(x)
+    require(n, "n", 1, 3, "[]", integral=True)
+    require(m, "m", 0, closed="[", integral=True)
+    require(h, "h", 0.0)
+    require(x, "x")
 
     def lap_once(g: Callable[[float], float]) -> Callable[[float], float]:
         def out(y: float) -> float:

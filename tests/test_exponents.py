@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -7,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevolab.exponents import (
-    InvalidRangeError,
-    NoSolutionError,
     Regime,
     SigmaMismatchError,
     SystemParams,
     WrongRegimeError,
+    _families,
     blowup_condition,
-    check_conditions,
     classify_regime,
-    critical_q,
     gamma_exponents,
-    gn_theta,
     loss_of_decay,
     theoretical_rates,
 )
@@ -32,7 +27,7 @@ def record(records, identifier):
 
 class TestCheckConditions:
     def test_exponent_conditions_hold_134(self):
-        recs = check_conditions(SystemParams(1, 1, 1, 3, 4))
+        recs = classify_regime(SystemParams(1, 1, 1, 3, 4)).report
         e1 = record(recs, "exponent11A1")
         assert e1.holds
         assert e1.lhs == pytest.approx(5 / 11)
@@ -41,7 +36,7 @@ class TestCheckConditions:
             assert record(recs, ident).holds
 
     def test_exponent11A1_fails_for_2_2(self):
-        recs = check_conditions(SystemParams(1, 1, 1, 2, 2))
+        recs = classify_regime(SystemParams(1, 1, 1, 2, 2)).report
         e1 = record(recs, "exponent11A1")
         assert not e1.holds
         assert e1.lhs == pytest.approx(1.0)
@@ -49,17 +44,17 @@ class TestCheckConditions:
 
     def test_low_dimension_branch_has_no_upper_bounds(self):
         # n <= 2*sigma2: only the lower bounds p, q >= 2 are active
-        recs = check_conditions(SystemParams(2, 1, 1, 5, 7))
+        recs = classify_regime(SystemParams(2, 1, 1, 5, 7)).report
         idents = [r.identifier for r in recs if r.identifier.startswith("GN11")]
         assert idents == ["GN11A1.p_lower", "GN11A1.q_lower"]
         assert all(record(recs, i).holds for i in idents)
 
     def test_finite_upper_bound_branch(self):
         # n=3, sigma2=1, sigma1=2: branch 2*s2 < n <= 2*s1, p <= n/(n-2*s2) = 3
-        recs = check_conditions(SystemParams(3, 2, 1, 2.5, 3))
+        recs = classify_regime(SystemParams(3, 2, 1, 2.5, 3)).report
         up = record(recs, "GN11A2.p_upper")
         assert up.holds and up.rhs == pytest.approx(3.0)
-        recs_fail = check_conditions(SystemParams(3, 2, 1, 3.5, 3))
+        recs_fail = classify_regime(SystemParams(3, 2, 1, 3.5, 3)).report
         assert not record(recs_fail, "GN11A2.p_upper").holds
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -72,7 +67,7 @@ class TestCheckConditions:
             return head.replace("11", "12") + dot + tail
 
         def family(params, tag):
-            return [r for r in check_conditions(params)
+            return [r for r in classify_regime(params).report
                     if tag in r.identifier.partition(".")[0]]
 
         for s1, s2, p, q in itertools.product((1, 1.5, 2, 3), (1, 1.5, 2, 3),
@@ -83,12 +78,12 @@ class TestCheckConditions:
                     == {r.identifier: (r.holds, r.lhs, r.rhs) for r in fam12})
 
     def test_out_of_range_dimension(self):
-        recs = check_conditions(SystemParams(9, 1, 1, 2, 3))
+        recs = classify_regime(SystemParams(9, 1, 1, 2, 3)).report
         assert not record(recs, "GN11.range").holds
 
     def test_boundary_equality_is_deterministic(self):
         # p exactly at 1 + 2*sigma2/n must count as satisfied
-        recs = check_conditions(SystemParams(1, 1, 1, 3.0, 4))
+        recs = classify_regime(SystemParams(1, 1, 1, 3.0, 4)).report
         assert record(recs, "exponent11A2.p").holds
 
 
@@ -118,7 +113,7 @@ class TestClassify:
         # existence statements even below the critical curve.
         verdict = classify_regime(SystemParams(3, 1, 1, 2, 2))
         assert verdict.regime is Regime.UNCLASSIFIED
-        failing = {r.identifier for r in verdict.failing}
+        failing = {r.identifier for r in verdict.report if not r.holds}
         assert "exponent11A2.p" in failing
 
     def test_critical_boundary_counts_as_blowup(self):
@@ -132,28 +127,12 @@ class TestClassify:
         powers = [1.5, 2.0, 3.0, 4.5]
         for s1, s2, p, q in itertools.product(grid, grid, powers, powers):
             params = SystemParams(n, s1, s2, p, q)
-            expected = check_conditions(params)
+            expected = sum(_families(params), [])
             if params.equal_orders():
                 expected.append(blowup_condition(params))
             report = classify_regime(params).report
             assert report == tuple(expected)
             assert (report[-1].identifier == "optimal13.2") == params.equal_orders()
-
-
-class TestCriticalQ:
-    def test_equal_exponent_critical_point(self):
-        assert critical_q(1, 1, 3) == pytest.approx(3.0)
-
-    def test_two_dimensional_case(self):
-        assert critical_q(2, 1, 2) == pytest.approx(2.0)
-
-    def test_no_solution_at_divergence_threshold(self):
-        with pytest.raises(NoSolutionError):
-            critical_q(1, 1, 2)
-
-    def test_marker_when_solution_below_p(self):
-        # q* = (n+2s)/(np-2s) = 1.5 < p = 4: every q >= p is subcritical
-        assert critical_q(1, 1, 4) == math.inf
 
 
 class TestLossOfDecay:
@@ -193,22 +172,6 @@ class TestTheoreticalRates:
         rates = theoretical_rates(SystemParams(1, 1, 1, 4, 3))
         assert rates.f1 == pytest.approx(-0.25)
         assert rates.g1 == pytest.approx(-0.25 + 0.01)
-
-
-class TestGNTheta:
-    def test_formula_example(self):
-        assert gn_theta(4, 2, 2, 0, 1, 2) == pytest.approx(0.5)
-
-    def test_identity_case(self):
-        assert gn_theta(2, 2, 2, 0, 1.7, 3) == pytest.approx(0.0)
-
-    def test_boundary_case(self):
-        assert gn_theta(5, 2, 5, 1.2, 1.2, 2) == pytest.approx(1.0)
-
-    def test_invalid_range(self):
-        # p < p0 with s = 0 gives theta < 0
-        with pytest.raises(InvalidRangeError):
-            gn_theta(1.5, 2, 2, 0, 1, 1)
 
 
 class TestGammaExponents:
@@ -275,13 +238,6 @@ class TestProperties:
         assert rates.f3 == pytest.approx(rates.f1 - 1.0)
         assert rates.g2 == pytest.approx(rates.g1 - 0.5)
         assert rates.g3 == pytest.approx(rates.g1 - 1.0)
-
-    @given(p0=st.floats(1.1, 8), p1=st.floats(1.1, 8),
-           sigma=st.floats(1, 3), n=st.integers(1, 3))
-    @settings(max_examples=200, deadline=None)
-    def test_gn_theta_boundary_identities(self, p0, p1, sigma, n):
-        assert gn_theta(p0, p0, p1, 0.0, sigma, n) == pytest.approx(0.0, abs=1e-12)
-        assert gn_theta(p1, p0, p1, sigma, sigma, n) == pytest.approx(1.0)
 
     @given(p=rational, sigma2=sigma_rational, n=st.integers(1, 4))
     @settings(max_examples=200, deadline=None)

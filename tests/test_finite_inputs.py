@@ -10,14 +10,13 @@ import re
 import numpy as np
 import pytest
 
-from sevolab.exponents import SystemParams, critical_q
+from sevolab.exponents import SystemParams
 from sevolab.fitting import DecayFit, NormSeries, compare_rates
 from sevolab.multipliers import (
     duhamel_weights,
     ode_residual,
     propagator,
     propagator_arrays,
-    roots,
 )
 from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
@@ -28,6 +27,7 @@ from sevolab.testfn import (
     eta,
     eta_derivs,
     eta_ratio_sup,
+    fd_neg_laplacian,
     fractional_laplacian_bracket,
     fractional_laplacian_fourier,
     frac_lap_normalization,
@@ -101,8 +101,6 @@ CASES = {
     "propagator.t=nan": lambda: propagator(NAN, 0.5, 1.0),
     "propagator.t=inf": lambda: propagator(INF, 0.5, 1.0),
     "propagator.xi_mag=nan": lambda: propagator(1.0, NAN, 1.0),
-    "roots.xi_mag=inf": lambda: roots(INF, 1.0),
-    "roots.sigma=nan": lambda: roots(0.5, NAN),
     "propagator.sigma=nan": lambda: propagator(1.0, 0.5, NAN),
     "propagator.sigma=-1": lambda: propagator(1.0, 0.5, -1.0),
     "propagator.sigma=inf": lambda: propagator(1.0, 0.5, INF),
@@ -167,6 +165,13 @@ CASES = {
     "NormSeries.t=inf": lambda: NormSeries([(1.0, 1.0), (INF, 1.0)]),
     "compare_rates.tol=nan": lambda: compare_rates(FIT, -0.5, NAN),
     "compare_rates.tol=inf": lambda: compare_rates(FIT, -0.5, INF),
+    # a dimension in [1, 3], an order that counts from 0 and a positive step
+    "fd_neg_laplacian.n=7": lambda: fd_neg_laplacian(math.cos, 0.5, 7),
+    "fd_neg_laplacian.n=True": lambda: fd_neg_laplacian(math.cos, 0.5, True),
+    "fd_neg_laplacian.m=-1": lambda: fd_neg_laplacian(math.cos, 0.5, 1, m=-1),
+    "fd_neg_laplacian.m=True": lambda: fd_neg_laplacian(math.cos, 0.5, 1, m=True),
+    "fd_neg_laplacian.m=2.5": lambda: fd_neg_laplacian(math.cos, 0.5, 1, m=2.5),
+    "fd_neg_laplacian.h=0": lambda: fd_neg_laplacian(math.cos, 0.5, 1, h=0.0),
 }
 
 #: each scalar parameter of the entry points, as a call with its value left open
@@ -194,7 +199,6 @@ PARAMETERS = {
     "propagator.sigma": lambda v: propagator(1.0, 0.5, v),
     "propagator_arrays.t": lambda v: propagator_arrays(v, MU),
     "duhamel_weights.dt": lambda v: duhamel_weights(v, MU),
-    "roots.xi_mag": lambda v: roots(v, 1.0),
     "linear_step.dt": lambda v: linear_step(state(), v),
     "duhamel_step.dt": lambda v: duhamel_step(state(), v, 3.0, 4.0),
     "duhamel_step.p": lambda v: duhamel_step(state(), 0.1, v, 4.0),
@@ -214,7 +218,9 @@ PARAMETERS = {
     "eta.lam": lambda v: eta(0.7, v),
     "eta_derivs.lam": lambda v: eta_derivs(0.7, v),
     "compare_rates.tol": lambda v: compare_rates(FIT, -0.5, v),
-    "critical_q.sigma": lambda v: critical_q(1, v, 3.0),
+    "eta_derivs.t": lambda v: eta_derivs(v, 2.0),
+    "fd_neg_laplacian.x": lambda v: fd_neg_laplacian(math.cos, v, 1),
+    "fd_neg_laplacian.h": lambda v: fd_neg_laplacian(math.cos, 0.5, 1, h=v),
 }
 #: times, which are reals too: a run's record and observer times and a series' time stamps
 TIMES = {
@@ -229,16 +235,22 @@ COUNTS = {
     "gauss_kronrod_estimates.limit": lambda v: gauss_kronrod_estimates(
         lambda x, _: np.cos(x), [0.0, 0.0], [1.0, 2.0], limit=v),
 }
-#: points, which may be arrays: their dtype must be of integers or floats
+#: points, which may be arrays: their dtype must be of integers or floats, and
+#: each point finite
 POINTS = {
     "fractional_laplacian_bracket.x": lambda v: fractional_laplacian_bracket(COMBO, 0.5, v, 1),
     "fractional_laplacian_gamma.x":
         lambda v: fractional_laplacian_gamma(TestFunctionSpec(gamma=1.5, r=2.0, R=4.0), v, 2),
+    # an integer order takes the bracket recursion alone, with no quadrature
+    "fractional_laplacian_gamma.gamma_2.x":
+        lambda v: fractional_laplacian_gamma(TestFunctionSpec(gamma=2.0, r=2.0, R=4.0), v, 2),
     "eta.x": lambda v: eta(v, 2.0),
 }
-# a bool is not 1, a string not a number, a complex number not a real one
+# a bool is not 1, a string not a number, a complex number not a real one, and
+# no point NaN or infinite
 for table, values in ((PARAMETERS, (True, "1", 1j, NAN)), (TIMES, (True, "1")),
-                      (COUNTS, (True, 0, 2.5)), (POINTS, ("1", True, [True], 1j))):
+                      (COUNTS, (True, 0, 2.5)),
+                      (POINTS, ("1", True, [True], 1j, NAN, INF, [1.0, NAN]))):
     for param, call in table.items():
         for value in values:
             CASES.setdefault(f"{param}={value!r}", lambda call=call, value=value: call(value))

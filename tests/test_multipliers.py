@@ -15,33 +15,7 @@ from sevolab.multipliers import (
     propagation_matrix,
     propagator,
     propagator_arrays,
-    roots,
 )
-
-
-class TestRoots:
-    def test_zero_frequency(self):
-        r = roots(0.0, 1.7)
-        assert r.lambda1 == 0.0
-        assert r.lambda2 == -1.0
-
-    def test_real_branch_perfect_square(self):
-        r = roots(0.3, 1.0)  # discriminant 1 - 0.36 = 0.64
-        assert r.lambda1 == pytest.approx(-0.1)
-        assert r.lambda2 == pytest.approx(-0.9)
-
-    def test_oscillatory_branch(self):
-        r = roots(math.sqrt(0.5), 1.0)  # discriminant -1
-        assert r.lambda1 == pytest.approx(complex(-0.5, 0.5))
-        assert r.lambda2 == pytest.approx(complex(-0.5, -0.5))
-
-    @given(xi=st.floats(0, 5), sigma=st.floats(1, 3))
-    @settings(max_examples=200, deadline=None)
-    def test_root_invariants(self, xi, sigma):
-        r = roots(xi, sigma)
-        assert r.lambda1 + r.lambda2 == pytest.approx(-1.0, abs=1e-12)
-        assert r.lambda1 * r.lambda2 == pytest.approx(xi ** (2 * sigma), rel=1e-10, abs=1e-12)
-        assert r.lambda1.real <= 1e-15 and r.lambda2.real <= 1e-15
 
 
 class TestPropagator:
