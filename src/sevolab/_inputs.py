@@ -37,15 +37,15 @@ def require(value, name: str, lo=-math.inf, hi=math.inf, closed: str = "", integ
     raise ValueError(f"{name} must {must}, got {got}")
 
 
-def require_reals(values, name: str):
-    """values if numpy reads them (a number, a sequence or an array) as
-    integers or finite floats, else ValueError "<name> must ..., got
-    <values>"; so no bool, string, complex, object, NaN or infinity passes,
-    whatever its shape."""
+def require_reals(values, name: str) -> np.ndarray:
+    """values as a float array (0-d for a number) if numpy reads them (a
+    number, a sequence or an array) as integers or finite floats, else
+    ValueError "<name> must ..., got <values>"; so no bool, string, complex,
+    object, NaN or infinity passes, whatever its shape."""
     array = np.asarray(values)
     kind = array.dtype.kind
     if kind in "iu" or (kind == "f" and np.isfinite(array).all()):
-        return values
+        return array.astype(float, copy=False)
     if kind == "f":
         raise ValueError(f"{name} must be finite, got {values!r}")
     raise ValueError(f"{name} must hold integers or floats only, got {values!r} "

@@ -198,33 +198,33 @@ def _fits_box(grid: torus.GridSpec, data: torus.InitialData, width_path) -> None
                           ) from None
 
 
-def load_run_config(obj: dict, path: str = "config") -> dict:
-    cfg = _read(obj, path, RUN_FIELDS)
-    _same_dimension(cfg["params"].n, cfg["grid"], f"{path}.params.n", f"{path}.grid")
+def load_run_config(obj: dict) -> dict:
+    cfg = _read(obj, "config", RUN_FIELDS)
+    _same_dimension(cfg["params"].n, cfg["grid"], "config.params.n", "config.grid")
     cfg["data"] = torus.InitialData(**cfg["data"])
-    _fits_box(cfg["grid"], cfg["data"], lambda name: f"{path}.data.{name}.width")
-    cfg["record"] = _record_times(cfg["record"], cfg["t_max"], f"{path}.record")
+    _fits_box(cfg["grid"], cfg["data"], lambda name: f"config.data.{name}.width")
+    cfg["record"] = _record_times(cfg["record"], cfg["t_max"], "config.record")
     return cfg
 
 
-def load_sweep_config(obj: dict, path: str = "config") -> dict:
+def load_sweep_config(obj: dict) -> dict:
     """p and q values, grid, and one task per cell holding its typed run inputs:
     data u1 = v1 = the cell Gaussian, ``t_max`` clipped to the box validity
     window, and ``record_count`` log-spaced record times from 1 to it."""
-    cfg = _read(obj, path, SWEEP_FIELDS)
+    cfg = _read(obj, "config", SWEEP_FIELDS)
     fixed, cell, grid = cfg["fixed"], cfg["cell"], cfg["cell"]["grid"]
-    _same_dimension(fixed["n"], grid, f"{path}.fixed.n", f"{path}.cell.grid")
+    _same_dimension(fixed["n"], grid, "config.fixed.n", "config.cell.grid")
     g = GaussianProfile(cell["amplitude"], cell["width"])
     data = torus.InitialData(u1=g, v1=g)
-    _fits_box(grid, data, lambda name: f"{path}.cell.width")
+    _fits_box(grid, data, lambda name: "config.cell.width")
     cell_params = [exponents.SystemParams(p=p, q=q, **fixed)
                    for p in cfg["p_range"] for q in cfg["q_range"]]
     # t_valid hangs on the grid and sigma_min only, so all cells share it
     t_max = min(cell["t_max"], torus.t_valid(grid, cell_params[0]))
     if t_max < 1.0:
-        raise ConfigError(f"{path}.cell.t_max: min(t_max, t_valid) = {t_max:g} < 1")
+        raise ConfigError(f"config.cell.t_max: min(t_max, t_valid) = {t_max:g} < 1")
     times = np.geomspace(1.0, t_max, cell["record_count"])  # all 1, and valid, at t_max = 1
-    record = _record_times(times, t_max, f"{path}.cell")
+    record = _record_times(times, t_max, "config.cell")
     tasks = [{"p": params.p, "q": params.q, "params": params, "grid": grid,
               "data": data, "t_max": t_max, "record": record,
               **{k: cell[k] for k in ("dt", "blowup_threshold", "fit_t_min")}}
@@ -491,7 +491,7 @@ SWEEP_COLUMNS = ["p", "q", "predicted", "observed", "blowup_time", "final_ratio"
 def run_sweep(cfg: dict, workers: int | None = None) -> list[dict]:
     """Rows of every task of a ``load_sweep_config`` result, sorted by (p, q)."""
     tasks = cfg["tasks"]
-    workers = workers or min(8, os.cpu_count() or 1)
+    workers = workers or min(8, torus.usable_cpus())
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(sweep_cell, tasks))
@@ -587,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("simulate", "run one coupled-system simulation", cmd_simulate,
              SIMULATE_FLAGS, {}),
             ("sweep", "(p, q) phase-diagram sweep", cmd_sweep, SWEEP_FLAGS,
-             {"workers": "process count (default: min(8, cpu count))"}),
+             {"workers": "process count (default: min(8, usable CPUs))"}),
             ("testfn-check", "test-function identity report", cmd_testfn_check,
              TESTFN_FLAGS, dimension)]:
         command = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)

@@ -23,9 +23,7 @@ from ._inputs import require
 from .fitting import NormSeries
 from .multipliers import _propagator_scalar
 from .profiles import GaussianProfile, sphere_surface
-from .quadutil import QuadratureFailure, _accepted, adaptive_quad, quadpack
-
-__all__ = ["NormKind", "linear_norm", "decay_series", "QuadratureFailure"]
+from .quadutil import _accepted, adaptive_quad, quadpack
 
 
 #: the split of the complex-root range starts at omega = _S1, past the seam;

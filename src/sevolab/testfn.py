@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -41,18 +41,7 @@ from scipy.special import kv
 from ._inputs import require, require_reals
 from .exponents import SystemParams
 from .profiles import GaussianProfile, sphere_surface
-from .quadutil import (QuadratureFailure, _accepted, adaptive_quad, gauss_kronrod,
-                       gauss_kronrod_estimates)
-
-__all__ = [
-    "BracketCombo", "TestFunctionSpec", "FunctionalValues",
-    "integer_laplacian_bracket",
-    "fractional_laplacian_bracket", "fractional_laplacian_fourier",
-    "fractional_laplacian_gamma", "eta", "eta_derivs", "eta_ratio_sup",
-    "Functionals",
-    "envelope_ratio", "plancherel_pairing", "fd_neg_laplacian",
-    "InsufficientSnapshotsError", "QuadratureFailure",
-]
+from .quadutil import _accepted, adaptive_quad, gauss_kronrod, gauss_kronrod_estimates
 
 
 class InsufficientSnapshotsError(ValueError):
@@ -210,7 +199,7 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x, n: int,
     """
     require(n, "n", 1, 3, "[]", integral=True)
     require(s, "s", 0.0, 1.0)
-    xs = np.abs(np.asarray(require_reals(x, "x"), dtype=float))
+    xs = np.abs(require_reals(x, "x"))
     flat = xs.ravel().tolist()
     require(scale, "scale", 0.0)
     taylor = _sphere_taylor(combo, n, scale)
@@ -308,7 +297,6 @@ class TestFunctionSpec:
     gamma: float
     r: float
     R: float
-    theta: Optional[float] = None
 
     def __post_init__(self):
         require(self.gamma, "gamma", 1.0, closed="[")
@@ -329,14 +317,14 @@ class TestFunctionSpec:
         """The construction tied to the equation: r = n + 2*theta, theta = sigma - [sigma]."""
         sigma = params.sigma1
         theta = sigma - math.floor(sigma)
-        return cls(gamma=sigma, r=params.n + 2.0 * theta, R=R, theta=theta)
+        return cls(gamma=sigma, r=params.n + 2.0 * theta, R=R)
 
 
 def fractional_laplacian_gamma(spec: TestFunctionSpec, x, n: int,
                                factored: bool = False,
                                rel_tol: float = 1e-10):
-    """(-Lap)**gamma of <x/R>**(-r) at x, a float, or at each point of an
-    array of them (an array of values, from one batch per quadrature range).
+    """(-Lap)**gamma of <x/R>**(-r) at x: a float at a number, an array of
+    values at a sequence or array of points (one batch per quadrature range).
 
     The integer part is the exact bracket recursion (its R-scaling is forced
     by the chain rule); the fractional remainder is evaluated directly on
@@ -344,7 +332,8 @@ def fractional_laplacian_gamma(spec: TestFunctionSpec, x, n: int,
     computed at x/R on the unit-scale combo and multiplied by R**(-2s);
     comparing both routes exercises the scaling identity nontrivially.
     """
-    require_reals(x, "x")
+    x = require_reals(x, "x")
+    x = x if x.ndim else float(x)
     m = spec.int_part
     s = spec.s
     combo = integer_laplacian_bracket(spec.r, m, n)
@@ -375,7 +364,7 @@ def eta(x, lam: float):
     give a float, arrays an array.
     """
     require(lam, "lam", 1.0, closed="[")
-    chi = _chi(np.clip(np.asarray(require_reals(x, "x"), dtype=float) - 0.5, 0.0, 0.5))
+    chi = _chi(np.clip(require_reals(x, "x") - 0.5, 0.0, 0.5))
     out = np.maximum(chi, 0.0) ** lam  # chi rounds to about -1e-16 just below 1
     return out if out.shape else float(out)
 
@@ -474,20 +463,13 @@ def envelope_ratio(gamma: float, r: float, n: int,
         case = "below"
     else:
         case = "above"
+    xs = require_reals(x_samples, "x_samples")
     # bound-constant reporting; the far tail does not need tight quads
-    vals = np.abs(fractional_laplacian_gamma(spec, np.asarray(x_samples, dtype=float), n,
-                                             rel_tol=1e-6))
-    worst = 0.0
-    for x, val in zip(x_samples, vals.tolist()):
-        bracket = math.sqrt(1.0 + x * x)
-        if case == "below":
-            env = bracket ** (-(r + 2.0 * gamma))
-        elif case == "log":
-            env = bracket ** (-(n + 2.0 * s)) * math.log(math.e + abs(x))
-        else:
-            env = bracket ** (-(n + 2.0 * s))
-        worst = max(worst, val / env)
-    return case, worst
+    vals = np.abs(fractional_laplacian_gamma(spec, xs, n, rel_tol=1e-6))
+    env = np.sqrt(1.0 + xs * xs) ** -(r + 2.0 * gamma if case == "below" else n + 2.0 * s)
+    if case == "log":
+        env *= np.log(math.e + np.abs(xs))
+    return case, float(np.max(vals / env, initial=0.0))
 
 
 def plancherel_pairing(spec: TestFunctionSpec, g: GaussianProfile,
@@ -531,10 +513,6 @@ class FunctionalValues:
     J_R_t: float
 
 
-def _conjugate(exp: float) -> float:
-    return exp / (exp - 1.0)
-
-
 class Functionals:
     """Run observer streaming the blow-up functionals I_R, J_R (and their
     late-window variants) of one or more test-function specs.
@@ -556,7 +534,7 @@ class Functionals:
         self.params = params
         self.specs = tuple(specs)
         self.times = sorted(float(require(t, "times")) for t in times)
-        self._lam = 2.0 * max(_conjugate(params.p), _conjugate(params.q))
+        self._lam = 2.0 * max(params.p / (params.p - 1.0), params.q / (params.q - 1.0))
         radius = grid.radius()
         integer = abs(params.sigma1 - round(params.sigma1)) < 1e-9
         cutoffs = [eta(radius / spec.R, self._lam) if integer

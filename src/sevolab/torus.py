@@ -281,6 +281,11 @@ def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralSta
     return SpectralState(y, 0.0, grid, params.sigma1, params.sigma2)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask's where the OS has one."""
+    return len(getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0))
+
+
 def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float array of ``shape`` whose data starts on a 64-byte
     boundary, a cache line.  numpy aligns to 16 bytes; with the kernel's work
@@ -354,8 +359,7 @@ class _StepKernel:
 
     @functools.cached_property
     def helper(self) -> Optional[ThreadPoolExecutor]:
-        affinity = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
-        split = self.tmp[0, 0].size >= _SPLIT_POINTS and len(affinity(0)) > 1
+        split = self.tmp[0, 0].size >= _SPLIT_POINTS and usable_cpus() > 1
         return ThreadPoolExecutor(1) if split else None
 
     @functools.cached_property
@@ -604,18 +608,21 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     if threshold == "auto":
         threshold = 1e6 * initial_total if initial_total > 0 else 1e6
 
-    series: dict[str, list[tuple[float, float]]] = {k: [] for k in NORM_LABELS}
+    rows: list[tuple[float, dict[str, float]]] = []
     warnings: list[str] = []
     blowup: Optional[dict] = None
-
-    def handle_event(t: float) -> None:
-        """Record and observe at time t; set ``blowup`` when the run should halt."""
-        nonlocal blowup
+    for event in sorted(events):
+        while state.time < event - 1e-9:
+            state = stepper.toward(state, event)
+            if not math.sqrt(state.energy) <= 4.0 * threshold:  # the per-step guard; nan fails
+                break  # sqrt(energy) <= 2x the largest norm, so the blow-up test ends the run
+        else:
+            state.time = event
+        t = state.time
         norms, peak = _checked_norms(state)
         if norms is not None:
             if t in record_set:
-                for k in NORM_LABELS:
-                    series[k].append((t, norms[k]))
+                rows.append((t, norms))
             for observer, times in schedule:
                 if t in times:
                     observer(t, state)
@@ -624,23 +631,14 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
                     f"top-octave energy fraction exceeded {TAIL_ENERGY_WARN:.0e} at t={t:g}")
         if peak > threshold:
             blowup = {"time": t, "norm_at_detection": peak}
-
-    pending = sorted(events, reverse=True)  # the next event last
-    while pending and blowup is None:
-        if state.time < pending[-1] - 1e-9:
-            state = stepper.toward(state, pending[-1])
-            # cheap per-step guard between events; a nan energy fails it too
-            if not math.sqrt(state.energy) <= 4.0 * threshold:
-                handle_event(state.time)
-        else:
-            state.time = pending.pop()
-            handle_event(state.time)
+            break
 
     window = t_valid(grid, params)
     if blowup is not None and blowup["time"] > window:
         warnings.append(f"blow-up at t={blowup['time']:g} is past t_valid={window:g}, "
                         "where the torus no longer stands for the whole space")
-    return RunResult({k: NormSeries(v) for k, v in series.items()}, blowup,
+    series = {k: NormSeries([(t, norms[k]) for t, norms in rows]) for k in NORM_LABELS}
+    return RunResult(series, blowup,
                      {"threshold": threshold, "dt": stepper.dt,
                       "initial_total_norm": initial_total, "steps": stepper.steps,
                       "kernel_builds": stepper.kernel.builds},

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import pickle
 
 import pytest
@@ -296,6 +297,16 @@ class TestSweep:
         assert [r[0] for r in rows] == sorted(r[0] for r in rows)
         assert all(r[3] != "" for r in rows)
 
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        # 1 CPU in the affinity mask of a 64-CPU host: no pool, every cell here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                            lambda **_: pytest.fail("started a process pool"))
+        monkeypatch.setattr(cli, "sweep_cell", lambda task: dict(task, pid=os.getpid()))
+        rows = cli.run_sweep({"tasks": [{"p": 3.0, "q": 2.0}, {"p": 2.0, "q": 2.0}]})
+        assert rows == [{"p": p, "q": 2.0, "pid": os.getpid()} for p in (2.0, 3.0)]
+
     @pytest.mark.parametrize("field", ["p_range", "q_range"])
     def test_empty_range_rejected(self, capsys, tmp_path, field):
         # hi < lo would be a sweep of no cells; lo == hi is one value
@@ -534,7 +545,7 @@ class TestConfigReader:
         ("linear-decay", cli.LINEAR_DECAY_FLAGS,
          ["dimension: 1, 2 or 3", "grid spec, e.g. log:1e2:1e5:40"]),
         ("simulate", cli.SIMULATE_FLAGS, []),
-        ("sweep", cli.SWEEP_FLAGS, ["process count (default: min(8, cpu count))"]),
+        ("sweep", cli.SWEEP_FLAGS, ["process count (default: min(8, usable CPUs))"]),
         ("testfn-check", cli.TESTFN_FLAGS, ["dimension: 1, 2 or 3"]),
     ])
     def test_help_lists_every_flag_of_its_table(self, capsys, monkeypatch, command,

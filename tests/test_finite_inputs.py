@@ -24,6 +24,7 @@ from sevolab.quadutil import adaptive_quad, gauss_kronrod, gauss_kronrod_estimat
 from sevolab.testfn import (
     BracketCombo,
     TestFunctionSpec,
+    envelope_ratio,
     eta,
     eta_derivs,
     eta_ratio_sup,
@@ -245,6 +246,7 @@ POINTS = {
     "fractional_laplacian_gamma.gamma_2.x":
         lambda v: fractional_laplacian_gamma(TestFunctionSpec(gamma=2.0, r=2.0, R=4.0), v, 2),
     "eta.x": lambda v: eta(v, 2.0),
+    "envelope_ratio.x_samples": lambda v: envelope_ratio(1.5, 1.0, 1, v),
 }
 # a bool is not 1, a string not a number, a complex number not a real one, and
 # no point NaN or infinite

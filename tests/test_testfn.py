@@ -310,6 +310,16 @@ class TestArrayPoints:
             assert got.shape == xs.shape
             assert got.ravel() == pytest.approx(want, rel=REL_BATCH)
 
+    @pytest.mark.parametrize("gamma,factored", [(2.0, False), (2.0, True), (1.5, True)])
+    def test_gamma_takes_a_list(self, gamma, factored):
+        # gamma = 2 takes the integer route whether factored or not
+        spec = TestFunctionSpec(gamma=gamma, r=2.0, R=4.0)
+        got = fractional_laplacian_gamma(spec, [0.5, 1, 5.3], 2, factored=factored)
+        want = fractional_laplacian_gamma(spec, np.array([0.5, 1.0, 5.3]), 2, factored=factored)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        one = fractional_laplacian_gamma(spec, 1, 2, factored=factored)
+        assert type(one) is float and one == fractional_laplacian_gamma(spec, 1.0, 2, factored)
+
     def test_first_failing_point_raises(self):
         # x = 1e3 fails in the middle range at gamma = 2.5, r = 1, n = 1
         spec = TestFunctionSpec(gamma=2.5, r=1.0, R=1.0)
@@ -419,7 +429,6 @@ class TestGammaEvaluator:
         params = SystemParams(1, 1.5, 1.5, 2, 2)
         spec = TestFunctionSpec.for_blowup(params, 8.0)
         assert spec.gamma == 1.5
-        assert spec.theta == pytest.approx(0.5)
         assert spec.r == pytest.approx(1 + 2 * 0.5)
 
 

@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.fftpack
 from scipy.integrate import quad
 
@@ -739,6 +741,44 @@ class TestRunInvariants:
         assert 3.0 < res.blowup["time"] < 5.0
         assert [t for t, _, _ in early.fields] == [0.0, 1.0, 2.0, 3.0]
         assert [t for t, _, _ in late.fields] == [2.5]
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(1, 3),
+           scales=st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=4))
+    def test_guard_energy_is_at_most_twice_the_largest_norm(self, seed, n_dim, scales):
+        # run's guard passes while sqrt(energy) <= 4x the threshold, so when it
+        # fails the largest norm is over twice the threshold and the run ends
+        grid = GridSpec(n_dim, 16, 10.0)
+        rng = np.random.default_rng(seed)
+        fields = rng.standard_normal((2, 2, *grid.corner_shape))
+        fields *= (10.0 ** np.array(scales)).reshape(2, 2, *[1] * n_dim)
+        state = linear_step(SpectralState(fields, 0.0, grid, 1.0, 1.5), 0.1)
+        assert math.isfinite(state.energy)
+        largest = max(six_norms(state).values())
+        assert math.sqrt(state.energy) <= 2.0 * largest * (1.0 + 1e-12)
+
+    def test_guard_between_events_ends_the_run_at_its_step(self, monkeypatch):
+        # amplitude 3 blows up near t = 3.4, between the events 3 and 8
+        stepped = []
+
+        def recorded(*args, **kwargs):
+            stepped.append(duhamel_step(*args, **kwargs))
+            return stepped[-1]
+        monkeypatch.setattr("sevolab.torus.duhamel_step", recorded)
+        grid = GridSpec(1, 256, 20.0)
+        params = SystemParams(1, 1.0, 1.0, 2.0, 2.0)
+        g = GaussianProfile(3.0, 1.0)
+        snaps = Snapshots([0.0, 3.0, 8.0])
+        res = run(grid, InitialData(u1=g, v1=g), params, 10.0, [0.0, 1.0, 3.0, 10.0],
+                  dt=0.05, observers=[snaps])
+        limit = 4.0 * res.config_echo["threshold"]
+        passed = [math.sqrt(state.energy) <= limit for state in stepped]
+        assert passed == [True] * (len(stepped) - 1) + [False]
+        assert res.blowup["time"] == stepped[-1].time
+        assert 3.0 < res.blowup["time"] < 8.0
+        assert list(res.series["u_l2"].times()) == [0.0, 1.0, 3.0]
+        assert [t for t, _, _ in snaps.fields] == [0.0, 3.0]
+        assert res.config_echo["steps"] == len(stepped) == 68
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0])
     def test_nonpositive_threshold_rejected(self, threshold):
