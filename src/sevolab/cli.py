@@ -365,12 +365,12 @@ def cmd_linear_decay(args) -> int:
         lines.append(f"{_fmt(t)},{_fmt(v)},{args.kind},{args.sigma:g},{args.n}")
     base = -args.n / (4.0 * args.sigma)
     predicted = {"l2": base, "dsigma": base - 0.5, "dt": base - 1.0}[args.kind]
-    if len(t_grid) >= fitting.MIN_POINTS:
+    try:
         fit = fitting.fit_power_law(series, (min(t_grid), max(t_grid)))
         lines.append(f"# fit: exponent={fit.exponent:.6f} "
                      f"r_squared={fit.r_squared:.8f} predicted={predicted:.6f}")
-    else:
-        lines.append("# warning: too few points for a fit")
+    except fitting.FitError as exc:
+        lines.append(f"# warning: no fit: {exc}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -396,7 +396,7 @@ def _run_fits(result: torus.RunResult, params: exponents.SystemParams,
     for label, series in result.series.items():
         try:
             fit = fitting.fit_power_law(series, window)
-        except (fitting.InsufficientDataError, fitting.NonPositiveValueError) as exc:
+        except fitting.FitError as exc:
             out[label] = {"error": str(exc)}
             continue
         entry = {"exponent": fit.exponent, "r_squared": fit.r_squared,
@@ -469,7 +469,7 @@ def sweep_cell(task: dict) -> dict:
                 fits[label] = fitting.fit_power_law(
                     series, (task["fit_t_min"], t_max)).exponent
                 row[f"slope_{label}"] = _fmt(fits[label])
-            except (fitting.InsufficientDataError, fitting.NonPositiveValueError):
+            except fitting.FitError:
                 fits[label] = math.nan
         if ratio > 10.0:
             row["observed"] = "Grew"

@@ -23,10 +23,6 @@ class WrongRegimeError(ValueError):
     """Theoretical rates requested outside the existence regimes."""
 
 
-class SigmaMismatchError(ValueError):
-    """An operation requiring sigma1 == sigma2 was called with distinct orders."""
-
-
 def _cmp(a: Fraction, b: Fraction) -> int:
     """Compare with a relative tolerance band: -1, 0 (tie) or +1."""
     diff = a - b
@@ -242,7 +238,7 @@ def gamma_exponents(params: SystemParams) -> tuple[float, float]:
     Requires sigma1 == sigma2.
     """
     if not params.equal_orders():
-        raise SigmaMismatchError(
+        raise ValueError(
             f"gamma exponents need sigma1 == sigma2, got {params.sigma1} != {params.sigma2}")
     n, s, p, q = map(Fraction, (params.n, params.sigma1, params.p, params.q))
     p_conj = p / (p - 1)

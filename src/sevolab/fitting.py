@@ -14,12 +14,8 @@ import numpy as np
 from ._inputs import require
 
 
-class InsufficientDataError(ValueError):
-    """Fewer than the required number of points inside the fit window."""
-
-
-class NonPositiveValueError(ValueError):
-    """Log regression attempted on non-positive values."""
+class FitError(ValueError):
+    """No fit on the window: too few points in it, or a value in it not positive."""
 
 
 MIN_POINTS = 8
@@ -62,10 +58,10 @@ def fit_power_law(series: NormSeries, window: tuple[float, float]) -> DecayFit:
     mask = (ts >= t_lo) & (ts <= t_hi)
     ts, vs = ts[mask], vs[mask]
     if ts.size < MIN_POINTS:
-        raise InsufficientDataError(
+        raise FitError(
             f"{ts.size} points in window [{t_lo}, {t_hi}], need >= {MIN_POINTS}")
     if np.any(vs <= 0):
-        raise NonPositiveValueError("all values in the fit window must be positive")
+        raise FitError("all values in the fit window must be positive")
     x = np.log1p(ts)
     y = np.log(vs)
     slope, intercept = np.polyfit(x, y, 1)

@@ -58,33 +58,31 @@ def _integrate():
 
 
 def quadpack(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
-             limit: int = 200, weight=None, wvar=None) -> tuple[float, float]:
-    """QUADPACK's value and error estimate of fn on [a, b], its warnings
-    suppressed.  ``weight`` "cos"/"sin" integrates fn(x)*cos/sin(wvar*x) on
-    QAWO, whose modified Chebyshev moments take the oscillation exactly."""
+             weight=None, wvar=None) -> tuple[float, float]:
+    """QUADPACK's value and error estimate of fn on [a, b] in at most 200
+    intervals, its warnings suppressed.  ``weight`` "cos"/"sin" integrates
+    fn(x)*cos/sin(wvar*x) on QAWO, whose modified Chebyshev moments take the
+    oscillation exactly."""
     require(rel_tol, "rel_tol", 0.0)
-    require(limit, "limit", 1, closed="[", integral=True)
     integrate = _integrate()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         return integrate.quad(fn, a, b, points=_breakpoints(points, a, b) or None,
-                              limit=limit, epsabs=1e-300, epsrel=rel_tol,
+                              limit=200, epsabs=1e-300, epsrel=rel_tol,
                               weight=weight, wvar=wvar)[:2]
 
 
-def adaptive_quad(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
-                  limit: int = 200, err_scale: float = 0.0) -> float:
+def adaptive_quad(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10) -> float:
     """Integrate fn on [a, b]; raise QuadratureFailure if the estimate is untrusted.
 
     ``points`` are interior breakpoints guiding the subdivision (silently
     clipped to the open interval).  QUADPACK's own convergence complaints
     are suppressed; acceptance is decided from the returned error estimate:
-    below rel_tol relative to max(|value|, err_scale), the scale letting
-    callers accept integrals that legitimately cancel to zero.  A value or
-    error estimate that is not finite is never accepted.
+    below rel_tol relative to |value|.  A value or error estimate that is
+    not finite is never accepted.
     """
-    val, err = quadpack(fn, a, b, points=points, rel_tol=rel_tol, limit=limit)
-    return _accepted(val, err, rel_tol, err_scale)
+    val, err = quadpack(fn, a, b, points=points, rel_tol=rel_tol)
+    return _accepted(val, err, rel_tol, 0.0)
 
 
 #: QUADPACK's qk21: Kronrod nodes in [0, 1), their weights, and the 10-point
@@ -200,8 +198,10 @@ def gauss_kronrod(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10
     fn maps a 1-D array of nodes to its values.  The batch of one of
     gauss_kronrod_estimates: each round bisects, in one call of fn, the
     intervals of largest error that together cover the excess of the summed
-    error over rel_tol*|sum|.  Keywords and acceptance are those of
-    adaptive_quad.
+    error over rel_tol*|sum|, in at most ``limit`` intervals.  The estimate
+    is accepted below rel_tol relative to max(|value|, err_scale), the scale
+    letting callers accept integrals that legitimately cancel to zero; a
+    value or error estimate that is not finite never is.
     """
     (val,), (err,) = gauss_kronrod_estimates(lambda x, _: fn(x), (a,), (b,), points=(points,),
                                              rel_tol=rel_tol, limit=limit)

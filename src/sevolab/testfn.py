@@ -44,10 +44,6 @@ from .profiles import GaussianProfile, sphere_surface
 from .quadutil import _accepted, adaptive_quad, gauss_kronrod, gauss_kronrod_estimates
 
 
-class InsufficientSnapshotsError(ValueError):
-    """The observed times cover the functional time window with gaps over 10%."""
-
-
 # --------------------------------------------------------------------------
 # bracket combinations and the integer Laplacian recursion
 # --------------------------------------------------------------------------
@@ -253,8 +249,7 @@ def _combo_transform(combo: BracketCombo, scale: float) -> Callable:
     return fhat
 
 
-def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float,
-                                 scale: float = 1.0) -> float:
+def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float) -> float:
     """Frequency-side evaluation of (-Lap)**s for n = 1.
 
     Uses (-Lap)**s f(x) = (1/pi) * int_0^inf xi**(2s) fhat(xi) cos(x xi) dxi
@@ -263,24 +258,20 @@ def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float,
     """
     require(s, "s", 0.0, 1.0)
     x = float(require(x, "x"))
-    require(scale, "scale", 0.0)
-    fhat = _combo_transform(combo, scale)
+    fhat = _combo_transform(combo, 1.0)
     two_s = 2.0 * s
 
     def integrand(xi):
         return xi**two_s * fhat(xi) * np.cos(x * xi)
 
-    cutoff = 80.0 / scale
-    # K_nu decays like exp(-scale*xi); resolve each cosine oscillation.
-    # The oscillatory integral may cancel to zero, so the error is judged
-    # against the non-oscillatory envelope.
+    # K_nu decays like exp(-xi); resolve each cosine oscillation up to the
+    # cutoff 80.  The oscillatory integral may cancel to zero, so the error
+    # is judged against the non-oscillatory envelope.
     envelope = gauss_kronrod(lambda xi: np.abs(xi**two_s * fhat(xi)),
-                             0.0, cutoff, points=[1.0 / scale], rel_tol=1e-6)
-    n_osc = 1 + int(abs(x) * cutoff / (2.0 * math.pi))
-    val = gauss_kronrod(integrand, 0.0, cutoff,
-                        points=[0.1 / scale, 1.0 / scale],
-                        rel_tol=1e-10, limit=max(200, 30 * n_osc),
-                        err_scale=1e-2 * envelope)
+                             0.0, 80.0, points=[1.0], rel_tol=1e-6)
+    n_osc = 1 + int(abs(x) * 80.0 / (2.0 * math.pi))
+    val = gauss_kronrod(integrand, 0.0, 80.0, points=[0.1, 1.0], rel_tol=1e-10,
+                        limit=max(200, 30 * n_osc), err_scale=1e-2 * envelope)
     return val / math.pi
 
 
@@ -551,9 +542,9 @@ class Functionals:
                            *np.tensordot(self._weights, u**self.params.q, u.ndim)])
 
     def values(self) -> tuple[FunctionalValues, ...]:
-        """The functionals of each spec, in order; InsufficientSnapshotsError
-        when the observed times leave a gap over 10% of a spec's window, as a
-        run that stops before the window's end does."""
+        """The functionals of each spec, in order; ValueError when the
+        observed times leave a gap over 10% of a spec's window, as a run that
+        stops before the window's end does."""
         k = len(self.specs)
         rows = np.array(self._rows).reshape(-1, 1 + 2 * k)
         out = []
@@ -563,7 +554,7 @@ class Functionals:
             t_arr = rows[kept, 0]
             gaps = np.diff(np.concatenate([[0.0], t_arr, [T]]))
             if np.max(gaps) > 0.1 * T + 1e-12:
-                raise InsufficientSnapshotsError(
+                raise ValueError(
                     f"observed-time gap {np.max(gaps):.3g} exceeds 10% of window {T:.3g}")
             eta_vals = eta(t_arr / T, self._lam)
             i_vals, j_vals = i_all[kept] * eta_vals, j_all[kept] * eta_vals

@@ -150,10 +150,9 @@ class GridSpec:
         bits of scaling its result."""
         return (0.5 / self.corner_shape[0]) ** self.n_dim
 
-    def to_physical(self, w_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    def to_physical(self, w_hat: np.ndarray) -> np.ndarray:
         """Corner samples of the field(s) with corner coefficients ``w_hat``
-        over the trailing n_dim axes, so one field or a stack of fields in one
-        call; with ``overwrite`` the result may take w_hat's memory.
+        over the trailing n_dim axes, so one field or a stack of fields in one call.
 
         The pair runs scipy.fft's pocketfft DCTs through ``scipy.fftpack``,
         one 1-d call per axis, which skips scipy.fft's backend dispatch and the
@@ -161,7 +160,7 @@ class GridSpec:
         2048 points took 12.7 us against 15.1 us through ``fftpack.idctn``, of
         a step of about 65-70 us, and on 128^2 and 32^3 grids the same as
         ``idctn`` within 3 %.  The result is scipy.fft.idctn's to the bit."""
-        w = _cosine_transform(scipy.fftpack.idct, w_hat, self.n_dim, overwrite)
+        w = _cosine_transform(scipy.fftpack.idct, w_hat, self.n_dim, False)
         w *= self.inverse_scale
         return w
 

@@ -6,9 +6,10 @@ import pickle
 
 import pytest
 
-from sevolab import cli, torus
+from sevolab import cli, exponents, torus
 from sevolab.oracle import NormKind
 from sevolab.profiles import GaussianProfile
+from sevolab.quadutil import QuadratureFailure
 from test_oracle import brute_force
 
 
@@ -107,7 +108,23 @@ class TestLinearDecay:
         code, out, _ = run_cli(capsys, "linear-decay", "--sigma", "1", "--n", "1",
                                "--kind", "l2", "--t", "log:1e2:1e2:1")
         assert code == 0
-        assert "# warning: too few points" in out
+        assert out.splitlines()[-1] == \
+            "# warning: no fit: 1 points in window [100.0, 100.0], need >= 8"
+
+    @pytest.mark.parametrize("kind,w0,w1", [("l2", "0", "1"), ("dt", "1", "0")])
+    def test_zero_norm_keeps_the_series_without_fit(self, capsys, kind, w0, w1):
+        # at t = 0 the l2 norm is |w0| and the dt norm |w1|: a zero cannot be
+        # fitted in log space, yet every norm was computed
+        code, out, err = run_cli(capsys, "linear-decay", "--sigma", "1", "--n", "1",
+                                 "--kind", kind, "--w0-amplitude", w0,
+                                 "--w1-amplitude", w1, "--t", "lin:0:10:11")
+        assert code == 0, err
+        lines = out.splitlines()
+        rows = [line.split(",") for line in lines[2:-1]]
+        assert [float(t) for t, *_ in rows] == list(range(11))
+        assert float(rows[0][1]) == 0.0 and all(float(v) > 0 for _, v, *_ in rows[1:])
+        assert lines[-1] == \
+            "# warning: no fit: all values in the fit window must be positive"
 
     @pytest.mark.parametrize("spec", ["lin:-1:5:3", "lin:5:1:3"])
     def test_bad_times_fail_before_quadrature(self, capsys, monkeypatch, spec):
@@ -234,6 +251,50 @@ class TestSimulate:
         events = json.loads((out_dir / "events.json").read_text())
         assert events["blowup"] is not None
         assert events["blowup"]["time"] <= 50.0
+
+    # ExistenceThm11 on a box whose t_valid is 24: the default window is
+    # [0.1*24, 24], and every norm has 8 or more record times in it
+    FIT_CONFIG = {
+        "params": {"n": 1, "sigma1": 1, "sigma2": 1, "p": 3, "q": 4},
+        "grid": {"n_dim": 1, "points_per_dim": 256, "half_length": 40.0},
+        "data": {"u0": None, "v0": None,
+                 "u1": {"kind": "gaussian", "amplitude": 0.01, "width": 1.0},
+                 "v1": {"kind": "gaussian", "amplitude": 0.01, "width": 1.0}},
+        "t_max": 30,
+        "record": {"kind": "log", "t_min": 1, "t_max": 30, "count": 16},
+    }
+
+    def simulate(self, capsys, tmp_path, cfg):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config",
+                               self.write_config(tmp_path, cfg), "--out-dir", str(out_dir))
+        assert code == 0, err
+        return out_dir
+
+    def test_events_fits_carry_predicted_rates_and_verdicts(self, capsys, tmp_path):
+        events = json.loads((self.simulate(capsys, tmp_path, self.FIT_CONFIG)
+                             / "events.json").read_text())
+        rates = exponents.theoretical_rates(exponents.SystemParams(1, 1, 1, 3, 4))
+        predicted = dict(zip(torus.NORM_LABELS, (rates.f1, rates.f2, rates.f3,
+                                                 rates.g1, rates.g2, rates.g3)))
+        assert predicted["u_l2"] == pytest.approx(-0.24)
+        assert set(events["fits"]) == set(torus.NORM_LABELS)
+        for label, fit in events["fits"].items():
+            assert set(fit) == {"exponent", "r_squared", "window", "predicted",
+                                "passed_one_sided", "passed_two_sided"}
+            assert fit["predicted"] == predicted[label]
+            assert fit["window"] == pytest.approx([2.4, 24.0], rel=1e-15)
+            assert fit["passed_one_sided"] is (fit["exponent"] <= predicted[label] + 0.1)
+            assert fit["passed_two_sided"] is (abs(fit["exponent"] - predicted[label]) <= 0.1)
+
+    def test_fit_window_and_listed_record_times(self, capsys, tmp_path):
+        listed = [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
+        out_dir = self.simulate(capsys, tmp_path,
+                                dict(self.FIT_CONFIG, fit_window=[2, 20], record=listed))
+        fits = json.loads((out_dir / "events.json").read_text())["fits"]
+        assert all(fit["window"] == [2, 20] and "exponent" in fit for fit in fits.values())
+        rows = (out_dir / "norms.csv").read_text().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == [0, *listed, 30]
 
 
 class TestStepSequence:
@@ -383,6 +444,24 @@ class TestTestfnCheck:
         doc = json.loads(out)
         assert doc["fd_oracle_residual"] <= 1e-6
 
+    # the radial differences (n = 2, 3) and, at gamma = 3, the one difference
+    # on the m = 2 combo; the residuals were 2.4e-7, 2.6e-6, 1.5e-7 and 4.7e-8
+    @pytest.mark.parametrize("gamma,n", [("2", "2"), ("2", "3"), ("3", "3"), ("3", "1")])
+    def test_integer_fd_residual_on_every_route(self, capsys, gamma, n):
+        code, out, _ = run_cli(capsys, "testfn-check", "--gamma", gamma,
+                               "--r", "2", "--R", "3", "--n", n)
+        assert code == 0
+        assert json.loads(out)["fd_oracle_residual"] <= 1e-5
+
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch):
+        def fail(*args):
+            raise QuadratureFailure("quadrature error 1.0e+00 too large for value 1.0e+00")
+        monkeypatch.setattr(cli.testfn, "envelope_ratio", fail)
+        code, stdout, err = run_cli(capsys, "testfn-check", "--gamma", "1.5",
+                                    "--r", "2", "--R", "3", "--n", "1")
+        assert code == 2 and stdout == ""
+        assert err.startswith("numerical failure: ")
+
     def test_invalid_gamma(self, capsys):
         code, _, err = run_cli(capsys, "testfn-check", "--gamma", "0.5",
                                "--r", "2", "--R", "4", "--n", "1")
@@ -390,14 +469,30 @@ class TestTestfnCheck:
         assert "gamma" in err
 
 
+class Missing:
+    """A field value that ``patched`` deletes."""
+
+    def __repr__(self):
+        return "MISSING"
+
+
+MISSING = Missing()
+
+
 def patched(cfg: dict, dotted: str, value) -> dict:
-    """A deep copy of cfg with the field at the dotted path set to value."""
+    """A deep copy of cfg with the field at the dotted path set to value, or
+    deleted if value is MISSING; the empty path puts value in cfg's place."""
+    if not dotted:
+        return value
     out = copy.deepcopy(cfg)
     *parents, key = dotted.split(".")
     node = out
     for name in parents:
         node = node[name]
-    node[key] = value
+    if value is MISSING:
+        del node[key]
+    else:
+        node[key] = value
     return out
 
 
@@ -454,6 +549,14 @@ class TestConfigReader:
         ("linear-decay", "w0-amplitude", "x", "--w0-amplitude"),
         ("simulate", "fit_window", [10, 1], "config.fit_window"),
         ("linear-decay", "w0-amplitude", "0", "--w0-amplitude"),  # and w1 is 0
+        ("simulate", "", [], "config"),  # a config that is not an object
+        ("simulate", "t_max", MISSING, "config"),
+        ("simulate", "fit_window", [1], "config.fit_window"),
+        # GridSpec's own check, reported at the object it builds
+        ("simulate", "grid.points_per_dim", 100, "config.grid"),
+        ("simulate", "record", [1, 6], "config.record"),  # t_max is 5
+        # a cell window min(t_max, t_valid) shorter than the first record time 1
+        ("sweep", "cell.t_max", 0.5, "config.cell.t_max"),
     ]
     # the flags of each flag-driven subcommand that the table patches
     FLAGS = {"classify": {"n": "1", "sigma1": "1", "sigma2": "1", "p": "3", "q": "3"},

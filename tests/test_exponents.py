@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sevolab.exponents import (
     Regime,
-    SigmaMismatchError,
     SystemParams,
     WrongRegimeError,
     _families,
@@ -185,7 +184,7 @@ class TestGammaExponents:
         assert g2 == pytest.approx(expected, abs=1e-14)
 
     def test_sigma_mismatch(self):
-        with pytest.raises(SigmaMismatchError):
+        with pytest.raises(ValueError, match="sigma1 == sigma2"):
             gamma_exponents(SystemParams(1, 1.5, 1, 2, 2))
 
     def test_symmetric_exponents_swap(self):

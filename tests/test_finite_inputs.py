@@ -154,12 +154,6 @@ CASES = {
         lambda: fractional_laplacian_bracket(COMBO, 0.5, 1.0, 1, scale=INF),
     "fractional_laplacian_bracket.scale=0":
         lambda: fractional_laplacian_bracket(COMBO, 0.5, 1.0, 1, scale=0.0),
-    "fractional_laplacian_fourier.scale=nan":
-        lambda: fractional_laplacian_fourier(COMBO, 0.5, 1.0, scale=NAN),
-    "fractional_laplacian_fourier.scale=inf":
-        lambda: fractional_laplacian_fourier(COMBO, 0.5, 1.0, scale=INF),
-    "fractional_laplacian_fourier.scale=-1":
-        lambda: fractional_laplacian_fourier(COMBO, 0.5, 1.0, scale=-1.0),
     "NormSeries.value=nan": lambda: NormSeries([(1.0, 1.0), (2.0, NAN), (3.0, 1.0)]),
     "NormSeries.value=inf": lambda: NormSeries([(1.0, 1.0), (2.0, INF)]),
     "NormSeries.t=nan": lambda: NormSeries([(NAN, 1.0), (2.0, 1.0)]),
@@ -214,8 +208,6 @@ PARAMETERS = {
     "fractional_laplacian_bracket.scale":
         lambda v: fractional_laplacian_bracket(COMBO, 0.5, 1.0, 1, scale=v),
     "fractional_laplacian_fourier.x": lambda v: fractional_laplacian_fourier(COMBO, 0.5, v),
-    "fractional_laplacian_fourier.scale":
-        lambda v: fractional_laplacian_fourier(COMBO, 0.5, 1.0, scale=v),
     "eta.lam": lambda v: eta(0.7, v),
     "eta_derivs.lam": lambda v: eta_derivs(0.7, v),
     "compare_rates.tol": lambda v: compare_rates(FIT, -0.5, v),
@@ -231,7 +223,6 @@ TIMES = {
 }
 #: interval counts, integers >= 1
 COUNTS = {
-    "adaptive_quad.limit": lambda v: adaptive_quad(math.cos, 0.0, 1.0, limit=v),
     "gauss_kronrod.limit": lambda v: gauss_kronrod(np.cos, 0.0, 50.0, limit=v),
     "gauss_kronrod_estimates.limit": lambda v: gauss_kronrod_estimates(
         lambda x, _: np.cos(x), [0.0, 0.0], [1.0, 2.0], limit=v),

@@ -3,8 +3,7 @@ import pytest
 
 from sevolab.fitting import (
     DecayFit,
-    InsufficientDataError,
-    NonPositiveValueError,
+    FitError,
     NormSeries,
     compare_rates,
     fit_power_law,
@@ -40,12 +39,12 @@ class TestFitPowerLaw:
         assert fit.exponent == pytest.approx(0.0, abs=1e-14)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(FitError, match=r"^3 points in window \[1, 2\], need >= 8$"):
             fit_power_law(power_series(-1.0), (1, 2))
 
     def test_nonpositive_values(self):
         series = NormSeries([(float(t), 1.0 - 0.2 * t) for t in range(10)])
-        with pytest.raises(NonPositiveValueError):
+        with pytest.raises(FitError, match="^all values in the fit window must be positive$"):
             fit_power_law(series, (0, 9))
 
     def test_scale_equivariance(self):

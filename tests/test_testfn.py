@@ -14,7 +14,6 @@ from sevolab.quadutil import QuadratureFailure
 from sevolab.testfn import (
     BracketCombo,
     Functionals,
-    InsufficientSnapshotsError,
     TestFunctionSpec,
     _combo_transform,
     _sphere_sum,
@@ -45,6 +44,14 @@ class TestBracketRecursion:
         assert combo.value(0.0) == pytest.approx(2.0)
         fd = fd_neg_laplacian(lambda y: 1.0 / (1.0 + y * y), 0.0, 1, m=1, h=5e-3)
         assert combo.value(0.0) == pytest.approx(fd, abs=1e-8)
+
+    def test_one_radial_step_at_origin(self):
+        # at y = 0 the radial difference takes the limit f'(y)/y -> f''(0):
+        # -Lap f(0) = -n f''(0) = 6 for f = (1+|x|^2)^{-1} in three dimensions
+        combo = integer_laplacian_bracket(2.0, 1, 3)
+        assert combo.value(0.0) == pytest.approx(6.0)
+        fd = fd_neg_laplacian(lambda y: 1.0 / (1.0 + y * y), 0.0, 3, m=1, h=5e-3)
+        assert combo.value(0.0) == pytest.approx(fd, abs=1e-7)
 
     @pytest.mark.parametrize("ell,n", [(1.0, 1), (2.5, 2), (4.0, 3)])
     def test_coefficient_sum_is_ell_n(self, ell, n):
@@ -592,7 +599,7 @@ class TestFunctionals:
     def test_insufficient_snapshots(self):
         params = SystemParams(1, 1, 1, 2, 2)
         spec = TestFunctionSpec(gamma=1.0, r=2.0, R=4.0)
-        with pytest.raises(InsufficientSnapshotsError):  # window is [0, 16]
+        with pytest.raises(ValueError, match="gap"):  # window is [0, 16]
             frozen_values(self.grid, params, [spec], np.linspace(0, 8.0, 65), 1.0, 1.0)
 
     @pytest.mark.parametrize("n_dim,npts,sigma", [(1, 64, 1.0), (2, 32, 1.0),
@@ -674,7 +681,7 @@ class TestStreamedFunctionals:
                                np.linspace(0.0, 9.0, 65))
         result = run(grid, data, params, 9.0, [9.0], observers=[observer])
         assert result.blowup["time"] < 4.0
-        with pytest.raises(InsufficientSnapshotsError, match="gap"):
+        with pytest.raises(ValueError, match="gap"):
             observer.values()
 
     def test_memory_does_not_grow_with_observed_times(self):

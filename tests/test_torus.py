@@ -212,8 +212,6 @@ class TestGridSpec:
             for got, expected in ((grid.to_physical(x), scipy.fft.idctn(x, type=2, axes=axes)),
                                   (grid.to_spectral(x), scipy.fft.dctn(x, type=2, axes=axes))):
                 assert np.array_equal(got, expected)
-            assert np.array_equal(grid.to_physical(x.copy(), overwrite=True),
-                                  scipy.fft.idctn(x, type=2, axes=axes))
 
     @pytest.mark.parametrize("n_dim,npts", [(1, 16), (2, 16), (3, 16), (1, 2048), (2, 256)])
     def test_transform_pair_keeps_its_input(self, n_dim, npts):
