@@ -52,6 +52,8 @@ TAIL_ENERGY_WARN = 1e-6
 #: below it the step tables take the state's shape (see _StepKernel)
 _SPLIT_POINTS = 2**13
 _VDOT_CHUNK = 8192  # below the 10 000 elements from which OpenBLAS's dot uses threads
+#: the steps' errstate (an overflow marks a blow-up): as a decorator, 0.4 us a call against 0.8
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 class ProfileTooWideError(ValueError):
@@ -155,18 +157,22 @@ class GridSpec:
         over the trailing n_dim axes, so one field or a stack of fields in one call.
 
         The pair runs scipy.fft's pocketfft DCTs through ``scipy.fftpack``,
-        one 1-d call per axis, which skips scipy.fft's backend dispatch and the
-        n-d call's own: on a 2-vCPU VM one transform of a coupled 1D step at
-        2048 points took 12.7 us against 15.1 us through ``fftpack.idctn``, of
-        a step of about 65-70 us, and on 128^2 and 32^3 grids the same as
-        ``idctn`` within 3 %.  The result is scipy.fft.idctn's to the bit."""
-        w = _cosine_transform(scipy.fftpack.idct, w_hat, self.n_dim, False)
+        one 1-d call per axis in ascending order, which skips scipy.fft's
+        backend dispatch and the n-d call's own (README, "The floors"); the
+        result is scipy.fft.idctn's to the bit.  Only the first call keeps its
+        input; the later ones overwrite the intermediate."""
+        w = w_hat
+        for axis in range(-self.n_dim, 0):
+            w = scipy.fftpack.idct(w, type=2, axis=axis, overwrite_x=w is not w_hat)
         w *= self.inverse_scale
         return w
 
     def to_spectral(self, w: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Corner coefficients of corner samples (trailing n_dim axes)."""
-        return _cosine_transform(scipy.fftpack.dct, w, self.n_dim, overwrite)
+        """Corner coefficients of corner samples (trailing n_dim axes): dctn's bits."""
+        for axis in range(-self.n_dim, 0):
+            w = scipy.fftpack.dct(w, type=2, axis=axis, overwrite_x=overwrite)
+            overwrite = True
+        return w
 
     def unfold(self, w: np.ndarray) -> np.ndarray:
         """Full-grid field(s) of corner samples, reflected j -> N-1-j on each
@@ -174,18 +180,6 @@ class GridSpec:
         for axis in range(-self.n_dim, 0):
             w = np.concatenate((w, np.flip(w, axis)), axis)
         return w
-
-
-def _cosine_transform(transform: Callable, x: np.ndarray, n_dim: int,
-                      overwrite: bool) -> np.ndarray:
-    """``transform`` (fftpack's ``idct`` or ``dct``, type 2) over the trailing
-    n_dim axes of x, unnormalised: one call per axis, in ascending order, the
-    order in which the result is ``idctn``/``dctn``'s to the bit.  Only the
-    first call may keep x; the later ones overwrite the intermediate."""
-    for axis in range(-n_dim, 0):
-        x = transform(x, type=2, axis=axis, overwrite_x=overwrite)
-        overwrite = True
-    return x
 
 
 def _energy(f: np.ndarray, weight: np.ndarray, out: Optional[np.ndarray] = None) -> float:
@@ -296,40 +290,51 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     return buf[start:start + size].reshape(shape)
 
 
+class _Tables(tuple):
+    """``(K, W)`` of one step size, and ``columns``, the views of them a step
+    reads, ``(K[:, 0], K[:, 1], W[:, 0], W[:, 1])``, made with the tables."""
+
+    def __new__(cls, K: np.ndarray, W: np.ndarray):
+        tables = super().__new__(cls, (K, W))
+        tables.columns = (K[:, 0], K[:, 1], W[:, 0], W[:, 1])
+        return tables
+
+
 class _StepKernel:
     """Per-(grid, sigma) propagator and Duhamel weights for the last
     MAX_ENTRIES step sizes, the least recently used evicted first, and the
-    work arrays of a step.
+    work arrays of a step.  ``key`` is the (grid, sigma1, sigma2) it was built
+    for; a step given it for a state of another raises ValueError.
 
     ``get(dt)`` is ``(K, W)``, per mode the 2x2 propagator
     ``K = [[k0, k1], [dk0, dk1]]`` and Duhamel weights
     ``W = [[A - B, B], [Ad - Bd, Bd]]`` that act on the state's first axis,
-    each of shape ``(2, 2, c, *corner_shape)``, the u row first.  Below
+    each of shape ``(2, 2, c, *corner_shape)``, the u row first; its
+    ``columns`` are the views a step reads, made with the tables.  Below
     _SPLIT_POINTS corner points, where a step runs stacked on one thread, c = 2
     and the energy ``weight`` has the state's shape: numpy then runs each
     product of a step over the components and modes in fewer, longer inner
-    loops than it runs a table broadcast over the components (2048 points, with
-    :func:`_coupling`'s forward-strided result and aligned work arrays: 60 -> 51
-    us a step on 2 vCPUs).  From _SPLIT_POINTS on, c = 1 when sigma1 == sigma2,
-    broadcasting over both components, else 2, and ``weight`` is the corner's:
-    this keeps the memory of large grids, and a 256^2 step measured faster with
-    it.  A mode's tables depend on it only through mu = |xi|**(2 sigma): they
-    are built on the distinct ``symbols`` and gathered by ``index``, of shape
-    ``(c, *corner_shape)``, bit for bit the per-mode build while both table
-    functions act elementwise in mu.
+    loops than it runs a table broadcast over the components (README, "Two
+    regimes, one cut-off").  From _SPLIT_POINTS on, c = 1 when sigma1 == sigma2,
+    broadcasting over both components, else 2, and ``weight`` is the corner's,
+    which keeps the memory of large grids.  A mode's tables depend on it only
+    through mu = |xi|**(2 sigma): they are built on the distinct ``symbols``
+    and gathered by ``index``, of shape ``(c, *corner_shape)``, bit for bit
+    the per-mode build while both table functions act elementwise in mu.
     Record intervals are visited in order, so the main dt stays resident and
     only the final, shorter step of each interval is rebuilt.  ``builds`` counts
     the step sizes built.  An entry is evicted after its successor is built, so
     MAX_ENTRIES + 1 are alive during a build.  ``helper`` runs a coupled step's
-    first stage: a one-thread executor, with its own work space ``helper_tmp``,
-    from _SPLIT_POINTS corner points when the process has 2 CPUs, else None, both
-    made on the first coupled step.  The kernel owns it, not the module, so a
-    forked sweep worker starts its own thread.
+    first stage: a one-thread executor from _SPLIT_POINTS corner points when the
+    process has 2 CPUs, else None.  It and the ``lanes`` are made on the first
+    coupled step, so a linear run makes neither.  The kernel owns the helper,
+    not the module, so a forked sweep worker starts its own thread.
     """
 
     MAX_ENTRIES = 2
 
     def __init__(self, grid: GridSpec, sigma1: float, sigma2: float):
+        self.key = (grid, sigma1, sigma2)
         sigmas = (sigma1,) if sigma1 == sigma2 else (sigma1, sigma2)
         xi, self.weight, _ = grid.spectral_weights
         mu = np.stack([xi ** (2.0 * s) for s in sigmas])
@@ -342,7 +347,7 @@ class _StepKernel:
         self.get = functools.lru_cache(maxsize=self.MAX_ENTRIES)(
             functools.partial(self._build, self.symbols, self.index))
         #: a temporary of the state's shape; each step overwrites it, and its
-        #: first half is the work space of |.|**e while the couplings are evaluated
+        #: first field is this thread's work space of |.|**e (see ``lanes``)
         self.tmp = _aligned_empty((2, 2, *grid.corner_shape))
 
     @property
@@ -350,58 +355,67 @@ class _StepKernel:
         return self.get.cache_info().misses
 
     @functools.cached_property
-    def stages(self) -> np.ndarray:
-        """The coupling buffer of a coupled step, shape ``(2, 2, *corner_shape)``
-        (stage, component), transformed in place, allocated on the first one;
-        each step overwrites it.  Linear steps never touch it."""
-        return _aligned_empty(self.tmp.shape)
-
-    @functools.cached_property
     def helper(self) -> Optional[ThreadPoolExecutor]:
         split = self.tmp[0, 0].size >= _SPLIT_POINTS and usable_cpus() > 1
         return ThreadPoolExecutor(1) if split else None
 
     @functools.cached_property
-    def helper_tmp(self) -> np.ndarray:
-        return np.empty_like(self.tmp[0, :1])
+    def lanes(self) -> tuple:
+        """The views a coupled step reads of its coupling buffer, shape (stage,
+        component, *corner_shape), which it overwrites: the rows, this thread's
+        lane and the helper's (None without one).  A lane is what one
+        :func:`_coupling` writes: its first stage, its block of stages, each
+        stage's (v, u) fields (|.|**e is faster on them than on the block's
+        strided halves), a work field, and inverse_scale as a 0-d array."""
+        def lane(first: int, block: np.ndarray, work: np.ndarray) -> tuple:
+            return first, block, [tuple(stage) for stage in block], work, scale
+        stages, scale = _aligned_empty(self.tmp.shape), np.array(self.key[0].inverse_scale)
+        if self.helper is None:
+            return tuple(stages), lane(0, stages, self.tmp[0, 0]), None
+        return (tuple(stages), lane(1, stages[1:], self.tmp[0, 0]),
+                lane(0, stages[:1], np.empty_like(self.tmp[0, 0])))
 
     @staticmethod
-    def _build(symbols: np.ndarray, index: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
+    def _build(symbols: np.ndarray, index: np.ndarray, dt: float) -> _Tables:
         """(K, W) of step dt: the stacks of ``propagator_arrays`` and
         :func:`duhamel_weights` on the symbols, W's first column made A - B and
         Ad - Bd, each gathered onto the modes by one ``take``."""
         tables = propagator_arrays(dt, symbols)
         W = duhamel_weights(dt, symbols, tables)
         W[::2] -= W[1::2]
-        return tuple(a.take(index, axis=-1).reshape(2, 2, *index.shape) for a in (tables, W))
+        return _Tables(*(a.take(index, axis=-1).reshape(2, 2, *index.shape) for a in (tables, W)))
 
 
-def _propagated(y: np.ndarray, K: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """K[:, 0]*y[0] + K[:, 1]*y[1], a new array: y advanced by K's step; ``tmp`` is work space."""
-    out = np.multiply(K[:, 0], y[0])
-    out += np.multiply(K[:, 1], y[1], out=tmp)
-    return out
+def _step_arrays(state: SpectralState, kernel: Optional[_StepKernel],
+                 out: Optional[np.ndarray]) -> tuple[_StepKernel, np.ndarray]:
+    """(kernel, out) of a step of ``state``, new ones for None: a kernel built for
+    its grid and orders, an array of its y's shape and dtype not sharing y's memory."""
+    key = (state.grid, state.sigma1, state.sigma2)
+    if kernel is None:
+        kernel = _StepKernel(*key)
+    elif kernel.key != key:  # item by item, each by identity first
+        raise ValueError(f"kernel was built for (grid, sigma1, sigma2) = {kernel.key}, not {key}")
+    y = state.y
+    if out is not None and (out.shape != y.shape or out.dtype != y.dtype
+                            or np.may_share_memory(out, y)):
+        raise ValueError(f"out must be a {y.dtype} array of shape {y.shape}, apart from state.y")
+    return kernel, np.empty_like(y) if out is None else out
 
 
-def _stepped(state: SpectralState, y: np.ndarray, dt: float,
-             kernel: _StepKernel) -> SpectralState:
-    """The state ``y`` one step dt after ``state``, with its ``energy`` from
-    one weighted pass; a non-finite energy (overflow included) marks it as
-    blown up.  Called inside the step's ``np.errstate``, which keeps that
-    overflow from warning.  The weighted products go to ``kernel.tmp``."""
+@_QUIET
+def linear_step(state: SpectralState, dt: float, kernel: Optional[_StepKernel] = None,
+                out: Optional[np.ndarray] = None) -> SpectralState:
+    """Advance the linear system exactly by dt (any dt > 0) into ``out``, not
+    ``state.y``, or a new array; the new ``energy`` is one weighted pass, and a
+    non-finite one (overflow included, which does not warn) marks a blow-up."""
+    require(dt, "dt", 0.0)
+    kernel, y = _step_arrays(state, kernel, out)
+    K0, K1, _, _ = kernel.get(dt).columns
+    np.multiply(K0, state.y[0], out=y)
+    y += np.multiply(K1, state.y[1], out=kernel.tmp)
     energy = _energy(y, kernel.weight, kernel.tmp)
     return SpectralState(y, state.time + dt, state.grid, state.sigma1, state.sigma2,
-                         blown_up=state.blown_up or not math.isfinite(energy),
-                         energy=energy)
-
-
-def linear_step(state: SpectralState, dt: float,
-                kernel: Optional[_StepKernel] = None) -> SpectralState:
-    """Advance the linear system exactly by dt (any dt > 0)."""
-    require(dt, "dt", 0.0)
-    kernel = kernel or _StepKernel(state.grid, state.sigma1, state.sigma2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _stepped(state, _propagated(state.y, kernel.get(dt)[0], kernel.tmp), dt, kernel)
+                         blown_up=state.blown_up or not math.isfinite(energy), energy=energy)
 
 
 def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
@@ -431,36 +445,43 @@ def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
         np.multiply(acc, square, out=x)
 
 
-def _coupling(stages: np.ndarray, sources: Sequence, times: Sequence, grid: GridSpec,
-              p: float, q: float, forcing: Optional[tuple], tmp: np.ndarray) -> np.ndarray:
-    """The coefficients of [|v|**p, |u|**q] (plus forcing) at k stages, shape
-    (k, 2, *corner_shape): stage i from the (u, v) coefficients ``sources[i]`` at
-    ``times[i]``, scaled by ``grid.inverse_scale`` into ``stages`` and transformed
-    there in place; ``tmp``, k fields, is the work space of |.|**e.  The fill
-    takes each source's components in reverse, (v, u), so that the result has
-    the order of the equations it drives and the Duhamel update multiplies
-    forward-strided coefficients; the transforms act per field, to the same bits."""
-    for stage, source in zip(stages, sources):
-        np.multiply(source[::-1], grid.inverse_scale, out=stage)
-    # (stage, [v, u]); bit for bit grid.to_physical of the unscaled, reversed sources
-    phys = _cosine_transform(scipy.fftpack.idct, stages, grid.n_dim, True)
-    np.abs(phys, out=phys)
-    _power(phys[:, 1], q, tmp)
-    _power(phys[:, 0], p, tmp)
-    for f, row in zip(forcing or (), (0, 1)):  # fu joins |v|**p, fv |u|**q
+def _coupling(lane: tuple, sources: Sequence, times: Sequence, grid: GridSpec,
+              p: float, q: float, forcing: Optional[tuple]) -> None:
+    """The coefficients of [|v|**p, |u|**q] (plus forcing) at the stages of
+    ``lane`` (:attr:`_StepKernel.lanes`), written there: stage i from the
+    (u, v) coefficients ``sources[i]`` at ``times[i]``, scaled by the grid's
+    ``inverse_scale`` into its fields and transformed there in place.  The
+    fill swaps each source's components, field by field (a reversed read made
+    numpy copy the source), so that the result has the order of the equations
+    it drives and the update multiplies forward-strided coefficients; the
+    transforms act per field, to the same bits."""
+    lo, block, fields, tmp, scale = lane
+    for (v, u), source in zip(fields, sources[lo:]):
+        np.multiply(source[1], scale, out=v)
+        np.multiply(source[0], scale, out=u)
+    # (stage, [v, u]); bit for bit grid.to_physical of the unscaled, swapped sources
+    for axis in range(-grid.n_dim, 0):
+        scipy.fftpack.idct(block, type=2, axis=axis, overwrite_x=True)
+    np.abs(block, out=block)
+    for v, u in fields:
+        _power(u, q, tmp)
+        _power(v, p, tmp)
+    for f, half in zip(forcing or (), (0, 1)):  # fu joins |v|**p, fv |u|**q
         if f is not None:
-            for stage, t in zip(phys, times):
-                stage[row] += f(t)
-    return grid.to_spectral(phys, overwrite=True)
+            for stage, t in zip(fields, times[lo:]):
+                np.add(stage[half], f(t), out=stage[half])
+    for axis in range(-grid.n_dim, 0):  # bit for bit grid.to_spectral
+        scipy.fftpack.dct(block, type=2, axis=axis, overwrite_x=True)
 
 
-#: _coupling on the helper thread, which enters its own np.errstate: it is per thread
-_helper_coupling = np.errstate(over="ignore", invalid="ignore")(_coupling)
+_helper_coupling = _QUIET(_coupling)  # the helper thread enters its own errstate
 
 
+@_QUIET
 def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
                  forcing: Optional[tuple[Callable, Callable]] = None,
-                 kernel: Optional[_StepKernel] = None) -> SpectralState:
+                 kernel: Optional[_StepKernel] = None,
+                 out: Optional[np.ndarray] = None) -> SpectralState:
     """One second-order exponential step of the full coupled system.
 
     The coupling is interpolated linearly in time between its value at the
@@ -472,31 +493,31 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     to corner samples (values at ``grid.radius()``) added to the source of the
     u or v equation; with a helper, both are called at t0 on its thread.
     dt must be a finite real > 0, and p and q finite reals > 1, as
-    :class:`SystemParams` takes them.  The products take the kernel's tables
-    in their layout, at the state's shape on a small grid (:class:`_StepKernel`).
+    :class:`SystemParams` takes them.  The new state's ``y`` is ``out`` if
+    given, which must not be ``state.y``, else a new array; its ``energy`` is as
+    in :func:`linear_step`.
     """
     require(dt, "dt", 0.0)
     require(p, "p", 1.0)
     require(q, "q", 1.0)
-    grid = state.grid
-    kernel = kernel or _StepKernel(grid, state.sigma1, state.sigma2)
-    K, W = kernel.get(dt)
-    tmp, stages = kernel.tmp, kernel.stages
-    t0 = state.time
-    coupling = (grid, p, q, forcing)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kernel.helper is None:
-            y = _propagated(state.y, K, tmp)
-            n = _coupling(stages, (state.y[0], y[0]), (t0, t0 + dt), *coupling, tmp[0])
-        else:
-            first = kernel.helper.submit(_helper_coupling, stages[:1], (state.y[0],), (t0,),
-                                         *coupling, kernel.helper_tmp)
-            y = _propagated(state.y, K, tmp)
-            n1 = _coupling(stages[1:], (y[0],), (t0 + dt,), *coupling, tmp[0, :1])
-            n = (first.result()[0], n1[0])
-        y += np.multiply(W[:, 0], n[0], out=tmp)
-        y += np.multiply(W[:, 1], n[1], out=tmp)
-        return _stepped(state, y, dt, kernel)
+    kernel, y = _step_arrays(state, kernel, out)
+    K0, K1, W0, W1 = kernel.get(dt).columns
+    (n0, n1), lane, helper_lane = kernel.lanes
+    tmp, grid = kernel.tmp, state.grid
+    sources, times = (state.y[0], y[0]), (state.time, state.time + dt)
+    if helper_lane is not None:
+        first = kernel.helper.submit(_helper_coupling, helper_lane, sources, times,
+                                     grid, p, q, forcing)
+    np.multiply(K0, state.y[0], out=y)
+    y += np.multiply(K1, state.y[1], out=tmp)
+    _coupling(lane, sources, times, grid, p, q, forcing)
+    if helper_lane is not None:
+        first.result()
+    y += np.multiply(W0, n0, out=tmp)
+    y += np.multiply(W1, n1, out=tmp)
+    energy = _energy(y, kernel.weight, tmp)
+    return SpectralState(y, times[1], grid, state.sigma1, state.sigma2,
+                         blown_up=state.blown_up or not math.isfinite(energy), energy=energy)
 
 
 @functools.lru_cache(maxsize=8)
@@ -556,8 +577,12 @@ def _auto_or_positive(name: str, value: float | str) -> float | str:
 
 
 class _Stepper:
-    """A run's step rule: dt, kernel, step and step count.  ``toward`` looks the
-    step up in the module on every call, so that a replaced one is used."""
+    """A run's step rule: dt, kernel, step and step count.  Its steps write in
+    turn into two arrays, made on the first two: ``held``, the last state's,
+    which ``run`` sets to None when it hands that state out, and ``spare``, a
+    left state's, the next step's ``out``.  ``toward`` looks the step up in the
+    module on every call, so that a replaced one is used: the bench's step
+    probe and its calibration ticks see every step."""
 
     def __init__(self, grid: GridSpec, params: SystemParams, dt: float | str,
                  linear_only: bool, forcing: Optional[tuple[Callable, Callable]]):
@@ -565,14 +590,17 @@ class _Stepper:
         self.kernel = _StepKernel(grid, params.sigma1, params.sigma2)
         self.coupling = None if linear_only else (params.p, params.q, forcing)
         self.steps = 0
+        self.held = self.spare = None  # Optional[np.ndarray]
 
     def toward(self, state: SpectralState, t_event: float) -> SpectralState:
         """The state one step of min(dt, t_event - state.time) after ``state``."""
         dt = min(self.dt, t_event - state.time)
         self.steps += 1
+        out = self.spare if self.spare is not None else _aligned_empty(state.y.shape)
+        self.spare, self.held = self.held, out
         if self.coupling is None:
-            return linear_step(state, dt, kernel=self.kernel)
-        return duhamel_step(state, dt, *self.coupling, kernel=self.kernel)
+            return linear_step(state, dt, kernel=self.kernel, out=out)
+        return duhamel_step(state, dt, *self.coupling, kernel=self.kernel, out=out)
 
 
 def run(grid: GridSpec, data: InitialData, params: SystemParams,
@@ -586,9 +614,10 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     times and t_max) by a :class:`_Stepper`, and keeps the events, the
     per-step guard, the recorder, the observers and the top-octave monitor.
     An observer's ``observer(t, state)`` is called at each of its ``times``
-    while the state is finite; it keeps what it needs.  The run stops with a
-    blow-up report at the first event, or step flagged by the guard on
-    ``state.energy``, where a norm crosses the threshold or turns non-finite.
+    while the state is finite; it may keep the state, which no later step
+    overwrites.  The run stops with a blow-up report at the first event, or
+    step flagged by the guard on ``state.energy``, where a norm crosses the
+    threshold or turns non-finite.
     linear_only=True steps by the exact linear propagator alone.  dt and
     blowup_threshold are "auto" or a finite real > 0, not a bool.
     ``config_echo`` holds dt, the threshold, the initial total norm and the
@@ -624,6 +653,7 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
                 rows.append((t, norms))
             for observer, times in schedule:
                 if t in times:
+                    stepper.held = None  # the state may leave the run: no step writes into it
                     observer(t, state)
             if not warnings and _top_octave_fraction(state) > TAIL_ENERGY_WARN:
                 warnings.append(

@@ -873,7 +873,7 @@ class TestStepKernel:
         state = init(GridSpec(1, 64, 20.0), data, PARAMS)
         linear_step(state, 0.1)
         assert len(kernels) == 3
-        buffers = ("stages", "helper", "helper_tmp")
+        buffers = ("helper", "lanes")
         assert all(name not in vars(k) for k in kernels for name in buffers)
         # the first coupled step makes them
         large = kernels[1]
@@ -935,16 +935,147 @@ class TestStepKernel:
             return original(x, *args, **kwargs)
         monkeypatch.setattr(scipy.fftpack, "idct", recorded)
         state = duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
-        buffer = kernel.stages
-        assert buffer.shape == (2, 2, 32)
+        lanes = kernel.lanes
+        buffer = lanes[1][1]  # stacked, this thread's block is the whole buffer
+        assert buffer.shape == (2, 2, 32) and lanes[2] is None
         # the work arrays start on a cache line, where a step's products run fastest
         assert buffer.ctypes.data % 64 == kernel.tmp.ctypes.data % 64 == 0
         duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
-        assert kernel.stages is buffer
+        assert kernel.lanes is lanes
         # each step transforms the one buffer in place, and nothing else;
         # in 1D the inverse pass is one call
         assert len(inputs) == 2
         assert all(x is buffer and overwrite for x, overwrite in inputs)
+
+    @pytest.mark.parametrize("step", ["linear", "duhamel"])
+    @pytest.mark.parametrize("grid, sigmas", [
+        (GridSpec(1, 64, 40.0), (1.0, 1.0)),  # another box
+        (GridSpec(1, 128, 20.0), (1.0, 1.0)),  # another grid
+        (GridSpec(1, 64, 20.0), (1.0, 1.5)),  # other orders
+    ], ids=["L=40", "128-points", "sigma2=1.5"])
+    def test_kernel_of_another_grid_or_orders_is_rejected(self, step, grid, sigmas):
+        # the tables of another box or orders gave other numbers, and no error
+        state = init(GridSpec(1, 64, 20.0), InitialData(u0=GaussianProfile(0.5, 1.0)), PARAMS)
+        kernel = _StepKernel(grid, *sigmas)
+        with pytest.raises(ValueError, match=r"^kernel was built for \(grid, sigma1, sigma2\)"):
+            if step == "linear":
+                linear_step(state, 0.1, kernel=kernel)
+            else:
+                duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
+
+    def test_kernel_of_an_equal_grid_is_taken(self):
+        # the key compares by value where identity fails: equal grids share tables
+        state = init(GridSpec(1, 64, 20.0), InitialData(u0=GaussianProfile(0.5, 1.0)), PARAMS)
+        kernel = _StepKernel(GridSpec(1, 64, 20.0), 1, 1)
+        assert kernel.key[0] is not state.grid
+        stepped = duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, kernel=kernel)
+        assert np.array_equal(stepped.y, duhamel_step(state, 0.1, PARAMS.p, PARAMS.q).y)
+
+
+class TestStepArrays:
+    """A step writes the new state into ``out`` when given one, and a run's
+    steps write in turn into the two arrays of its stepper."""
+
+    # (n_dim, points, L, sigma1, sigma2, p, q, forced)
+    OUT_CASES = {
+        "1d-sweep": (1, 2048, 200.0, 1.0, 1.0, 2.5, 4.5, False),  # stacked
+        "256^2": (2, 256, 64.0, 1.0, 1.0, 3.0, 4.0, False),  # on two threads
+        "2d-unequal-orders": (2, 32, 10.0, 1.0, 1.5, 2.5, 3.7, False),
+        "256^2-unequal-orders-forced": (2, 256, 64.0, 1.0, 1.5, 3.0, 3.0, True),
+        "1d-forced": (1, 128, 20.0, 1.0, 1.0, 3.0, 3.0, True),
+    }
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["duhamel", "linear"])
+    @pytest.mark.parametrize("case", OUT_CASES.values(), ids=OUT_CASES.keys())
+    def test_out_gives_the_bits_of_a_new_array(self, monkeypatch, case, linear):
+        # the helper needs 2 CPUs; this process is made to see them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        n_dim, npts, half_length, sigma1, sigma2, p, q, forced = case
+        grid = GridSpec(n_dim, npts, half_length)
+        g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
+        state = init(grid, InitialData(u0=g, u1=h, v0=h, v1=g),
+                     SystemParams(n_dim, sigma1, sigma2, p, q))
+        r = grid.radius()
+        forcing = ((lambda t: np.exp(-r * r) * math.cos(t),
+                    lambda t: 0.2 * (1.0 + t) * np.exp(-r * r / 4.0)) if forced else None)
+        kernel = _StepKernel(grid, sigma1, sigma2)
+        if linear:
+            step = functools.partial(linear_step, dt=0.05, kernel=kernel)
+        else:
+            step = functools.partial(duhamel_step, dt=0.05, p=p, q=q, forcing=forcing,
+                                     kernel=kernel)
+        out = np.full_like(state.y, np.nan)  # a value left unwritten would show
+        for _ in range(3):
+            fresh, written = step(state), step(state, out=out)
+            assert written.y is out
+            assert np.array_equal(written.y, fresh.y)
+            assert (written.energy, written.time) == (fresh.energy, fresh.time)
+            state, out = written, fresh.y
+        assert (kernel.helper is not None) == (npts == 256)
+
+    @pytest.mark.parametrize("make", [
+        lambda y: y,
+        lambda y: y[::-1],  # a view sharing its memory
+        lambda y: np.empty(y.shape[1:]),
+        lambda y: np.empty((3, *y.shape)),  # which the products would broadcast into
+        lambda y: np.empty(y.shape, dtype=np.float32),
+    ], ids=["state.y", "view", "shape", "larger", "dtype"])
+    def test_out_of_another_shape_or_dtype_or_sharing_state_y_is_rejected(self, make):
+        state = init(GridSpec(1, 64, 20.0), InitialData(u0=GaussianProfile(0.5, 1.0)), PARAMS)
+        before = state.y.copy()
+        for step in (lambda out: linear_step(state, 0.1, out=out),
+                     lambda out: duhamel_step(state, 0.1, PARAMS.p, PARAMS.q, out=out)):
+            with pytest.raises(ValueError, match=r"^out must be a float64 array of shape "
+                                                 r"\(2, 2, 32\), apart from state.y"):
+                step(make(state.y))
+        assert np.array_equal(state.y, before)
+
+    def test_a_run_steps_in_two_arrays(self, monkeypatch):
+        # dt 1/16 to t = 12.5 is 200 equal steps, so one table build
+        outs, grown = [], []
+        toward = torus._Stepper.toward
+
+        def recorded(stepper, state, t_event):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            stepped = toward(stepper, state, t_event)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+            outs.append(stepped.y)
+            return stepped
+        monkeypatch.setattr(torus._Stepper, "toward", recorded)
+        grid = GridSpec(1, 2048, 200.0)
+        g = GaussianProfile(0.01, 1.0)
+        tracemalloc.start()
+        try:
+            res = run(grid, InitialData(u1=g, v1=g), SystemParams(1, 1, 1, 2.5, 4.5), 12.5,
+                      [12.5], dt=0.0625)
+        finally:
+            tracemalloc.stop()
+        assert res.config_echo["steps"] == len(outs) == 200
+        assert res.config_echo["kernel_builds"] == 1
+        assert outs[0] is not outs[1]
+        assert all(out is outs[i % 2] for i, out in enumerate(outs))
+        # the first step makes its array, the tables and the coupling buffer,
+        # the second its array; no later one allocates a field's worth
+        assert min(grown[:2]) >= outs[0].nbytes
+        assert max(grown[2:]) < outs[0][0, 0].nbytes
+
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_observed_states_keep_their_values(self, linear_only):
+        # an observer may keep the states it is given: no later step writes
+        # into them, on consecutive steps or apart
+        kept = []
+
+        def observe(t, state):
+            kept.append((state, state.y.copy()))
+        observe.times = [0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 2.25, 3.0]
+        grid = GridSpec(1, 128, 20.0)
+        g = GaussianProfile(0.5, 1.0)
+        run(grid, InitialData(u0=g, v1=g), PARAMS, 3.0, [3.0], dt=0.25,
+            observers=[observe], linear_only=linear_only)
+        assert [t for (state, _), t in zip(kept, observe.times)] == observe.times
+        assert all(np.array_equal(state.y, y) for state, y in kept)
+        assert len({id(state.y) for state, _ in kept}) == len(kept)
 
 
 class TestBlowupPastValidity:
