@@ -72,13 +72,13 @@ class ProfileTooWideError(ValueError):
 class GridSpec:
     """Periodic box [-L, L)^n, a power-of-two grid of cell centres per
     dimension; its arrays cover the corner only, :meth:`unfold` the full grid.
-    It is the one owner of that layout; the simulator reads of it the field
-    shape ``corner_shape``, the pair ``to_physical``/``to_spectral`` and
-    the inverse's ``inverse_scale`` (the coupled step), ``radius()``
-    (``init``, forcing, ``Functionals``), ``spectral_weights`` (the steps,
-    ``six_norms``, the top-octave monitor), ``sample_weight``
-    (``Functionals``), and ``half_length`` and ``xi_max`` (``t_valid``,
-    ``check_profile_widths``, ``default_dt``)."""
+    It owns that layout and every transform; the simulator reads of it the
+    field shape ``corner_shape``, the pair ``to_physical``/``to_spectral``, the
+    coupled step's in-place ``stage_inverse`` and ``to_spectral(overwrite=True)``
+    with ``inverse_scale`` for its fill, ``radius()`` (``init``, forcing,
+    ``Functionals``), ``spectral_weights`` (the steps, ``six_norms``, the
+    top-octave monitor), ``sample_weight`` (``Functionals``), and ``half_length``
+    and ``xi_max`` (``t_valid``, ``check_profile_widths``, ``default_dt``)."""
 
     n_dim: int
     points_per_dim: int
@@ -146,26 +146,27 @@ class GridSpec:
 
     @functools.cached_property
     def inverse_scale(self) -> float:
-        """(0.5/M)**n, M the corner length: the factor that makes fftpack's
-        unnormalised inverse DCT-II the inverse of its forward one.  It is a
+        """(0.5/M)**n, M the corner length: the factor that makes
+        :meth:`stage_inverse` the inverse of :meth:`to_spectral`.  It is a
         power of two, so scaling the coefficients before the inverse gives the
         bits of scaling its result."""
         return (0.5 / self.corner_shape[0]) ** self.n_dim
 
+    def stage_inverse(self, block: np.ndarray) -> np.ndarray:
+        """The unnormalised inverse DCT-II of ``block`` over the trailing n_dim
+        axes, written into it.  Both directions run scipy.fft's pocketfft DCTs
+        through ``scipy.fftpack``, one 1-d call per axis in ascending order,
+        which skips scipy.fft's backend dispatch and the n-d call's own
+        (README, "The floors")."""
+        for axis in range(-self.n_dim, 0):
+            block = scipy.fftpack.idct(block, type=2, axis=axis, overwrite_x=True)
+        return block
+
     def to_physical(self, w_hat: np.ndarray) -> np.ndarray:
         """Corner samples of the field(s) with corner coefficients ``w_hat``
-        over the trailing n_dim axes, so one field or a stack of fields in one call.
-
-        The pair runs scipy.fft's pocketfft DCTs through ``scipy.fftpack``,
-        one 1-d call per axis in ascending order, which skips scipy.fft's
-        backend dispatch and the n-d call's own (README, "The floors"); the
-        result is scipy.fft.idctn's to the bit.  Only the first call keeps its
-        input; the later ones overwrite the intermediate."""
-        w = w_hat
-        for axis in range(-self.n_dim, 0):
-            w = scipy.fftpack.idct(w, type=2, axis=axis, overwrite_x=w is not w_hat)
-        w *= self.inverse_scale
-        return w
+        over the trailing n_dim axes, so one field or a stack of fields in one
+        call: scipy.fft.idctn's bits, in a new array."""
+        return self.stage_inverse(w_hat * self.inverse_scale)
 
     def to_spectral(self, w: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Corner coefficients of corner samples (trailing n_dim axes): dctn's bits."""
@@ -386,10 +387,12 @@ class _StepKernel:
         return _Tables(*(a.take(index, axis=-1).reshape(2, 2, *index.shape) for a in (tables, W)))
 
 
-def _step_arrays(state: SpectralState, kernel: Optional[_StepKernel],
-                 out: Optional[np.ndarray]) -> tuple[_StepKernel, np.ndarray]:
-    """(kernel, out) of a step of ``state``, new ones for None: a kernel built for
-    its grid and orders, an array of its y's shape and dtype not sharing y's memory."""
+def _step_arrays(state: SpectralState, dt: float, kernel: Optional[_StepKernel],
+                 out: Optional[np.ndarray]) -> tuple[_StepKernel, np.ndarray, tuple]:
+    """(kernel, out, kernel's table columns of dt) of a step of ``state`` by dt > 0,
+    new ones for None: a kernel built for its grid and orders, an array of its
+    y's shape and dtype not sharing y's memory."""
+    require(dt, "dt", 0.0)
     key = (state.grid, state.sigma1, state.sigma2)
     if kernel is None:
         kernel = _StepKernel(*key)
@@ -399,23 +402,27 @@ def _step_arrays(state: SpectralState, kernel: Optional[_StepKernel],
     if out is not None and (out.shape != y.shape or out.dtype != y.dtype
                             or np.may_share_memory(out, y)):
         raise ValueError(f"out must be a {y.dtype} array of shape {y.shape}, apart from state.y")
-    return kernel, np.empty_like(y) if out is None else out
+    return kernel, np.empty_like(y) if out is None else out, kernel.get(dt).columns
+
+
+def _stepped(state: SpectralState, y: np.ndarray, t: float, kernel: _StepKernel) -> SpectralState:
+    """The state ``y`` at time ``t`` that a step of ``state`` made.  Its energy is one
+    weighted pass, and a non-finite one (overflow included, which does not warn
+    in the steps' errstate) sets ``blown_up``, which then stays set."""
+    energy = _energy(y, kernel.weight, kernel.tmp)
+    return SpectralState(y, t, state.grid, state.sigma1, state.sigma2,
+                         blown_up=state.blown_up or not math.isfinite(energy), energy=energy)
 
 
 @_QUIET
 def linear_step(state: SpectralState, dt: float, kernel: Optional[_StepKernel] = None,
                 out: Optional[np.ndarray] = None) -> SpectralState:
-    """Advance the linear system exactly by dt (any dt > 0) into ``out``, not
-    ``state.y``, or a new array; the new ``energy`` is one weighted pass, and a
-    non-finite one (overflow included, which does not warn) marks a blow-up."""
-    require(dt, "dt", 0.0)
-    kernel, y = _step_arrays(state, kernel, out)
-    K0, K1, _, _ = kernel.get(dt).columns
+    """Advance the linear system exactly by dt (any finite dt > 0) into ``out``,
+    not ``state.y``, or a new array; the new state is :func:`_stepped`'s."""
+    kernel, y, (K0, K1, _, _) = _step_arrays(state, dt, kernel, out)
     np.multiply(K0, state.y[0], out=y)
     y += np.multiply(K1, state.y[1], out=kernel.tmp)
-    energy = _energy(y, kernel.weight, kernel.tmp)
-    return SpectralState(y, state.time + dt, state.grid, state.sigma1, state.sigma2,
-                         blown_up=state.blown_up or not math.isfinite(energy), energy=energy)
+    return _stepped(state, y, state.time + dt, kernel)
 
 
 def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
@@ -450,7 +457,7 @@ def _coupling(lane: tuple, sources: Sequence, times: Sequence, grid: GridSpec,
     """The coefficients of [|v|**p, |u|**q] (plus forcing) at the stages of
     ``lane`` (:attr:`_StepKernel.lanes`), written there: stage i from the
     (u, v) coefficients ``sources[i]`` at ``times[i]``, scaled by the grid's
-    ``inverse_scale`` into its fields and transformed there in place.  The
+    ``inverse_scale`` into its fields and transformed there by the grid.  The
     fill swaps each source's components, field by field (a reversed read made
     numpy copy the source), so that the result has the order of the equations
     it drives and the update multiplies forward-strided coefficients; the
@@ -459,9 +466,7 @@ def _coupling(lane: tuple, sources: Sequence, times: Sequence, grid: GridSpec,
     for (v, u), source in zip(fields, sources[lo:]):
         np.multiply(source[1], scale, out=v)
         np.multiply(source[0], scale, out=u)
-    # (stage, [v, u]); bit for bit grid.to_physical of the unscaled, swapped sources
-    for axis in range(-grid.n_dim, 0):
-        scipy.fftpack.idct(block, type=2, axis=axis, overwrite_x=True)
+    grid.stage_inverse(block)  # (stage, [v, u]): grid.to_physical of the swapped sources
     np.abs(block, out=block)
     for v, u in fields:
         _power(u, q, tmp)
@@ -470,8 +475,7 @@ def _coupling(lane: tuple, sources: Sequence, times: Sequence, grid: GridSpec,
         if f is not None:
             for stage, t in zip(fields, times[lo:]):
                 np.add(stage[half], f(t), out=stage[half])
-    for axis in range(-grid.n_dim, 0):  # bit for bit grid.to_spectral
-        scipy.fftpack.dct(block, type=2, axis=axis, overwrite_x=True)
+    grid.to_spectral(block, overwrite=True)
 
 
 _helper_coupling = _QUIET(_coupling)  # the helper thread enters its own errstate
@@ -494,14 +498,12 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     u or v equation; with a helper, both are called at t0 on its thread.
     dt must be a finite real > 0, and p and q finite reals > 1, as
     :class:`SystemParams` takes them.  The new state's ``y`` is ``out`` if
-    given, which must not be ``state.y``, else a new array; its ``energy`` is as
-    in :func:`linear_step`.
+    given, which must not be ``state.y``, else a new array; the new state is
+    :func:`_stepped`'s, as in :func:`linear_step`.
     """
-    require(dt, "dt", 0.0)
     require(p, "p", 1.0)
     require(q, "q", 1.0)
-    kernel, y = _step_arrays(state, kernel, out)
-    K0, K1, W0, W1 = kernel.get(dt).columns
+    kernel, y, (K0, K1, W0, W1) = _step_arrays(state, dt, kernel, out)
     (n0, n1), lane, helper_lane = kernel.lanes
     tmp, grid = kernel.tmp, state.grid
     sources, times = (state.y[0], y[0]), (state.time, state.time + dt)
@@ -515,9 +517,7 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
         first.result()
     y += np.multiply(W0, n0, out=tmp)
     y += np.multiply(W1, n1, out=tmp)
-    energy = _energy(y, kernel.weight, tmp)
-    return SpectralState(y, times[1], grid, state.sigma1, state.sigma2,
-                         blown_up=state.blown_up or not math.isfinite(energy), energy=energy)
+    return _stepped(state, y, times[1], kernel)
 
 
 @functools.lru_cache(maxsize=8)

@@ -212,6 +212,18 @@ class TestGridSpec:
             for got, expected in ((grid.to_physical(x), scipy.fft.idctn(x, type=2, axes=axes)),
                                   (grid.to_spectral(x), scipy.fft.dctn(x, type=2, axes=axes))):
                 assert np.array_equal(got, expected)
+            # the coupled step's in-place pair on its lanes' blocks of stages, whose
+            # results it reads from the block: each writes the block, and only it
+            in_place = ((grid.stage_inverse, x * grid.inverse_scale, scipy.fft.idctn),
+                        (functools.partial(grid.to_spectral, overwrite=True), x, scipy.fft.dctn))
+            for transform, source, reference in in_place:
+                for lane in (slice(1, None), slice(None, 1)):
+                    buf = torus._aligned_empty(x.shape)
+                    buf[...] = source
+                    transform(buf[lane])
+                    expected = source.copy()
+                    expected[lane] = reference(x[lane], type=2, axes=axes)
+                    assert np.array_equal(buf, expected)
 
     @pytest.mark.parametrize("n_dim,npts", [(1, 16), (2, 16), (3, 16), (1, 2048), (2, 256)])
     def test_transform_pair_keeps_its_input(self, n_dim, npts):
@@ -349,6 +361,14 @@ class TestLinearStep:
         state.y[0, 0] *= 1e300
         stepped = linear_step(state, 0.1)
         assert stepped.blown_up and not math.isfinite(stepped.energy)
+
+    def test_blowup_flag_stays_set(self):
+        # the flag is kept from the state, not read off the new energy, in both steps
+        grid = GridSpec(1, 64, 20.0)
+        state = init(grid, InitialData(u0=GaussianProfile(0.01, 1.0)), PARAMS)
+        state.blown_up = True
+        for stepped in (linear_step(state, 0.1), duhamel_step(state, 0.1, 3.0, 4.0)):
+            assert stepped.blown_up and math.isfinite(stepped.energy)
 
     def test_cross_validation_against_oracle(self):
         grid = GridSpec(1, 1024, 100.0)
