@@ -214,6 +214,8 @@ def load_sweep_config(obj: dict) -> dict:
     cfg = _read(obj, "config", SWEEP_FIELDS)
     fixed, cell, grid = cfg["fixed"], cfg["cell"], cfg["cell"]["grid"]
     _same_dimension(fixed["n"], grid, "config.fixed.n", "config.cell.grid")
+    if cell["amplitude"] == 0:  # zero data: every cell's final ratio would be 0/0
+        raise ConfigError(f"config.cell.amplitude: must be nonzero, got {cell['amplitude']:g}")
     g = GaussianProfile(cell["amplitude"], cell["width"])
     data = torus.InitialData(u1=g, v1=g)
     _fits_box(grid, data, lambda name: "config.cell.width")
@@ -516,7 +518,8 @@ def cmd_sweep(args) -> int:
     _write_text(args.out, sweep_csv(rows, config_hash(raw)))
     warnings = {f"{r['p']:g},{r['q']:g}": r["warnings"] for r in rows if r["warnings"]}
     print(json.dumps({"cells": len(rows), "errors": sum(1 for r in rows if r["error"]),
-                      "out": args.out, "warnings": warnings}, sort_keys=True))
+                      "out": args.out, "warnings": warnings}, sort_keys=True),
+          file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 
 

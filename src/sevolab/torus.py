@@ -30,7 +30,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.fftpack
@@ -75,7 +75,7 @@ class GridSpec:
     It owns that layout and every transform; the simulator reads of it the
     field shape ``corner_shape``, the pair ``to_physical``/``to_spectral``, the
     coupled step's in-place ``stage_inverse`` and ``to_spectral(overwrite=True)``
-    with ``inverse_scale`` for its fill, ``radius()`` (``init``, forcing,
+    with ``inverse_scale`` for its fill, ``radius()`` (``init``,
     ``Functionals``), ``spectral_weights`` (the steps, ``six_norms``, the
     top-octave monitor), ``sample_weight`` (``Functionals``), and ``half_length``
     and ``xi_max`` (``t_valid``, ``check_profile_widths``, ``default_dt``)."""
@@ -291,32 +291,22 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     return buf[start:start + size].reshape(shape)
 
 
-class _Tables(tuple):
-    """``(K, W)`` of one step size, and ``columns``, the views of them a step
-    reads, ``(K[:, 0], K[:, 1], W[:, 0], W[:, 1])``, made with the tables."""
-
-    def __new__(cls, K: np.ndarray, W: np.ndarray):
-        tables = super().__new__(cls, (K, W))
-        tables.columns = (K[:, 0], K[:, 1], W[:, 0], W[:, 1])
-        return tables
-
-
 class _StepKernel:
     """Per-(grid, sigma) propagator and Duhamel weights for the last
     MAX_ENTRIES step sizes, the least recently used evicted first, and the
     work arrays of a step.  ``key`` is the (grid, sigma1, sigma2) it was built
     for; a step given it for a state of another raises ValueError.
 
-    ``get(dt)`` is ``(K, W)``, per mode the 2x2 propagator
-    ``K = [[k0, k1], [dk0, dk1]]`` and Duhamel weights
-    ``W = [[A - B, B], [Ad - Bd, Bd]]`` that act on the state's first axis,
-    each of shape ``(2, 2, c, *corner_shape)``, the u row first; its
-    ``columns`` are the views a step reads, made with the tables.  Below
-    _SPLIT_POINTS corner points, where a step runs stacked on one thread, c = 2
-    and the energy ``weight`` has the state's shape: numpy then runs each
-    product of a step over the components and modes in fewer, longer inner
-    loops than it runs a table broadcast over the components (README, "Two
-    regimes, one cut-off").  From _SPLIT_POINTS on, c = 1 when sigma1 == sigma2,
+    ``get(dt)`` is ``(K[:, 0], K[:, 1], W[:, 0], W[:, 1])``, the columns a step
+    reads of the per-mode 2x2 propagator ``K = [[k0, k1], [dk0, dk1]]`` and
+    Duhamel weights ``W = [[A - B, B], [Ad - Bd, Bd]]`` that act on the state's
+    first axis, K and W of shape ``(2, 2, c, *corner_shape)``, the u row first;
+    the views are made with the tables.  Below _SPLIT_POINTS corner points,
+    where a step runs stacked on one thread, c = 2 and the energy ``weight``
+    has the state's shape: numpy then runs each product of a step over the
+    components and modes in fewer, longer inner loops than it runs a table
+    broadcast over the components (README, "Two regimes, one cut-off").
+    From _SPLIT_POINTS on, c = 1 when sigma1 == sigma2,
     broadcasting over both components, else 2, and ``weight`` is the corner's,
     which keeps the memory of large grids.  A mode's tables depend on it only
     through mu = |xi|**(2 sigma): they are built on the distinct ``symbols``
@@ -343,8 +333,8 @@ class _StepKernel:
         if xi.size < _SPLIT_POINTS:  # stacked: tables and weight at the state's shape
             self.index = np.broadcast_to(self.index, (2, *grid.corner_shape))
             self.weight = np.broadcast_to(self.weight, (2, 2, *grid.corner_shape)).copy()
-        #: (K, W) of step dt; built over the symbols, not self, so that a
-        #: kernel holds no reference cycle and is freed when its run ends
+        #: the table columns of step dt; built over the symbols, not self, so
+        #: that a kernel holds no reference cycle and is freed when its run ends
         self.get = functools.lru_cache(maxsize=self.MAX_ENTRIES)(
             functools.partial(self._build, self.symbols, self.index))
         #: a temporary of the state's shape; each step overwrites it, and its
@@ -377,14 +367,15 @@ class _StepKernel:
                 lane(0, stages[:1], np.empty_like(self.tmp[0, 0])))
 
     @staticmethod
-    def _build(symbols: np.ndarray, index: np.ndarray, dt: float) -> _Tables:
-        """(K, W) of step dt: the stacks of ``propagator_arrays`` and
-        :func:`duhamel_weights` on the symbols, W's first column made A - B and
-        Ad - Bd, each gathered onto the modes by one ``take``."""
+    def _build(symbols: np.ndarray, index: np.ndarray, dt: float) -> tuple:
+        """The columns of (K, W) of step dt: the stacks of ``propagator_arrays``
+        and :func:`duhamel_weights` on the symbols, W's first column made A - B
+        and Ad - Bd, each gathered onto the modes by one ``take``."""
         tables = propagator_arrays(dt, symbols)
         W = duhamel_weights(dt, symbols, tables)
         W[::2] -= W[1::2]
-        return _Tables(*(a.take(index, axis=-1).reshape(2, 2, *index.shape) for a in (tables, W)))
+        K, W = (a.take(index, axis=-1).reshape(2, 2, *index.shape) for a in (tables, W))
+        return K[:, 0], K[:, 1], W[:, 0], W[:, 1]
 
 
 def _step_arrays(state: SpectralState, dt: float, kernel: Optional[_StepKernel],
@@ -402,7 +393,7 @@ def _step_arrays(state: SpectralState, dt: float, kernel: Optional[_StepKernel],
     if out is not None and (out.shape != y.shape or out.dtype != y.dtype
                             or np.may_share_memory(out, y)):
         raise ValueError(f"out must be a {y.dtype} array of shape {y.shape}, apart from state.y")
-    return kernel, np.empty_like(y) if out is None else out, kernel.get(dt).columns
+    return kernel, np.empty_like(y) if out is None else out, kernel.get(dt)
 
 
 def _stepped(state: SpectralState, y: np.ndarray, t: float, kernel: _StepKernel) -> SpectralState:
@@ -452,16 +443,15 @@ def _power(x: np.ndarray, e: float, tmp: np.ndarray) -> None:
         np.multiply(acc, square, out=x)
 
 
-def _coupling(lane: tuple, sources: Sequence, times: Sequence, grid: GridSpec,
-              p: float, q: float, forcing: Optional[tuple]) -> None:
-    """The coefficients of [|v|**p, |u|**q] (plus forcing) at the stages of
-    ``lane`` (:attr:`_StepKernel.lanes`), written there: stage i from the
-    (u, v) coefficients ``sources[i]`` at ``times[i]``, scaled by the grid's
-    ``inverse_scale`` into its fields and transformed there by the grid.  The
-    fill swaps each source's components, field by field (a reversed read made
-    numpy copy the source), so that the result has the order of the equations
-    it drives and the update multiplies forward-strided coefficients; the
-    transforms act per field, to the same bits."""
+def _coupling(lane: tuple, sources: Sequence, grid: GridSpec, p: float, q: float) -> None:
+    """The coefficients of [|v|**p, |u|**q] at the stages of ``lane``
+    (:attr:`_StepKernel.lanes`), written there: stage i from the (u, v)
+    coefficients ``sources[i]``, scaled by the grid's ``inverse_scale`` into
+    its fields and transformed there by the grid.  The fill swaps each
+    source's components, field by field (a reversed read made numpy copy the
+    source), so that the result has the order of the equations it drives and
+    the update multiplies forward-strided coefficients; the transforms act
+    per field, to the same bits."""
     lo, block, fields, tmp, scale = lane
     for (v, u), source in zip(fields, sources[lo:]):
         np.multiply(source[1], scale, out=v)
@@ -471,10 +461,6 @@ def _coupling(lane: tuple, sources: Sequence, times: Sequence, grid: GridSpec,
     for v, u in fields:
         _power(u, q, tmp)
         _power(v, p, tmp)
-    for f, half in zip(forcing or (), (0, 1)):  # fu joins |v|**p, fv |u|**q
-        if f is not None:
-            for stage, t in zip(fields, times[lo:]):
-                np.add(stage[half], f(t), out=stage[half])
     grid.to_spectral(block, overwrite=True)
 
 
@@ -483,7 +469,6 @@ _helper_coupling = _QUIET(_coupling)  # the helper thread enters its own errstat
 
 @_QUIET
 def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
-                 forcing: Optional[tuple[Callable, Callable]] = None,
                  kernel: Optional[_StepKernel] = None,
                  out: Optional[np.ndarray] = None) -> SpectralState:
     """One second-order exponential step of the full coupled system.
@@ -493,31 +478,27 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     predictor does not depend on the first stage, so :func:`_coupling` takes
     both stacked, sharing one transform pair, or, with the kernel's helper,
     the first on that thread while this one makes the predictor and the second,
-    to the same bits.  ``forcing`` = (fu, fv), either may be None: each maps t
-    to corner samples (values at ``grid.radius()``) added to the source of the
-    u or v equation; with a helper, both are called at t0 on its thread.
-    dt must be a finite real > 0, and p and q finite reals > 1, as
-    :class:`SystemParams` takes them.  The new state's ``y`` is ``out`` if
-    given, which must not be ``state.y``, else a new array; the new state is
-    :func:`_stepped`'s, as in :func:`linear_step`.
+    to the same bits.  dt must be a finite real > 0, and p and q finite
+    reals > 1, as :class:`SystemParams` takes them.  The new state's ``y`` is
+    ``out`` if given, which must not be ``state.y``, else a new array; the new
+    state is :func:`_stepped`'s, as in :func:`linear_step`.
     """
     require(p, "p", 1.0)
     require(q, "q", 1.0)
     kernel, y, (K0, K1, W0, W1) = _step_arrays(state, dt, kernel, out)
     (n0, n1), lane, helper_lane = kernel.lanes
     tmp, grid = kernel.tmp, state.grid
-    sources, times = (state.y[0], y[0]), (state.time, state.time + dt)
+    sources = state.y[0], y[0]
     if helper_lane is not None:
-        first = kernel.helper.submit(_helper_coupling, helper_lane, sources, times,
-                                     grid, p, q, forcing)
+        first = kernel.helper.submit(_helper_coupling, helper_lane, sources, grid, p, q)
     np.multiply(K0, state.y[0], out=y)
     y += np.multiply(K1, state.y[1], out=tmp)
-    _coupling(lane, sources, times, grid, p, q, forcing)
+    _coupling(lane, sources, grid, p, q)
     if helper_lane is not None:
         first.result()
     y += np.multiply(W0, n0, out=tmp)
     y += np.multiply(W1, n1, out=tmp)
-    return _stepped(state, y, times[1], kernel)
+    return _stepped(state, y, state.time + dt, kernel)
 
 
 @functools.lru_cache(maxsize=8)
@@ -584,11 +565,10 @@ class _Stepper:
     module on every call, so that a replaced one is used: the bench's step
     probe and its calibration ticks see every step."""
 
-    def __init__(self, grid: GridSpec, params: SystemParams, dt: float | str,
-                 linear_only: bool, forcing: Optional[tuple[Callable, Callable]]):
+    def __init__(self, grid: GridSpec, params: SystemParams, dt: float | str, linear_only: bool):
         self.dt = default_dt(grid, params) if dt == "auto" else _auto_or_positive("dt", dt)
         self.kernel = _StepKernel(grid, params.sigma1, params.sigma2)
-        self.coupling = None if linear_only else (params.p, params.q, forcing)
+        self.coupling = None if linear_only else (params.p, params.q)
         self.steps = 0
         self.held = self.spare = None  # Optional[np.ndarray]
 
@@ -606,8 +586,7 @@ class _Stepper:
 def run(grid: GridSpec, data: InitialData, params: SystemParams,
         t_max: float, record_times: Sequence[float],
         dt: float | str = "auto", blowup_threshold: float | str = "auto",
-        observers: Sequence = (), linear_only: bool = False,
-        forcing: Optional[tuple[Callable, Callable]] = None) -> RunResult:
+        observers: Sequence = (), linear_only: bool = False) -> RunResult:
     """Advance the coupled system to t_max, recording the six norms.
 
     One loop steps to each event in turn (0, the record times, the observers'
@@ -629,7 +608,7 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
                 for obs in observers]
     events = record_set.union({0.0, t_max}, *(ts for _, ts in schedule))
 
-    stepper = _Stepper(grid, params, dt, linear_only, forcing)
+    stepper = _Stepper(grid, params, dt, linear_only)
     threshold = _auto_or_positive("blowup_threshold", blowup_threshold)
     state = init(grid, data, params)
     initial_total = sum(six_norms(state).values())

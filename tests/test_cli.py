@@ -405,6 +405,21 @@ class TestSweep:
         assert row[2] == "BlowupThm13"  # (1.5, 1.5) is inside the blow-up region
         assert row[3] != ""
 
+    def test_out_dash_writes_only_the_csv_to_stdout(self, capsys, tmp_path):
+        # the summary goes to stderr, so stdout holds the CSV's bytes and no more
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(SWEEP_CONFIG))
+        out = tmp_path / "phase.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(path),
+                             "--out", str(out), "--workers", "1")
+        assert code == 0
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path),
+                                    "--out", "-", "--workers", "1")
+        assert code == 0
+        assert stdout.encode() == out.read_bytes()
+        summary = json.loads(err)
+        assert (summary["cells"], summary["errors"], summary["out"]) == (4, 0, "-")
+
     def test_determinism(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(SWEEP_CONFIG))
@@ -512,6 +527,8 @@ class TestConfigReader:
         ("sweep", "cell.dt", "fast", "config.cell.dt"),
         ("sweep", "cell.t_max", -5, "config.cell.t_max"),
         ("sweep", "cell.width", 0, "config.cell.width"),
+        # zero data: each cell's final ratio was 0/0, and every cell came out Grew
+        ("sweep", "cell.amplitude", 0, "config.cell.amplitude"),
         # too wide for the half_length 20 box: 1.2e-2 of the mass lies outside
         ("simulate", "data.u0.width", 8.0, "config.data.u0.width"),
         ("sweep", "cell.width", 8.0, "config.cell.width"),
@@ -604,7 +621,7 @@ class TestConfigReader:
                                                      monkeypatch):
         runs = []
         monkeypatch.setattr(cli.torus, "run", lambda *a, **k: runs.append(a))
-        for field, value in (("t_max", -5), ("width", 8.0)):
+        for field, value in (("t_max", -5), ("width", 8.0), ("amplitude", 0)):
             bad = patched(SWEEP_CONFIG, f"cell.{field}", value)
             with pytest.raises(cli.ConfigError, match=rf"^config\.cell\.{field}: "):
                 cli.load_sweep_config(bad)

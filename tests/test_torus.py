@@ -13,12 +13,10 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.fftpack
-from scipy.integrate import quad
 
 from sevolab import torus
 from sevolab.exponents import SystemParams
 from sevolab.multipliers import (
-    _propagator_scalar,
     duhamel_weights,
     propagation_matrix,
     propagator_arrays,
@@ -80,26 +78,23 @@ def corner_bins(grid, f_hat):
     return corner(grid, f_hat) * np.exp(-1j * math.pi * k_sum / grid.points_per_dim)
 
 
-def two_pass_step(state, dt, p, q, forcing, kernel):
+def two_pass_step(state, dt, p, q, kernel):
     """The ETD2 step with one transform pair per coupling stage, written
     out: the reference that the stacked step must reproduce bit for bit."""
     grid = state.grid
-    ((k0, k1), (dk0, dk1)), ((ab, b), (abd, bd)) = kernel.get(dt)
+    (k0, dk0), (k1, dk1), (ab, abd), (b, bd) = kernel.get(dt)
 
-    def coupling(w, t):
+    def coupling(w):
         phys = np.abs(grid.to_physical(w))
         _power(phys[0], q, np.empty_like(phys[0]))
         _power(phys[1], p, np.empty_like(phys[1]))
-        if forcing is not None:
-            phys[1] += forcing[0](t)
-            phys[0] += forcing[1](t)
         return grid.to_spectral(phys)[::-1]
 
     w0, wt0 = state.y
-    n0 = coupling(w0, state.time)
+    n0 = coupling(w0)
     w = k0 * w0 + k1 * wt0
     wt = dk0 * w0 + dk1 * wt0
-    n1 = coupling(w, state.time + dt)
+    n1 = coupling(w)
     return SpectralState(np.stack((w + ab * n0 + b * n1, wt + abd * n0 + bd * n1)),
                          state.time + dt, grid, state.sigma1, state.sigma2)
 
@@ -398,57 +393,6 @@ class TestDuhamelStep:
         assert np.max(np.abs(stepped.y[0, 0] - lin.y[0, 0])) == 0.0
         assert np.max(np.abs(stepped.y[1, 0] - lin.y[1, 0])) == 0.0
 
-    def test_single_mode_constant_forcing_weight(self):
-        grid = GridSpec(1, 128, 20.0)
-        state = init(grid, InitialData(), PARAMS)
-        k_index = 5
-        xi5 = 2 * math.pi * np.fft.fftfreq(128, d=grid.dx)[k_index]
-        amp = 0.3
-        force = amp * np.cos(xi5 * grid.radius())  # corner samples
-
-        dt = 0.17
-        stepped = duhamel_step(state, dt, PARAMS.p, PARAMS.q,
-                               forcing=(lambda t: force, None))
-        mu = xi5 ** 2
-        oracle_weight, _ = quad(lambda s: _propagator_scalar(s, mu)[1], 0, dt,
-                                epsabs=1e-16, epsrel=1e-13)
-        force_hat = rfftn_corner(grid, grid.unfold(force))
-        expected = force_hat[k_index] * oracle_weight
-        assert stepped.y[0, 0, k_index] == pytest.approx(expected, rel=1e-10)
-        # derivative channel gets k1(dt) as its weight
-        expected_dt = force_hat[k_index] * _propagator_scalar(dt, mu)[1]
-        assert stepped.y[1, 0, k_index] == pytest.approx(expected_dt, rel=1e-10)
-
-    def test_manufactured_solution_second_order(self):
-        # exact solution u* = exp(-t) g(x), v* = 0, via compensating forcing
-        grid = GridSpec(1, 256, 30.0)
-        g = GaussianProfile(0.1, 2.0)
-        gx = g.value(grid.radius())  # corner samples, as the forcing returns
-        lap_g = grid.to_physical(grid.xi_mag() ** 2 * grid.to_spectral(gx))
-
-        data = InitialData(u0=g, u1=GaussianProfile(-0.1, 2.0))
-        q = PARAMS.q
-
-        def fu(t):
-            return math.exp(-t) * lap_g
-
-        def fv(t):
-            return -np.abs(math.exp(-t) * gx) ** q
-
-        errors = []
-        dts = [0.2, 0.1, 0.05]
-        for dt in dts:
-            snaps = Snapshots([1.0])
-            run(grid, data, PARAMS, 1.0, [1.0], dt=dt, observers=[snaps],
-                forcing=(fu, fv))
-            u_num = snaps.fields[0][1]
-            err = np.max(np.abs(u_num - math.exp(-1.0) * grid.unfold(gx)))
-            errors.append(err)
-        order1 = math.log2(errors[0] / errors[1])
-        order2 = math.log2(errors[1] / errors[2])
-        assert order1 >= 1.8
-        assert order2 >= 1.8
-
     def test_unequal_orders_match_per_field_reference(self):
         # sigma1 != sigma2 gives each row its own tables and weights; no
         # benchmark workload runs this path, so check it against a reference
@@ -476,18 +420,6 @@ class TestDuhamelStep:
             assert got.shape == grid.corner_shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_full_grid_forcing_rejected(self):
-        # forcing returns corner samples; a full-grid field cannot broadcast
-        grid = GridSpec(2, 32, 8.0)
-        params = SystemParams(2, 1.0, 1.0, 3.0, 3.0)
-        state = init(grid, InitialData(u0=GaussianProfile(0.5, 1.0)), params)
-        even = np.exp(-grid.radius() ** 2)
-        full = grid.unfold(even)
-        for forcing in ((None, lambda t: full), (lambda t: full, None)):
-            with pytest.raises(ValueError):
-                duhamel_step(state, 0.1, params.p, params.q, forcing=forcing)
-        duhamel_step(state, 0.1, params.p, params.q, forcing=(None, lambda t: even))
-
     def test_one_step_makes_one_transform_pair(self, monkeypatch):
         grid = GridSpec(2, 32, 12.0)
         g = GaussianProfile(0.5, 1.0)
@@ -505,32 +437,28 @@ class TestDuhamelStep:
         # one inverse and one forward pass: a type-2 call per axis each way
         assert calls == {"idct": [(2, -2), (2, -1)], "dct": [(2, -2), (2, -1)]}
 
-    # (n_dim, points, L, sigma1, sigma2, p, q, forced): q = 3.7 and p = 2.7
+    # (n_dim, points, L, sigma1, sigma2, p, q): q = 3.7 and p = 2.7
     # take np.power in _power, the other exponents its repeated squares
     STACKED_CASES = {
-        "1d": (1, 256, 20.0, 1.0, 1.0, 3.0, 3.0, False),
-        "2d-unequal-orders": (2, 32, 10.0, 1.0, 1.5, 2.5, 3.7, False),
-        "3d": (3, 16, 10.0, 1.0, 1.0, 2.7, 2.5, False),
-        "1d-forced": (1, 128, 20.0, 1.0, 1.0, 3.0, 3.0, True),
+        "1d": (1, 256, 20.0, 1.0, 1.0, 3.0, 3.0),
+        "2d-unequal-orders": (2, 32, 10.0, 1.0, 1.5, 2.5, 3.7),
+        "3d": (3, 16, 10.0, 1.0, 1.0, 2.7, 2.5),
         # the sweep_1d bench grid, on the sqrt path of _power
-        "1d-sweep": (1, 2048, 200.0, 1.0, 1.0, 2.5, 4.5, False),
+        "1d-sweep": (1, 2048, 200.0, 1.0, 1.0, 2.5, 4.5),
     }
 
     @pytest.mark.parametrize("case", STACKED_CASES.values(), ids=STACKED_CASES.keys())
     def test_stacked_stages_match_two_pass_step(self, case):
-        n_dim, npts, half_length, sigma1, sigma2, p, q, forced = case
+        n_dim, npts, half_length, sigma1, sigma2, p, q = case
         grid = GridSpec(n_dim, npts, half_length)
         params = SystemParams(n_dim, sigma1, sigma2, p, q)
         g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
         data = InitialData(u0=g, u1=h, v0=h, v1=g)
-        r = grid.radius()
-        forcing = ((lambda t: np.exp(-r * r) * math.cos(t),
-                    lambda t: 0.2 * (1.0 + t) * np.exp(-r * r / 4.0)) if forced else None)
         kernel = _StepKernel(grid, sigma1, sigma2)
         stacked = reference = init(grid, data, params)
         for _ in range(4):
-            stacked = duhamel_step(stacked, 0.03, p, q, forcing=forcing, kernel=kernel)
-            reference = two_pass_step(reference, 0.03, p, q, forcing, kernel)
+            stacked = duhamel_step(stacked, 0.03, p, q, kernel=kernel)
+            reference = two_pass_step(reference, 0.03, p, q, kernel)
         assert np.array_equal(stacked.y[0], reference.y[0])
         assert np.array_equal(stacked.y[1], reference.y[1])
 
@@ -569,25 +497,20 @@ class TestStageThreads:
         # the helper needs 2 CPUs; this process is made to see them
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
-    # (n_dim, points, L, sigma1, sigma2, p, q, forced): q = 3.7 takes np.power
+    # (n_dim, points, L, sigma1, sigma2, p, q): q = 3.7 takes np.power
     SPLIT_CASES = {
-        "256^2": (2, 256, 64.0, 1.0, 1.0, 2.5, 3.5, False),
-        "256^2-unequal-orders": (2, 256, 64.0, 1.0, 1.5, 3.0, 3.7, False),
-        # the forcing at t0 is evaluated on the helper thread
-        "256^2-forced": (2, 256, 64.0, 1.0, 1.0, 3.0, 3.0, True),
-        "32^3": (3, 32, 16.0, 1.0, 1.0, 2.5, 4.0, False),
+        "256^2": (2, 256, 64.0, 1.0, 1.0, 2.5, 3.5),
+        "256^2-unequal-orders": (2, 256, 64.0, 1.0, 1.5, 3.0, 3.7),
+        "32^3": (3, 32, 16.0, 1.0, 1.0, 2.5, 4.0),
     }
 
     @pytest.mark.parametrize("case", SPLIT_CASES.values(), ids=SPLIT_CASES.keys())
     def test_split_matches_stacked(self, monkeypatch, two_cpus, case):
-        n_dim, npts, half_length, sigma1, sigma2, p, q, forced = case
+        n_dim, npts, half_length, sigma1, sigma2, p, q = case
         grid = GridSpec(n_dim, npts, half_length)
         params = SystemParams(n_dim, sigma1, sigma2, p, q)
         g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
         data = InitialData(u0=g, u1=h, v0=h, v1=g)
-        r = grid.radius()
-        forcing = ((lambda t: np.exp(-r * r) * math.cos(t),
-                    lambda t: 0.2 * (1.0 + t) * np.exp(-r * r / 4.0)) if forced else None)
         ends = []
         for split_points in (2**62, 1):
             monkeypatch.setattr("sevolab.torus._SPLIT_POINTS", split_points)
@@ -595,7 +518,7 @@ class TestStageThreads:
             assert (kernel.helper is None) == (split_points > 1)
             state = init(grid, data, params)
             for _ in range(50):
-                state = duhamel_step(state, 0.05, p, q, forcing=forcing, kernel=kernel)
+                state = duhamel_step(state, 0.05, p, q, kernel=kernel)
             ends.append(state)
         stacked, split = ends
         assert np.all(np.isfinite(stacked.y))
@@ -867,8 +790,9 @@ class TestStepKernel:
         grid = GridSpec(n_dim, 32, 10.0)
         sigmas = (1.0, 1.5)
         dt = 0.37
-        K, W = _StepKernel(grid, *sigmas).get(dt)
-        assert K.shape == W.shape == (2, 2, 2, *grid.corner_shape)
+        columns = _StepKernel(grid, *sigmas).get(dt)
+        assert all(c.shape == (2, 2, *grid.corner_shape) for c in columns)
+        K = np.stack(columns[:2], axis=1)  # [[k0, k1], [dk0, dk1]]
         xi = grid.xi_mag()
         for mode in [(0,) * n_dim, (1,) * n_dim, (3,) + (0,) * (n_dim - 1), (15,) * n_dim]:
             for row, sigma in enumerate(sigmas):
@@ -914,7 +838,8 @@ class TestStepKernel:
         tables = propagator_arrays(dt, mu)
         weights = duhamel_weights(dt, mu, tables).reshape(2, 2, *mu.shape)
         weights[:, 0] -= weights[:, 1]
-        K, W = _StepKernel(grid, *sigmas).get(dt)
+        K0, K1, W0, W1 = _StepKernel(grid, *sigmas).get(dt)
+        K, W = np.stack((K0, K1), axis=1), np.stack((W0, W1), axis=1)
         # a 16^n corner steps stacked, its tables at the state's component axis
         assert K.shape == W.shape == (2, 2, 2, *grid.corner_shape)
         assert np.array_equal(K, np.broadcast_to(tables.reshape(2, 2, *mu.shape), K.shape))
@@ -936,9 +861,9 @@ class TestStepKernel:
             return propagator_arrays(t, mu)
         monkeypatch.setattr("sevolab.torus.propagator_arrays", counted)
         kernel = _StepKernel(grid, 1.0, 1.0)
-        K, _ = kernel.get(0.05)
+        K0 = kernel.get(0.05)[0]
         assert sizes == [distinct]
-        assert K.shape == (2, 2, components, *grid.corner_shape)
+        assert K0.shape == (2, components, *grid.corner_shape)
         assert kernel.weight.shape == weight_shape
         norm = grid.spectral_weights[1]
         assert np.array_equal(kernel.weight, np.broadcast_to(norm, weight_shape))
@@ -996,13 +921,12 @@ class TestStepArrays:
     """A step writes the new state into ``out`` when given one, and a run's
     steps write in turn into the two arrays of its stepper."""
 
-    # (n_dim, points, L, sigma1, sigma2, p, q, forced)
+    # (n_dim, points, L, sigma1, sigma2, p, q)
     OUT_CASES = {
-        "1d-sweep": (1, 2048, 200.0, 1.0, 1.0, 2.5, 4.5, False),  # stacked
-        "256^2": (2, 256, 64.0, 1.0, 1.0, 3.0, 4.0, False),  # on two threads
-        "2d-unequal-orders": (2, 32, 10.0, 1.0, 1.5, 2.5, 3.7, False),
-        "256^2-unequal-orders-forced": (2, 256, 64.0, 1.0, 1.5, 3.0, 3.0, True),
-        "1d-forced": (1, 128, 20.0, 1.0, 1.0, 3.0, 3.0, True),
+        "1d-sweep": (1, 2048, 200.0, 1.0, 1.0, 2.5, 4.5),  # stacked
+        "256^2": (2, 256, 64.0, 1.0, 1.0, 3.0, 4.0),  # on two threads
+        "2d-unequal-orders": (2, 32, 10.0, 1.0, 1.5, 2.5, 3.7),
+        "256^2-unequal-orders": (2, 256, 64.0, 1.0, 1.5, 3.0, 3.0),
     }
 
     @pytest.mark.parametrize("linear", [False, True], ids=["duhamel", "linear"])
@@ -1010,20 +934,16 @@ class TestStepArrays:
     def test_out_gives_the_bits_of_a_new_array(self, monkeypatch, case, linear):
         # the helper needs 2 CPUs; this process is made to see them
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        n_dim, npts, half_length, sigma1, sigma2, p, q, forced = case
+        n_dim, npts, half_length, sigma1, sigma2, p, q = case
         grid = GridSpec(n_dim, npts, half_length)
         g, h = GaussianProfile(0.5, 1.0), GaussianProfile(-0.3, 1.4)
         state = init(grid, InitialData(u0=g, u1=h, v0=h, v1=g),
                      SystemParams(n_dim, sigma1, sigma2, p, q))
-        r = grid.radius()
-        forcing = ((lambda t: np.exp(-r * r) * math.cos(t),
-                    lambda t: 0.2 * (1.0 + t) * np.exp(-r * r / 4.0)) if forced else None)
         kernel = _StepKernel(grid, sigma1, sigma2)
         if linear:
             step = functools.partial(linear_step, dt=0.05, kernel=kernel)
         else:
-            step = functools.partial(duhamel_step, dt=0.05, p=p, q=q, forcing=forcing,
-                                     kernel=kernel)
+            step = functools.partial(duhamel_step, dt=0.05, p=p, q=q, kernel=kernel)
         out = np.full_like(state.y, np.nan)  # a value left unwritten would show
         for _ in range(3):
             fresh, written = step(state), step(state, out=out)
