@@ -9,6 +9,7 @@ exact inputs that produced them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -268,10 +269,7 @@ def verdict_json(params: exponents.SystemParams) -> dict:
     verdict = exponents.classify_regime(params)
     out = {
         "regime": verdict.regime.value,
-        "conditions": [
-            {"identifier": r.identifier, "holds": r.holds,
-             "lhs": r.lhs, "rhs": r.rhs} for r in verdict.report
-        ],
+        "conditions": [dataclasses.asdict(r) for r in verdict.report],
         "gamma1": None, "gamma2": None, "rates": None,
     }
     if params.equal_orders():
@@ -279,9 +277,7 @@ def verdict_json(params: exponents.SystemParams) -> dict:
         out["gamma1"], out["gamma2"] = g1, g2
     if verdict.regime in (exponents.Regime.EXISTENCE_THM11,
                           exponents.Regime.EXISTENCE_THM12):
-        rates = exponents.theoretical_rates(params)
-        out["rates"] = {k: getattr(rates, k) for k in
-                        ("f1", "f2", "f3", "g1", "g2", "g3")}
+        out["rates"] = dataclasses.asdict(exponents.theoretical_rates(params))
     return out
 
 
@@ -389,9 +385,8 @@ def _run_fits(result: torus.RunResult, params: exponents.SystemParams,
               window: tuple[float, float]) -> dict:
     """Fits of all six norms plus predicted rates when a theory applies."""
     try:
-        rates = exponents.theoretical_rates(params)
-        predicted = {"u_l2": rates.f1, "u_dsigma": rates.f2, "u_dt": rates.f3,
-                     "v_l2": rates.g1, "v_dsigma": rates.g2, "v_dt": rates.g3}
+        rates = dataclasses.astuple(exponents.theoretical_rates(params))
+        predicted = dict(zip(torus.NORM_LABELS, rates))
     except exponents.WrongRegimeError:
         predicted = {}
     out = {}
@@ -461,21 +456,20 @@ def sweep_cell(task: dict) -> dict:
             row["observed"] = "BlewUp"
             row["blowup_time"] = _fmt(result.blowup["time"])
             return row
-        initial = sum(s.entries[0][1] for s in result.series.values())
-        final = sum(s.entries[-1][1] for s in result.series.values())
-        ratio = final / initial if initial > 0 else math.inf
+        initial = result.config_echo["initial_total_norm"]
+        if initial == 0:  # nonzero data too small for its squares: no growth ratio
+            row["warnings"] = [*result.warnings, "initial total norm is 0: the data's "
+                               "squares underflow, so there is no growth ratio"]
+            row["observed"] = "Inconclusive"
+            return row
+        ratio = sum(s.entries[-1][1] for s in result.series.values()) / initial
         row["final_ratio"] = _fmt(ratio)
-        fits = {}
-        for label, series in result.series.items():
-            try:
-                fits[label] = fitting.fit_power_law(
-                    series, (task["fit_t_min"], t_max)).exponent
-                row[f"slope_{label}"] = _fmt(fits[label])
-            except fitting.FitError:
-                fits[label] = math.nan
+        fits = _run_fits(result, params, (task["fit_t_min"], t_max))
+        slopes = {label: fit["exponent"] for label, fit in fits.items() if "exponent" in fit}
+        row.update({f"slope_{label}": _fmt(slope) for label, slope in slopes.items()})
         if ratio > 10.0:
             row["observed"] = "Grew"
-        elif ratio < 0.1 and fits and all(v < 0 for v in fits.values()):  # NaN < 0 is False
+        elif ratio < 0.1 and len(slopes) == len(fits) and all(v < 0 for v in slopes.values()):
             row["observed"] = "Decayed"
         else:
             row["observed"] = "Inconclusive"

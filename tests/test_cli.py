@@ -432,6 +432,53 @@ class TestSweep:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_zero_initial_total_has_no_ratio(self, capsys, tmp_path):
+        # the squares of 1e-200 underflow: every norm reads 0, and 0/0 is no growth
+        cfg = copy.deepcopy(SWEEP_CONFIG)
+        cfg["cell"]["amplitude"] = 1e-200
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "phase.csv"
+        code, stdout, _ = run_cli(capsys, "sweep", "--config", str(path),
+                                  "--out", str(out), "--workers", "1")
+        assert code == 0
+        rows = [dict(zip(cli.SWEEP_COLUMNS, line.split(",")))
+                for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 4
+        assert all((r["observed"], r["final_ratio"]) == ("Inconclusive", "") for r in rows)
+        warnings = json.loads(stdout)["warnings"]
+        assert sorted(warnings) == ["2,2", "2,2.5", "2.5,2", "2.5,2.5"]
+        assert all(any("initial total norm is 0" in w for w in cell)
+                   for cell in warnings.values())
+
+    def test_slopes_are_the_fits_of_simulate(self, capsys, tmp_path):
+        # one cell, and the same run through simulate with the cell's fit window
+        cfg = {"p_range": [3.0, 3.0, 1.0], "q_range": [4.0, 4.0, 1.0],
+               "fixed": {"n": 1, "sigma1": 1.0, "sigma2": 1.0},
+               "cell": {"grid": {"n_dim": 1, "points_per_dim": 256, "half_length": 40.0},
+                        "amplitude": 0.01, "width": 1.0, "t_max": 30.0,
+                        "record_count": 16, "fit_t_min": 2.4}}
+        (task,) = cli.load_sweep_config(cfg)["tasks"]
+        blob = {"kind": "gaussian", "amplitude": 0.01, "width": 1.0}
+        run = {"params": {"n": 1, "sigma1": 1.0, "sigma2": 1.0, "p": 3.0, "q": 4.0},
+               "grid": cfg["cell"]["grid"],
+               "data": {"u0": None, "u1": blob, "v0": None, "v1": blob},
+               "t_max": task["t_max"], "record": task["record"],
+               "fit_window": [2.4, task["t_max"]]}
+        for name, doc in (("sweep.json", cfg), ("run.json", run)):
+            (tmp_path / name).write_text(json.dumps(doc))
+        out = tmp_path / "phase.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "sweep.json"),
+                               "--out", str(out), "--workers", "1")
+        assert code == 0, err
+        row = dict(zip(cli.SWEEP_COLUMNS, out.read_text().splitlines()[2].split(",")))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "run.json"),
+                               "--out-dir", str(tmp_path / "sim"))
+        assert code == 0, err
+        fits = json.loads((tmp_path / "sim" / "events.json").read_text())["fits"]
+        assert [row[f"slope_{label}"] for label in torus.NORM_LABELS] == \
+            [cli._fmt(fits[label]["exponent"]) for label in torus.NORM_LABELS]
+
 
 class TestTestfnCheck:
     def test_fractional_report(self, capsys):
