@@ -191,12 +191,11 @@ def _same_dimension(n: int, grid: torus.GridSpec, path: str, grid_path: str):
 
 def _fits_box(grid: torus.GridSpec, data: torus.InitialData, width_path) -> None:
     """Reject, at ``width_path(profile name)``, a profile too wide for the box."""
-    try:
-        torus.check_profile_widths(grid, data)
-    except torus.ProfileTooWideError as exc:
-        raise ConfigError(f"{width_path(exc.name)}: {exc.fraction:.2e} of the {exc.name} "
-                          f"profile's mass lies outside the box (limit {torus.TAIL_TOL:g})"
-                          ) from None
+    leak = torus.profile_leak(grid, data)
+    if leak is not None:
+        name, fraction = leak
+        raise ConfigError(f"{width_path(name)}: {fraction:.2e} of the {name} "
+                          f"profile's mass lies outside the box (limit {torus.TAIL_TOL:g})")
 
 
 def load_run_config(obj: dict) -> dict:
@@ -326,7 +325,7 @@ _TGRID_FIELDS = {**SPACING_FIELDS, "kind": _enum("log", "lin"), "t_min": _number
 def _check_out(path: str) -> None:
     """Reject, before any work, an ``--out`` file that cannot be created."""
     folder = os.path.dirname(path) or "."
-    if path != "-" and (os.path.isdir(path) or not os.path.isdir(folder)):
+    if path != "-" and (not path or os.path.isdir(path) or not os.path.isdir(folder)):
         raise ConfigError(f"--out: cannot create the file {path!r}")
 
 
@@ -397,7 +396,7 @@ def _run_fits(result: torus.RunResult, params: exponents.SystemParams,
             out[label] = {"error": str(exc)}
             continue
         entry = {"exponent": fit.exponent, "r_squared": fit.r_squared,
-                 "window": list(fit.window)}
+                 "window": list(window)}
         if label in predicted:
             entry["predicted"] = predicted[label]
             entry["passed_one_sided"] = fitting.compare_rates(
@@ -457,9 +456,9 @@ def sweep_cell(task: dict) -> dict:
             row["blowup_time"] = _fmt(result.blowup["time"])
             return row
         initial = result.config_echo["initial_total_norm"]
-        if initial == 0:  # nonzero data too small for its squares: no growth ratio
+        if initial == 0:  # nonzero data whose samples all underflow: no growth ratio
             row["warnings"] = [*result.warnings, "initial total norm is 0: the data's "
-                               "squares underflow, so there is no growth ratio"]
+                               "samples underflow, so there is no growth ratio"]
             row["observed"] = "Inconclusive"
             return row
         ratio = sum(s.entries[-1][1] for s in result.series.values()) / initial
@@ -487,8 +486,9 @@ SWEEP_COLUMNS = ["p", "q", "predicted", "observed", "blowup_time", "final_ratio"
 def run_sweep(cfg: dict, workers: int | None = None) -> list[dict]:
     """Rows of every task of a ``load_sweep_config`` result, sorted by (p, q)."""
     tasks = cfg["tasks"]
-    workers = workers or min(8, torus.usable_cpus())
-    if workers > 1 and len(tasks) > 1:
+    # a fork pool starts all its processes at the first submit: at most one per cell
+    workers = min(workers or min(8, torus.usable_cpus()), len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(sweep_cell, tasks))
     else:
@@ -553,8 +553,7 @@ def cmd_testfn_check(args) -> int:
 
     if args.n == 1 and args.r > 1:
         # the frequency-side route needs the closed bracket transform (r > 1)
-        lhs, rhs = testfn.plancherel_pairing(spec, GaussianProfile(1.0, 1.0),
-                                             args.gamma)
+        lhs, rhs = testfn.plancherel_pairing(spec, GaussianProfile(1.0, 1.0))
         report["plancherel_residual"] = abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
     print(json.dumps(report, indent=2, sort_keys=True))

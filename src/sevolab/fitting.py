@@ -47,7 +47,6 @@ class DecayFit:
     exponent: float
     intercept: float
     r_squared: float
-    window: tuple[float, float]
 
 
 def fit_power_law(series: NormSeries, window: tuple[float, float]) -> DecayFit:
@@ -71,8 +70,7 @@ def fit_power_law(series: NormSeries, window: tuple[float, float]) -> DecayFit:
         r2 = 1.0
     else:
         r2 = 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(float(slope), float(intercept), min(max(r2, 0.0), 1.0),
-                    (float(t_lo), float(t_hi)))
+    return DecayFit(float(slope), float(intercept), min(max(r2, 0.0), 1.0))
 
 
 def compare_rates(fit: DecayFit, predicted: float, tol: float,

@@ -28,7 +28,6 @@ dk0 = -mu*k1 and dk1 = k0 - k1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +42,6 @@ _SERIES_DT_MAX = 2.0
 #: the series looks at its sums once a term bound is below this, a quarter of the
 #: spacing of 1: its |A| and |B| are below 1, so no larger bound can stop it
 _STOP_GATE = np.spacing(1.0) / 4.0
-
-
-@dataclass(frozen=True)
-class PropagatorValue:
-    """Multiplier values at one (t, |xi|): k0, k1 and their time derivatives."""
-
-    k0: float
-    k1: float
-    dk0: float
-    dk1: float
 
 
 def _symbol(xi_mag: float, sigma: float) -> float:
@@ -113,17 +102,11 @@ def _propagator_scalar(t: float, mu: float) -> tuple[float, float, float, float]
     return k0, k1, -mu * k1, k0 - k1
 
 
-def propagator(t: float, xi_mag: float, sigma: float) -> PropagatorValue:
-    """Multiplier values at one (t, |xi|, sigma); exact for any finite t >= 0."""
+def propagator(t: float, xi_mag: float, sigma: float) -> np.ndarray:
+    """The 2x2 map (w, w_t)(0) -> (w, w_t)(t) of one mode, [[k0, k1], [dk0, dk1]];
+    exact for any finite t >= 0."""
     t = float(require(t, "t", 0.0, closed="["))
-    k0, k1, dk0, dk1 = _propagator_scalar(t, _symbol(xi_mag, sigma))
-    return PropagatorValue(k0, k1, dk0, dk1)
-
-
-def propagation_matrix(t: float, xi_mag: float, sigma: float) -> np.ndarray:
-    """2x2 map (w, w_t)(0) -> (w, w_t)(t) for one mode."""
-    v = propagator(t, xi_mag, sigma)
-    return np.array([[v.k0, v.k1], [v.dk0, v.dk1]])
+    return np.reshape(_propagator_scalar(t, _symbol(xi_mag, sigma)), (2, 2))
 
 
 def ode_residual(t: float, xi_mag: float, sigma: float, h: float) -> float:

@@ -463,9 +463,9 @@ def envelope_ratio(gamma: float, r: float, n: int,
     return case, float(np.max(vals / env, initial=0.0))
 
 
-def plancherel_pairing(spec: TestFunctionSpec, g: GaussianProfile,
-                       sigma: float) -> tuple[float, float]:
-    """Both sides of int psi_R (-Lap)**sigma g = int ((-Lap)**sigma psi_R) g, n = 1.
+def plancherel_pairing(spec: TestFunctionSpec, g: GaussianProfile) -> tuple[float, float]:
+    """Both sides of int psi_R (-Lap)**gamma g = int ((-Lap)**gamma psi_R) g, n = 1,
+    with gamma = ``spec.gamma``.
 
     The left side is computed on the frequency side from closed-form
     transforms, the right side in physical space through the hypersingular
@@ -477,15 +477,13 @@ def plancherel_pairing(spec: TestFunctionSpec, g: GaussianProfile,
 
     def lhs_integrand(xi):
         psi_hat = psi_transform(xi) / math.sqrt(2.0 * math.pi)
-        return psi_hat * xi ** (2.0 * sigma) * (a * np.exp(b * xi * xi))
+        return psi_hat * xi ** (2.0 * spec.gamma) * (a * np.exp(b * xi * xi))
 
     lhs = 2.0 * gauss_kronrod(lhs_integrand, 0.0, 80.0 / min(R, 1.0) + 10.0 / g.width,
                               points=[0.5 / R, 2.0 / R], rel_tol=1e-9)
 
-    gamma_spec = TestFunctionSpec(gamma=sigma, r=spec.r, R=R)
-
     def rhs_integrand(x: float) -> float:
-        return fractional_laplacian_gamma(gamma_spec, x, 1) * float(g.value(x))
+        return fractional_laplacian_gamma(spec, x, 1) * float(g.value(x))
 
     rhs = 2.0 * adaptive_quad(rhs_integrand, 0.0, 9.0 * g.width,
                               points=[g.width, 3.0 * g.width], rel_tol=1e-7)

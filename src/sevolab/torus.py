@@ -56,18 +56,6 @@ _VDOT_CHUNK = 8192  # below the 10 000 elements from which OpenBLAS's dot uses t
 _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
-class ProfileTooWideError(ValueError):
-    """Initial profile leaks more than TAIL_TOL of its mass out of the box."""
-
-    def __init__(self, name: str, fraction: float):
-        super().__init__(name, fraction)
-        self.name = name
-        self.fraction = fraction
-
-    def __str__(self) -> str:
-        return f"{self.name}: tail mass fraction {self.fraction:.2e} exceeds {TAIL_TOL}"
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic box [-L, L)^n, a power-of-two grid of cell centres per
@@ -78,7 +66,7 @@ class GridSpec:
     with ``inverse_scale`` for its fill, ``radius()`` (``init``,
     ``Functionals``), ``spectral_weights`` (the steps, ``six_norms``, the
     top-octave monitor), ``sample_weight`` (``Functionals``), and ``half_length``
-    and ``xi_max`` (``t_valid``, ``check_profile_widths``, ``default_dt``)."""
+    and ``xi_max`` (``t_valid``, ``profile_leak``, ``default_dt``)."""
 
     n_dim: int
     points_per_dim: int
@@ -252,20 +240,23 @@ def default_dt(grid: GridSpec, params: SystemParams) -> float:
     return 0.1 * min(1.0, 2.0 * math.pi / om_max)
 
 
-def check_profile_widths(grid: GridSpec, data: InitialData) -> None:
-    """Raise ProfileTooWideError for the first nonzero profile of ``data`` that
-    leaks more than TAIL_TOL of its mass out of the box of ``grid``."""
+def profile_leak(grid: GridSpec, data: InitialData) -> Optional[tuple[str, float]]:
+    """(name, tail mass fraction) of the first nonzero profile of ``data`` that
+    leaks more than TAIL_TOL of its mass out of the box of ``grid``, else None."""
     for name in ("u0", "u1", "v0", "v1"):
         prof = getattr(data, name)
         if prof is not None and prof.amplitude != 0.0:
             frac = prof.tail_mass_fraction(grid.half_length, grid.n_dim)
             if frac > TAIL_TOL:
-                raise ProfileTooWideError(name, frac)
+                return name, frac
+    return None
 
 
 def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralState:
     """Spectral state at t = 0 sampling the data profiles on the corner."""
-    check_profile_widths(grid, data)
+    leak = profile_leak(grid, data)
+    if leak is not None:
+        raise ValueError(f"{leak[0]}: tail mass fraction {leak[1]:.2e} exceeds {TAIL_TOL}")
     r = grid.radius()
     phys = np.zeros((4, *grid.corner_shape))
     for row, prof in zip(phys, (data.u0, data.v0, data.u1, data.v1)):
@@ -519,10 +510,19 @@ def six_norms(state: SpectralState) -> dict[str, float]:
     with np.errstate(over="ignore", invalid="ignore"):  # a blown-up state's norms
         for name, w, wt, sigma in zip("uv", state.y[0], state.y[1],
                                       (state.sigma1, state.sigma2)):
-            norms[f"{name}_l2"] = math.sqrt(_energy(w, weight))
-            norms[f"{name}_dsigma"] = math.sqrt(_energy(w, _dsigma_weight(state.grid, sigma)))
-            norms[f"{name}_dt"] = math.sqrt(_energy(wt, weight))
+            norms[f"{name}_l2"] = _norm(w, weight)
+            norms[f"{name}_dsigma"] = _norm(w, _dsigma_weight(state.grid, sigma))
+            norms[f"{name}_dt"] = _norm(wt, weight)
     return norms
+
+
+def _norm(f: np.ndarray, weight: np.ndarray) -> float:
+    """sqrt(_energy(f, weight)), with f first scaled by 2**-e, e the binary
+    exponent of its largest |coefficient| (0 if f is zero or not finite), and
+    the root scaled back by 2**e.  Powers of two scale exactly, so tiny data
+    keep the digits that their squares would lose in underflow."""
+    e = math.frexp(np.max(np.abs(f)))[1]
+    return float(np.ldexp(math.sqrt(_energy(np.ldexp(f, -e), weight)), e))
 
 
 def _checked_norms(state: SpectralState) -> tuple[Optional[dict[str, float]], float]:

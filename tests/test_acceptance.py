@@ -18,7 +18,7 @@ import pytest
 from sevolab import cli
 from sevolab.exponents import Regime, SystemParams, classify_regime, gamma_exponents
 from sevolab.fitting import compare_rates, fit_power_law
-from sevolab.multipliers import ode_residual, propagation_matrix, propagator
+from sevolab.multipliers import ode_residual, propagator
 from sevolab.oracle import NormKind, decay_series, linear_norm
 from sevolab.profiles import GaussianProfile
 from sevolab.testfn import (
@@ -80,15 +80,15 @@ class TestCriterion2MultiplierCorrectness:
             t, s = rng.uniform(0.05, 15.0, 2)
             xi = rng.uniform(0.0, 2.0)
             sigma = rng.uniform(1.0, 2.5)
-            full = propagation_matrix(t + s, xi, sigma)
-            split = propagation_matrix(t, xi, sigma) @ propagation_matrix(s, xi, sigma)
+            full = propagator(t + s, xi, sigma)
+            split = propagator(t, xi, sigma) @ propagator(s, xi, sigma)
             scale = max(np.max(np.abs(full)), 1e-30)
             worst_semi = max(worst_semi, np.max(np.abs(full - split)) / scale)
         worst_init = 0.0
         for xi in (0.0, 0.3, seam[1.5], 2.0):
-            v = propagator(0.0, xi, 1.5)
-            worst_init = max(worst_init, abs(v.k0 - 1), abs(v.k1),
-                             abs(v.dk0), abs(v.dk1 - 1))
+            (k0, k1), (dk0, dk1) = propagator(0.0, xi, 1.5)
+            worst_init = max(worst_init, abs(k0 - 1), abs(k1),
+                             abs(dk0), abs(dk1 - 1))
         passed = worst_resid <= 1e-6 and worst_semi <= 1e-10 and worst_init <= 1e-12
         report("criterion 2 (multiplier correctness)", passed,
                f"ODE residual {worst_resid:.2e} (tol 1e-6), "
@@ -279,7 +279,7 @@ class TestCriterion7TestFunctionIdentities:
         worst = 0.0
         for sigma, r, R, width in ((1.5, 2.0, 4.0, 1.0), (1.25, 1.5, 2.0, 1.3)):
             spec = TestFunctionSpec(gamma=sigma, r=r, R=R)
-            lhs, rhs = plancherel_pairing(spec, GaussianProfile(1.0, width), sigma)
+            lhs, rhs = plancherel_pairing(spec, GaussianProfile(1.0, width))
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
         report("criterion 7c (Plancherel pairing)", worst <= 1e-6,
                f"max residual {worst:.2e} (tol 1e-6)")

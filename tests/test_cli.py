@@ -358,6 +358,32 @@ class TestSweep:
         assert [r[0] for r in rows] == sorted(r[0] for r in rows)
         assert all(r[3] != "" for r in rows)
 
+    def test_workers_capped_at_the_cell_count(self, monkeypatch):
+        # a fork pool starts all max_workers processes at its first submit, so the
+        # stand-in pool records the count it was asked for and maps in process
+        counts = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                counts.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "sweep_cell", lambda task: dict(task))
+        tasks = [{"p": 3.0, "q": 2.0}, {"p": 2.0, "q": 2.0}]
+        for workers in (5000, 2):
+            assert cli.run_sweep({"tasks": tasks}, workers=workers) == tasks[::-1]
+        assert cli.run_sweep({"tasks": tasks[:1]}, workers=5000) == tasks[:1]
+        assert counts == [2, 2]
+
     def test_default_workers_are_the_usable_cpus(self, monkeypatch):
         # 1 CPU in the affinity mask of a 64-CPU host: no pool, every cell here
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -433,9 +459,10 @@ class TestSweep:
         assert outputs[0] == outputs[1]
 
     def test_zero_initial_total_has_no_ratio(self, capsys, tmp_path):
-        # the squares of 1e-200 underflow: every norm reads 0, and 0/0 is no growth
+        # the samples of 1e-300 * exp(-r**2/(2 * 0.01**2)) underflow: every norm
+        # reads 0, and 0/0 is no growth
         cfg = copy.deepcopy(SWEEP_CONFIG)
-        cfg["cell"]["amplitude"] = 1e-200
+        cfg["cell"].update(amplitude=1e-300, width=0.01)
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "phase.csv"
@@ -697,6 +724,22 @@ class TestConfigReader:
             assert code == 1 and stdout == "" and err.startswith("error: ")
         assert runs == []
         assert not (tmp_path / "no_dir").exists() and a_file.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "linear-decay"])
+    def test_empty_out_rejected_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                command):
+        def fail(*args, **kwargs):
+            pytest.fail("ran the command's work")
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        monkeypatch.setattr(cli.oracle, "decay_series", fail)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(SWEEP_CONFIG))
+        flags = self.FLAGS.get(command, {"config": str(sweep), "workers": "1"})
+        argv = [x for k, v in flags.items() for x in (f"--{k}", v)]
+        code, stdout, err = run_cli(capsys, command, *argv, "--out", "")
+        assert (code, stdout) == (1, "")
+        assert err == "error: --out: cannot create the file ''\n"
 
     def test_workers_below_one_rejected(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"

@@ -52,7 +52,7 @@ G = GaussianProfile(0.01, 1.0)
 DATA = InitialData(u0=G, v1=G)
 MU = np.array([0.0, 0.3, 40.0])
 COMBO = BracketCombo(((1.0, 3.0),))
-FIT = DecayFit(-0.5, 0.0, 1.0, (1.0, 10.0))
+FIT = DecayFit(-0.5, 0.0, 1.0)
 
 
 def state():

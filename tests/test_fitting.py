@@ -71,18 +71,18 @@ class TestFitPowerLaw:
 
 class TestCompareRates:
     def test_two_sided_pass(self):
-        fit = DecayFit(-0.26, 0.0, 1.0, (1, 10))
+        fit = DecayFit(-0.26, 0.0, 1.0)
         assert compare_rates(fit, -0.25, 0.05)
 
     def test_two_sided_fail(self):
-        fit = DecayFit(-0.10, 0.0, 1.0, (1, 10))
+        fit = DecayFit(-0.10, 0.0, 1.0)
         assert not compare_rates(fit, -0.25, 0.05)
 
     def test_one_sided_band(self):
         predicted = -0.24  # upper bound with slack
-        assert compare_rates(DecayFit(-0.30, 0, 1, (1, 10)), predicted, 0.05,
+        assert compare_rates(DecayFit(-0.30, 0, 1), predicted, 0.05,
                              one_sided=True)
-        assert compare_rates(DecayFit(-0.20, 0, 1, (1, 10)), predicted, 0.05,
+        assert compare_rates(DecayFit(-0.20, 0, 1), predicted, 0.05,
                              one_sided=True)
-        assert not compare_rates(DecayFit(-0.10, 0, 1, (1, 10)), predicted, 0.05,
+        assert not compare_rates(DecayFit(-0.10, 0, 1), predicted, 0.05,
                                  one_sided=True)

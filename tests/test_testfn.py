@@ -503,12 +503,12 @@ class TestCutoffs:
 class TestPlancherelPairing:
     def test_fractional_pairing(self):
         spec = TestFunctionSpec(gamma=1.5, r=2.0, R=4.0)
-        lhs, rhs = plancherel_pairing(spec, GaussianProfile(1.0, 1.0), 1.5)
+        lhs, rhs = plancherel_pairing(spec, GaussianProfile(1.0, 1.0))
         assert abs(lhs - rhs) / abs(lhs) < 1e-6
 
     def test_pairing_other_order(self):
         spec = TestFunctionSpec(gamma=1.25, r=1.5, R=2.0)
-        lhs, rhs = plancherel_pairing(spec, GaussianProfile(0.5, 1.2), 1.25)
+        lhs, rhs = plancherel_pairing(spec, GaussianProfile(0.5, 1.2))
         assert abs(lhs - rhs) / abs(lhs) < 1e-6
 
 
