@@ -198,16 +198,14 @@ class SpectralState:
     """Corner (DCT-II) coefficients of (u, v, u_t, v_t) plus time and symbol
     metadata: ``y``, real, of shape ``(2, 2, *corner_shape)``, is indexed
     [value or time derivative, component].  ``energy`` is the squared L2 norm
-    of all four, set by the step that made the state (None at ``init``).
-    ``blown_up`` stays set from the first step whose energy is not finite,
-    though each norm may still be."""
+    of all four, set by the step that made the state (None at ``init``);
+    it overflows to inf while each norm may still be finite."""
 
     y: np.ndarray
     time: float
     grid: GridSpec
     sigma1: float
     sigma2: float
-    blown_up: bool = False
     energy: Optional[float] = None
 
 
@@ -389,18 +387,17 @@ def _step_arrays(state: SpectralState, dt: float, kernel: Optional[_StepKernel],
 
 def _stepped(state: SpectralState, y: np.ndarray, t: float, kernel: _StepKernel) -> SpectralState:
     """The state ``y`` at time ``t`` that a step of ``state`` made.  Its energy is one
-    weighted pass, and a non-finite one (overflow included, which does not warn
-    in the steps' errstate) sets ``blown_up``, which then stays set."""
-    energy = _energy(y, kernel.weight, kernel.tmp)
+    unscaled weighted pass, inf once the squares overflow (which does not warn in
+    the steps' errstate); only ``run``'s guard reads it."""
     return SpectralState(y, t, state.grid, state.sigma1, state.sigma2,
-                         blown_up=state.blown_up or not math.isfinite(energy), energy=energy)
+                         energy=_energy(y, kernel.weight, kernel.tmp))
 
 
 @_QUIET
 def linear_step(state: SpectralState, dt: float, kernel: Optional[_StepKernel] = None,
                 out: Optional[np.ndarray] = None) -> SpectralState:
     """Advance the linear system exactly by dt (any finite dt > 0) into ``out``,
-    not ``state.y``, or a new array; the new state is :func:`_stepped`'s."""
+    not ``state.y``, or a new array; the new state and energy are :func:`_stepped`'s."""
     kernel, y, (K0, K1, _, _) = _step_arrays(state, dt, kernel, out)
     np.multiply(K0, state.y[0], out=y)
     y += np.multiply(K1, state.y[1], out=kernel.tmp)
@@ -472,7 +469,7 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     to the same bits.  dt must be a finite real > 0, and p and q finite
     reals > 1, as :class:`SystemParams` takes them.  The new state's ``y`` is
     ``out`` if given, which must not be ``state.y``, else a new array; the new
-    state is :func:`_stepped`'s, as in :func:`linear_step`.
+    state and its energy are :func:`_stepped`'s, as in :func:`linear_step`.
     """
     require(p, "p", 1.0)
     require(q, "q", 1.0)
@@ -526,26 +523,26 @@ def _norm(f: np.ndarray, weight: np.ndarray) -> float:
 
 
 def _checked_norms(state: SpectralState) -> tuple[Optional[dict[str, float]], float]:
-    """(six norms, the largest), or (None, inf) once the state has blown up:
-    a norm is not finite, or the step that made the state flagged it."""
+    """(six norms, the largest), or (None, inf) once a norm is not finite,
+    which, as the norms scale each field first, takes an inf or nan coefficient."""
     norms = six_norms(state)
-    if state.blown_up or not all(math.isfinite(v) for v in norms.values()):
+    if not all(math.isfinite(v) for v in norms.values()):
         return None, math.inf
     return norms, max(norms.values())
 
 
 def detect_blowup(state: SpectralState, threshold: float) -> bool:
-    """True iff the state has blown up or any recorded norm exceeds threshold."""
+    """True iff any recorded norm of the state is not finite or exceeds threshold."""
     require(threshold, "threshold", 0.0, math.inf, "]")
     return _checked_norms(state)[1] > threshold
 
 
-def _top_octave_fraction(state: SpectralState) -> float:
-    """The largest share of a field's energy in the top octave, over u and v,
-    of a state whose norms are finite, so no product overflows."""
-    _, weight, top = state.grid.spectral_weights
-    shares = [(_energy(f, top), _energy(f, weight)) for f in state.y[0]]
-    return max((part / total for part, total in shares if total > 0.0), default=0.0)
+def _top_octave_fraction(state: SpectralState, norms: dict[str, float]) -> float:
+    """The largest top-octave share of a field's energy over u and v, (its top
+    :func:`_norm` / its L2 norm in ``norms``, the finite :func:`six_norms`)**2."""
+    top = state.grid.spectral_weights[2]
+    shares = [(_norm(f, top), norms[f"{name}_l2"]) for name, f in zip("uv", state.y[0])]
+    return max(((part / total) ** 2 for part, total in shares if total > 0.0), default=0.0)
 
 
 def _auto_or_positive(name: str, value: float | str) -> float | str:
@@ -593,10 +590,10 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     times and t_max) by a :class:`_Stepper`, and keeps the events, the
     per-step guard, the recorder, the observers and the top-octave monitor.
     An observer's ``observer(t, state)`` is called at each of its ``times``
-    while the state is finite; it may keep the state, which no later step
-    overwrites.  The run stops with a blow-up report at the first event, or
-    step flagged by the guard on ``state.energy``, where a norm crosses the
-    threshold or turns non-finite.
+    while its norms are finite; it may keep the state, which no later step
+    overwrites.  The guard, ``state.energy`` over (4 threshold)**2, only ends
+    the stepping; the run stops with a blow-up report at the first event or
+    guarded step where a norm crosses the threshold or turns non-finite.
     linear_only=True steps by the exact linear propagator alone.  dt and
     blowup_threshold are "auto" or a finite real > 0, not a bool.
     ``config_echo`` holds dt, the threshold, the initial total norm and the
@@ -615,13 +612,14 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     if threshold == "auto":
         threshold = 1e6 * initial_total if initial_total > 0 else 1e6
 
+    limit = (4.0 * threshold) * (4.0 * threshold)  # inf above ~3.4e153: then only nan trips
     rows: list[tuple[float, dict[str, float]]] = []
     warnings: list[str] = []
     blowup: Optional[dict] = None
     for event in sorted(events):
         while state.time < event - 1e-9:
             state = stepper.toward(state, event)
-            if not math.sqrt(state.energy) <= 4.0 * threshold:  # the per-step guard; nan fails
+            if not state.energy <= limit:  # the per-step guard; nan fails
                 break  # sqrt(energy) <= 2x the largest norm, so the blow-up test ends the run
         else:
             state.time = event
@@ -634,7 +632,7 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
                 if t in times:
                     stepper.held = None  # the state may leave the run: no step writes into it
                     observer(t, state)
-            if not warnings and _top_octave_fraction(state) > TAIL_ENERGY_WARN:
+            if not warnings and _top_octave_fraction(state, norms) > TAIL_ENERGY_WARN:
                 warnings.append(
                     f"top-octave energy fraction exceeded {TAIL_ENERGY_WARN:.0e} at t={t:g}")
         if peak > threshold:

@@ -25,6 +25,7 @@ from sevolab.oracle import NormKind, linear_norm
 from sevolab.profiles import GaussianProfile
 from sevolab.testfn import Functionals, TestFunctionSpec
 from sevolab.torus import (
+    NORM_LABELS,
     GridSpec,
     InitialData,
     SpectralState,
@@ -336,7 +337,7 @@ class TestLinearStep:
         out = linear_step(state, 0.3)
         mult = grid.spectral_weights[1]
         assert out.energy == _energy(out.y, mult)
-        assert out.energy > 0 and not out.blown_up
+        assert out.energy > 0
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
     def test_rejects_dt_with_any_kernel(self, dt):
@@ -349,20 +350,24 @@ class TestLinearStep:
             with pytest.raises(ValueError, match="dt must be finite and positive"):
                 step()
 
-    def test_overflow_sets_blowup_flag(self):
-        grid = GridSpec(1, 64, 20.0)
-        state = init(grid, InitialData(u0=GaussianProfile(1.0, 1.0)), PARAMS)
-        state.y[0, 0] *= 1e300
-        stepped = linear_step(state, 0.1)
-        assert stepped.blown_up and not math.isfinite(stepped.energy)
-
-    def test_blowup_flag_stays_set(self):
-        # the flag is kept from the state, not read off the new energy, in both steps
-        grid = GridSpec(1, 64, 20.0)
-        state = init(grid, InitialData(u0=GaussianProfile(0.01, 1.0)), PARAMS)
-        state.blown_up = True
-        for stepped in (linear_step(state, 0.1), duhamel_step(state, 0.1, 3.0, 4.0)):
-            assert stepped.blown_up and math.isfinite(stepped.energy)
+    def test_huge_data_scale_the_run_exactly(self):
+        # at 2**520 the squares overflow, so every step's energy is inf; the
+        # linear flow and the scaled norms take a power of two exactly, so the
+        # run records what it records at 2**-10, times 2**530, with no blow-up
+        grid = GridSpec(1, 128, 20.0)
+        params = SystemParams(1, 1.0, 1.0, 2.0, 2.0)
+        results = []
+        for amplitude in (2.0**520, 2.0**-10):
+            g = GaussianProfile(amplitude, 1.0)
+            results.append(run(grid, InitialData(u0=g, v1=g), params, 2.0, [0.0, 0.5, 1.0, 2.0],
+                               linear_only=True))
+        huge, small = results
+        assert huge.blowup is None and small.blowup is None
+        assert huge.config_echo["steps"] == small.config_echo["steps"]
+        for label in NORM_LABELS:
+            assert list(huge.series[label].times()) == [0.0, 0.5, 1.0, 2.0]
+            assert [v for _, v in huge.series[label].entries] == \
+                [math.ldexp(v, 530) for _, v in small.series[label].entries]
 
     def test_cross_validation_against_oracle(self):
         grid = GridSpec(1, 1024, 100.0)
@@ -461,12 +466,22 @@ class TestDuhamelStep:
         assert np.array_equal(stacked.y[0], reference.y[0])
         assert np.array_equal(stacked.y[1], reference.y[1])
 
-    def test_overflow_sets_blowup_flag(self):
-        grid = GridSpec(1, 64, 20.0)
-        state = init(grid, InitialData(u0=GaussianProfile(1.0, 1.0)), PARAMS)
-        state.y[0, 0] *= 1e300
-        stepped = duhamel_step(state, 0.1, 9.0, 9.0)
-        assert stepped.blown_up
+    def test_overflowed_energy_reports_the_finite_peak(self):
+        # the first step's squares overflow, so its energy is inf and the guard
+        # ends the run there; its coefficients are finite, so the report reads
+        # the largest of its scaled norms, not inf
+        grid = GridSpec(1, 64, 15.0)
+        params = SystemParams(1, 1.0, 1.0, 2.0, 2.0)
+        g = GaussianProfile(1e100, 1.0)
+        data = InitialData(u1=g, v1=g)
+        res = run(grid, data, params, 1.0, [1.0])
+        dt = res.config_echo["dt"]
+        assert res.config_echo["steps"] == 1
+        assert res.blowup["time"] == dt == float.fromhex("0x1.8112b6e7915a0p-4")
+        stepped = duhamel_step(init(grid, data, params), dt, 2.0, 2.0)
+        assert stepped.energy == math.inf and np.all(np.isfinite(stepped.y))
+        assert res.blowup["norm_at_detection"] == max(six_norms(stepped).values())
+        assert 1e196 < res.blowup["norm_at_detection"] < 1e197
 
 
 def run_python(code: str, **env: str) -> str:
@@ -686,7 +701,7 @@ class TestRunInvariants:
     @given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(1, 3),
            scales=st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=4))
     def test_guard_energy_is_at_most_twice_the_largest_norm(self, seed, n_dim, scales):
-        # run's guard passes while sqrt(energy) <= 4x the threshold, so when it
+        # run's guard passes while energy <= (4x the threshold)**2, so when it
         # fails the largest norm is over twice the threshold and the run ends
         grid = GridSpec(n_dim, 16, 10.0)
         rng = np.random.default_rng(seed)
@@ -696,6 +711,24 @@ class TestRunInvariants:
         assert math.isfinite(state.energy)
         largest = max(six_norms(state).values())
         assert math.sqrt(state.energy) <= 2.0 * largest * (1.0 + 1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(1, 3), big=st.integers(0, 3),
+           scales=st.lists(st.floats(-100.0, 300.0), min_size=4, max_size=4))
+    def test_overflowed_guard_energy_leaves_a_norm_over_half_root_realmax(
+            self, seed, n_dim, big, scales):
+        # an energy whose squares overflow is inf with every coefficient finite;
+        # one of the four fields then has a norm over sqrt(realmax)/2, so a guard
+        # that trips on a finite (4x the threshold)**2 still leaves a norm over
+        # twice the threshold, which is below sqrt(realmax)/4
+        grid = GridSpec(n_dim, 16, 10.0)
+        rng = np.random.default_rng(seed)
+        fields = rng.standard_normal((2, 2, *grid.corner_shape))
+        scales[big] = max(scales[big], 160.0)
+        fields *= (10.0 ** np.array(scales)).reshape(2, 2, *[1] * n_dim)
+        state = linear_step(SpectralState(fields, 0.0, grid, 1.0, 1.5), 0.1)
+        assert state.energy == math.inf and np.all(np.isfinite(state.y))
+        assert max(six_norms(state).values()) > math.sqrt(sys.float_info.max) / 2.0
 
     def test_guard_between_events_ends_the_run_at_its_step(self, monkeypatch):
         # amplitude 3 blows up near t = 3.4, between the events 3 and 8
@@ -711,14 +744,36 @@ class TestRunInvariants:
         snaps = Snapshots([0.0, 3.0, 8.0])
         res = run(grid, InitialData(u1=g, v1=g), params, 10.0, [0.0, 1.0, 3.0, 10.0],
                   dt=0.05, observers=[snaps])
-        limit = 4.0 * res.config_echo["threshold"]
-        passed = [math.sqrt(state.energy) <= limit for state in stepped]
+        limit = (4.0 * res.config_echo["threshold"]) ** 2
+        passed = [state.energy <= limit for state in stepped]
         assert passed == [True] * (len(stepped) - 1) + [False]
         assert res.blowup["time"] == stepped[-1].time
         assert 3.0 < res.blowup["time"] < 8.0
         assert list(res.series["u_l2"].times()) == [0.0, 1.0, 3.0]
         assert [t for t, _, _ in snaps.fields] == [0.0, 3.0]
         assert res.config_echo["steps"] == len(stepped) == 68
+
+    def test_threshold_past_the_squared_guard_leaves_nan_to_end_the_run(self, monkeypatch):
+        # (4 * 1e200)**2 is inf, so the guard trips only on nan: the energy
+        # overflows a step before the fields turn nan, and the run steps on to
+        # that step, where the blow-up test reports it, the records before kept
+        stepped = []
+
+        def recorded(*args, **kwargs):
+            state = duhamel_step(*args, **kwargs)
+            stepped.append((state.time, state.energy, bool(np.isnan(state.y).any())))
+            return state
+        monkeypatch.setattr("sevolab.torus.duhamel_step", recorded)
+        grid = GridSpec(1, 256, 20.0)
+        params = SystemParams(1, 1.0, 1.0, 2.0, 2.0)
+        g = GaussianProfile(3.0, 1.0)
+        res = run(grid, InitialData(u1=g, v1=g), params, 10.0, [0.0, 1.0, 2.0, 3.0, 10.0],
+                  blowup_threshold=1e200)
+        nan_steps = [t for t, _, nan in stepped if nan]
+        assert nan_steps == [stepped[-1][0]] and stepped[-2][1] == math.inf
+        assert res.blowup == {"time": stepped[-1][0], "norm_at_detection": math.inf}
+        assert 3.0 < res.blowup["time"] < 10.0
+        assert list(res.series["u_l2"].times()) == [0.0, 1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0])
     def test_nonpositive_threshold_rejected(self, threshold):
@@ -1101,8 +1156,8 @@ class TestSixNorms:
 
     @pytest.mark.parametrize("n_dim,npts", [(1, 64), (2, 32), (3, 16)])
     def test_step_energy_is_the_squared_l2_norm(self, n_dim, npts):
-        # run's guard compares sqrt(energy) with the norm threshold, so the
-        # energy is the squared L2 norm of u, v, u_t and v_t on the full grid
+        # run's guard compares the energy with the squared norm threshold, so
+        # the energy is the squared L2 norm of u, v, u_t and v_t on the full grid
         grid = GridSpec(n_dim, npts, 10.0)
         g = GaussianProfile(0.5, 1.0)
         state = init(grid, InitialData(u0=g, u1=g, v0=g, v1=g), PARAMS)
@@ -1138,11 +1193,24 @@ class TestTopOctaveMonitor:
             power = np.abs(np.fft.fftn(grid.unfold(grid.to_physical(row)))) ** 2
             shares.append(np.sum(power[top]) / np.sum(power))
         assert shares[1] > shares[0] > 1e-6
-        assert _top_octave_fraction(state) == pytest.approx(shares[1], rel=1e-13)
+        assert _top_octave_fraction(state, six_norms(state)) == pytest.approx(shares[1], rel=1e-13)
 
     def test_zero_field_has_no_share(self):
         grid = GridSpec(2, 32, 10.0)
-        assert _top_octave_fraction(init(grid, InitialData(), PARAMS)) == 0.0
+        state = init(grid, InitialData(), PARAMS)
+        assert _top_octave_fraction(state, six_norms(state)) == 0.0
+
+    @pytest.mark.parametrize("width", [0.3, 0.5])
+    def test_tiny_data_warn_as_their_shape_does(self, width):
+        # at 1e-200 every square underflows; the shares are ratios of scaled
+        # norms, so the monitor warns as it does for the same shape at 0.01
+        grid = GridSpec(1, 128, 20.0)
+        params = SystemParams(1, 1.0, 1.0, 2.0, 2.0)
+        warnings = []
+        for amplitude in (0.01, 1e-200):
+            g = GaussianProfile(amplitude, width)
+            warnings.append(run(grid, InitialData(u1=g, v1=g), params, 2.0, [1.0, 2.0]).warnings)
+        assert warnings[0] == warnings[1] == ["top-octave energy fraction exceeded 1e-06 at t=1"]
 
 
 class TestDetectBlowup:
