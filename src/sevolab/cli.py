@@ -53,16 +53,24 @@ def _read(obj, path: str, fields: dict,
     return out
 
 
+def _shown(value) -> str:
+    """A value as an error quotes it: JSON, or repr where it holds a nan or inf."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError:
+        return repr(value)
+
+
 def _number(lo: float | None = None, strict: bool = True, integer: bool = False):
     """A finite JSON number (integral if ``integer``), > lo, or >= lo if not strict."""
     def rule(value, path):
         if type(value) not in (int, float) or not math.isfinite(value) \
                 or integer and value != int(value):
             kind = "an integer" if integer else "a finite number"
-            raise ConfigError(f"{path}: expected {kind}, got {json.dumps(value)}")
+            raise ConfigError(f"{path}: expected {kind}, got {_shown(value)}")
         if lo is not None and (value <= lo if strict else value < lo):
             raise ConfigError(f"{path}: must be {'>' if strict else '>='} {lo:g}, "
-                              f"got {json.dumps(value)}")
+                              f"got {_shown(value)}")
         return int(value) if integer else float(value)
     return rule
 
@@ -70,7 +78,7 @@ def _number(lo: float | None = None, strict: bool = True, integer: bool = False)
 def _auto_or_positive(value, path):
     if value != "auto" and not (type(value) in (int, float) and 0 < value < math.inf):
         raise ConfigError(f'{path}: expected "auto" or a finite number > 0, '
-                          f'got {json.dumps(value)}')
+                          f'got {_shown(value)}')
     return value if value == "auto" else float(value)
 
 
@@ -78,8 +86,8 @@ def _enum(*choices):
     """One of ``choices`` with its JSON type, so that true is not 1."""
     def rule(value, path):
         if not any(type(value) is type(c) and value == c for c in choices):
-            raise ConfigError(f"{path}: expected one of {json.dumps(choices)}, "
-                              f"got {json.dumps(value)}")
+            raise ConfigError(f"{path}: expected one of {_shown(choices)}, "
+                              f"got {_shown(value)}")
         return value
     return rule
 
@@ -244,7 +252,7 @@ def _load_json(path: str):
 
 
 def config_hash(obj) -> str:
-    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -331,7 +339,7 @@ def _check_out(path: str) -> None:
 
 def cmd_classify(args) -> int:
     params = exponents.SystemParams(**vars(args))
-    print(json.dumps(verdict_json(params), indent=2, sort_keys=True))
+    print(json.dumps(verdict_json(params), indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -420,20 +428,24 @@ def cmd_simulate(args) -> int:
     if window is None:
         hi = min(cfg["t_max"], result.t_valid)
         window = (max(1.0, 0.1 * hi), hi)
+    blowup = result.blowup
+    if blowup is not None and not math.isfinite(blowup["norm_at_detection"]):
+        blowup = dict(blowup, norm_at_detection=None)  # strict JSON has no inf or nan
     events = {
         "config_hash": hash_str,
-        "blowup": result.blowup,
+        "blowup": blowup,
         "t_valid": result.t_valid,
         "warnings": result.warnings,
         "fits": _run_fits(result, cfg["params"], window),
         "regime": exponents.classify_regime(cfg["params"]).regime.value,
         "run": result.config_echo,
     }
+    # the JSON first: a value it refuses leaves no file half written
+    events_text = json.dumps(events, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write_text(os.path.join(args.out_dir, "norms.csv"), run_norms_csv(result, hash_str))
-    _write_text(os.path.join(args.out_dir, "events.json"),
-                json.dumps(events, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({"blowup": result.blowup, "out_dir": args.out_dir},
-                     sort_keys=True))
+    _write_text(os.path.join(args.out_dir, "events.json"), events_text)
+    print(json.dumps({"blowup": blowup, "out_dir": args.out_dir},
+                     sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -512,7 +524,7 @@ def cmd_sweep(args) -> int:
     _write_text(args.out, sweep_csv(rows, config_hash(raw)))
     warnings = {f"{r['p']:g},{r['q']:g}": r["warnings"] for r in rows if r["warnings"]}
     print(json.dumps({"cells": len(rows), "errors": sum(1 for r in rows if r["error"]),
-                      "out": args.out, "warnings": warnings}, sort_keys=True),
+                      "out": args.out, "warnings": warnings}, sort_keys=True, allow_nan=False),
           file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 
@@ -556,7 +568,7 @@ def cmd_testfn_check(args) -> int:
         lhs, rhs = testfn.plancherel_pairing(spec, GaussianProfile(1.0, 1.0))
         report["plancherel_residual"] = abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

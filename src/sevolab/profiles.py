@@ -41,14 +41,9 @@ class GaussianProfile:
         return self.amplitude * np.exp(-r * r / (2.0 * self.width**2))
 
     def hat_coefficients(self, n: int) -> tuple[float, float]:
-        """(a, b) with hat(rho, n) = a * exp(b * rho * rho), for float callers."""
+        """(a, b) with the unitary Fourier transform in R^n at frequency
+        radius rho equal to a * exp(b * rho * rho)."""
         return self.amplitude * self.width**n, -self.width**2 / 2.0
-
-    def hat(self, rho, n: int):
-        """Unitary Fourier transform at frequency radius rho (array friendly)."""
-        a, b = self.hat_coefficients(n)
-        rho = np.asarray(rho, dtype=float)
-        return a * np.exp(b * rho * rho)
 
     def mass(self, n: int) -> float:
         """Integral over R^n (signed)."""

@@ -35,8 +35,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from ._inputs import require, require_reals
 from .exponents import SystemParams
@@ -90,8 +88,8 @@ def frac_lap_normalization(n: int, s: float) -> float:
     the choice is validated by the Bessel-K cross-check.
     """
     require(s, "s", 0.0, 1.0)
-    return (4.0**s * gamma_fn(n / 2.0 + s)
-            / (math.pi ** (n / 2.0) * abs(gamma_fn(-s))))
+    return (4.0**s * math.gamma(n / 2.0 + s)
+            / (math.pi ** (n / 2.0) * abs(math.gamma(-s))))
 
 
 @lru_cache(maxsize=2)
@@ -231,14 +229,16 @@ def _combo_transform(combo: BracketCombo, scale: float) -> Callable:
     """xi -> the non-unitary 1D transform of the combo at the given scale, for
     xi >= 0, on a float or an array alike: each <y>**(-l), l > 1, gives
     coef * xi**nu * K_nu(xi) with nu = (l-1)/2, and below xi = 1e-8 the
-    limit 2**(nu-1) Gamma(nu) of xi**nu * K_nu(xi) avoids the K_nu overflow."""
+    limit 2**(nu-1) Gamma(nu) of xi**nu * K_nu(xi) avoids the K_nu overflow.
+    K_nu, testfn's one scipy call, is imported here, by the processes that use it."""
+    from scipy.special import kv
     terms = []
     for c, ell in combo.terms:
         if ell <= 1.0:
             raise ValueError("bracket transform implemented for exponents > 1")
         nu = (ell - 1.0) / 2.0
-        coef = math.sqrt(2.0 * math.pi) / (2.0 ** ((ell - 2.0) / 2.0) * gamma_fn(ell / 2.0))
-        terms.append((c * scale * coef, nu, 2.0 ** (nu - 1.0) * gamma_fn(nu)))
+        coef = math.sqrt(2.0 * math.pi) / (2.0 ** ((ell - 2.0) / 2.0) * math.gamma(ell / 2.0))
+        terms.append((c * scale * coef, nu, 2.0 ** (nu - 1.0) * math.gamma(nu)))
 
     def fhat(xi):
         y = scale * np.asarray(xi, dtype=float)

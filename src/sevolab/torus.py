@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.fftpack
 
 from ._inputs import require
 from .exponents import SystemParams
@@ -56,17 +55,25 @@ _VDOT_CHUNK = 8192  # below the 10 000 elements from which OpenBLAS's dot uses t
 _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
+@functools.cache
+def _fftpack():
+    """scipy.fftpack, imported on the first transform and cached after it; each
+    transform call reads ``dct``/``idct`` off it, so a replaced one is used."""
+    import scipy.fftpack
+    return scipy.fftpack
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic box [-L, L)^n, a power-of-two grid of cell centres per
-    dimension; its arrays cover the corner only, :meth:`unfold` the full grid.
-    It owns that layout and every transform; the simulator reads of it the
-    field shape ``corner_shape``, the pair ``to_physical``/``to_spectral``, the
-    coupled step's in-place ``stage_inverse`` and ``to_spectral(overwrite=True)``
-    with ``inverse_scale`` for its fill, ``radius()`` (``init``,
-    ``Functionals``), ``spectral_weights`` (the steps, ``six_norms``, the
-    top-octave monitor), ``sample_weight`` (``Functionals``), and ``half_length``
-    and ``xi_max`` (``t_valid``, ``profile_leak``, ``default_dt``)."""
+    dimension, whose arrays cover the corner only.  It owns that layout and
+    every transform; the simulator reads of it the field shape
+    ``corner_shape``, the pair ``to_physical``/``to_spectral``, the coupled
+    step's in-place ``stage_inverse`` and ``to_spectral(overwrite=True)`` with
+    ``inverse_scale`` for its fill, ``radius()`` (``init``, ``Functionals``),
+    ``spectral_weights`` (the steps, ``six_norms``, the top-octave monitor),
+    ``sample_weight`` (``Functionals``), and ``half_length`` and ``xi_max``
+    (``t_valid``, ``profile_leak``, ``default_dt``)."""
 
     n_dim: int
     points_per_dim: int
@@ -147,7 +154,7 @@ class GridSpec:
         which skips scipy.fft's backend dispatch and the n-d call's own
         (README, "The floors")."""
         for axis in range(-self.n_dim, 0):
-            block = scipy.fftpack.idct(block, type=2, axis=axis, overwrite_x=True)
+            block = _fftpack().idct(block, type=2, axis=axis, overwrite_x=True)
         return block
 
     def to_physical(self, w_hat: np.ndarray) -> np.ndarray:
@@ -159,15 +166,8 @@ class GridSpec:
     def to_spectral(self, w: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Corner coefficients of corner samples (trailing n_dim axes): dctn's bits."""
         for axis in range(-self.n_dim, 0):
-            w = scipy.fftpack.dct(w, type=2, axis=axis, overwrite_x=overwrite)
+            w = _fftpack().dct(w, type=2, axis=axis, overwrite_x=overwrite)
             overwrite = True
-        return w
-
-    def unfold(self, w: np.ndarray) -> np.ndarray:
-        """Full-grid field(s) of corner samples, reflected j -> N-1-j on each
-        of the trailing n_dim axes."""
-        for axis in range(-self.n_dim, 0):
-            w = np.concatenate((w, np.flip(w, axis)), axis)
         return w
 
 

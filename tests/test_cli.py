@@ -252,6 +252,30 @@ class TestSimulate:
         assert events["blowup"] is not None
         assert events["blowup"]["time"] <= 50.0
 
+    def test_non_finite_peak_writes_strict_json(self, capsys, tmp_path):
+        # (4 * 1e200)**2 is inf, so this run reports at its nan step with an
+        # inf peak: events.json and stdout write it as null, never Infinity
+        blob = {"kind": "gaussian", "amplitude": 3.0, "width": 1.0}
+        cfg = {"params": {"n": 1, "sigma1": 1.0, "sigma2": 1.0, "p": 2.0, "q": 2.0},
+               "grid": {"n_dim": 1, "points_per_dim": 256, "half_length": 20.0},
+               "data": {"u0": None, "u1": blob, "v0": None, "v1": blob},
+               "t_max": 10.0, "record": [0, 1, 2, 3, 10], "blowup_threshold": 1e200}
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config",
+                                 self.write_config(tmp_path, cfg), "--out-dir", str(out_dir))
+        assert code == 0, err
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+        events = json.loads((out_dir / "events.json").read_text(), parse_constant=refuse)
+        printed = json.loads(out, parse_constant=refuse)
+        loaded = cli.load_run_config(cfg)
+        result = torus.run(loaded["grid"], loaded["data"], loaded["params"], loaded["t_max"],
+                           loaded["record"], blowup_threshold=loaded["blowup_threshold"])
+        assert result.blowup["norm_at_detection"] == math.inf
+        expected = {"time": result.blowup["time"], "norm_at_detection": None}
+        assert events["blowup"] == printed["blowup"] == expected
+
     # ExistenceThm11 on a box whose t_valid is 24: the default window is
     # [0.1*24, 24], and every norm has 8 or more record times in it
     FIT_CONFIG = {

@@ -1,5 +1,6 @@
-"""Every ``sevolab`` name that the benchmark's tracer wraps still exists, and
-the package itself re-exports nothing, so importing it loads no module."""
+"""Every ``sevolab`` name that the benchmark's tracer wraps still exists, the
+package itself re-exports nothing, so importing it loads no module, and
+importing the CLI loads no scipy module."""
 
 import importlib
 import os
@@ -25,13 +26,26 @@ def test_bench_trace_targets_resolve(monkeypatch):
     assert missing == []
 
 
-def test_package_import_loads_no_numpy_or_scipy():
-    # callers import the modules they use; the package's own import is free
+def loaded_after(module):
+    """The modules a fresh interpreter holds after importing ``module``."""
     src = str(pathlib.Path(sevolab.__file__).resolve().parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import sys, sevolab; print(' '.join(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
+    code = f"import sys, {module}; print(' '.join(sys.modules))"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_package_import_loads_no_numpy_or_scipy():
+    # callers import the modules they use; the package's own import is free
+    loaded = loaded_after("sevolab")
     assert "sevolab" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # the simulator, testfn and quadutil import their scipy modules on first use,
+    # so a command that needs none of them (classify) loads none
+    loaded = loaded_after("sevolab.cli")
+    assert "sevolab.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []

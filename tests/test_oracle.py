@@ -141,8 +141,12 @@ class TestFloatIntegrand:
         for w1 in (GaussianProfile(0.4, 0.8), None):
             for t, sigma in ((0.0, 1.0), (0.3, 2.0), (7.5, 1.25), (1e3, 1.5)):
                 k0, k1, dk0, dk1 = propagator_arrays(t, rho ** (2.0 * sigma))
-                h0 = w0.hat(rho, n)
-                h1 = w1.hat(rho, n) if w1 is not None else 0.0
+                a0, b0 = w0.hat_coefficients(n)
+                h0 = a0 * np.exp(b0 * rho * rho)
+                h1 = 0.0
+                if w1 is not None:
+                    a1, b1 = w1.hat_coefficients(n)
+                    h1 = a1 * np.exp(b1 * rho * rho)
                 if kind is NormKind.TIME_DERIVATIVE:
                     m = dk0 * h0 + dk1 * h1
                 else:

@@ -31,6 +31,7 @@ from sevolab.testfn import (
     plancherel_pairing,
 )
 from sevolab.torus import GridSpec, InitialData, SpectralState, run
+from test_torus import Snapshots, unfold
 
 #: a batch moves the rows of its shared node table, which changes the last
 #: bits of each quadrature; the pieces of a value cancel by up to a few decades
@@ -524,17 +525,6 @@ def frozen_values(grid, params, specs, times, u_value, v_value):
     return observer.values()
 
 
-class Snapshots:
-    """Observer keeping the full-grid (t, u, v) at its times."""
-
-    def __init__(self, times):
-        self.times = times
-        self.fields = []
-
-    def __call__(self, t, state):
-        self.fields.append((t, *state.grid.unfold(state.grid.to_physical(state.y[0]))))
-
-
 def snapshot_functionals(snaps, grid, spec, params):
     """(I_R, J_R, I_R_t, J_R_t) of an integer order from stored full-grid
     snapshots: full-grid sums and trapezoids, the reference of the streamed
@@ -542,7 +532,7 @@ def snapshot_functionals(snaps, grid, spec, params):
     T = spec.R ** (2.0 * params.sigma1)
     snaps = [s for s in snaps if s[0] <= T * (1.0 + 1e-9)]
     lam = 2.0 * max(params.p / (params.p - 1.0), params.q / (params.q - 1.0))
-    weight = eta(grid.unfold(grid.radius()) / spec.R, lam)
+    weight = eta(unfold(grid, grid.radius()) / spec.R, lam)
     t_arr = np.array([t for t, _, _ in snaps])
     eta_vals = np.array([eta(t / T, lam) for t in t_arr])
     i_vals = np.array([np.sum(np.abs(v) ** params.p * weight) * grid.dV
@@ -617,8 +607,8 @@ class TestFunctionals:
         y = np.stack((grid.to_spectral(samples), np.zeros_like(samples)))
         state = SpectralState(y, 0.0, grid, params.sigma1, params.sigma2)
         observer(0.0, state)
-        u, v = grid.unfold(grid.to_physical(state.y[0]))
-        r = grid.unfold(grid.radius())
+        u, v = unfold(grid, grid.to_physical(state.y[0]))
+        r = unfold(grid, grid.radius())
         cutoffs = [eta(r / spec.R, observer._lam) if sigma == 1.0
                    else (1.0 + (r / spec.R) ** 2) ** (-spec.r / 2.0) for spec in specs]
         expected = [0.0, *(grid.dV * np.sum(c * np.abs(v) ** params.p) for c in cutoffs),

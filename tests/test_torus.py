@@ -55,7 +55,15 @@ class Snapshots:
         self.fields = []
 
     def __call__(self, t, state):
-        self.fields.append((t, *state.grid.unfold(state.grid.to_physical(state.y[0]))))
+        self.fields.append((t, *unfold(state.grid, state.grid.to_physical(state.y[0]))))
+
+
+def unfold(grid, w):
+    """Full-grid field(s) of corner samples, reflected j -> N-1-j on each of
+    the trailing n_dim axes."""
+    for axis in range(-grid.n_dim, 0):
+        w = np.concatenate((w, np.flip(w, axis)), axis)
+    return w
 
 
 def corner(grid, w):
@@ -262,7 +270,7 @@ class TestInit:
         grid = GridSpec(n_dim, npts, 10.0)
         g, h = GaussianProfile(0.8, 1.2), GaussianProfile(-0.4, 0.9)
         state = init(grid, InitialData(u0=g, v1=h), PARAMS)
-        r = grid.unfold(grid.radius())
+        r = unfold(grid, grid.radius())
         assert state.y.shape == (2, 2, *grid.corner_shape)
         for got, prof in ((state.y[0, 0], g), (state.y[1, 1], h)):
             ref = rfftn_corner(grid, prof.value(r))
@@ -275,7 +283,7 @@ class TestInit:
         # the full half spectrum: bins 0..127 undo the phase, bin 128 is 0
         phase = np.exp(1j * math.pi * np.arange(128) / 256)
         recovered = np.fft.irfft(np.append(state.y[0, 1] * phase, 0.0), n=256)
-        sampled = g.value(grid.unfold(grid.radius()))
+        sampled = g.value(unfold(grid, grid.radius()))
         assert np.max(np.abs(recovered - sampled)) < 1e-10
 
 
@@ -630,7 +638,7 @@ class TestRunInvariants:
         # still the phased rfftn spectrum of the unfolded field, which is real
         for arr in state.y[0]:
             assert arr.dtype == np.float64
-            ref = rfftn_corner(grid, grid.unfold(grid.to_physical(arr)))
+            ref = rfftn_corner(grid, unfold(grid, grid.to_physical(arr)))
             assert np.max(np.abs(ref.imag)) < 1e-10 * np.max(np.abs(ref.real))
             assert np.max(np.abs(arr - ref.real)) <= 1e-13 * np.max(np.abs(ref.real))
 
@@ -647,7 +655,7 @@ class TestRunInvariants:
                 for axis in (0, 1):
                     assert np.array_equal(f, np.flip(f, axis))
         _, u0, _ = snaps.fields[0]
-        assert np.max(np.abs(u0 - g.value(grid.unfold(grid.radius())))) < 1e-12
+        assert np.max(np.abs(u0 - g.value(unfold(grid, grid.radius())))) < 1e-12
 
     def test_step_halving_self_convergence(self):
         grid = GridSpec(1, 256, 30.0)
@@ -1145,7 +1153,7 @@ class TestSixNorms:
         rng = np.random.default_rng(n_dim)
         state = init(grid, InitialData(), PARAMS)
         state.y[0, 0] = grid.to_spectral(rng.standard_normal(grid.corner_shape))
-        full = grid.unfold(grid.to_physical(state.y[0, 0]))
+        full = unfold(grid, grid.to_physical(state.y[0, 0]))
         norms = six_norms(state)
         assert norms["u_l2"] == pytest.approx(math.sqrt(grid.dV * np.sum(full**2)),
                                               rel=1e-13)
@@ -1162,7 +1170,7 @@ class TestSixNorms:
         g = GaussianProfile(0.5, 1.0)
         state = init(grid, InitialData(u0=g, u1=g, v0=g, v1=g), PARAMS)
         state = linear_step(state, 0.3)
-        fields = grid.unfold(grid.to_physical(state.y))
+        fields = unfold(grid, grid.to_physical(state.y))
         assert state.energy == pytest.approx(grid.dV * np.sum(fields**2), rel=1e-13)
 
     def test_dsigma_weight_is_built_once_per_grid_and_order(self):
@@ -1190,7 +1198,7 @@ class TestTopOctaveMonitor:
         top = full_xi_mag(grid) > math.pi / (2.0 * grid.dx)
         shares = []
         for row in state.y[0]:
-            power = np.abs(np.fft.fftn(grid.unfold(grid.to_physical(row)))) ** 2
+            power = np.abs(np.fft.fftn(unfold(grid, grid.to_physical(row)))) ** 2
             shares.append(np.sum(power[top]) / np.sum(power))
         assert shares[1] > shares[0] > 1e-6
         assert _top_octave_fraction(state, six_norms(state)) == pytest.approx(shares[1], rel=1e-13)
