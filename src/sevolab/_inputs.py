@@ -2,7 +2,8 @@
 ``numbers.Real`` and not a bool, lies in its stated range, and is a
 ``numbers.Integral`` where it counts something.  Nothing is coerced: True is
 not 1, '1' is not a number, and NaN lies in no range.  An argument that may
-be an array passes :func:`require_reals` by its dtype and finiteness instead."""
+be an array passes :func:`require_reals` by its dtype and finiteness instead,
+and one that a run resolves itself passes :func:`auto_or_positive`."""
 
 import math
 import numbers
@@ -35,6 +36,19 @@ def require(value, name: str, lo=-math.inf, hi=math.inf, closed: str = "", integ
         must = f"be {kind}{bound}"
     got = repr(value) if typed else f"{value!r}, a {type(value).__name__}"
     raise ValueError(f"{name} must {must}, got {got}")
+
+
+def auto_or_positive(value, name: str):
+    """``"auto"``, or value as a float if :func:`require` takes it as a finite real
+    > 0, else ValueError '<name> must be positive: "auto" or a finite real > 0,
+    got <value>'."""
+    if isinstance(value, str) and value == "auto":
+        return value
+    try:
+        return float(require(value, name, 0.0))
+    except ValueError:
+        raise ValueError(f'{name} must be positive: "auto" or a finite real > 0, '
+                         f'got {value!r}') from None
 
 
 def require_reals(values, name: str) -> np.ndarray:

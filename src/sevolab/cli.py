@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import exponents, fitting, oracle, testfn, torus
+from ._inputs import auto_or_positive
 from .profiles import GaussianProfile
 from .quadutil import QuadratureFailure
 
@@ -76,10 +77,12 @@ def _number(lo: float | None = None, strict: bool = True, integer: bool = False)
 
 
 def _auto_or_positive(value, path):
-    if value != "auto" and not (type(value) in (int, float) and 0 < value < math.inf):
+    """The library's rule for a run's dt and threshold, reported at the field."""
+    try:
+        return auto_or_positive(value, path)
+    except ValueError:
         raise ConfigError(f'{path}: expected "auto" or a finite number > 0, '
-                          f'got {_shown(value)}')
-    return value if value == "auto" else float(value)
+                          f'got {_shown(value)}') from None
 
 
 def _enum(*choices):
@@ -197,20 +200,24 @@ def _same_dimension(n: int, grid: torus.GridSpec, path: str, grid_path: str):
         raise ConfigError(f"{path}: must equal {grid_path}.n_dim ({grid.n_dim}), got {n}")
 
 
-def _fits_box(grid: torus.GridSpec, data: torus.InitialData, width_path) -> None:
-    """Reject, at ``width_path(profile name)``, a profile too wide for the box."""
-    leak = torus.profile_leak(grid, data)
-    if leak is not None:
-        name, fraction = leak
-        raise ConfigError(f"{width_path(name)}: {fraction:.2e} of the {name} "
-                          f"profile's mass lies outside the box (limit {torus.TAIL_TOL:g})")
+def _fits_box(grid: torus.GridSpec, data: torus.InitialData, field_path) -> None:
+    """Reject, at ``field_path(profile name, field)``, a profile too wide for the
+    box or too large for a float state."""
+    misfit = torus.profile_misfit(grid, data)
+    if misfit is not None:
+        name, field, measure = misfit
+        reason = (f"{measure:.2e} of the {name} profile's mass lies outside the box "
+                  f"(limit {torus.TAIL_TOL:g})" if field == "width" else
+                  f"the {name} profile's transform may overflow a float: "
+                  f"2**n * sum|samples| = {measure:.2e} (limit {torus.SAMPLE_SUM_MAX:.2e})")
+        raise ConfigError(f"{field_path(name, field)}: {reason}")
 
 
 def load_run_config(obj: dict) -> dict:
     cfg = _read(obj, "config", RUN_FIELDS)
     _same_dimension(cfg["params"].n, cfg["grid"], "config.params.n", "config.grid")
     cfg["data"] = torus.InitialData(**cfg["data"])
-    _fits_box(cfg["grid"], cfg["data"], lambda name: f"config.data.{name}.width")
+    _fits_box(cfg["grid"], cfg["data"], lambda name, field: f"config.data.{name}.{field}")
     cfg["record"] = _record_times(cfg["record"], cfg["t_max"], "config.record")
     return cfg
 
@@ -226,7 +233,7 @@ def load_sweep_config(obj: dict) -> dict:
         raise ConfigError(f"config.cell.amplitude: must be nonzero, got {cell['amplitude']:g}")
     g = GaussianProfile(cell["amplitude"], cell["width"])
     data = torus.InitialData(u1=g, v1=g)
-    _fits_box(grid, data, lambda name: "config.cell.width")
+    _fits_box(grid, data, lambda name, field: f"config.cell.{field}")
     cell_params = [exponents.SystemParams(p=p, q=q, **fixed)
                    for p in cfg["p_range"] for q in cfg["q_range"]]
     # t_valid hangs on the grid and sigma_min only, so all cells share it

@@ -28,13 +28,14 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._inputs import require
+from ._inputs import auto_or_positive, require
 from .exponents import SystemParams
 from .fitting import NormSeries
 from .multipliers import duhamel_weights, propagator_arrays
@@ -44,6 +45,10 @@ NORM_LABELS = ("u_l2", "u_dsigma", "u_dt", "v_l2", "v_dsigma", "v_dt")
 
 #: tolerated tail-mass fraction of an initial profile outside the box
 TAIL_TOL = 1e-10
+#: the largest 2**n * sum|corner samples| of an initial profile, which bounds each DCT-II
+#: coefficient of its samples: pocketfft's overflowed from 0.50-0.54 of the largest float
+#: on five grids, 1D to 3D, so a quarter of it leaves a 2x margin
+SAMPLE_SUM_MAX = sys.float_info.max / 4
 #: spectral-tail monitor: top-octave energy fraction triggering a warning
 TAIL_ENERGY_WARN = 1e-6
 #: corner points per field from which a coupled step runs stage 0 on a helper thread:
@@ -73,7 +78,7 @@ class GridSpec:
     ``inverse_scale`` for its fill, ``radius()`` (``init``, ``Functionals``),
     ``spectral_weights`` (the steps, ``six_norms``, the top-octave monitor),
     ``sample_weight`` (``Functionals``), and ``half_length`` and ``xi_max``
-    (``t_valid``, ``profile_leak``, ``default_dt``)."""
+    (``t_valid``, ``profile_misfit``, ``default_dt``)."""
 
     n_dim: int
     points_per_dim: int
@@ -238,23 +243,36 @@ def default_dt(grid: GridSpec, params: SystemParams) -> float:
     return 0.1 * min(1.0, 2.0 * math.pi / om_max)
 
 
-def profile_leak(grid: GridSpec, data: InitialData) -> Optional[tuple[str, float]]:
-    """(name, tail mass fraction) of the first nonzero profile of ``data`` that
-    leaks more than TAIL_TOL of its mass out of the box of ``grid``, else None."""
+def profile_misfit(grid: GridSpec, data: InitialData) -> Optional[tuple[str, str, float]]:
+    """(name, field, measure) of the first nonzero profile of ``data`` that ``grid``
+    cannot hold, else None: ("width", its tail mass fraction) if more than
+    TAIL_TOL of its mass lies outside the box, else ("amplitude", 2**n * the sum
+    of its |corner samples|) if that exceeds SAMPLE_SUM_MAX, so that the
+    transform of its samples may overflow.  numpy alone, with no transform."""
+    r = grid.radius()
     for name in ("u0", "u1", "v0", "v1"):
         prof = getattr(data, name)
-        if prof is not None and prof.amplitude != 0.0:
-            frac = prof.tail_mass_fraction(grid.half_length, grid.n_dim)
-            if frac > TAIL_TOL:
-                return name, frac
+        if prof is None or prof.amplitude == 0.0:
+            continue
+        frac = prof.tail_mass_fraction(grid.half_length, grid.n_dim)
+        if frac > TAIL_TOL:
+            return name, "width", frac
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf
+            total = float(2**grid.n_dim * np.abs(prof.value(r)).sum())
+        if total > SAMPLE_SUM_MAX:
+            return name, "amplitude", total
     return None
 
 
 def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralState:
     """Spectral state at t = 0 sampling the data profiles on the corner."""
-    leak = profile_leak(grid, data)
-    if leak is not None:
-        raise ValueError(f"{leak[0]}: tail mass fraction {leak[1]:.2e} exceeds {TAIL_TOL}")
+    misfit = profile_misfit(grid, data)
+    if misfit is not None:
+        name, field, measure = misfit
+        raise ValueError(f"{name}: tail mass fraction {measure:.2e} exceeds {TAIL_TOL}"
+                         if field == "width" else
+                         f"{name}: 2**n * sum|samples| {measure:.2e} exceeds "
+                         f"{SAMPLE_SUM_MAX:.2e}, so its transform may overflow")
     r = grid.radius()
     phys = np.zeros((4, *grid.corner_shape))
     for row, prof in zip(phys, (data.u0, data.v0, data.u1, data.v1)):
@@ -545,15 +563,6 @@ def _top_octave_fraction(state: SpectralState, norms: dict[str, float]) -> float
     return max(((part / total) ** 2 for part, total in shares if total > 0.0), default=0.0)
 
 
-def _auto_or_positive(name: str, value: float | str) -> float | str:
-    """``"auto"``, or value as a float if the input rule takes it as a finite real > 0."""
-    try:
-        return value if value == "auto" else float(require(value, name, 0.0))
-    except ValueError:
-        raise ValueError(f'{name} must be positive: "auto" or a finite real > 0, '
-                         f'got {value!r}') from None
-
-
 class _Stepper:
     """A run's step rule: dt, kernel, step and step count.  Its steps write in
     turn into two arrays, made on the first two: ``held``, the last state's,
@@ -563,7 +572,8 @@ class _Stepper:
     probe and its calibration ticks see every step."""
 
     def __init__(self, grid: GridSpec, params: SystemParams, dt: float | str, linear_only: bool):
-        self.dt = default_dt(grid, params) if dt == "auto" else _auto_or_positive("dt", dt)
+        dt = auto_or_positive(dt, "dt")
+        self.dt = default_dt(grid, params) if dt == "auto" else dt
         self.kernel = _StepKernel(grid, params.sigma1, params.sigma2)
         self.coupling = None if linear_only else (params.p, params.q)
         self.steps = 0
@@ -595,9 +605,12 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     the stepping; the run stops with a blow-up report at the first event or
     guarded step where a norm crosses the threshold or turns non-finite.
     linear_only=True steps by the exact linear propagator alone.  dt and
-    blowup_threshold are "auto" or a finite real > 0, not a bool.
-    ``config_echo`` holds dt, the threshold, the initial total norm and the
-    deterministic counts ``steps`` and ``kernel_builds``.
+    blowup_threshold are "auto" or a finite real > 0, not a bool; the "auto"
+    threshold is 1e6 times the initial total norm (1e6 if that is 0), at most
+    the largest float, and data whose initial total norm is not finite raise
+    ValueError before the first step.  ``config_echo`` holds dt, the
+    threshold, the initial total norm and the deterministic counts ``steps``
+    and ``kernel_builds``.
     """
     t_max = float(require(t_max, "t_max", 0.0))
     record_set = {float(require(t, "record_times", 0.0, t_max, "[]")) for t in record_times}
@@ -606,11 +619,13 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     events = record_set.union({0.0, t_max}, *(ts for _, ts in schedule))
 
     stepper = _Stepper(grid, params, dt, linear_only)
-    threshold = _auto_or_positive("blowup_threshold", blowup_threshold)
+    threshold = auto_or_positive(blowup_threshold, "blowup_threshold")
     state = init(grid, data, params)
     initial_total = sum(six_norms(state).values())
-    if threshold == "auto":
-        threshold = 1e6 * initial_total if initial_total > 0 else 1e6
+    if not math.isfinite(initial_total):
+        raise ValueError(f"data must have a finite initial total norm, got {initial_total!r}")
+    if threshold == "auto":  # capped: past the largest float only an overflow crosses
+        threshold = min(1e6 * initial_total, sys.float_info.max) if initial_total > 0 else 1e6
 
     limit = (4.0 * threshold) * (4.0 * threshold)  # inf above ~3.4e153: then only nan trips
     rows: list[tuple[float, dict[str, float]]] = []

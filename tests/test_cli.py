@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pickle
+import sys
 
 import pytest
 
@@ -529,6 +530,114 @@ class TestSweep:
         fits = json.loads((tmp_path / "sim" / "events.json").read_text())["fits"]
         assert [row[f"slope_{label}"] for label in torus.NORM_LABELS] == \
             [cli._fmt(fits[label]["exponent"]) for label in torus.NORM_LABELS]
+
+
+class TestDataTooLargeForAFloatState:
+    """A width-1 Gaussian of amplitude A on the CI grid (128 points, L = 20):
+    2 * sum|corner samples| is about 8.02 A, past torus.SAMPLE_SUM_MAX (a
+    quarter of the largest float) from A of about 5.6e306, and the "auto"
+    threshold, 1e6 times the initial total, is capped at the largest float
+    from A of about 7.9e301 for u0 alone and 6.7e301 for the sweep's u1 = v1."""
+
+    GRID = {"n_dim": 1, "points_per_dim": 128, "half_length": 20.0}
+
+    def simulate(self, capsys, tmp_path, amplitude):
+        blob = {"kind": "gaussian", "amplitude": amplitude, "width": 1.0}
+        cfg = dict(BASE_RUN_CONFIG, grid=self.GRID, linear_only=True, dt="auto",
+                   data={"u0": blob, "u1": None, "v0": None, "v1": None})
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        return (*run_cli(capsys, "simulate", "--config", str(path), "--out-dir",
+                         str(out_dir)), out_dir)
+
+    def sweep(self, capsys, tmp_path, amplitude):
+        cfg = dict(SWEEP_CONFIG, p_range=[2, 2, 0.5], q_range=[2, 2, 0.5],
+                   cell=dict(SWEEP_CONFIG["cell"], grid=self.GRID, amplitude=amplitude,
+                             width=1.0))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "phase.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path),
+                                    "--out", str(out), "--workers", "1")
+        rows = [dict(zip(cli.SWEEP_COLUMNS, line.split(",")))
+                for line in out.read_text().splitlines()[2:]] if out.exists() else None
+        return code, err, rows
+
+    @pytest.mark.parametrize("amplitude", [1e305, 1e306])
+    def test_past_the_threshold_cap_a_linear_run_records_every_time(self, capsys, tmp_path,
+                                                                    amplitude):
+        # 1e6 times the initial total overflows: the threshold is the largest float,
+        # which decaying linear data never cross
+        code, out, err, out_dir = self.simulate(capsys, tmp_path, amplitude)
+        assert code == 0, err
+        assert json.loads(out)["blowup"] is None
+        events = json.loads((out_dir / "events.json").read_text())
+        assert events["run"]["threshold"] == sys.float_info.max
+        assert len((out_dir / "norms.csv").read_text().splitlines()) == 2 + 6
+
+    @pytest.mark.parametrize("amplitude", [1e305, 1e306])
+    def test_past_the_threshold_cap_a_cell_blows_up_as_at_1e300(self, capsys, tmp_path,
+                                                                amplitude):
+        # the overflow of a norm is a crossing of the capped threshold: the cell reads
+        # the blow-up time of amplitude 1e300, whose threshold is finite
+        rows = {a: self.sweep(capsys, tmp_path, a) for a in (1e300, amplitude)}
+        for code, err, _ in rows.values():
+            assert code == 0, err
+        (reference,), (row,) = rows[1e300][2], rows[amplitude][2]
+        assert (row["observed"], row["error"]) == ("BlewUp", "")
+        assert row["blowup_time"] == reference["blowup_time"] == "6.257744563883e-02"
+
+    @pytest.mark.parametrize("amplitude", [2e307, 1e308])
+    def test_data_whose_transform_may_overflow_are_refused_at_load(self, capsys, tmp_path,
+                                                                  monkeypatch, amplitude):
+        runs = []
+        monkeypatch.setattr(cli.torus, "run", lambda *a, **k: runs.append(a))
+        code, stdout, err, out_dir = self.simulate(capsys, tmp_path, amplitude)
+        assert code == 1 and stdout == "" and not out_dir.exists()
+        assert err.startswith("error: config.data.u0.amplitude: the u0 profile's "
+                              "transform may overflow a float")
+        code, err, rows = self.sweep(capsys, tmp_path, amplitude)
+        assert code == 1 and rows is None
+        assert err.startswith("error: config.cell.amplitude: ")
+        assert runs == []
+
+
+#: JSON values for a dt or threshold: "auto", finite reals > 0, and values either
+#: rule refuses
+AUTO_RULE_VALUES = ["auto", 1, 0.05, 1e-300, 1e308, 0, -1, math.inf, math.nan, "fast",
+                    "AUTO", True, False, None, [], {}]
+
+
+@pytest.mark.parametrize("value", AUTO_RULE_VALUES, ids=repr)
+@pytest.mark.parametrize("run_key,base,field", [
+    ("dt", BASE_RUN_CONFIG, "dt"),
+    ("blowup_threshold", SWEEP_CONFIG, "cell.blowup_threshold")], ids=["dt", "threshold"])
+def test_config_reader_and_run_share_the_auto_rule(run_key, base, field, value):
+    # the reader rejects at the field path exactly the values torus.run rejects, in
+    # its own words; a t_max shorter than the event tolerance runs no step
+    grid = torus.GridSpec(1, 16, 8.0)
+    data = torus.InitialData(u0=GaussianProfile(0.01, 1.0))
+    try:
+        torus.run(grid, data, exponents.SystemParams(1, 1, 1, 3, 4), 1e-12, [],
+                  **{run_key: value})
+        run_rejects = False
+    except ValueError as exc:
+        assert str(exc) == (f'{run_key} must be positive: "auto" or a finite real > 0, '
+                            f'got {value!r}')
+        run_rejects = True
+    load = cli.load_run_config if base is BASE_RUN_CONFIG else cli.load_sweep_config
+    path = "config." + field
+    try:
+        loaded = load(patched(base, field, value))
+    except cli.ConfigError as exc:
+        assert str(exc) == (f'{path}: expected "auto" or a finite number > 0, '
+                            f'got {cli._shown(value)}')
+        assert run_rejects
+    else:
+        assert not run_rejects
+        got = loaded[run_key] if base is BASE_RUN_CONFIG else loaded["tasks"][0][run_key]
+        assert got == (value if value == "auto" else float(value))
 
 
 class TestTestfnCheck:

@@ -1,8 +1,9 @@
 """Every ``sevolab`` name that the benchmark's tracer wraps still exists, the
 package itself re-exports nothing, so importing it loads no module, and
-importing the CLI loads no scipy module."""
+importing the CLI or reading a sweep config with it loads no scipy module."""
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -26,12 +27,13 @@ def test_bench_trace_targets_resolve(monkeypatch):
     assert missing == []
 
 
-def loaded_after(module):
-    """The modules a fresh interpreter holds after importing ``module``."""
+def loaded_after(module, then=""):
+    """The modules a fresh interpreter holds after importing ``module`` and
+    running the statement ``then``."""
     src = str(pathlib.Path(sevolab.__file__).resolve().parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = f"import sys, {module}; print(' '.join(sys.modules))"
+    code = f"import sys, {module}\n{then}\nprint(' '.join(sys.modules))"
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout.split()
 
@@ -48,4 +50,17 @@ def test_cli_import_loads_no_scipy():
     # so a command that needs none of them (classify) loads none
     loaded = loaded_after("sevolab.cli")
     assert "sevolab.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_sweep_config_load_loads_no_scipy():
+    # a sweep's set-up reads its config in the parent process: the box and
+    # amplitude checks sample the data with numpy alone, and transform nothing
+    config = {"p_range": [2, 2.5, 0.5], "q_range": [2, 2, 0.5],
+              "fixed": {"n": 1, "sigma1": 1, "sigma2": 1},
+              "cell": {"grid": {"n_dim": 1, "points_per_dim": 128, "half_length": 20.0},
+                       "amplitude": 0.01, "width": 1.0, "t_max": 5}}
+    then = f"import json; sevolab.cli.load_sweep_config(json.loads({json.dumps(config)!r}))"
+    loaded = loaded_after("sevolab.cli", then)
+    assert "sevolab.torus" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []

@@ -117,7 +117,10 @@ CASES = {
         lambda: linear_norm(G, None, 1.0, 1.0, 1, NormKind.SOLUTION_L2, rel_tol=NAN),
     "adaptive_quad.rel_tol=nan": lambda: adaptive_quad(np.cos, 0.0, 1.0, rel_tol=NAN),
     "gauss_kronrod.rel_tol=inf": lambda: gauss_kronrod(np.cos, 0.0, 1.0, rel_tol=INF),
-    "gauss_kronrod_estimates.rel_tol[1]=nan": lambda: gauss_kronrod_estimates(
+    "gauss_kronrod_estimates.rel_tol=nan": lambda: gauss_kronrod_estimates(
+        lambda x, _: np.cos(x), [0.0, 0.0], [1.0, 2.0], rel_tol=NAN),
+    # one rel_tol per batch: a list is refused as a list, whatever it holds
+    "gauss_kronrod_estimates.rel_tol=list": lambda: gauss_kronrod_estimates(
         lambda x, _: np.cos(x), [0.0, 0.0], [1.0, 2.0], rel_tol=[1e-10, NAN]),
     "TestFunctionSpec.gamma=nan": lambda: TestFunctionSpec(gamma=NAN, r=2.0, R=4.0),
     "TestFunctionSpec.gamma=inf": lambda: TestFunctionSpec(gamma=INF, r=2.0, R=4.0),
@@ -199,6 +202,8 @@ PARAMETERS = {
     "duhamel_step.p": lambda v: duhamel_step(state(), 0.1, v, 4.0),
     "duhamel_step.q": lambda v: duhamel_step(state(), 0.1, 3.0, v),
     "run.t_max": lambda v: run(GRID, DATA, PARAMS, v, []),
+    "run.dt": lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], dt=v),
+    "run.blowup_threshold": lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], blowup_threshold=v),
     "detect_blowup.threshold": lambda v: detect_blowup(state(), v),
     "adaptive_quad.rel_tol": lambda v: adaptive_quad(math.cos, 0.0, 1.0, rel_tol=v),
     "gauss_kronrod.rel_tol": lambda v: gauss_kronrod(np.cos, 0.0, 1.0, rel_tol=v),

@@ -1,13 +1,8 @@
 import math
-import os
-import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import sevolab
 from sevolab import quadutil
 from sevolab.quadutil import (
     QuadratureFailure,
@@ -201,25 +196,6 @@ class TestBatch:
         with pytest.raises(ValueError):
             gauss_kronrod_estimates(by_index([np.exp] * 2), [0.0, 0.0], [1.0, 1.0],
                                     points=[None])
-
-
-# the modules that importing sevolab.cli adds to those scipy.fft loads
-NEW_MODULES = """
-import sys, scipy.fft
-before = set(sys.modules)
-import sevolab.cli
-print(" ".join(sorted(set(sys.modules) - before)))
-"""
-
-
-def test_cli_import_leaves_quadpack_unloaded():
-    src = str(pathlib.Path(sevolab.__file__).resolve().parents[1])
-    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    added = subprocess.run([sys.executable, "-c", NEW_MODULES], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()
-    assert "sevolab.cli" in added
-    assert [m for m in added if m.startswith("scipy.integrate")] == []
 
 
 def test_quadpack_reads_scipy_integrate():

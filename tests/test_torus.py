@@ -265,6 +265,32 @@ class TestInit:
         with pytest.raises(ValueError, match="u0: tail mass fraction"):
             init(grid, InitialData(u0=GaussianProfile(1.0, 10.0)), PARAMS)
 
+    def test_profile_too_large_for_a_float_state(self):
+        # 2 * sum|corner samples| of a width-1 Gaussian on this grid is about 8.02 A
+        grid = GridSpec(1, 128, 20.0)
+        with pytest.raises(ValueError, match=r"^v1: 2\*\*n \* sum\|samples\| 1\.60e\+308 exceeds"):
+            init(grid, InitialData(u0=GaussianProfile(1.0, 1.0),
+                                   v1=GaussianProfile(-2e307, 1.0)), PARAMS)
+
+    # the five grids on which pocketfft's DCT-II overflowed from 0.50-0.54 of the
+    # largest float
+    @pytest.mark.parametrize("n_dim,npts,half_length,width", [
+        (1, 128, 20.0, 1.0), (1, 2048, 200.0, 1.0), (2, 32, 8.0, 1.0),
+        (2, 256, 64.0, 1.5), (3, 16, 8.0, 1.0)])
+    def test_data_within_the_sample_bound_transform_to_finite_coefficients(
+            self, n_dim, npts, half_length, width):
+        grid = GridSpec(n_dim, npts, half_length)
+        total = 2**n_dim * GaussianProfile(1.0, width).value(grid.radius()).sum()
+        amplitude = 0.999 * torus.SAMPLE_SUM_MAX / total
+        data = InitialData(u0=GaussianProfile(amplitude, width),
+                           v1=GaussianProfile(-amplitude, width))
+        assert torus.profile_misfit(grid, data) is None
+        state = init(grid, data, SystemParams(n_dim, 1, 1, 3, 4))
+        assert np.isfinite(state.y).all()
+        # 2.5 times the bound would overflow the transform: refused, by name
+        big = InitialData(v0=GaussianProfile(2.5 * amplitude, width))
+        assert torus.profile_misfit(grid, big)[:2] == ("v0", "amplitude")
+
     @pytest.mark.parametrize("n_dim,npts", [(1, 256), (2, 64), (3, 32)])
     def test_corner_coefficients_are_rfftn_bins(self, n_dim, npts):
         grid = GridSpec(n_dim, npts, 10.0)
@@ -1142,6 +1168,36 @@ class TestRunEcho:
         assert steps == 11
         assert calls == {"linear_step": steps if linear_only else 0,
                          "duhamel_step": 0 if linear_only else steps}
+
+
+class TestDataTooLargeForAFloatState:
+    GRID = GridSpec(1, 128, 20.0)
+
+    def test_auto_threshold_is_capped_at_the_largest_float(self):
+        # 1e6 times the initial total (2.7e305) overflows; with the cap, linear data
+        # that decay run to t_max, and coupled data blow up when a norm overflows
+        g = GaussianProfile(1e305, 1.0)
+        linear = run(self.GRID, InitialData(u0=g), PARAMS, 1.0, [0, 0.5, 1.0],
+                     linear_only=True)
+        assert linear.config_echo["threshold"] == sys.float_info.max
+        assert linear.blowup is None and len(linear.series["u_l2"].entries) == 3
+        coupled = run(self.GRID, InitialData(u1=g, v1=g), SystemParams(1, 1, 1, 2, 2),
+                      1.0, [0.5])
+        assert coupled.config_echo["threshold"] == sys.float_info.max
+        assert coupled.blowup == {"time": coupled.config_echo["dt"],
+                                  "norm_at_detection": math.inf}
+
+    def test_non_finite_initial_total_is_refused_before_the_first_step(self, monkeypatch):
+        # a width-0.3 Gaussian of 5e306 is within the sample bound, but at sigma = 3
+        # its |D|**sigma norm overflows
+        def step(*args, **kwargs):
+            pytest.fail("stepped")
+        monkeypatch.setattr(torus, "duhamel_step", step)
+        data = InitialData(u0=GaussianProfile(5e306, 0.3))
+        assert torus.profile_misfit(self.GRID, data) is None
+        with pytest.raises(ValueError,
+                           match="^data must have a finite initial total norm, got inf$"):
+            run(self.GRID, data, SystemParams(1, 3, 3, 2, 2), 1.0, [0.5])
 
 
 class TestSixNorms:
