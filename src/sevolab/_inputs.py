@@ -1,9 +1,9 @@
 """The library's one rule for scalar inputs: a value passes only if it is a
-``numbers.Real`` and not a bool, lies in its stated range, and is a
-``numbers.Integral`` where it counts something.  Nothing is coerced: True is
-not 1, '1' is not a number, and NaN lies in no range.  An argument that may
-be an array passes :func:`require_reals` by its dtype and finiteness instead,
-and one that a run resolves itself passes :func:`auto_or_positive`."""
+``numbers.Real`` and not a bool, a float can hold it, it lies in its stated
+range, and it is a ``numbers.Integral`` where it counts something; it passes as
+the float (for a count, the int) the library computes with.  Nothing is coerced:
+True is not 1, '1' is not a number, and NaN or 10**400 lies in no range.  Arrays
+pass :func:`require_reals`; a value a run resolves passes :func:`auto_or_positive`."""
 
 import math
 import numbers
@@ -12,19 +12,22 @@ import numpy as np
 
 
 def require(value, name: str, lo=-math.inf, hi=math.inf, closed: str = "", integral: bool = False):
-    """value if the rule takes it, else ValueError "<name> must ..., got <value>".
-    The range runs from lo to hi, lo finite unless the range is all reals; an
-    end is excluded unless ``closed`` holds its bracket ("[" for lo, "]" for
-    hi), so an excluded infinite end keeps the value finite.  A float strictly
-    inside passes on the first test, as cheaply as an inline one."""
+    """value as a float (an int if ``integral``) if the rule takes it, else
+    ValueError "<name> must ..., got <value>".  The range runs from lo to hi, lo
+    finite unless the range is all reals; an end is excluded unless ``closed``
+    holds its bracket ("[" for lo, "]" for hi), so an excluded infinite end keeps
+    the value finite.  A float strictly inside passes on a first, inline-cheap test."""
     if type(value) is float and lo < value < hi and not integral:
         return value
     typed = (isinstance(value, numbers.Integral if integral else numbers.Real)
              and not isinstance(value, bool))
-    if typed and (lo <= value if "[" in closed else lo < value) \
-            and (value <= hi if "]" in closed else value < hi):
-        return value
-    lo, hi = float(lo), float(hi)
+    try:
+        number = float(value) if typed else math.nan
+    except OverflowError:  # an integer or fraction beyond the largest float
+        number, hi = math.nan, min(hi, np.finfo(float).max)
+    if (lo <= number if "[" in closed else lo < number) \
+            and (number <= hi if "]" in closed else number < hi):
+        return int(value) if integral else number
     left, right = ("[" if "[" in closed else "("), ("]" if "]" in closed else ")")
     if lo == -math.inf:
         must = "be finite"
@@ -45,7 +48,7 @@ def auto_or_positive(value, name: str):
     if isinstance(value, str) and value == "auto":
         return value
     try:
-        return float(require(value, name, 0.0))
+        return require(value, name, 0.0)
     except ValueError:
         raise ValueError(f'{name} must be positive: "auto" or a finite real > 0, '
                          f'got {value!r}') from None

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import exponents, fitting, oracle, testfn, torus
-from ._inputs import auto_or_positive
+from ._inputs import auto_or_positive, require
 from .profiles import GaussianProfile
 from .quadutil import QuadratureFailure
 
@@ -62,17 +62,19 @@ def _shown(value) -> str:
         return repr(value)
 
 
-def _number(lo: float | None = None, strict: bool = True, integer: bool = False):
-    """A finite JSON number (integral if ``integer``), > lo, or >= lo if not strict."""
+def _number(lo: float = -math.inf, strict: bool = True, integer: bool = False):
+    """A JSON number (integral if ``integer``) that the library's rule takes as
+    finite and > lo, or >= lo if not strict; each test reported in its words."""
     def rule(value, path):
-        if type(value) not in (int, float) or not math.isfinite(value) \
-                or integer and value != int(value):
-            kind = "an integer" if integer else "a finite number"
-            raise ConfigError(f"{path}: expected {kind}, got {_shown(value)}")
-        if lo is not None and (value <= lo if strict else value < lo):
-            raise ConfigError(f"{path}: must be {'>' if strict else '>='} {lo:g}, "
-                              f"got {_shown(value)}")
-        return int(value) if integer else float(value)
+        typed = type(value) in (int, float) and not (integer and value % 1)  # 2.0 is 2
+        wrong = f"expected {'an integer' if integer else 'a finite number'}"
+        try:  # any other value fails the rule as None does
+            number = require(value if typed else None, path)
+            wrong = f"must be {'>' if strict else '>='} {lo:g}"
+            require(number, path, lo, closed="" if strict else "[")
+        except ValueError:
+            raise ConfigError(f"{path}: {wrong}, got {_shown(value)}") from None
+        return int(value) if integer else number
     return rule
 
 

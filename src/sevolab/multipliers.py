@@ -46,7 +46,7 @@ _STOP_GATE = np.spacing(1.0) / 4.0
 
 def _symbol(xi_mag: float, sigma: float) -> float:
     """mu = |xi|**(2*sigma) for a finite |xi| >= 0 and a finite sigma > 0."""
-    xi_mag = float(require(xi_mag, "xi_mag", 0.0, closed="["))
+    xi_mag = require(xi_mag, "xi_mag", 0.0, closed="[")
     return xi_mag ** (2.0 * require(sigma, "sigma", 0.0))
 
 
@@ -105,7 +105,7 @@ def _propagator_scalar(t: float, mu: float) -> tuple[float, float, float, float]
 def propagator(t: float, xi_mag: float, sigma: float) -> np.ndarray:
     """The 2x2 map (w, w_t)(0) -> (w, w_t)(t) of one mode, [[k0, k1], [dk0, dk1]];
     exact for any finite t >= 0."""
-    t = float(require(t, "t", 0.0, closed="["))
+    t = require(t, "t", 0.0, closed="[")
     return np.reshape(_propagator_scalar(t, _symbol(xi_mag, sigma)), (2, 2))
 
 

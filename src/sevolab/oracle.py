@@ -103,7 +103,7 @@ def linear_norm(w0: Optional[GaussianProfile], w1: Optional[GaussianProfile],
     below, plus cos and sin(2*omega*t) parts on QAWO.
     """
     require(n, "n", 1, 3, "[]", integral=True)
-    t = float(require(t, "t", 0.0, closed="["))
+    t = require(t, "t", 0.0, closed="[")
     require(sigma, "sigma", 0.0)
     require(rel_tol, "rel_tol", 0.0)
     if w0 is None and w1 is None:

@@ -71,7 +71,7 @@ class BracketCombo:
 
 def integer_laplacian_bracket(r: float, m: int, n: int) -> BracketCombo:
     """(-Lap)**m <x>**(-r) by iterating the one-step recursion m times."""
-    combo = BracketCombo(((1.0, float(require(r, "r", 0.0))),))
+    combo = BracketCombo(((1.0, require(r, "r", 0.0)),))
     for _ in range(require(m, "m", 1, closed="[", integral=True)):
         combo = combo.neg_laplacian(n)
     return combo
@@ -257,7 +257,7 @@ def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float) -> flo
     independent of the hypersingular route.
     """
     require(s, "s", 0.0, 1.0)
-    x = float(require(x, "x"))
+    x = require(x, "x")
     fhat = _combo_transform(combo, 1.0)
     two_s = 2.0 * s
 
@@ -522,7 +522,7 @@ class Functionals:
             raise ValueError("functionals need sigma1 == sigma2")
         self.params = params
         self.specs = tuple(specs)
-        self.times = sorted(float(require(t, "times")) for t in times)
+        self.times = sorted(require(t, "times") for t in times)
         self._lam = 2.0 * max(params.p / (params.p - 1.0), params.q / (params.q - 1.0))
         radius = grid.radius()
         integer = abs(params.sigma1 - round(params.sigma1)) < 1e-9

@@ -612,9 +612,9 @@ def run(grid: GridSpec, data: InitialData, params: SystemParams,
     threshold, the initial total norm and the deterministic counts ``steps``
     and ``kernel_builds``.
     """
-    t_max = float(require(t_max, "t_max", 0.0))
-    record_set = {float(require(t, "record_times", 0.0, t_max, "[]")) for t in record_times}
-    schedule = [(obs, {float(require(t, "observer times", 0.0, t_max, "[]")) for t in obs.times})
+    t_max = require(t_max, "t_max", 0.0)
+    record_set = {require(t, "record_times", 0.0, t_max, "[]") for t in record_times}
+    schedule = [(obs, {require(t, "observer times", 0.0, t_max, "[]") for t in obs.times})
                 for obs in observers]
     events = record_set.union({0.0, t_max}, *(ts for _, ts in schedule))
 

@@ -14,6 +14,10 @@ from sevolab.quadutil import QuadratureFailure
 from test_oracle import brute_force
 
 
+#: an integer no float can hold: valid JSON, which Python reads as an int
+BIG = 10**400
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -606,7 +610,7 @@ class TestDataTooLargeForAFloatState:
 #: JSON values for a dt or threshold: "auto", finite reals > 0, and values either
 #: rule refuses
 AUTO_RULE_VALUES = ["auto", 1, 0.05, 1e-300, 1e308, 0, -1, math.inf, math.nan, "fast",
-                    "AUTO", True, False, None, [], {}]
+                    "AUTO", True, False, None, [], {}, BIG]
 
 
 @pytest.mark.parametrize("value", AUTO_RULE_VALUES, ids=repr)
@@ -781,6 +785,23 @@ class TestConfigReader:
         ("simulate", "record", [1, 6], "config.record"),  # t_max is 5
         # a cell window min(t_max, t_valid) shorter than the first record time 1
         ("sweep", "cell.t_max", 0.5, "config.cell.t_max"),
+        # integers no float can hold, which JSON and the flags' text both spell
+        ("simulate", "t_max", BIG, "config.t_max"),
+        ("simulate", "dt", BIG, "config.dt"),
+        ("simulate", "blowup_threshold", BIG, "config.blowup_threshold"),
+        ("simulate", "record", [1, BIG], "config.record[1]"),
+        ("simulate", "grid.half_length", BIG, "config.grid.half_length"),
+        ("simulate", "grid.points_per_dim", 2**1400, "config.grid.points_per_dim"),
+        ("simulate", "data.u1", {"kind": "gaussian", "amplitude": BIG, "width": 1.0},
+         "config.data.u1.amplitude"),
+        ("simulate", "params.sigma1", BIG, "config.params.sigma1"),
+        ("simulate", "seed", BIG, "config.seed"),
+        ("sweep", "cell.record_count", BIG, "config.cell.record_count"),
+        ("sweep", "p_range", [2.0, BIG, 0.5], "config.p_range[1]"),
+        ("sweep", "--workers", str(BIG), "--workers"),
+        ("linear-decay", "sigma", str(BIG), "--sigma"),
+        ("linear-decay", "t", f"log:1:100:{BIG}", "--t.count"),
+        ("classify", "p", str(BIG), "--p"),
     ]
     # the flags of each flag-driven subcommand that the table patches
     FLAGS = {"classify": {"n": "1", "sigma1": "1", "sigma2": "1", "p": "3", "q": "3"},
@@ -799,10 +820,12 @@ class TestConfigReader:
                 argv += ["--out", str(out)]
         else:
             base = BASE_RUN_CONFIG if command == "simulate" else SWEEP_CONFIG
+            flag = field.startswith("--")  # a flag beside the config, which stays whole
             path = tmp_path / "config.json"
-            path.write_text(json.dumps(patched(base, field, value)))
+            path.write_text(json.dumps(base if flag else patched(base, field, value)))
             argv = [command, "--config", str(path),
-                    "--out-dir" if command == "simulate" else "--out", str(out)]
+                    "--out-dir" if command == "simulate" else "--out", str(out),
+                    *((field, value) if flag else ())]
         code, stdout, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith(f"error: {field_path}: ")

@@ -244,10 +244,10 @@ POINTS = {
     "eta.x": lambda v: eta(v, 2.0),
     "envelope_ratio.x_samples": lambda v: envelope_ratio(1.5, 1.0, 1, v),
 }
-# a bool is not 1, a string not a number, a complex number not a real one, and
-# no point NaN or infinite
-for table, values in ((PARAMETERS, (True, "1", 1j, NAN)), (TIMES, (True, "1")),
-                      (COUNTS, (True, 0, 2.5)),
+# a bool is not 1, a string not a number, a complex number not a real one, no
+# point NaN or infinite, and no number that a float cannot hold
+for table, values in ((PARAMETERS, (True, "1", 1j, NAN, 10**400)),
+                      (TIMES, (True, "1", 10**400)), (COUNTS, (True, 0, 2.5, 2**1400)),
                       (POINTS, ("1", True, [True], 1j, NAN, INF, [1.0, NAN]))):
     for param, call in table.items():
         for value in values:
