@@ -207,6 +207,13 @@ def loss_of_decay(params: SystemParams, side: str) -> float:
     return float(val)
 
 
+def linear_rates(n, sigma, loss: float = 0.0) -> tuple[float, float, float]:
+    """Exponents (l2, dsigma, dt) of the linear flow's ||w||, |||D|^sigma w|| and ||w_t||:
+    (f, f - 1/2, f - 1) with f = -n/(4 sigma), exact, plus ``loss``."""
+    f = float(-Fraction(n) / (4 * Fraction(sigma))) + loss
+    return f, f - 0.5, f - 1.0
+
+
 def theoretical_rates(params: SystemParams) -> TheoreticalRates:
     """Predicted (1+t) decay exponents for the six solution norms.
 
@@ -214,18 +221,14 @@ def theoretical_rates(params: SystemParams) -> TheoreticalRates:
     the second the v side does.  Raises WrongRegimeError otherwise.
     """
     verdict = classify_regime(params)
-    n, s1, s2 = map(Fraction, (params.n, params.sigma1, params.sigma2))
-    base_f = -n / (4 * s1)
-    base_g = -n / (4 * s2)
     if verdict.regime is Regime.EXISTENCE_THM11:
-        f1 = float(base_f) + loss_of_decay(params, "u")
-        g1 = float(base_g)
+        loss_u, loss_v = loss_of_decay(params, "u"), 0.0
     elif verdict.regime is Regime.EXISTENCE_THM12:
-        f1 = float(base_f)
-        g1 = float(base_g) + loss_of_decay(params, "v")
+        loss_u, loss_v = 0.0, loss_of_decay(params, "v")
     else:
         raise WrongRegimeError(f"no theoretical rates in regime {verdict.regime.value}")
-    return TheoreticalRates(f1, f1 - 0.5, f1 - 1.0, g1, g1 - 0.5, g1 - 1.0)
+    return TheoreticalRates(*linear_rates(params.n, params.sigma1, loss_u),
+                            *linear_rates(params.n, params.sigma2, loss_v))
 
 
 def gamma_exponents(params: SystemParams) -> tuple[float, float]:

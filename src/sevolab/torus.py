@@ -243,12 +243,12 @@ def default_dt(grid: GridSpec, params: SystemParams) -> float:
     return 0.1 * min(1.0, 2.0 * math.pi / om_max)
 
 
-def profile_misfit(grid: GridSpec, data: InitialData) -> Optional[tuple[str, str, float]]:
-    """(name, field, measure) of the first nonzero profile of ``data`` that ``grid``
-    cannot hold, else None: ("width", its tail mass fraction) if more than
-    TAIL_TOL of its mass lies outside the box, else ("amplitude", 2**n * the sum
-    of its |corner samples|) if that exceeds SAMPLE_SUM_MAX, so that the
-    transform of its samples may overflow.  numpy alone, with no transform."""
+def profile_misfit(grid: GridSpec, data: InitialData) -> Optional[tuple[str, str, str]]:
+    """(name, field, reason) of the first nonzero profile of ``data`` that ``grid``
+    cannot hold, else None: field "width" if more than TAIL_TOL of its mass lies
+    outside the box, else "amplitude" if 2**n * the sum of its |corner samples|
+    exceeds SAMPLE_SUM_MAX, so that the transform of its samples may overflow.
+    The reason says which and by how much.  numpy alone, with no transform."""
     r = grid.radius()
     for name in ("u0", "u1", "v0", "v1"):
         prof = getattr(data, name)
@@ -256,11 +256,14 @@ def profile_misfit(grid: GridSpec, data: InitialData) -> Optional[tuple[str, str
             continue
         frac = prof.tail_mass_fraction(grid.half_length, grid.n_dim)
         if frac > TAIL_TOL:
-            return name, "width", frac
+            return name, "width", (f"tail mass fraction {frac:.2e} of the {name} profile "
+                                   f"lies outside the box (limit {TAIL_TOL:g})")
         with np.errstate(over="ignore"):  # a sum past the largest float is inf
             total = float(2**grid.n_dim * np.abs(prof.value(r)).sum())
         if total > SAMPLE_SUM_MAX:
-            return name, "amplitude", total
+            return name, "amplitude", (
+                f"the {name} profile's transform may overflow a float: "
+                f"2**n * sum|samples| = {total:.2e} (limit {SAMPLE_SUM_MAX:.2e})")
     return None
 
 
@@ -268,11 +271,8 @@ def init(grid: GridSpec, data: InitialData, params: SystemParams) -> SpectralSta
     """Spectral state at t = 0 sampling the data profiles on the corner."""
     misfit = profile_misfit(grid, data)
     if misfit is not None:
-        name, field, measure = misfit
-        raise ValueError(f"{name}: tail mass fraction {measure:.2e} exceeds {TAIL_TOL}"
-                         if field == "width" else
-                         f"{name}: 2**n * sum|samples| {measure:.2e} exceeds "
-                         f"{SAMPLE_SUM_MAX:.2e}, so its transform may overflow")
+        name, _, reason = misfit
+        raise ValueError(f"{name}: {reason}")
     r = grid.radius()
     phys = np.zeros((4, *grid.corner_shape))
     for row, prof in zip(phys, (data.u0, data.v0, data.u1, data.v1)):

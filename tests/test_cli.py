@@ -141,6 +141,18 @@ class TestLinearDecay:
         assert code == 1
         assert err.startswith("error: --t.t_min: ")
 
+    @pytest.mark.parametrize("kind,predicted", [
+        ("l2", "-0.125000"), ("dsigma", "-0.625000"), ("dt", "-1.125000")])
+    def test_fit_line_predicts_the_linear_decay_law(self, capsys, kind, predicted):
+        # n = 1, sigma = 2: -n/(4 sigma) = -1/8 for the l2 norm, 1/2 and 1 less for
+        # the |D|^sigma and time-derivative norms
+        code, out, err = run_cli(capsys, "linear-decay", "--sigma", "2", "--n", "1",
+                                 "--kind", kind, "--t", "log:1e2:1e3:8")
+        assert code == 0, err
+        fit_line = out.splitlines()[-1]
+        assert fit_line.startswith("# fit: exponent=")
+        assert fit_line.endswith(f" predicted={predicted}")
+
     def test_bad_grid_spec(self, capsys):
         code, _, err = run_cli(capsys, "linear-decay", "--sigma", "1", "--n", "1",
                                "--kind", "l2", "--t", "nonsense")
@@ -802,6 +814,24 @@ class TestConfigReader:
         ("linear-decay", "sigma", str(BIG), "--sigma"),
         ("linear-decay", "t", f"log:1:100:{BIG}", "--t.count"),
         ("classify", "p", str(BIG), "--p"),
+        # record times outside [0, t_max]: a negative listed time, and a spacing
+        # whose t_max passes the config's t_max of 5
+        ("simulate", "record", [-1, 1], "config.record"),
+        ("simulate", "record", {"kind": "linear", "t_min": 0, "t_max": 6, "count": 3},
+         "config.record"),
+        # a one-time spacing whose span overflows: its time is nan, which torus.run
+        # refused with no field path after the output directory was made
+        ("simulate", "record", {"kind": "linear", "t_min": -1e308, "t_max": 1e308, "count": 1},
+         "config.record"),
+        # counts of times numpy refuses to allocate (10**18 floats are 6.94 EiB), at
+        # the count; numpy refuses before it allocates anything
+        ("simulate", "record", {"kind": "log", "t_min": 1, "t_max": 5, "count": 10**18},
+         "config.record.count"),
+        ("sweep", "cell.record_count", 10**18, "config.cell.record_count"),
+        ("linear-decay", "t", f"log:1:100:{10**18}", "--t.count"),
+        ("linear-decay", "t", f"lin:0:100:{2**62}", "--t.count"),
+        ("linear-decay", "t", f"lin:0:100:{2**63}", "--t.count"),
+        ("linear-decay", "t", f"log:1:100:{10**19}", "--t.count"),
     ]
     # the flags of each flag-driven subcommand that the table patches
     FLAGS = {"classify": {"n": "1", "sigma1": "1", "sigma2": "1", "p": "3", "q": "3"},
@@ -830,6 +860,22 @@ class TestConfigReader:
         assert code == 1
         assert err.startswith(f"error: {field_path}: ")
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("simulate", "record.count", 10**18), ("sweep", "cell.record_count", 10**18)])
+    def test_too_many_times_share_one_wording(self, capsys, tmp_path, command, field,
+                                              value):
+        base = BASE_RUN_CONFIG if command == "simulate" else SWEEP_CONFIG
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(patched(base, field, value)))
+        code, _, err = run_cli(capsys, command, "--config", str(path),
+                               "--out-dir" if command == "simulate" else "--out",
+                               str(tmp_path / "out"))
+        want = f"too many times to allocate, got {value}\n"
+        assert (code, err) == (1, f"error: config.{field}: {want}")
+        argv = [x for k, v in dict(self.FLAGS["linear-decay"], t=f"log:1:2:{value}").items()
+                for x in (f"--{k}", v)]
+        assert run_cli(capsys, "linear-decay", *argv)[::2] == (1, f"error: --t.count: {want}")
 
     @pytest.mark.parametrize("command", ["classify", "linear-decay"])
     def test_bad_flag_text_quoted_as_json(self, capsys, command):

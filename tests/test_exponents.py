@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from sevolab.exponents import (
     blowup_condition,
     classify_regime,
     gamma_exponents,
+    linear_rates,
     loss_of_decay,
     theoretical_rates,
 )
@@ -171,6 +173,33 @@ class TestTheoreticalRates:
         rates = theoretical_rates(SystemParams(1, 1, 1, 4, 3))
         assert rates.f1 == pytest.approx(-0.25)
         assert rates.g1 == pytest.approx(-0.25 + 0.01)
+
+
+class TestLinearRates:
+    def test_sharp_rates_of_the_linear_flow(self):
+        # n = 1, sigma = 2: -n/(4 sigma) = -1/8, then 1/2 and 1 less
+        assert linear_rates(1, 2) == (-0.125, -0.625, -1.125)
+        assert linear_rates(3, 1.5, 0.25) == (-0.25, -0.75, -1.25)
+
+    def test_float_form_of_the_law_is_the_same_bits(self):
+        # 4.0 * sigma is exact, so the float quotient is the one rounding of -n/(4 sigma)
+        rng = random.Random(45)
+        for _ in range(2000):
+            n, sigma = rng.randint(1, 3), rng.uniform(1.0, 8.0)
+            base = -n / (4.0 * sigma)
+            assert linear_rates(n, sigma) == (base, base - 0.5, base - 1.0)
+
+    @pytest.mark.parametrize("params,side", [
+        (SystemParams(1, 1, 1, 3, 4), "u"), (SystemParams(1, 1, 1, 4, 3), "v"),
+        (SystemParams(2, 1.5, 1.5, 2.5, 7), "u")])
+    def test_theoretical_rates_are_the_linear_law_of_each_side(self, params, side):
+        # the loss of decay lands on the side whose regime carries it
+        loss = loss_of_decay(params, side)
+        rates = theoretical_rates(params)
+        assert (rates.f1, rates.f2, rates.f3) == linear_rates(
+            params.n, params.sigma1, loss if side == "u" else 0.0)
+        assert (rates.g1, rates.g2, rates.g3) == linear_rates(
+            params.n, params.sigma2, loss if side == "v" else 0.0)
 
 
 class TestGammaExponents:

@@ -268,7 +268,8 @@ class TestInit:
     def test_profile_too_large_for_a_float_state(self):
         # 2 * sum|corner samples| of a width-1 Gaussian on this grid is about 8.02 A
         grid = GridSpec(1, 128, 20.0)
-        with pytest.raises(ValueError, match=r"^v1: 2\*\*n \* sum\|samples\| 1\.60e\+308 exceeds"):
+        with pytest.raises(ValueError, match=r"^v1: the v1 profile's transform may overflow a "
+                           r"float: 2\*\*n \* sum\|samples\| = 1\.60e\+308 \(limit"):
             init(grid, InitialData(u0=GaussianProfile(1.0, 1.0),
                                    v1=GaussianProfile(-2e307, 1.0)), PARAMS)
 
