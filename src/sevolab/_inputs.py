@@ -3,7 +3,8 @@
 range, and it is a ``numbers.Integral`` where it counts something; it passes as
 the float (for a count, the int) the library computes with.  Nothing is coerced:
 True is not 1, '1' is not a number, and NaN or 10**400 lies in no range.  Arrays
-pass :func:`require_reals`; a value a run resolves passes :func:`auto_or_positive`."""
+pass :func:`require_reals`; a value a run resolves passes :func:`auto_or_positive`;
+a space dimension passes :func:`dimension`."""
 
 import math
 import numbers
@@ -39,6 +40,12 @@ def require(value, name: str, lo=-math.inf, hi=math.inf, closed: str = "", integ
         must = f"be {kind}{bound}"
     got = repr(value) if typed else f"{value!r}, a {type(value).__name__}"
     raise ValueError(f"{name} must {must}, got {got}")
+
+
+def dimension(value, name: str) -> int:
+    """value as an int if :func:`require` takes it as a space dimension the
+    library computes in: an integer in [1, 3]."""
+    return require(value, name, 1, 3, "[]", integral=True)
 
 
 def auto_or_positive(value, name: str):

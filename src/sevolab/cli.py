@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import exponents, fitting, oracle, testfn, torus
-from ._inputs import auto_or_positive, require
+from ._inputs import auto_or_positive, dimension, require
 from .profiles import GaussianProfile
 from .quadutil import QuadratureFailure
 
@@ -177,8 +177,9 @@ SWEEP_FIELDS = {
 
 def _allocated(space, lo: float, hi: float, count: int, path: str) -> list[float]:
     """``space(lo, hi, count)`` as a list; ConfigError at ``path`` if numpy refuses the size."""
-    try:
-        return list(space(lo, hi, count))
+    try:  # an overflowing span is left to the range rule, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return list(space(lo, hi, count))
     except (MemoryError, ValueError, IndexError):  # past memory, past intp, or 2**63
         raise ConfigError(f"{path}: too many times to allocate, got {count}") from None
 
@@ -294,9 +295,10 @@ def verdict_json(params: exponents.SystemParams) -> dict:
         "conditions": [dataclasses.asdict(r) for r in verdict.report],
         "gamma1": None, "gamma2": None, "rates": None,
     }
-    if params.equal_orders():
-        g1, g2 = exponents.gamma_exponents(params)
-        out["gamma1"], out["gamma2"] = g1, g2
+    try:
+        out["gamma1"], out["gamma2"] = exponents.gamma_exponents(params)
+    except exponents.WrongRegimeError:
+        pass  # unequal orders: the gammas stay null
     try:
         out["rates"] = dataclasses.asdict(exponents.theoretical_rates(params))
     except exponents.WrongRegimeError:
@@ -333,7 +335,15 @@ def _read_flag(rule, text, path, key):
     return rule(text if rule is _text else _flag_number(text), _flag(key))
 
 
-_dimension = _enum(1, 2, 3)
+def _dimension(value, path):
+    """An integer (2.0 is 2) that the library's dimension rule takes."""
+    n = _integer(value, path)
+    try:
+        return dimension(n, "n")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 LINEAR_DECAY_FLAGS = {"sigma": _positive, "n": _dimension,
                       "kind": _enum(*(k.value for k in oracle.NormKind)), "t": _text,
                       "w0_amplitude": (_real, 1.0), "w0_width": (_positive, 1.0),

@@ -20,7 +20,7 @@ REL_TOL = Fraction(1, 10**12)
 
 
 class WrongRegimeError(ValueError):
-    """Theoretical rates requested outside the existence regimes."""
+    """A quantity the paper defines only in another regime."""
 
 
 def _cmp(a: Fraction, b: Fraction) -> int:
@@ -156,8 +156,8 @@ def _families(params: SystemParams) -> tuple[list[ConditionReport], list[Conditi
 def blowup_condition(params: SystemParams) -> ConditionReport:
     """The blow-up inequality (1 + max(p,q))/(pq - 1) >= n/(2*sigma).
 
-    Only meaningful for sigma1 == sigma2; the record is still computed with
-    sigma = sigma1 otherwise so callers can inspect it.
+    The record :func:`classify_regime` adds to its report for equal orders,
+    the only ones Theorem 1.3 covers; it reads sigma as sigma1.
     """
     n, s, p, q = map(Fraction, (params.n, params.sigma1, params.p, params.q))
     lhs = (1 + max(p, q)) / (p * q - 1)
@@ -176,14 +176,14 @@ def classify_regime(params: SystemParams) -> RegimeVerdict:
     """
     fam11, fam12 = _families(params)
     report = fam11 + fam12
-    order = _cmp(Fraction(params.sigma1), Fraction(params.sigma2))
-    if order == 0:
+    equal = params.equal_orders()
+    if equal:
         report.append(blowup_condition(params))
-    if order >= 0 and all(r.holds for r in fam11):
+    if (equal or params.sigma1 > params.sigma2) and all(r.holds for r in fam11):
         regime = Regime.EXISTENCE_THM11
-    elif order <= 0 and all(r.holds for r in fam12):
+    elif (equal or params.sigma1 < params.sigma2) and all(r.holds for r in fam12):
         regime = Regime.EXISTENCE_THM12
-    elif order == 0 and report[-1].holds:
+    elif equal and report[-1].holds:
         regime = Regime.BLOWUP_THM13
     else:
         regime = Regime.UNCLASSIFIED
@@ -238,10 +238,10 @@ def gamma_exponents(params: SystemParams) -> tuple[float, float]:
         gamma1 = (-2s + (n+2s)/p')/q - 2s + (n+2s)/q'
         gamma2 = (-2s + (n+2s)/q')/p - 2s + (n+2s)/p'
     For q >= p, gamma2 <= 0 is equivalent to the blow-up inequality.
-    Requires sigma1 == sigma2.
+    Raises WrongRegimeError unless sigma1 == sigma2.
     """
     if not params.equal_orders():
-        raise ValueError(
+        raise WrongRegimeError(
             f"gamma exponents need sigma1 == sigma2, got {params.sigma1} != {params.sigma2}")
     n, s, p, q = map(Fraction, (params.n, params.sigma1, params.p, params.q))
     p_conj = p / (p - 1)

@@ -19,7 +19,7 @@ import math
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from ._inputs import require
+from ._inputs import dimension, require
 from .fitting import NormSeries
 from .multipliers import _propagator_scalar
 from .profiles import GaussianProfile, sphere_surface
@@ -102,7 +102,7 @@ def linear_norm(w0: Optional[GaussianProfile], w1: Optional[GaussianProfile],
     above omega = _S1, m**2 is a smooth mean, integrated with the range
     below, plus cos and sin(2*omega*t) parts on QAWO.
     """
-    require(n, "n", 1, 3, "[]", integral=True)
+    dimension(n, "n")
     t = require(t, "t", 0.0, closed="[")
     require(sigma, "sigma", 0.0)
     require(rel_tol, "rel_tol", 0.0)

@@ -30,13 +30,13 @@ compactly supported space cutoff of integer orders at |x|/R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._inputs import require, require_reals
+from ._inputs import dimension, require, require_reals
 from .exponents import SystemParams
 from .profiles import GaussianProfile, sphere_surface
 from .quadutil import _accepted, adaptive_quad, gauss_kronrod, gauss_kronrod_estimates
@@ -191,7 +191,7 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x, n: int,
     the middle one, and the first untrusted one raises its
     QuadratureFailure, as one call per point would.
     """
-    require(n, "n", 1, 3, "[]", integral=True)
+    dimension(n, "n")
     require(s, "s", 0.0, 1.0)
     xs = np.abs(require_reals(x, "x"))
     flat = xs.ravel().tolist()
@@ -305,10 +305,9 @@ class TestFunctionSpec:
 
     @classmethod
     def for_blowup(cls, params: SystemParams, R: float) -> "TestFunctionSpec":
-        """The construction tied to the equation: r = n + 2*theta, theta = sigma - [sigma]."""
-        sigma = params.sigma1
-        theta = sigma - math.floor(sigma)
-        return cls(gamma=sigma, r=params.n + 2.0 * theta, R=R)
+        """The equation's spec: gamma = sigma1, r = n + 2*theta, theta = sigma1 - [sigma1] = s."""
+        spec = cls(gamma=params.sigma1, r=params.n, R=R)
+        return replace(spec, r=params.n + 2.0 * spec.s)
 
 
 def fractional_laplacian_gamma(spec: TestFunctionSpec, x, n: int,
@@ -408,7 +407,7 @@ def fd_neg_laplacian(fn: Callable[[float], float], x: float, n: int,
     used as the independent oracle for the bracket recursion and for the
     integer-order cutoff.
     """
-    require(n, "n", 1, 3, "[]", integral=True)
+    dimension(n, "n")
     require(m, "m", 0, closed="[", integral=True)
     require(h, "h", 0.0)
     require(x, "x")
@@ -525,7 +524,7 @@ class Functionals:
         self.times = sorted(require(t, "times") for t in times)
         self._lam = 2.0 * max(params.p / (params.p - 1.0), params.q / (params.q - 1.0))
         radius = grid.radius()
-        integer = abs(params.sigma1 - round(params.sigma1)) < 1e-9
+        integer = TestFunctionSpec.for_blowup(params, 1.0).s == 0.0
         cutoffs = [eta(radius / spec.R, self._lam) if integer
                    else (1.0 + (radius / spec.R) ** 2) ** (-spec.r / 2.0)
                    for spec in self.specs]

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._inputs import auto_or_positive, require
+from ._inputs import auto_or_positive, dimension, require
 from .exponents import SystemParams
 from .fitting import NormSeries
 from .multipliers import duhamel_weights, propagator_arrays
@@ -85,7 +85,7 @@ class GridSpec:
     half_length: float
 
     def __post_init__(self):
-        require(self.n_dim, "n_dim", 1, 3, "[]", integral=True)
+        dimension(self.n_dim, "n_dim")
         npts = require(self.points_per_dim, "points_per_dim", 16, closed="[", integral=True)
         if npts & (npts - 1) != 0:
             raise ValueError(f"points_per_dim must be a power of two, got {npts}")

@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import json
 import math
 import os
 import pickle
 import sys
+import warnings
 
 import pytest
 
@@ -74,6 +76,31 @@ class TestClassify:
         outputs = [run_cli(capsys, "classify", "--n", n, "--sigma1", "1", "--sigma2", "1",
                            "--p", "3", "--q", "4") for n in ("1", "1.0")]
         assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("command,flags", [
+        ("linear-decay", ["--sigma", "1", "--kind", "l2", "--t", "log:1e2:1e3:3"]),
+        ("testfn-check", ["--gamma", "1.5", "--r", "2", "--R", "8"]),
+    ], ids=["linear-decay", "testfn-check"])
+    def test_integral_dimension_text_read_as_integer(self, capsys, command, flags):
+        # --n of linear-decay and testfn-check follows the same integer rule
+        outputs = [run_cli(capsys, command, "--n", n, *flags) for n in ("2", "2.0")]
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("p,q", [("2", "2"), ("3", "5")])
+    def test_unequal_orders_leave_the_gammas_null(self, capsys, p, q):
+        # gamma_exponents refuses sigma1 != sigma2; the rates are theoretical_rates'
+        code, out, _ = run_cli(capsys, "classify", "--n", "1", "--sigma1", "1.5",
+                               "--sigma2", "1", "--p", p, "--q", q)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["gamma1"], doc["gamma2"]) == (None, None)
+        params = exponents.SystemParams(1, 1.5, 1, float(p), float(q))
+        try:
+            rates = dataclasses.asdict(exponents.theoretical_rates(params))
+        except exponents.WrongRegimeError:
+            rates = None
+        assert doc["rates"] == rates
+        assert (rates is None) == (p == "2")
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--n", "1")
@@ -860,6 +887,16 @@ class TestConfigReader:
         assert code == 1
         assert err.startswith(f"error: {field_path}: ")
         assert stdout == "" and not out.exists()
+
+    def test_overflowing_span_refused_without_numpy_warnings(self):
+        # the span 2e308 overflows in numpy, whose warnings were printed before the error
+        record = {"kind": "linear", "t_min": -1e308, "t_max": 1e308, "count": 1}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(cli.ConfigError, match=r"^config\.record: record times must "
+                                                      r"lie in \[0, t_max\]$"):
+                cli.load_run_config(dict(BASE_RUN_CONFIG, record=record))
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("command,field,value", [
         ("simulate", "record.count", 10**18), ("sweep", "cell.record_count", 10**18)])

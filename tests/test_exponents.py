@@ -216,6 +216,25 @@ class TestGammaExponents:
         with pytest.raises(ValueError, match="sigma1 == sigma2"):
             gamma_exponents(SystemParams(1, 1.5, 1, 2, 2))
 
+    def test_unequal_orders_are_the_wrong_regime(self):
+        # the error verdict_json catches to leave the gammas null
+        with pytest.raises(WrongRegimeError, match="sigma1 == sigma2"):
+            gamma_exponents(SystemParams(1, 1.5, 1, 2, 2))
+
+    @pytest.mark.parametrize("rel,equal", [(1e-13, True), (-1e-13, True),
+                                           (1e-11, False), (-1e-11, False)])
+    def test_one_tie_band_for_the_orders(self, rel, equal):
+        # classify_regime and gamma_exponents both take equal orders from
+        # SystemParams.equal_orders, whose band is REL_TOL = 1e-12
+        params = SystemParams(1, 1.5, 1.5 * (1 + rel), 2, 2)
+        assert params.equal_orders() is equal
+        assert (classify_regime(params).regime is Regime.BLOWUP_THM13) is equal
+        if equal:
+            assert gamma_exponents(params) == gamma_exponents(SystemParams(1, 1.5, 1.5, 2, 2))
+        else:
+            with pytest.raises(WrongRegimeError):
+                gamma_exponents(params)
+
     def test_symmetric_exponents_swap(self):
         g1a, g2a = gamma_exponents(SystemParams(1, 1, 1, 2, 3))
         g1b, g2b = gamma_exponents(SystemParams(1, 1, 1, 3, 2))

@@ -439,6 +439,12 @@ class TestGammaEvaluator:
         assert spec.gamma == 1.5
         assert spec.r == pytest.approx(1 + 2 * 0.5)
 
+    def test_blowup_spec_takes_theta_from_the_integer_order_rule(self):
+        # within the spec's integer band theta = s = 0, on both sides of 2
+        specs = [TestFunctionSpec.for_blowup(SystemParams(1, sigma, sigma, 2, 2), 8.0)
+                 for sigma in (2 - 1e-12, 2.0, 2 + 1e-12)]
+        assert [(spec.s, spec.int_part, spec.r) for spec in specs] == [(0.0, 2, 1.0)] * 3
+
 
 class TestCutoffs:
     def test_eta_plateaus(self):
