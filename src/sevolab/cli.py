@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,13 +125,17 @@ def _object(fields: dict, build=None):
 
 
 def _exponent_range(value, path) -> list[float]:
-    """[lo, hi, step] with 1 < lo <= hi and step > 0: the values lo + k*step <= hi."""
+    """[lo, hi, step] with 1 < lo <= hi and step > 0: the values lo + k*step up to hi
+    by the exponents' tie rule, rounded to 10 digits, which the step may not make equal."""
     lo, hi, step = _array(_number(1), _real, _positive)(value, path)
     if hi < lo:
         raise ConfigError(f"{path}: expected lo <= hi, got [{lo:g}, {hi:g}]")
-    values = itertools.takewhile(lambda x: x <= hi + 1e-9,
-                                 (lo + k * step for k in itertools.count()))
-    return [round(x, 10) for x in values]
+    values = [round(x, 10) for x in itertools.takewhile(
+        lambda x: exponents._cmp(Fraction(x), Fraction(hi)) <= 0,
+        (lo + k * step for k in itertools.count()))]
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{path}[2]: step {step:g} repeats values rounded to 10 digits")
+    return values
 
 
 def _window(value, path) -> tuple[float, float]:

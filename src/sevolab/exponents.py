@@ -61,6 +61,13 @@ class SystemParams:
     def equal_orders(self) -> bool:
         return _cmp(Fraction(self.sigma1), Fraction(self.sigma2)) == 0
 
+    def common_order(self) -> float:
+        """Theorem 1.3's one order sigma = sigma1; WrongRegimeError unless the orders are equal."""
+        if not self.equal_orders():
+            raise WrongRegimeError(
+                f"gamma exponents need sigma1 == sigma2, got {self.sigma1} != {self.sigma2}")
+        return self.sigma1
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -157,9 +164,9 @@ def blowup_condition(params: SystemParams) -> ConditionReport:
     """The blow-up inequality (1 + max(p,q))/(pq - 1) >= n/(2*sigma).
 
     The record :func:`classify_regime` adds to its report for equal orders,
-    the only ones Theorem 1.3 covers; it reads sigma as sigma1.
+    the only ones Theorem 1.3 covers; sigma is their common order.
     """
-    n, s, p, q = map(Fraction, (params.n, params.sigma1, params.p, params.q))
+    n, s, p, q = map(Fraction, (params.n, params.common_order(), params.p, params.q))
     lhs = (1 + max(p, q)) / (p * q - 1)
     rhs = n / (2 * s)
     return _rec("optimal13.2", _cmp(lhs, rhs) >= 0, lhs, rhs)
@@ -238,12 +245,9 @@ def gamma_exponents(params: SystemParams) -> tuple[float, float]:
         gamma1 = (-2s + (n+2s)/p')/q - 2s + (n+2s)/q'
         gamma2 = (-2s + (n+2s)/q')/p - 2s + (n+2s)/p'
     For q >= p, gamma2 <= 0 is equivalent to the blow-up inequality.
-    Raises WrongRegimeError unless sigma1 == sigma2.
+    s is the common order, so unequal orders raise WrongRegimeError.
     """
-    if not params.equal_orders():
-        raise WrongRegimeError(
-            f"gamma exponents need sigma1 == sigma2, got {params.sigma1} != {params.sigma2}")
-    n, s, p, q = map(Fraction, (params.n, params.sigma1, params.p, params.q))
+    n, s, p, q = map(Fraction, (params.n, params.common_order(), params.p, params.q))
     p_conj = p / (p - 1)
     q_conj = q / (q - 1)
     m = n + 2 * s

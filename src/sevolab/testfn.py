@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._inputs import dimension, require, require_reals
-from .exponents import SystemParams
+from .exponents import SystemParams, _cmp
 from .profiles import GaussianProfile, sphere_surface
 from .quadutil import _accepted, adaptive_quad, gauss_kronrod, gauss_kronrod_estimates
 
@@ -305,8 +306,9 @@ class TestFunctionSpec:
 
     @classmethod
     def for_blowup(cls, params: SystemParams, R: float) -> "TestFunctionSpec":
-        """The equation's spec: gamma = sigma1, r = n + 2*theta, theta = sigma1 - [sigma1] = s."""
-        spec = cls(gamma=params.sigma1, r=params.n, R=R)
+        """The equation's spec: gamma = sigma, r = n + 2*theta, theta = sigma - [sigma] = s,
+        with sigma the common order of ``params`` (WrongRegimeError for unequal orders)."""
+        spec = cls(gamma=params.common_order(), r=params.n, R=R)
         return replace(spec, r=params.n + 2.0 * spec.s)
 
 
@@ -438,21 +440,16 @@ def envelope_ratio(gamma: float, r: float, n: int,
                    x_samples: Sequence[float]) -> tuple[str, float]:
     """Max ratio of |(-Lap)**gamma <x>**(-r)| to its decay envelope.
 
-    The envelope depends on how r + 2*[gamma] compares with n:
-    below n it is <x>**(-r-2*gamma); at n it gains a log factor on top of
-    <x>**(-n-2s); above n it is <x>**(-n-2s).  Returns (case label, bound).
+    The envelope depends on how r + 2*[gamma] compares with n by the exponents'
+    tie rule: below n it is <x>**(-r-2*gamma); at n it gains a log factor on
+    top of <x>**(-n-2s); above n it is <x>**(-n-2s).  Returns (case label, bound).
     """
     spec = TestFunctionSpec(gamma=gamma, r=r, R=1.0)
     s = spec.s
     if s == 0.0:
         raise ValueError("the envelope bound concerns fractional gamma")
-    key = r + 2.0 * spec.int_part
-    if abs(key - n) < 1e-9:
-        case = "log"
-    elif key < n:
-        case = "below"
-    else:
-        case = "above"
+    key = Fraction(float(r)) + 2 * spec.int_part  # floats: require takes numpy scalars too
+    case = {-1: "below", 0: "log", 1: "above"}[_cmp(key, Fraction(float(n)))]
     xs = require_reals(x_samples, "x_samples")
     # bound-constant reporting; the far tail does not need tight quads
     vals = np.abs(fractional_laplacian_gamma(spec, xs, n, rel_tol=1e-6))
@@ -511,14 +508,12 @@ class Functionals:
     |v|**p and |u|**q against the cutoff: sums over the corner samples, each
     weighted by ``grid.sample_weight``.  :meth:`values` integrates them in time
     by the trapezoid rule, the late-window variants over the window's second half.
-    Requires sigma1 == sigma2; for integer orders the compactly supported
-    cutoff is used, otherwise the bracket <x/R>**(-r).
+    sigma is the common order of ``params`` (WrongRegimeError for unequal orders);
+    for an integer order the compactly supported cutoff is used, otherwise the bracket <x/R>**(-r).
     """
 
     def __init__(self, grid, params: SystemParams,
                  specs: Sequence[TestFunctionSpec], times: Sequence[float]):
-        if not params.equal_orders():
-            raise ValueError("functionals need sigma1 == sigma2")
         self.params = params
         self.specs = tuple(specs)
         self.times = sorted(require(t, "times") for t in times)
@@ -546,7 +541,7 @@ class Functionals:
         rows = np.array(self._rows).reshape(-1, 1 + 2 * k)
         out = []
         for spec, i_all, j_all in zip(self.specs, rows[:, 1:k + 1].T, rows[:, k + 1:].T):
-            T = spec.R ** (2.0 * self.params.sigma1)
+            T = spec.R ** (2.0 * self.params.common_order())
             kept = rows[:, 0] <= T * (1.0 + 1e-9)
             t_arr = rows[kept, 0]
             gaps = np.diff(np.concatenate([[0.0], t_arr, [T]]))

@@ -475,6 +475,15 @@ class TestSweep:
         assert err == f"error: config.{field}: expected lo <= hi, got [3, 2]\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds,values", [
+        # hi 5e-11 short of 2.5 is past the exponents' relative band of 1e-12
+        ([2, 2.49999999995, 0.5], [2.0]),
+        ([2, 2.5 - 1e-13, 0.5], [2.0, 2.5]),  # inside it, 2.5 ties with hi
+    ])
+    def test_range_ends_by_the_exponents_tie_rule(self, bounds, values):
+        cfg = cli.load_sweep_config(dict(SWEEP_CONFIG, p_range=bounds, q_range=bounds))
+        assert cfg["p_values"] == cfg["q_values"] == values
+
     def test_window_of_exactly_one(self, capsys, tmp_path):
         # the sweep's own record times run from 1 to min(t_max, t_valid) = 1
         cfg = copy.deepcopy(SWEEP_CONFIG)
@@ -837,6 +846,9 @@ class TestConfigReader:
         ("simulate", "seed", BIG, "config.seed"),
         ("sweep", "cell.record_count", BIG, "config.cell.record_count"),
         ("sweep", "p_range", [2.0, BIG, 0.5], "config.p_range[1]"),
+        # a step whose five values are all 2.0 once rounded to 10 digits
+        ("sweep", "p_range", [2, 2.00000000004, 1e-11], "config.p_range[2]"),
+        ("sweep", "q_range", [2, 2.00000000004, 1e-11], "config.q_range[2]"),
         ("sweep", "--workers", str(BIG), "--workers"),
         ("linear-decay", "sigma", str(BIG), "--sigma"),
         ("linear-decay", "t", f"log:1:100:{BIG}", "--t.count"),

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from sevolab import quadutil, testfn
-from sevolab.exponents import SystemParams
+from sevolab.exponents import SystemParams, WrongRegimeError, gamma_exponents
 from sevolab.profiles import GaussianProfile, sphere_surface
 from sevolab.quadutil import QuadratureFailure
 from sevolab.testfn import (
@@ -433,6 +433,17 @@ class TestGammaEvaluator:
         assert math.isfinite(const)
         assert const > 0
 
+    @pytest.mark.parametrize("r,case", [
+        (1.0 + 1.5e-12, "log"), (1.0 - 1.5e-12, "log"),
+        (1.0 + 3e-11, "above"), (1.0 - 3e-11, "below"),
+        (np.float32(1.0), "log"),  # a numpy scalar, which require takes
+    ])
+    def test_envelope_case_ties_in_the_orders_band(self, r, case):
+        # r + 2*[gamma] = r + 2 against n = 3: n*(1 +- 5e-13) ties within the
+        # relative band of 1e-12 that decides equal orders
+        # (test_one_tie_band_for_the_orders), n*(1 +- 1e-11) does not
+        assert envelope_ratio(1.5, r, 3, [0.0, 1.0])[0] == case
+
     def test_blowup_spec_construction(self):
         params = SystemParams(1, 1.5, 1.5, 2, 2)
         spec = TestFunctionSpec.for_blowup(params, 8.0)
@@ -444,6 +455,18 @@ class TestGammaEvaluator:
         specs = [TestFunctionSpec.for_blowup(SystemParams(1, sigma, sigma, 2, 2), 8.0)
                  for sigma in (2 - 1e-12, 2.0, 2 + 1e-12)]
         assert [(spec.s, spec.int_part, spec.r) for spec in specs] == [(0.0, 2, 1.0)] * 3
+
+    def test_unequal_orders_are_refused_as_the_gamma_exponents_refuse_them(self):
+        # Theorem 1.3 has one order: no spec or functional is built from sigma1 alone
+        params = SystemParams(1, 1.5, 1.0, 2, 2)
+        with pytest.raises(WrongRegimeError) as gammas:
+            gamma_exponents(params)
+        spec = TestFunctionSpec(gamma=1.5, r=2.0, R=3.0)
+        for build in (lambda: TestFunctionSpec.for_blowup(params, 3.0),
+                      lambda: Functionals(GridSpec(1, 16, 10.0), params, [spec], [0.0])):
+            with pytest.raises(WrongRegimeError) as refused:
+                build()
+            assert str(refused.value) == str(gammas.value)
 
 
 class TestCutoffs:
