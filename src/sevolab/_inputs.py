@@ -1,7 +1,8 @@
 """The library's one rule for scalar inputs: a value passes only if it is a
 ``numbers.Real`` and not a bool, a float can hold it, it lies in its stated
 range, and it is a ``numbers.Integral`` where it counts something; it passes as
-the float (for a count, the int) the library computes with.  Nothing is coerced:
+the float (for a count, the int) the library computes with, which the validated
+dataclasses hold in place of the argument.  Nothing is coerced:
 True is not 1, '1' is not a number, and NaN or 10**400 lies in no range.  Arrays
 pass :func:`require_reals`; a value a run resolves passes :func:`auto_or_positive`;
 a space dimension passes :func:`dimension`."""

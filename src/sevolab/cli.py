@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -131,7 +130,7 @@ def _exponent_range(value, path) -> list[float]:
     if hi < lo:
         raise ConfigError(f"{path}: expected lo <= hi, got [{lo:g}, {hi:g}]")
     values = [round(x, 10) for x in itertools.takewhile(
-        lambda x: exponents._cmp(Fraction(x), Fraction(hi)) <= 0,
+        lambda x: x <= hi or exponents._cmp(x, hi) <= 0,
         (lo + k * step for k in itertools.count()))]
     if len(set(values)) < len(values):
         raise ConfigError(f"{path}[2]: step {step:g} repeats values rounded to 10 digits")

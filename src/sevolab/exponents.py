@@ -23,8 +23,9 @@ class WrongRegimeError(ValueError):
     """A quantity the paper defines only in another regime."""
 
 
-def _cmp(a: Fraction, b: Fraction) -> int:
-    """Compare with a relative tolerance band: -1, 0 (tie) or +1."""
+def _cmp(a, b) -> int:
+    """Compare two reals as exact fractions with a relative tolerance band: -1, 0 (tie) or +1."""
+    a, b = Fraction(a), Fraction(b)
     diff = a - b
     scale = max(Fraction(1), abs(a), abs(b))
     if abs(diff) <= REL_TOL * scale:
@@ -49,17 +50,17 @@ class SystemParams:
     eps: float = 0.01
 
     def __post_init__(self):
-        require(self.n, "n", 1, closed="[", integral=True)
+        object.__setattr__(self, "n", require(self.n, "n", 1, closed="[", integral=True))
         for name, lo, closed in (("sigma1", 1.0, "["), ("sigma2", 1.0, "["), ("p", 1.0, ""),
                                  ("q", 1.0, ""), ("eps", 0.0, "")):
-            require(getattr(self, name), name, lo, closed=closed)
+            object.__setattr__(self, name, require(getattr(self, name), name, lo, closed=closed))
 
     @property
     def sigma_min(self) -> float:
         return min(self.sigma1, self.sigma2)
 
     def equal_orders(self) -> bool:
-        return _cmp(Fraction(self.sigma1), Fraction(self.sigma2)) == 0
+        return _cmp(self.sigma1, self.sigma2) == 0
 
     def common_order(self) -> float:
         """Theorem 1.3's one order sigma = sigma1; WrongRegimeError unless the orders are equal."""

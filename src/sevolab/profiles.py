@@ -32,8 +32,8 @@ class GaussianProfile:
     width: float
 
     def __post_init__(self):
-        require(self.amplitude, "amplitude")
-        require(self.width, "width", 0.0)
+        object.__setattr__(self, "amplitude", require(self.amplitude, "amplitude"))
+        object.__setattr__(self, "width", require(self.width, "width", 0.0))
 
     def value(self, r):
         """Profile value at radius r (array friendly)."""

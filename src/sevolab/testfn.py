@@ -30,7 +30,7 @@ compactly supported space cutoff of integer orders at |x|/R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -282,27 +282,25 @@ def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float) -> flo
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Scaled bracket test function <x/R>**(-r) with Laplacian order gamma."""
+    """Scaled bracket test function <x/R>**(-r) with Laplacian order gamma, split once
+    as gamma = int_part + s: round(gamma) and 0 where the exponents' tie rule finds
+    the two equal, else floor(gamma) and s in (0, 1)."""
 
     __test__ = False  # not a pytest class despite the name
 
     gamma: float
     r: float
     R: float
+    int_part: int = field(init=False, repr=False)
+    s: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        require(self.gamma, "gamma", 1.0, closed="[")
-        require(self.r, "r", 0.0)
-        require(self.R, "R", 0.0)
-
-    @property
-    def s(self) -> float:
-        frac = self.gamma - math.floor(self.gamma)
-        return 0.0 if frac < 1e-9 or frac > 1.0 - 1e-9 else frac
-
-    @property
-    def int_part(self) -> int:
-        return int(round(self.gamma)) if self.s == 0.0 else int(math.floor(self.gamma))
+        gamma = require(self.gamma, "gamma", 1.0, closed="[")
+        whole, floor = round(gamma), math.floor(gamma)
+        split = (whole, 0.0) if _cmp(gamma, whole) == 0 else (floor, gamma - floor)
+        held = (gamma, require(self.r, "r", 0.0), require(self.R, "R", 0.0), *split)
+        for name, value in zip(("gamma", "r", "R", "int_part", "s"), held):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def for_blowup(cls, params: SystemParams, R: float) -> "TestFunctionSpec":
@@ -445,11 +443,11 @@ def envelope_ratio(gamma: float, r: float, n: int,
     top of <x>**(-n-2s); above n it is <x>**(-n-2s).  Returns (case label, bound).
     """
     spec = TestFunctionSpec(gamma=gamma, r=r, R=1.0)
-    s = spec.s
+    gamma, r, s = spec.gamma, spec.r, spec.s
     if s == 0.0:
         raise ValueError("the envelope bound concerns fractional gamma")
-    key = Fraction(float(r)) + 2 * spec.int_part  # floats: require takes numpy scalars too
-    case = {-1: "below", 0: "log", 1: "above"}[_cmp(key, Fraction(float(n)))]
+    key = Fraction(r) + 2 * spec.int_part  # exact, as the tie rule compares
+    case = {-1: "below", 0: "log", 1: "above"}[_cmp(key, dimension(n, "n"))]
     xs = require_reals(x_samples, "x_samples")
     # bound-constant reporting; the far tail does not need tight quads
     vals = np.abs(fractional_laplacian_gamma(spec, xs, n, rel_tol=1e-6))

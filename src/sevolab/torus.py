@@ -85,11 +85,12 @@ class GridSpec:
     half_length: float
 
     def __post_init__(self):
-        dimension(self.n_dim, "n_dim")
+        object.__setattr__(self, "n_dim", dimension(self.n_dim, "n_dim"))
         npts = require(self.points_per_dim, "points_per_dim", 16, closed="[", integral=True)
         if npts & (npts - 1) != 0:
             raise ValueError(f"points_per_dim must be a power of two, got {npts}")
-        require(self.half_length, "half_length", 0.0)
+        object.__setattr__(self, "points_per_dim", npts)
+        object.__setattr__(self, "half_length", require(self.half_length, "half_length", 0.0))
 
     @property
     def dx(self) -> float:

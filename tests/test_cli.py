@@ -7,6 +7,7 @@ import pickle
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from sevolab import cli, exponents, torus
@@ -101,6 +102,14 @@ class TestClassify:
             rates = None
         assert doc["rates"] == rates
         assert (rates is None) == (p == "2")
+
+    @pytest.mark.parametrize("sigma2", [1.5, 1.0])
+    def test_numpy_scalar_orders_give_the_verdict_of_their_floats(self, sigma2):
+        # SystemParams holds the floats require returns, which the tie rule reads exactly
+        verdicts = [cli.verdict_json(exponents.SystemParams(1, cast(1.5), cast(sigma2), 2.0, 3.0))
+                    for cast in (np.float32, float)]
+        assert verdicts[0] == verdicts[1]
+        assert (verdicts[0]["gamma1"] is None) == (sigma2 != 1.5)
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--n", "1")

@@ -1,7 +1,9 @@
 import itertools
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,15 @@ class TestClassify:
         assert verdict.regime is Regime.UNCLASSIFIED
         failing = {r.identifier for r in verdict.report if not r.holds}
         assert "exponent11A2.p" in failing
+
+    def test_params_hold_the_numbers_require_returns(self):
+        # an int n and float orders, powers and slack, whatever number type came in
+        params = SystemParams(1, 1, 1, 2, 2)
+        assert [type(v) for v in astuple(params)] == [int] + [float] * 5
+        assert params.sigma1 == 1.0 and type(params.sigma1) is float
+        held = SystemParams(np.int64(1), np.float32(1.5), np.float32(1.5), 2, np.float32(3))
+        assert held == SystemParams(1, 1.5, 1.5, 2.0, 3.0)
+        assert [type(v) for v in astuple(held)] == [int] + [float] * 5
 
     def test_critical_boundary_counts_as_blowup(self):
         # equality in the blow-up inequality: (1+3)/(3*3-1) = 1/2 = n/(2 sigma)

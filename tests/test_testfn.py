@@ -366,26 +366,34 @@ class TestArrayPoints:
 class TestNearIntegerOrders:
     """Fractional parts close to 1, where the inner range once overflowed
     under the substitution rho = u**(1/(2-2s)), give finite values that tend
-    to -Lap as s -> 1."""
+    to -Lap as s -> 1; those close to 0 tend to the identity.  Both ends go to
+    within 1e-10 of an integer: a gamma that close to an integer is fractional
+    under the exponents' tie rule, so its spec evaluates such an s."""
 
-    ORDERS = [0.96, 0.975, 0.99, 0.999, 0.99999]
+    ORDERS = [0.96, 0.975, 0.99, 0.999, 0.99999, 1.0 - 1e-10]
     single = BracketCombo(((1.0, 2.0),))
 
-    @pytest.mark.parametrize("s", ORDERS)
+    @pytest.mark.parametrize("s", ORDERS + [1e-10])
     def test_one_dimension_matches_fourier(self, s):
         got = fractional_laplacian_bracket(self.single, s, 1.0, 1)
         assert math.isfinite(got)
         assert got == pytest.approx(fractional_laplacian_fourier(self.single, s, 1.0),
                                     abs=1e-10)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 1])
     @pytest.mark.parametrize("s", ORDERS)
     def test_tends_to_the_laplacian(self, n, s):
-        # -Lap <x>**(-2) at x = 1 is (n - 2)/2: 0 in 2D, 0.5 in 3D
+        # -Lap <x>**(-2) at x = 1 is (n - 2)/2: -0.5 in 1D, 0 in 2D, 0.5 in 3D
         laplacian = integer_laplacian_bracket(2.0, 1, n).value(1.0)
         got = fractional_laplacian_bracket(self.single, s, 1.0, n)
         assert math.isfinite(got)
         assert abs(got - laplacian) <= 2.0 * (1.0 - s)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tends_to_the_function(self, n):
+        s = 1e-10
+        got = fractional_laplacian_bracket(self.single, s, 1.0, n)
+        assert abs(got - self.single.value(1.0)) <= 2.0 * s
 
 
 class TestBenchCatalogue:
@@ -455,6 +463,26 @@ class TestGammaEvaluator:
         specs = [TestFunctionSpec.for_blowup(SystemParams(1, sigma, sigma, 2, 2), 8.0)
                  for sigma in (2 - 1e-12, 2.0, 2 + 1e-12)]
         assert [(spec.s, spec.int_part, spec.r) for spec in specs] == [(0.0, 2, 1.0)] * 3
+
+    @pytest.mark.parametrize("gamma,int_part,s", [
+        (2 + 5e-13, 2, 0.0), (2 - 5e-13, 2, 0.0),
+        (2 + 5e-10, 2, 5e-10), (2 - 5e-10, 1, 1 - 5e-10), (3 - 1e-10, 2, 1 - 1e-10),
+        (np.float32(1.5), 1, 0.5),  # a numpy scalar, held as the float require returns
+    ])
+    def test_integer_part_by_the_exponents_tie_rule(self, gamma, int_part, s):
+        # gamma ties its nearest integer within the relative band of 1e-12 that
+        # decides every tie between exponents; 5e-10 off it is fractional
+        spec = TestFunctionSpec(gamma=gamma, r=1.0, R=1.0)
+        assert type(spec.gamma) is float and spec.gamma == gamma
+        assert (spec.int_part, spec.s) == (int_part, pytest.approx(s, rel=1e-6, abs=0.0))
+        assert type(spec.int_part) is int
+        assert spec.s == 0.0 or spec.int_part + spec.s == spec.gamma
+
+    def test_blowup_spec_just_off_an_integer_order_is_fractional(self):
+        params = SystemParams(1, 2 + 5e-10, 2 + 5e-10, 2, 2)
+        spec = TestFunctionSpec.for_blowup(params, 8.0)
+        assert (spec.int_part, spec.r) == (2, 1 + 2 * spec.s)
+        assert spec.s == pytest.approx(5e-10, rel=1e-6)
 
     def test_unequal_orders_are_refused_as_the_gamma_exponents_refuse_them(self):
         # Theorem 1.3 has one order: no spec or functional is built from sigma1 alone

@@ -1170,6 +1170,16 @@ class TestRunEcho:
         assert calls == {"linear_step": steps if linear_only else 0,
                          "duhamel_step": 0 if linear_only else steps}
 
+    def test_numpy_scalars_run_as_the_floats_they_hold(self):
+        # the grid and the profiles hold the floats require returns: built from
+        # np.float32 values, a run takes the dt and norms of those floats' run
+        def build(cast):
+            blob = GaussianProfile(cast(0.01), cast(1.3))
+            return run(GridSpec(1, 128, cast(10.1)), InitialData(u0=blob, v1=blob),
+                       PARAMS, 2.0, [1.0, 2.0])
+        f32, f64 = build(np.float32), build(lambda v: float(np.float32(v)))
+        assert (f32.config_echo, f32.series) == (f64.config_echo, f64.series)  # dt included
+
 
 class TestDataTooLargeForAFloatState:
     GRID = GridSpec(1, 128, 20.0)
