@@ -1,11 +1,11 @@
 """The library's one rule for scalar inputs: a value passes only if it is a
 ``numbers.Real`` and not a bool, a float can hold it, it lies in its stated
 range, and it is a ``numbers.Integral`` where it counts something; it passes as
-the float (for a count, the int) the library computes with, which the validated
-dataclasses hold in place of the argument.  Nothing is coerced:
-True is not 1, '1' is not a number, and NaN or 10**400 lies in no range.  Arrays
-pass :func:`require_reals`; a value a run resolves passes :func:`auto_or_positive`;
-a space dimension passes :func:`dimension`."""
+the float (for a count, the int) that every function checking it computes with and
+the validated dataclasses hold: ``linear_norm`` takes sigma = np.float32(1.1) as
+1.100000023841858.  Nothing is coerced: True is not 1, '1' is not a number, and
+NaN or 10**400 lies in no range.  Arrays pass :func:`require_reals`; a value a
+run resolves passes :func:`auto_or_positive`; a space dimension passes :func:`dimension`."""
 
 import math
 import numbers

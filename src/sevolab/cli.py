@@ -71,7 +71,7 @@ def _number(lo: float = -math.inf, strict: bool = True, integer: bool = False):
         try:  # any other value fails the rule as None does
             number = require(value if typed else None, path)
             wrong = f"must be {'>' if strict else '>='} {lo:g}"
-            require(number, path, lo, closed="" if strict else "[")
+            number = require(number, path, lo, closed="" if strict else "[")
         except ValueError:
             raise ConfigError(f"{path}: {wrong}, got {_shown(value)}") from None
         return int(value) if integer else number

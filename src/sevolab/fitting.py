@@ -28,11 +28,8 @@ class NormSeries:
     entries: list[tuple[float, float]]
 
     def __post_init__(self):
-        for t, value in self.entries:
-            require(t, "times")
-            require(value, "values")
-        ts = [t for t, _ in self.entries]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        self.entries = [(require(t, "times"), require(v, "values")) for t, v in self.entries]
+        if any(b <= a for (a, _), (b, _) in zip(self.entries, self.entries[1:])):
             raise ValueError("time stamps must be strictly increasing")
 
     def times(self) -> np.ndarray:
@@ -82,7 +79,7 @@ def compare_rates(fit: DecayFit, predicted: float, tol: float,
     slack): pass when the observed decay is at least as fast, within tol,
     i.e. fit <= predicted + tol.
     """
-    require(tol, "tol", 0.0)
+    tol = require(tol, "tol", 0.0)
     if one_sided:
         return fit.exponent <= predicted + tol
     return abs(fit.exponent - predicted) <= tol

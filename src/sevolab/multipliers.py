@@ -56,7 +56,7 @@ def propagator_arrays(t: float, mu: np.ndarray) -> np.ndarray:
     t is a finite scalar >= 0; mu an array of nonnegative symbol values.  The
     tables come stacked in one array of shape ``(4, *mu.shape)``.
     """
-    require(t, "t", 0.0, closed="[")
+    t = require(t, "t", 0.0, closed="[")
     mu = np.asarray(mu, dtype=float)
     k0, k1, dk0, dk1 = tables = np.empty((4, *mu.shape))
     d = 1.0 - 4.0 * mu
@@ -111,7 +111,8 @@ def propagator(t: float, xi_mag: float, sigma: float) -> np.ndarray:
 
 def ode_residual(t: float, xi_mag: float, sigma: float, h: float) -> float:
     """Centred-difference residual of the mode ODE; O(h**2) for the exact multiplier."""
-    require(t, "t", require(h, "h", 0.0), closed="[")
+    h = require(h, "h", 0.0)
+    t = require(t, "t", h, closed="[")
     mu = _symbol(xi_mag, sigma)
     vm = _propagator_scalar(t - h, mu)
     v0 = _propagator_scalar(t, mu)
@@ -183,7 +184,7 @@ def duhamel_weights(dt: float, mu: np.ndarray, tables=None) -> np.ndarray:
     mu -> 0, so modes with mu*dt**2 below _SMALL_MU_DT2 (mu below it when
     dt > 1) take the phi-function series of :func:`_phi_weights` instead.
     """
-    require(dt, "dt", 0.0)
+    dt = require(dt, "dt", 0.0)
     mu = np.asarray(mu, dtype=float)
     if tables is None:
         tables = propagator_arrays(dt, mu)

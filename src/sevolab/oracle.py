@@ -102,10 +102,10 @@ def linear_norm(w0: Optional[GaussianProfile], w1: Optional[GaussianProfile],
     above omega = _S1, m**2 is a smooth mean, integrated with the range
     below, plus cos and sin(2*omega*t) parts on QAWO.
     """
-    dimension(n, "n")
+    n = dimension(n, "n")
     t = require(t, "t", 0.0, closed="[")
-    require(sigma, "sigma", 0.0)
-    require(rel_tol, "rel_tol", 0.0)
+    sigma = require(sigma, "sigma", 0.0)
+    rel_tol = require(rel_tol, "rel_tol", 0.0)
     if w0 is None and w1 is None:
         return 0.0
 
@@ -155,5 +155,5 @@ def decay_series(w0: Optional[GaussianProfile], w1: Optional[GaussianProfile],
                  sigma: float, n: int, kind: NormKind,
                  t_grid: Sequence[float]) -> NormSeries:
     """One linear_norm evaluation per grid time, packaged for fitting."""
-    entries = [(float(t), linear_norm(w0, w1, t, sigma, n, kind)) for t in t_grid]
+    entries = [(t, linear_norm(w0, w1, t, sigma, n, kind)) for t in t_grid]
     return NormSeries(entries)

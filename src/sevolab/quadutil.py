@@ -63,7 +63,7 @@ def quadpack(fn, a: float, b: float, *, points=None, rel_tol: float = 1e-10,
     intervals, its warnings suppressed.  ``weight`` "cos"/"sin" integrates
     fn(x)*cos/sin(wvar*x) on QAWO, whose modified Chebyshev moments take the
     oscillation exactly."""
-    require(rel_tol, "rel_tol", 0.0)
+    rel_tol = require(rel_tol, "rel_tol", 0.0)
     integrate = _integrate()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -144,8 +144,8 @@ def gauss_kronrod_estimates(fn, a, b, *, points=None, rel_tol: float = 1e-10,
     points = points or (None,) * k
     if not len(b) == len(points) == k:
         raise ValueError("a batch needs one b and one points entry per integral")
-    require(rel_tol, "rel_tol", 0.0)
-    require(limit, "limit", 1, closed="[", integral=True)
+    rel_tol = require(rel_tol, "rel_tol", 0.0)
+    limit = require(limit, "limit", 1, closed="[", integral=True)
     edges = [[lo, *_breakpoints(pts, lo, hi), hi] for lo, hi, pts in zip(a, b, points)]
     #: the intervals to integrate this round, and the integrals they belong to
     #: with their counts

@@ -88,7 +88,7 @@ def frac_lap_normalization(n: int, s: float) -> float:
     Under this convention the Fourier symbol of (-Lap)**s is |xi|**(2s);
     the choice is validated by the Bessel-K cross-check.
     """
-    require(s, "s", 0.0, 1.0)
+    s = require(s, "s", 0.0, 1.0)
     return (4.0**s * math.gamma(n / 2.0 + s)
             / (math.pi ** (n / 2.0) * abs(math.gamma(-s))))
 
@@ -192,11 +192,11 @@ def fractional_laplacian_bracket(combo: BracketCombo, s: float, x, n: int,
     the middle one, and the first untrusted one raises its
     QuadratureFailure, as one call per point would.
     """
-    dimension(n, "n")
-    require(s, "s", 0.0, 1.0)
+    n = dimension(n, "n")
+    s = require(s, "s", 0.0, 1.0)
     xs = np.abs(require_reals(x, "x"))
     flat = xs.ravel().tolist()
-    require(scale, "scale", 0.0)
+    scale = require(scale, "scale", 0.0)
     taylor = _sphere_taylor(combo, n, scale)
     omega_fx, h_sw, lo_cut, big, head, tail = zip(
         *[_split_point(combo, taylor, s, z, n, scale) for z in flat])
@@ -257,7 +257,7 @@ def fractional_laplacian_fourier(combo: BracketCombo, s: float, x: float) -> flo
     with the closed-form Bessel-K transform of each bracket term; completely
     independent of the hypersingular route.
     """
-    require(s, "s", 0.0, 1.0)
+    s = require(s, "s", 0.0, 1.0)
     x = require(x, "x")
     fhat = _combo_transform(combo, 1.0)
     two_s = 2.0 * s
@@ -353,7 +353,7 @@ def eta(x, lam: float):
     The time cutoff at x = t/T and the space cutoff at x = |y|/R; floats
     give a float, arrays an array.
     """
-    require(lam, "lam", 1.0, closed="[")
+    lam = require(lam, "lam", 1.0, closed="[")
     chi = _chi(np.clip(require_reals(x, "x") - 0.5, 0.0, 0.5))
     out = np.maximum(chi, 0.0) ** lam  # chi rounds to about -1e-16 just below 1
     return out if out.shape else float(out)
@@ -367,8 +367,9 @@ def eta_derivs(t: float, lam: float) -> tuple[float, float, float]:
         chi = 1 - 80 tau^3 + 240 tau^4 - 192 tau^5,
     whose derivative is -960 tau^2 (1/2 - tau)^2 <= 0.
     """
-    require(lam, "lam", 1.0, closed="[")
-    if require(t, "t") <= 0.5:
+    lam = require(lam, "lam", 1.0, closed="[")
+    t = require(t, "t")
+    if t <= 0.5:
         return 1.0, 0.0, 0.0
     tau = min(t, 1.0) - 0.5
     chi = _chi(tau)
@@ -387,11 +388,11 @@ def eta_ratio_sup(lam: float, kappa: float) -> float:
 
     Finite by construction whenever lam >= 2*k' (k' the conjugate of kappa).
     """
-    require(kappa, "kappa", 1.0)
+    kappa = require(kappa, "kappa", 1.0)
     kp = kappa / (kappa - 1.0)
     worst = 0.0
     for t in np.linspace(0.5, 1.0, 20001)[:-1]:
-        e, e1, e2 = eta_derivs(float(t), lam)
+        e, e1, e2 = eta_derivs(t, lam)
         if e == 0.0:
             continue
         worst = max(worst, e ** (-kp / kappa) * (abs(e1) ** kp + abs(e2) ** kp))
@@ -407,10 +408,10 @@ def fd_neg_laplacian(fn: Callable[[float], float], x: float, n: int,
     used as the independent oracle for the bracket recursion and for the
     integer-order cutoff.
     """
-    dimension(n, "n")
-    require(m, "m", 0, closed="[", integral=True)
-    require(h, "h", 0.0)
-    require(x, "x")
+    n = dimension(n, "n")
+    m = require(m, "m", 0, closed="[", integral=True)
+    h = require(h, "h", 0.0)
+    x = require(x, "x")
 
     def lap_once(g: Callable[[float], float]) -> Callable[[float], float]:
         def out(y: float) -> float:
@@ -447,7 +448,8 @@ def envelope_ratio(gamma: float, r: float, n: int,
     if s == 0.0:
         raise ValueError("the envelope bound concerns fractional gamma")
     key = Fraction(r) + 2 * spec.int_part  # exact, as the tie rule compares
-    case = {-1: "below", 0: "log", 1: "above"}[_cmp(key, dimension(n, "n"))]
+    n = dimension(n, "n")
+    case = {-1: "below", 0: "log", 1: "above"}[_cmp(key, n)]
     xs = require_reals(x_samples, "x_samples")
     # bound-constant reporting; the far tail does not need tight quads
     vals = np.abs(fractional_laplacian_gamma(spec, xs, n, rel_tol=1e-6))

@@ -387,11 +387,11 @@ class _StepKernel:
 
 
 def _step_arrays(state: SpectralState, dt: float, kernel: Optional[_StepKernel],
-                 out: Optional[np.ndarray]) -> tuple[_StepKernel, np.ndarray, tuple]:
-    """(kernel, out, kernel's table columns of dt) of a step of ``state`` by dt > 0,
-    new ones for None: a kernel built for its grid and orders, an array of its
-    y's shape and dtype not sharing y's memory."""
-    require(dt, "dt", 0.0)
+                 out: Optional[np.ndarray]) -> tuple[_StepKernel, np.ndarray, float, tuple]:
+    """(kernel, out, dt, kernel's table columns of dt) of a step of ``state`` by
+    dt > 0, new ones for None: a kernel built for its grid and orders, an array
+    of its y's shape and dtype not sharing y's memory; dt as :func:`require` returns it."""
+    dt = require(dt, "dt", 0.0)
     key = (state.grid, state.sigma1, state.sigma2)
     if kernel is None:
         kernel = _StepKernel(*key)
@@ -401,7 +401,7 @@ def _step_arrays(state: SpectralState, dt: float, kernel: Optional[_StepKernel],
     if out is not None and (out.shape != y.shape or out.dtype != y.dtype
                             or np.may_share_memory(out, y)):
         raise ValueError(f"out must be a {y.dtype} array of shape {y.shape}, apart from state.y")
-    return kernel, np.empty_like(y) if out is None else out, kernel.get(dt)
+    return kernel, np.empty_like(y) if out is None else out, dt, kernel.get(dt)
 
 
 def _stepped(state: SpectralState, y: np.ndarray, t: float, kernel: _StepKernel) -> SpectralState:
@@ -417,7 +417,7 @@ def linear_step(state: SpectralState, dt: float, kernel: Optional[_StepKernel] =
                 out: Optional[np.ndarray] = None) -> SpectralState:
     """Advance the linear system exactly by dt (any finite dt > 0) into ``out``,
     not ``state.y``, or a new array; the new state and energy are :func:`_stepped`'s."""
-    kernel, y, (K0, K1, _, _) = _step_arrays(state, dt, kernel, out)
+    kernel, y, dt, (K0, K1, _, _) = _step_arrays(state, dt, kernel, out)
     np.multiply(K0, state.y[0], out=y)
     y += np.multiply(K1, state.y[1], out=kernel.tmp)
     return _stepped(state, y, state.time + dt, kernel)
@@ -490,9 +490,9 @@ def duhamel_step(state: SpectralState, dt: float, p: float, q: float,
     ``out`` if given, which must not be ``state.y``, else a new array; the new
     state and its energy are :func:`_stepped`'s, as in :func:`linear_step`.
     """
-    require(p, "p", 1.0)
-    require(q, "q", 1.0)
-    kernel, y, (K0, K1, W0, W1) = _step_arrays(state, dt, kernel, out)
+    p = require(p, "p", 1.0)
+    q = require(q, "q", 1.0)
+    kernel, y, dt, (K0, K1, W0, W1) = _step_arrays(state, dt, kernel, out)
     (n0, n1), lane, helper_lane = kernel.lanes
     tmp, grid = kernel.tmp, state.grid
     sources = state.y[0], y[0]
@@ -552,7 +552,7 @@ def _checked_norms(state: SpectralState) -> tuple[Optional[dict[str, float]], fl
 
 def detect_blowup(state: SpectralState, threshold: float) -> bool:
     """True iff any recorded norm of the state is not finite or exceeds threshold."""
-    require(threshold, "threshold", 0.0, math.inf, "]")
+    threshold = require(threshold, "threshold", 0.0, math.inf, "]")
     return _checked_norms(state)[1] > threshold
 
 

@@ -4,6 +4,7 @@ ValueError that names it, as the CLI's field rules do.  It checks types as
 well: a bool, a string or a complex number is not taken for a real one, so
 True is not 1 and '1' is not a number."""
 
+import dataclasses
 import math
 import re
 
@@ -172,84 +173,100 @@ CASES = {
     "fd_neg_laplacian.h=0": lambda: fd_neg_laplacian(math.cos, 0.5, 1, h=0.0),
 }
 
-#: each scalar parameter of the entry points, as a call with its value left open
+#: each scalar parameter of the entry points, as a call with its value left
+#: open and a value the call takes (so in each table below)
 PARAMETERS = {
-    "SystemParams.n": lambda v: SystemParams(v, 1.0, 1.0, 3.0, 4.0),
-    "SystemParams.sigma1": lambda v: SystemParams(1, v, 1.0, 3.0, 4.0),
-    "SystemParams.sigma2": lambda v: SystemParams(1, 1.0, v, 3.0, 4.0),
-    "SystemParams.p": lambda v: SystemParams(1, 1.0, 1.0, v, 4.0),
-    "SystemParams.q": lambda v: SystemParams(1, 1.0, 1.0, 3.0, v),
-    "SystemParams.eps": lambda v: SystemParams(1, 1.0, 1.0, 3.0, 4.0, v),
-    "GaussianProfile.width": lambda v: GaussianProfile(1.0, v),
-    "GaussianProfile.amplitude": lambda v: GaussianProfile(v, 1.0),
-    "GridSpec.n_dim": lambda v: GridSpec(v, 64, 20.0),
-    "GridSpec.points_per_dim": lambda v: GridSpec(1, v, 20.0),
-    "GridSpec.half_length": lambda v: GridSpec(1, 64, v),
-    "TestFunctionSpec.gamma": lambda v: TestFunctionSpec(gamma=v, r=2.0, R=4.0),
-    "TestFunctionSpec.r": lambda v: TestFunctionSpec(gamma=1.5, r=v, R=4.0),
-    "TestFunctionSpec.R": lambda v: TestFunctionSpec(gamma=1.5, r=2.0, R=v),
-    "linear_norm.t": lambda v: linear_norm(G, None, v, 1.0, 1, NormKind.SOLUTION_L2),
-    "linear_norm.sigma": lambda v: linear_norm(G, None, 1.0, v, 1, NormKind.SOLUTION_L2),
+    "SystemParams.n": (lambda v: SystemParams(v, 1.0, 1.0, 3.0, 4.0), 2),
+    "SystemParams.sigma1": (lambda v: SystemParams(1, v, 1.0, 3.0, 4.0), 1.1),
+    "SystemParams.sigma2": (lambda v: SystemParams(1, 1.0, v, 3.0, 4.0), 1.1),
+    "SystemParams.p": (lambda v: SystemParams(1, 1.0, 1.0, v, 4.0), 3.3),
+    "SystemParams.q": (lambda v: SystemParams(1, 1.0, 1.0, 3.0, v), 4.3),
+    "SystemParams.eps": (lambda v: SystemParams(1, 1.0, 1.0, 3.0, 4.0, v), 0.1),
+    "GaussianProfile.width": (lambda v: GaussianProfile(1.0, v), 1.1),
+    "GaussianProfile.amplitude": (lambda v: GaussianProfile(v, 1.0), 0.3),
+    "GridSpec.n_dim": (lambda v: GridSpec(v, 64, 20.0), 2),
+    "GridSpec.points_per_dim": (lambda v: GridSpec(1, v, 20.0), 32),
+    "GridSpec.half_length": (lambda v: GridSpec(1, 64, v), 10.1),
+    "TestFunctionSpec.gamma": (lambda v: TestFunctionSpec(gamma=v, r=2.0, R=4.0), 1.3),
+    "TestFunctionSpec.r": (lambda v: TestFunctionSpec(gamma=1.5, r=v, R=4.0), 2.3),
+    "TestFunctionSpec.R": (lambda v: TestFunctionSpec(gamma=1.5, r=2.0, R=v), 4.1),
+    "linear_norm.t": (lambda v: linear_norm(G, None, v, 1.0, 1, NormKind.SOLUTION_L2), 1.1),
+    "linear_norm.sigma": (lambda v: linear_norm(G, None, 1.0, v, 1, NormKind.SOLUTION_L2), 1.1),
     "linear_norm.rel_tol":
-        lambda v: linear_norm(G, None, 1.0, 1.0, 1, NormKind.SOLUTION_L2, rel_tol=v),
-    "propagator.t": lambda v: propagator(v, 0.5, 1.0),
-    "propagator.xi_mag": lambda v: propagator(1.0, v, 1.0),
-    "propagator.sigma": lambda v: propagator(1.0, 0.5, v),
-    "propagator_arrays.t": lambda v: propagator_arrays(v, MU),
-    "duhamel_weights.dt": lambda v: duhamel_weights(v, MU),
-    "linear_step.dt": lambda v: linear_step(state(), v),
-    "duhamel_step.dt": lambda v: duhamel_step(state(), v, 3.0, 4.0),
-    "duhamel_step.p": lambda v: duhamel_step(state(), 0.1, v, 4.0),
-    "duhamel_step.q": lambda v: duhamel_step(state(), 0.1, 3.0, v),
-    "run.t_max": lambda v: run(GRID, DATA, PARAMS, v, []),
-    "run.dt": lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], dt=v),
-    "run.blowup_threshold": lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], blowup_threshold=v),
-    "detect_blowup.threshold": lambda v: detect_blowup(state(), v),
-    "adaptive_quad.rel_tol": lambda v: adaptive_quad(math.cos, 0.0, 1.0, rel_tol=v),
-    "gauss_kronrod.rel_tol": lambda v: gauss_kronrod(np.cos, 0.0, 1.0, rel_tol=v),
-    "integer_laplacian_bracket.r": lambda v: integer_laplacian_bracket(v, 1, 1),
-    "integer_laplacian_bracket.m": lambda v: integer_laplacian_bracket(2.0, v, 1),
-    "frac_lap_normalization.s": lambda v: frac_lap_normalization(1, v),
+        (lambda v: linear_norm(G, None, 1.0, 1.0, 1, NormKind.SOLUTION_L2, rel_tol=v), 1e-9),
+    "linear_norm.n": (lambda v: linear_norm(G, None, 1.0, 1.0, v, NormKind.SOLUTION_L2), 2),
+    "propagator.t": (lambda v: propagator(v, 0.5, 1.0), 1.1),
+    "propagator.xi_mag": (lambda v: propagator(1.0, v, 1.0), 0.7),
+    "propagator.sigma": (lambda v: propagator(1.0, 0.5, v), 1.1),
+    "propagator_arrays.t": (lambda v: propagator_arrays(v, MU), 1.1),
+    "duhamel_weights.dt": (lambda v: duhamel_weights(v, MU), 0.1),
+    "ode_residual.h": (lambda v: ode_residual(1.0, 0.5, 1.0, v), 1e-3),
+    "linear_step.dt": (lambda v: linear_step(state(), v), 0.1),
+    "duhamel_step.dt": (lambda v: duhamel_step(state(), v, 3.0, 4.0), 0.1),
+    "duhamel_step.p": (lambda v: duhamel_step(state(), 0.1, v, 4.0), 3.3),
+    "duhamel_step.q": (lambda v: duhamel_step(state(), 0.1, 3.0, v), 4.3),
+    "run.t_max": (lambda v: run(GRID, DATA, PARAMS, v, []), 1.1),
+    "run.dt": (lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], dt=v), 0.1),
+    "run.blowup_threshold":
+        (lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], blowup_threshold=v), 10.1),
+    "detect_blowup.threshold": (lambda v: detect_blowup(state(), v), 0.01),
+    "adaptive_quad.rel_tol": (lambda v: adaptive_quad(math.cos, 0.0, 1.0, rel_tol=v), 1e-9),
+    "gauss_kronrod.rel_tol": (lambda v: gauss_kronrod(np.cos, 0.0, 1.0, rel_tol=v), 1e-9),
+    "integer_laplacian_bracket.r": (lambda v: integer_laplacian_bracket(v, 1, 1), 2.3),
+    "integer_laplacian_bracket.m": (lambda v: integer_laplacian_bracket(2.0, v, 1), 2),
+    "frac_lap_normalization.s": (lambda v: frac_lap_normalization(1, v), 0.3),
+    "fractional_laplacian_bracket.s":
+        (lambda v: fractional_laplacian_bracket(COMBO, v, 1.0, 1), 0.3),
+    "fractional_laplacian_bracket.n":
+        (lambda v: fractional_laplacian_bracket(COMBO, 0.5, 1.0, v), 2),
     "fractional_laplacian_bracket.scale":
-        lambda v: fractional_laplacian_bracket(COMBO, 0.5, 1.0, 1, scale=v),
-    "fractional_laplacian_fourier.x": lambda v: fractional_laplacian_fourier(COMBO, 0.5, v),
-    "eta.lam": lambda v: eta(0.7, v),
-    "eta_derivs.lam": lambda v: eta_derivs(0.7, v),
-    "compare_rates.tol": lambda v: compare_rates(FIT, -0.5, v),
-    "eta_derivs.t": lambda v: eta_derivs(v, 2.0),
-    "fd_neg_laplacian.x": lambda v: fd_neg_laplacian(math.cos, v, 1),
-    "fd_neg_laplacian.h": lambda v: fd_neg_laplacian(math.cos, 0.5, 1, h=v),
+        (lambda v: fractional_laplacian_bracket(COMBO, 0.5, 1.0, 1, scale=v), 1.3),
+    "fractional_laplacian_fourier.s": (lambda v: fractional_laplacian_fourier(COMBO, v, 0.7), 0.3),
+    "fractional_laplacian_fourier.x": (lambda v: fractional_laplacian_fourier(COMBO, 0.5, v), 0.7),
+    "eta.lam": (lambda v: eta(0.7, v), 2.3),
+    "eta_derivs.lam": (lambda v: eta_derivs(0.7, v), 2.3),
+    "eta_ratio_sup.kappa": (lambda v: eta_ratio_sup(6.0, v), 1.7),
+    "compare_rates.tol": (lambda v: compare_rates(FIT, -0.5, v), 0.1),
+    "eta_derivs.t": (lambda v: eta_derivs(v, 2.0), 0.7),
+    "fd_neg_laplacian.x": (lambda v: fd_neg_laplacian(math.cos, v, 1), 0.7),
+    "fd_neg_laplacian.h": (lambda v: fd_neg_laplacian(math.cos, 0.5, 1, h=v), 0.01),
+    "fd_neg_laplacian.n": (lambda v: fd_neg_laplacian(math.cos, 0.5, v), 2),
+    "fd_neg_laplacian.m": (lambda v: fd_neg_laplacian(math.cos, 0.5, 1, m=v), 2),
+    "envelope_ratio.n": (lambda v: envelope_ratio(1.5, 1.0, v, [0.5, 3.0]), 2),
+    "NormSeries.value": (lambda v: NormSeries([(0.5, 1.0), (1.0, v)]), 0.7),
 }
 #: times, which are reals too: a run's record and observer times and a series' time stamps
 TIMES = {
-    "run.record_times": lambda v: run(GRID, DATA, PARAMS, 1.0, [0.5, v]),
-    "run.observer.times": lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], observers=[observer([v])]),
-    "NormSeries.t": lambda v: NormSeries([(0.5, 1.0), (v, 1.0)]),
+    "run.record_times": (lambda v: run(GRID, DATA, PARAMS, 1.0, [0.5, v]), 0.7),
+    "run.observer.times":
+        (lambda v: run(GRID, DATA, PARAMS, 1.0, [1.0], observers=[observer([v])]), 0.7),
+    "NormSeries.t": (lambda v: NormSeries([(0.5, 1.0), (v, 1.0)]), 0.7),
 }
 #: interval counts, integers >= 1
 COUNTS = {
-    "gauss_kronrod.limit": lambda v: gauss_kronrod(np.cos, 0.0, 50.0, limit=v),
-    "gauss_kronrod_estimates.limit": lambda v: gauss_kronrod_estimates(
-        lambda x, _: np.cos(x), [0.0, 0.0], [1.0, 2.0], limit=v),
+    "gauss_kronrod.limit": (lambda v: gauss_kronrod(np.cos, 0.0, 50.0, limit=v), 100),
+    "gauss_kronrod_estimates.limit": (lambda v: gauss_kronrod_estimates(
+        lambda x, _: np.cos(x), [0.0, 0.0], [1.0, 2.0], limit=v), 100),
 }
 #: points, which may be arrays: their dtype must be of integers or floats, and
 #: each point finite
 POINTS = {
-    "fractional_laplacian_bracket.x": lambda v: fractional_laplacian_bracket(COMBO, 0.5, v, 1),
-    "fractional_laplacian_gamma.x":
-        lambda v: fractional_laplacian_gamma(TestFunctionSpec(gamma=1.5, r=2.0, R=4.0), v, 2),
+    "fractional_laplacian_bracket.x":
+        (lambda v: fractional_laplacian_bracket(COMBO, 0.5, v, 1), 0.7),
+    "fractional_laplacian_gamma.x": (lambda v: fractional_laplacian_gamma(
+        TestFunctionSpec(gamma=1.5, r=2.0, R=4.0), v, 2), 0.7),
     # an integer order takes the bracket recursion alone, with no quadrature
-    "fractional_laplacian_gamma.gamma_2.x":
-        lambda v: fractional_laplacian_gamma(TestFunctionSpec(gamma=2.0, r=2.0, R=4.0), v, 2),
-    "eta.x": lambda v: eta(v, 2.0),
-    "envelope_ratio.x_samples": lambda v: envelope_ratio(1.5, 1.0, 1, v),
+    "fractional_laplacian_gamma.gamma_2.x": (lambda v: fractional_laplacian_gamma(
+        TestFunctionSpec(gamma=2.0, r=2.0, R=4.0), v, 2), 0.7),
+    "eta.x": (lambda v: eta(v, 2.0), 0.7),
+    "envelope_ratio.x_samples": (lambda v: envelope_ratio(1.5, 1.0, 1, v), 0.7),
 }
 # a bool is not 1, a string not a number, a complex number not a real one, no
 # point NaN or infinite, and no number that a float cannot hold
 for table, values in ((PARAMETERS, (True, "1", 1j, NAN, 10**400)),
                       (TIMES, (True, "1", 10**400)), (COUNTS, (True, 0, 2.5, 2**1400)),
                       (POINTS, ("1", True, [True], 1j, NAN, INF, [1.0, NAN]))):
-    for param, call in table.items():
+    for param, (call, _) in table.items():
         for value in values:
             CASES.setdefault(f"{param}={value!r}", lambda call=call, value=value: call(value))
 
@@ -261,3 +278,32 @@ def test_non_finite_input_rejected(case, call):
     name = re.sub(r"\[.*", "", case.split("=")[0].split(".")[-1])
     with pytest.raises(ValueError, match=rf"\b{name}\w* must\b"):
         call()
+
+
+def _bits(value):
+    """A key equal for two results only if they agree in type and bits: numbers
+    and arrays by their bytes, dataclasses field by field, tuples, lists and
+    dicts item by item."""
+    if isinstance(value, np.ndarray):
+        return type(value), value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, np.generic)):
+        return type(value), np.asarray(value).tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return type(value), tuple((key, _bits(item)) for key, item in value.items())
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(_bits(item) for item in value)
+    return type(value), value
+
+
+VALID = {**PARAMETERS, **TIMES, **COUNTS, **POINTS}
+
+
+@pytest.mark.parametrize("call,valid", VALID.values(), ids=VALID.keys())
+def test_numpy_scalar_computes_as_the_number_it_holds(call, valid):
+    """A checked number is computed with as what the check returns: a numpy
+    float32 gives what its float gives, a numpy int64 what its int gives."""
+    numpy_value = np.int64(valid) if type(valid) is int else np.float32(valid)
+    plain = int(valid) if type(valid) is int else float(numpy_value)
+    assert _bits(call(numpy_value)) == _bits(call(plain))
